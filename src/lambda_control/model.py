@@ -48,6 +48,7 @@ __all__ = [
     "system_matrix_dtheta",
     "rk4_step_matrix",
     "rk4_step_matrix_pair",
+    "interval_steps",
     "default_max_step",
     "integrate_full",
     "reconstruct_density",
@@ -60,6 +61,9 @@ STATE_DIM = 9
 
 # Slack used when validating user-provided angles/grids against exact bounds.
 _EDGE_TOL = 1e-12
+
+# Intervals whose step matrices integrate_full builds in one batched call.
+_BATCH = 64
 
 
 class IntegrationError(RuntimeError):
@@ -333,64 +337,70 @@ def rhs_full(state, theta: float, params: SystemParams) -> np.ndarray:
     ])
 
 
-def system_matrix(theta: float, params: SystemParams) -> np.ndarray:
-    """Generator A(theta) with rhs_full(state) == A @ state.
+def system_matrix(theta, params: SystemParams) -> np.ndarray:
+    """Generator A(theta) with rhs_full(state) == A @ state, batched over theta.
 
-    Block diagonal: the x block (indices 0..5) and the y block (6..8) never
-    couple, which is why the y block stays exactly zero from the standard
-    initial condition.
+    An angle array of shape S gives A of shape S + (9, 9), so a scalar angle
+    gives one (9, 9) matrix.  Block diagonal: the x block (indices 0..5) and
+    the y block (6..8) never couple, which is why the y block stays exactly
+    zero from the standard initial condition.
     """
-    op = params.omega0 * math.sin(theta)
-    os_ = params.omega0 * math.cos(theta)
+    theta = np.asarray(theta, dtype=float)
+    op = params.omega0 * np.sin(theta)
+    os_ = params.omega0 * np.cos(theta)
     g = params.gamma_total
-    A = np.zeros((STATE_DIM, STATE_DIM))
-    A[0, 1] = params.gamma1
-    A[0, 3] = -op
-    A[1, 1] = -g
-    A[1, 3] = op
-    A[1, 4] = -os_
-    A[2, 1] = params.gamma3
-    A[2, 4] = os_
-    A[3, 0] = 0.5 * op
-    A[3, 1] = -0.5 * op
-    A[3, 3] = -0.5 * g
-    A[3, 5] = 0.5 * os_
-    A[4, 1] = 0.5 * os_
-    A[4, 2] = -0.5 * os_
-    A[4, 4] = -0.5 * g
-    A[4, 5] = -0.5 * op
-    A[5, 3] = -0.5 * os_
-    A[5, 4] = 0.5 * op
-    A[6, 6] = -0.5 * g
-    A[6, 8] = -0.5 * os_
-    A[7, 7] = -0.5 * g
-    A[7, 8] = 0.5 * op
-    A[8, 6] = 0.5 * os_
-    A[8, 7] = -0.5 * op
+    A = np.zeros(theta.shape + (STATE_DIM, STATE_DIM))
+    A[..., 0, 1] = params.gamma1
+    A[..., 0, 3] = -op
+    A[..., 1, 1] = -g
+    A[..., 1, 3] = op
+    A[..., 1, 4] = -os_
+    A[..., 2, 1] = params.gamma3
+    A[..., 2, 4] = os_
+    A[..., 3, 0] = 0.5 * op
+    A[..., 3, 1] = -0.5 * op
+    A[..., 3, 3] = -0.5 * g
+    A[..., 3, 5] = 0.5 * os_
+    A[..., 4, 1] = 0.5 * os_
+    A[..., 4, 2] = -0.5 * os_
+    A[..., 4, 4] = -0.5 * g
+    A[..., 4, 5] = -0.5 * op
+    A[..., 5, 3] = -0.5 * os_
+    A[..., 5, 4] = 0.5 * op
+    A[..., 6, 6] = -0.5 * g
+    A[..., 6, 8] = -0.5 * os_
+    A[..., 7, 7] = -0.5 * g
+    A[..., 7, 8] = 0.5 * op
+    A[..., 8, 6] = 0.5 * os_
+    A[..., 8, 7] = -0.5 * op
     return A
 
 
-def system_matrix_dtheta(theta: float, params: SystemParams) -> np.ndarray:
-    """Derivative dA/dtheta of the generator (d omega_p = omega_s, d omega_s = -omega_p)."""
-    op = params.omega0 * math.sin(theta)
-    os_ = params.omega0 * math.cos(theta)
-    D = np.zeros((STATE_DIM, STATE_DIM))
-    D[0, 3] = -os_
-    D[1, 3] = os_
-    D[1, 4] = op
-    D[2, 4] = -op
-    D[3, 0] = 0.5 * os_
-    D[3, 1] = -0.5 * os_
-    D[3, 5] = -0.5 * op
-    D[4, 1] = -0.5 * op
-    D[4, 2] = 0.5 * op
-    D[4, 5] = -0.5 * os_
-    D[5, 3] = 0.5 * op
-    D[5, 4] = 0.5 * os_
-    D[6, 8] = 0.5 * op
-    D[7, 8] = 0.5 * os_
-    D[8, 6] = -0.5 * op
-    D[8, 7] = -0.5 * os_
+def system_matrix_dtheta(theta, params: SystemParams) -> np.ndarray:
+    """Derivative dA/dtheta of the generator, batched like ``system_matrix``.
+
+    Uses d omega_p / d theta = omega_s and d omega_s / d theta = -omega_p.
+    """
+    theta = np.asarray(theta, dtype=float)
+    op = params.omega0 * np.sin(theta)
+    os_ = params.omega0 * np.cos(theta)
+    D = np.zeros(theta.shape + (STATE_DIM, STATE_DIM))
+    D[..., 0, 3] = -os_
+    D[..., 1, 3] = os_
+    D[..., 1, 4] = op
+    D[..., 2, 4] = -op
+    D[..., 3, 0] = 0.5 * os_
+    D[..., 3, 1] = -0.5 * os_
+    D[..., 3, 5] = -0.5 * op
+    D[..., 4, 1] = -0.5 * op
+    D[..., 4, 2] = 0.5 * op
+    D[..., 4, 5] = -0.5 * os_
+    D[..., 5, 3] = 0.5 * op
+    D[..., 5, 4] = 0.5 * os_
+    D[..., 6, 8] = 0.5 * op
+    D[..., 7, 8] = 0.5 * os_
+    D[..., 8, 6] = -0.5 * op
+    D[..., 8, 7] = -0.5 * os_
     return D
 
 
@@ -398,36 +408,55 @@ def system_matrix_dtheta(theta: float, params: SystemParams) -> np.ndarray:
 # Fixed-step RK4 for the linear system
 # ---------------------------------------------------------------------------
 
-def rk4_step_matrix(A: np.ndarray, h: float) -> np.ndarray:
+def interval_steps(durations, h_max: float):
+    """RK4 step counts and step sizes for intervals of the given durations.
+
+    Each interval of length d takes m = max(1, ceil(d / h_max)) equal steps
+    of size h = d / m.  Returns integer ``steps`` and float ``h`` arrays of
+    the shape of ``durations``.
+    """
+    durations = np.asarray(durations, dtype=float)
+    steps = np.maximum(1, np.ceil(durations / h_max - 1e-12).astype(int))
+    return steps, durations / steps
+
+
+def _rk4_polynomial(A: np.ndarray, h, dA: np.ndarray | None = None):
+    """Degree-4 Taylor polynomial of exp(hA) and, given dA, its derivative."""
+    h = np.asarray(h, dtype=float)[..., None, None]
+    B = h * A
+    B2 = B @ B
+    B3 = B2 @ B
+    B4 = B3 @ B
+    M = B + B2 / 2.0 + B3 / 6.0 + B4 / 24.0
+    idx = np.arange(A.shape[-1])
+    M[..., idx, idx] += 1.0
+    if dA is None:
+        return M, None
+    D = h * dA
+    D2 = D @ B + B @ D
+    D3 = D2 @ B + B2 @ D
+    D4 = D3 @ B + B3 @ D
+    return M, D + D2 / 2.0 + D3 / 6.0 + D4 / 24.0
+
+
+def rk4_step_matrix(A: np.ndarray, h) -> np.ndarray:
     """One classical RK4 step for xdot = A x, as a transition matrix.
 
-    For a linear autonomous system the RK4 update is exactly the degree-4
-    Taylor polynomial of the matrix exponential, so repeated application of
-    this matrix reproduces stepwise RK4 in exact arithmetic.
+    Batched: A of shape S + (d, d) with h a scalar or of shape S gives M of
+    shape S + (d, d).  For a linear autonomous system the RK4 update is
+    exactly the degree-4 Taylor polynomial of the matrix exponential, so
+    repeated application of this matrix reproduces stepwise RK4 in exact
+    arithmetic.
     """
-    B = h * A
-    B2 = B @ B
-    B3 = B2 @ B
-    B4 = B3 @ B
-    M = B + B2 / 2.0 + B3 / 6.0 + B4 / 24.0
-    M[np.diag_indices_from(M)] += 1.0
-    return M
+    return _rk4_polynomial(A, h)[0]
 
 
-def rk4_step_matrix_pair(A: np.ndarray, dA: np.ndarray, h: float):
-    """RK4 one-step matrix M and its derivative dM/dtheta, given dA/dtheta."""
-    B = h * A
-    D = h * dA
-    B2 = B @ B
-    D2 = D @ B + B @ D
-    B3 = B2 @ B
-    D3 = D2 @ B + B2 @ D
-    B4 = B3 @ B
-    D4 = D3 @ B + B3 @ D
-    M = B + B2 / 2.0 + B3 / 6.0 + B4 / 24.0
-    M[np.diag_indices_from(M)] += 1.0
-    dM = D + D2 / 2.0 + D3 / 6.0 + D4 / 24.0
-    return M, dM
+def rk4_step_matrix_pair(A: np.ndarray, dA: np.ndarray, h):
+    """RK4 one-step matrix M and its derivative dM/dtheta, given dA/dtheta.
+
+    Batched like ``rk4_step_matrix``: M and dM have the shape of A.
+    """
+    return _rk4_polynomial(A, h, dA)
 
 
 def default_max_step(params: SystemParams) -> float:
@@ -496,15 +525,31 @@ def _check_finite(state: np.ndarray, t: float, last_good: float):
         )
 
 
+def _interval_edges(control: ControlSignal, T: float):
+    """Start time, end time and angle of every control interval inside [0, T]."""
+    starts = control.grid[control.grid < T - _EDGE_TOL * max(1.0, T)]
+    ends = np.append(starts[1:], T)
+    return starts, ends, control.theta[: starts.size]
+
+
+def _step_matrices(thetas: np.ndarray, h: np.ndarray, params: SystemParams,
+                   stride: int):
+    """Per interval, the RK4 step matrix M and M**stride.
+
+    Built in batches of _BATCH intervals, so memory stays bounded for
+    schedules with many intervals.
+    """
+    for lo in range(0, thetas.size, _BATCH):
+        M = rk4_step_matrix(system_matrix(thetas[lo:lo + _BATCH], params),
+                            h[lo:lo + _BATCH])
+        yield from zip(M, np.linalg.matrix_power(M, stride))
+
+
 def _integrate_piecewise_rk4(control: ControlSignal, params: SystemParams,
                              T: float, x0: np.ndarray, h_max: float,
                              max_samples: int) -> Trajectory:
-    edges = control.grid[control.grid < T - _EDGE_TOL * max(1.0, T)]
-    starts = edges
-    ends = np.append(edges[1:], T)
-    thetas = control.theta[: starts.size]
-
-    steps = np.maximum(1, np.ceil((ends - starts) / h_max - 1e-12).astype(int))
+    starts, ends, thetas = _interval_edges(control, T)
+    steps, h = interval_steps(ends - starts, h_max)
     total = int(steps.sum())
     stride = max(1, math.ceil(total / max(1, max_samples - 1)))
 
@@ -517,24 +562,22 @@ def _integrate_piecewise_rk4(control: ControlSignal, params: SystemParams,
     # Divergence is detected via the finite check; silence the transient
     # overflow warnings it rides in on.
     with np.errstate(over="ignore", invalid="ignore"):
-        for t0, t1, th, m in zip(starts, ends, thetas, steps):
-            h = (t1 - t0) / m
-            A = system_matrix(th, params)
-            M = rk4_step_matrix(A, h)
+        matrices = _step_matrices(thetas, h, params, stride)
+        for t0, t1, th, m, hk, (Mk, Mk_stride) in zip(starts, ends, thetas,
+                                                      steps, h, matrices):
             n_chunks, rem = divmod(m, stride)
-            M_stride = np.linalg.matrix_power(M, stride) if n_chunks else None
             done = 0
             for _ in range(n_chunks):
-                state = M_stride @ state
+                state = Mk_stride @ state
                 done += stride
-                t = t1 if done == m else t0 + done * h
+                t = t1 if done == m else t0 + done * hk
                 _check_finite(state, t, last_good)
                 last_good = t
                 times.append(t)
                 samples.append(state.copy())
                 sample_theta.append(th)
             if rem:
-                state = np.linalg.matrix_power(M, rem) @ state
+                state = np.linalg.matrix_power(Mk, rem) @ state
                 _check_finite(state, t1, last_good)
                 last_good = t1
                 times.append(t1)
@@ -549,8 +592,8 @@ def _integrate_piecewise_rk4(control: ControlSignal, params: SystemParams,
 def _integrate_callable_rk4(theta_fn, params: SystemParams, T: float,
                             x0: np.ndarray, h_max: float,
                             max_samples: int) -> Trajectory:
-    n = max(1, math.ceil(T / h_max - 1e-12))
-    h = T / n
+    n, h = interval_steps(T, h_max)
+    n, h = int(n), float(h)
     stride = max(1, math.ceil(n / max(1, max_samples - 1)))
 
     times = [0.0]
@@ -597,11 +640,7 @@ def _integrate_adaptive(control, params: SystemParams, T: float,
         thetas = np.array([float(control(t)) for t in sol.t])
         return Trajectory(sol.t.copy(), sol.y.T.copy(), thetas)
 
-    edges = control.grid[control.grid < T - _EDGE_TOL * max(1.0, T)]
-    starts = edges
-    ends = np.append(edges[1:], T)
-    thetas = control.theta[: starts.size]
-
+    starts, ends, thetas = _interval_edges(control, T)
     times = [0.0]
     samples = [x0.copy()]
     sample_theta = [thetas[0]]

@@ -6,9 +6,13 @@ with a backtracking (Armijo) line search and a deterministic multi-start.
 The amplitude constraint omega_p**2 + omega_s**2 = omega0**2 is satisfied
 identically by the angle parameterization, so no penalty terms appear.
 
-Because the state equation is linear, a control interval integrated with
-fixed-step RK4 is a matrix power of the one-step transition matrix; the
-gradient of each interval propagator follows from the block identity
+The dynamics are those of ``integrate_full``: the generator
+(``system_matrix``, ``system_matrix_dtheta``), the RK4 step matrices
+(``rk4_step_matrix``, ``rk4_step_matrix_pair``) and the step rule
+(``interval_steps``) all come from ``lambda_control.model``.  Because the
+state equation is linear, a control interval integrated with fixed-step RK4
+is a matrix power of the one-step transition matrix; the gradient of each
+interval propagator follows from the block identity
 
     [[M, dM],   ^m     [[M^m,  d(M^m)],
      [0,  M]]        =  [0,    M^m   ]]
@@ -30,10 +34,16 @@ import numpy as np
 from .model import (
     HALF_PI,
     ControlSignal,
+    IntegrationError,
     SystemParams,
     default_max_step,
     integrate_full,
+    interval_steps,
     optical_pumping_control,
+    rk4_step_matrix,
+    rk4_step_matrix_pair,
+    system_matrix,
+    system_matrix_dtheta,
 )
 
 __all__ = [
@@ -123,121 +133,31 @@ class OptimizationResult:
 
 
 # ---------------------------------------------------------------------------
-# Fast interval propagators (x block only)
+# Interval propagators (x block only)
 # ---------------------------------------------------------------------------
-
-def _xblock_matrices(thetas: np.ndarray, params: SystemParams):
-    """Batched generator A(theta_k) and dA/dtheta for the 6-variable x block."""
-    n = thetas.size
-    op = params.omega0 * np.sin(thetas)
-    os_ = params.omega0 * np.cos(thetas)
-    g = params.gamma_total
-    A = np.zeros((n, _XDIM, _XDIM))
-    A[:, 0, 1] = params.gamma1
-    A[:, 0, 3] = -op
-    A[:, 1, 1] = -g
-    A[:, 1, 3] = op
-    A[:, 1, 4] = -os_
-    A[:, 2, 1] = params.gamma3
-    A[:, 2, 4] = os_
-    A[:, 3, 0] = 0.5 * op
-    A[:, 3, 1] = -0.5 * op
-    A[:, 3, 3] = -0.5 * g
-    A[:, 3, 5] = 0.5 * os_
-    A[:, 4, 1] = 0.5 * os_
-    A[:, 4, 2] = -0.5 * os_
-    A[:, 4, 4] = -0.5 * g
-    A[:, 4, 5] = -0.5 * op
-    A[:, 5, 3] = -0.5 * os_
-    A[:, 5, 4] = 0.5 * op
-
-    dA = np.zeros((n, _XDIM, _XDIM))
-    dA[:, 0, 3] = -os_
-    dA[:, 1, 3] = os_
-    dA[:, 1, 4] = op
-    dA[:, 2, 4] = -op
-    dA[:, 3, 0] = 0.5 * os_
-    dA[:, 3, 1] = -0.5 * os_
-    dA[:, 3, 5] = -0.5 * op
-    dA[:, 4, 1] = -0.5 * op
-    dA[:, 4, 2] = 0.5 * op
-    dA[:, 4, 5] = -0.5 * os_
-    dA[:, 5, 3] = 0.5 * op
-    dA[:, 5, 4] = 0.5 * os_
-    return A, dA
-
-
-def _rk4_step_batched(A: np.ndarray, h: np.ndarray) -> np.ndarray:
-    B = h[:, None, None] * A
-    B2 = B @ B
-    B3 = B2 @ B
-    B4 = B3 @ B
-    M = B + B2 / 2.0 + B3 / 6.0 + B4 / 24.0
-    idx = np.arange(A.shape[1])
-    M[:, idx, idx] += 1.0
-    return M
-
-
-def _rk4_pair_batched(A: np.ndarray, dA: np.ndarray, h: np.ndarray):
-    B = h[:, None, None] * A
-    D = h[:, None, None] * dA
-    B2 = B @ B
-    D2 = D @ B + B @ D
-    B3 = B2 @ B
-    D3 = D2 @ B + B2 @ D
-    B4 = B3 @ B
-    D4 = D3 @ B + B3 @ D
-    M = B + B2 / 2.0 + B3 / 6.0 + B4 / 24.0
-    idx = np.arange(A.shape[1])
-    M[:, idx, idx] += 1.0
-    dM = D + D2 / 2.0 + D3 / 6.0 + D4 / 24.0
-    return M, dM
-
-
-def _batched_power(mats: np.ndarray, exponent: int) -> np.ndarray:
-    """Square-and-multiply matrix power applied to a whole batch at once."""
-    n, d, _ = mats.shape
-    result = np.broadcast_to(np.eye(d), (n, d, d)).copy()
-    base = mats
-    e = int(exponent)
-    while e:
-        if e & 1:
-            result = result @ base
-        e >>= 1
-        if e:
-            base = base @ base
-    return result
-
 
 def _interval_propagators(thetas: np.ndarray, durations: np.ndarray,
                           params: SystemParams, with_grad: bool):
     """Per-interval RK4 propagators P_k (and dP_k/dtheta_k when requested)."""
-    h_max = default_max_step(params)
-    steps = np.maximum(1, np.ceil(durations / h_max - 1e-12).astype(int))
-    h = durations / steps
-
-    A, dA = _xblock_matrices(thetas, params)
+    steps, h = interval_steps(durations, default_max_step(params))
+    # The generator is block diagonal, so the x block evolves on its own.
+    A = system_matrix(thetas, params)[:, :_XDIM, :_XDIM]
     if with_grad:
-        M, dM = _rk4_pair_batched(A, dA, h)
-        aug = np.zeros((thetas.size, 2 * _XDIM, 2 * _XDIM))
-        aug[:, :_XDIM, :_XDIM] = M
-        aug[:, :_XDIM, _XDIM:] = dM
-        aug[:, _XDIM:, _XDIM:] = M
-        P = np.empty_like(M)
-        G = np.empty_like(M)
-        for m in np.unique(steps):
-            sel = steps == m
-            powered = _batched_power(aug[sel], int(m))
-            P[sel] = powered[:, :_XDIM, :_XDIM]
-            G[sel] = powered[:, :_XDIM, _XDIM:]
-        return P, G
-
-    M = _rk4_step_batched(A, h)
-    P = np.empty_like(M)
+        dA = system_matrix_dtheta(thetas, params)[:, :_XDIM, :_XDIM]
+        M, dM = rk4_step_matrix_pair(A, dA, h)
+        one_step = np.zeros((thetas.size, 2 * _XDIM, 2 * _XDIM))
+        one_step[:, :_XDIM, :_XDIM] = M
+        one_step[:, :_XDIM, _XDIM:] = dM
+        one_step[:, _XDIM:, _XDIM:] = M
+    else:
+        one_step = rk4_step_matrix(A, h)
+    powered = np.empty_like(one_step)
     for m in np.unique(steps):
         sel = steps == m
-        P[sel] = _batched_power(M[sel], int(m))
-    return P, None
+        powered[sel] = np.linalg.matrix_power(one_step[sel], int(m))
+    if with_grad:
+        return powered[:, :_XDIM, :_XDIM], powered[:, :_XDIM, _XDIM:]
+    return powered, None
 
 
 def _check_grid(control: ControlSignal, T: float | None) -> float:
@@ -251,17 +171,28 @@ def _check_grid(control: ControlSignal, T: float | None) -> float:
     return T
 
 
+def _forward(P: np.ndarray) -> list[np.ndarray]:
+    """States before and after every interval, from all population in |1>."""
+    state = np.zeros(_XDIM)
+    state[0] = 1.0
+    states = [state]
+    for Pk in P:
+        state = Pk @ state
+        states.append(state)
+    return states
+
+
+def _final_rho33(thetas: np.ndarray, durations: np.ndarray,
+                 params: SystemParams) -> float:
+    P, _ = _interval_propagators(thetas, durations, params, with_grad=False)
+    return float(_forward(P)[-1][2])
+
+
 def objective(control: ControlSignal, params: SystemParams,
               T: float | None = None) -> float:
     """Final target population rho33(T) under the fixed-step dynamics."""
     _check_grid(control, T)
-    P, _ = _interval_propagators(control.theta, control.durations, params,
-                                 with_grad=False)
-    state = np.zeros(_XDIM)
-    state[0] = 1.0
-    for Pk in P:
-        state = Pk @ state
-    return float(state[2])
+    return _final_rho33(control.theta, control.durations, params)
 
 
 def objective_and_gradient(control: ControlSignal, params: SystemParams,
@@ -274,19 +205,15 @@ def objective_and_gradient(control: ControlSignal, params: SystemParams,
     _check_grid(control, T)
     P, G = _interval_propagators(control.theta, control.durations, params,
                                  with_grad=True)
+    states = _forward(P)
     n = control.n_intervals
-    states = np.empty((n + 1, _XDIM))
-    states[0] = 0.0
-    states[0, 0] = 1.0
-    for k in range(n):
-        states[k + 1] = P[k] @ states[k]
     grad = np.empty(n)
     adjoint = np.zeros(_XDIM)
     adjoint[2] = 1.0
     for k in range(n - 1, -1, -1):
         grad[k] = adjoint @ (G[k] @ states[k])
         adjoint = P[k].T @ adjoint
-    return float(states[n, 2]), grad
+    return float(states[n][2]), grad
 
 
 def gradient(control: ControlSignal, params: SystemParams,
@@ -313,14 +240,6 @@ def _ascend(theta0: np.ndarray, grid: np.ndarray, params: SystemParams,
     ls = config.line_search
     durations = np.diff(grid)
 
-    def f_only(th):
-        P, _ = _interval_propagators(th, durations, params, with_grad=False)
-        state = np.zeros(_XDIM)
-        state[0] = 1.0
-        for Pk in P:
-            state = Pk @ state
-        return float(state[2])
-
     def f_and_g(th):
         ctl = ControlSignal(grid, th)
         return objective_and_gradient(ctl, params)
@@ -346,7 +265,7 @@ def _ascend(theta0: np.ndarray, grid: np.ndarray, params: SystemParams,
             if slope <= 0.0:
                 step *= ls.shrink
                 continue
-            trial_value = f_only(trial)
+            trial_value = _final_rho33(trial, durations, params)
             if trial_value >= value + ls.armijo * slope and trial_value > value:
                 theta = trial
                 value, grad = f_and_g(theta)
@@ -495,7 +414,12 @@ def grid_cells(gammas, gamma_diffs, durations) -> list[SweepCell]:
 
 
 def sweep(cells, config: OptimizationConfig) -> list[SweepRow]:
-    """Optimize every cell; per-cell failures are recorded and do not abort."""
+    """Optimize every cell; per-cell failures are recorded and do not abort.
+
+    Only invalid parameters and numerical failures (``ValueError``,
+    ``IntegrationError``, ``FloatingPointError``, ``LinAlgError``) become
+    error rows; any other exception is a bug and propagates.
+    """
     rows = []
     for cell in cells:
         try:
@@ -512,7 +436,8 @@ def sweep(cells, config: OptimizationConfig) -> list[SweepRow]:
                 winner_start=result.start_label,
                 converged=result.converged,
             ))
-        except Exception as exc:  # record and continue with the next cell
+        except (ValueError, IntegrationError, FloatingPointError,
+                np.linalg.LinAlgError) as exc:  # record, go on to the next cell
             rows.append(SweepRow(
                 gamma=cell.gamma,
                 gamma_diff=cell.gamma_diff,

@@ -14,6 +14,8 @@ from lambda_control.model import (
     optical_pumping_control,
     reconstruct_density,
     rhs_full,
+    rk4_step_matrix,
+    rk4_step_matrix_pair,
     system_matrix,
     system_matrix_dtheta,
 )
@@ -115,6 +117,18 @@ class TestRhsFull:
             theta = rng.uniform(0, HALF_PI)
             assert np.allclose(system_matrix(theta, p) @ state,
                                rhs_full(state, theta, p), atol=1e-14)
+        # A batch of angles gives the stacked scalar generators, each with
+        # exactly zero x/y coupling blocks.
+        thetas = rng.uniform(0, HALF_PI, (3, 4))
+        A = system_matrix(thetas, p)
+        assert system_matrix(0.3, p).shape == (9, 9)
+        assert A.shape == (3, 4, 9, 9)
+        assert np.array_equal(
+            A, np.stack([[system_matrix(t, p) for t in row] for row in thetas]))
+        assert not A[..., :6, 6:].any() and not A[..., 6:, :6].any()
+        for theta, A_k in zip(thetas.ravel(), A.reshape(-1, 9, 9)):
+            assert np.allclose(A_k @ state, rhs_full(state, theta, p),
+                               atol=1e-14)
 
     def test_generator_derivative_is_consistent(self):
         p = SystemParams(gamma_total=3.0, gamma_diff=1.0)
@@ -122,6 +136,18 @@ class TestRhsFull:
         eps = 1e-6
         fd = (system_matrix(theta + eps, p) - system_matrix(theta - eps, p)) / (2 * eps)
         assert np.allclose(system_matrix_dtheta(theta, p), fd, atol=1e-9)
+
+        thetas = np.array([0.0, 0.3, 0.8, 1.2, HALF_PI])
+        h = np.array([0.3, 0.05, 0.1, 0.01, 0.2])
+        dA = system_matrix_dtheta(thetas, p)
+        assert np.array_equal(
+            dA, np.stack([system_matrix_dtheta(t, p) for t in thetas]))
+        assert not dA[..., :6, 6:].any() and not dA[..., 6:, :6].any()
+        M, dM = rk4_step_matrix_pair(system_matrix(thetas, p), dA, h)
+        assert np.array_equal(M, rk4_step_matrix(system_matrix(thetas, p), h))
+        fd = (rk4_step_matrix(system_matrix(thetas + eps, p), h)
+              - rk4_step_matrix(system_matrix(thetas - eps, p), h)) / (2 * eps)
+        assert np.allclose(dM, fd, atol=1e-9)
 
 
 class TestControlSignal:

@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lambda_control.model import (
     HALF_PI,
     ControlSignal,
     SystemParams,
+    default_max_step,
     integrate_full,
+    interval_steps,
     optical_pumping_control,
 )
 from lambda_control.optimizer import (
@@ -52,11 +56,22 @@ class TestObjective:
         oracle = integrate_full(control, p, method="adaptive").final_rho33
         assert objective(control, p) == pytest.approx(oracle, abs=1e-7)
 
-    def test_matches_integrate_full(self):
-        rng = np.random.default_rng(0)
-        p = SystemParams(gamma_total=3.0, gamma_diff=-1.0)
-        control = ControlSignal(np.linspace(0, 12, 9),
-                                rng.uniform(0, HALF_PI, 8))
+    @settings(deadline=None, max_examples=40)
+    @given(st.floats(min_value=0.1, max_value=20.0),
+           st.floats(min_value=-1.0, max_value=1.0),
+           st.lists(st.tuples(st.floats(min_value=1e-3, max_value=0.4),
+                              st.floats(min_value=0.0, max_value=HALF_PI)),
+                    min_size=2, max_size=8))
+    def test_matches_integrate_full(self, gamma, asymmetry, intervals):
+        # Non-uniform grids whose intervals take different RK4 step counts:
+        # the optimizer's per-step-count batching and integrate_full's
+        # per-interval propagation must apply the same step rule.
+        p = SystemParams(gamma_total=gamma, gamma_diff=asymmetry * gamma)
+        durations, thetas = (np.array(v) for v in zip(*intervals))
+        steps, _ = interval_steps(durations, default_max_step(p))
+        assume(np.unique(steps).size > 1)
+        control = ControlSignal(np.concatenate([[0.0], np.cumsum(durations)]),
+                                thetas)
         assert objective(control, p) == pytest.approx(
             integrate_full(control, p).final_rho33, abs=1e-12)
 
@@ -260,6 +275,15 @@ class TestSweep:
         assert math.isnan(rows[0].objective)
         assert rows[1].error is None
         assert rows[1].objective > 0.0
+
+    def test_programming_errors_propagate(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("bug in optimize")
+
+        monkeypatch.setattr("lambda_control.optimizer.optimize", broken)
+        config = OptimizationConfig(n_intervals=4, max_iters=1, n_starts=1)
+        with pytest.raises(TypeError, match="bug in optimize"):
+            sweep(grid_cells([2.0], [0.0], [5.0]), config)
 
     def test_grid_cells_cross_product(self):
         cells = grid_cells([1.0, 2.0], [0.0], [5.0, 10.0, 20.0])
