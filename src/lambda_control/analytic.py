@@ -15,6 +15,19 @@ sequences both by folding the two elementary maps and by the explicit
 exponential-trigonometric sums, checks candidates against the X1 bound, and
 computes switching-function residuals of the maximum principle along
 bang-singular schedules.
+
+One fold and one bound check serve a single sequence, on Python floats
+(propagate_sequence, verify_bound), and a batch of sequences, on numpy
+columns with one entry per sequence (propagate_batch, verify_bounds).
+Batch rows of different length are zero-padded at the end: a zero jump
+(cos 0 = 1, sin 0 = 0) followed by a zero arc (e^0 = 1, expm1(-0) = -0)
+maps every finite (x, y) to itself bit for bit (only a coordinate equal to
+-0.0 may come back as +0.0), so padding does not change the result.  The
+factors cos 2theta, sin 2theta, e^-t and expm1(-t) are taken from `math`
+one element at a time and only the multiply-add recursion runs on numpy
+columns: numpy's vectorised cos, sin and exp may differ from the C library
+in the last bit, and a batch must equal the scalar maps apply_bang /
+apply_singular bit for bit, so that `verify` output stays byte-identical.
 """
 
 from __future__ import annotations
@@ -35,11 +48,14 @@ __all__ = [
     "apply_bang",
     "apply_singular",
     "propagate_sequence",
+    "propagate_batch",
     "closed_form_sequence",
     "optical_pumping_value",
     "pumping_efficiency",
     "verify_bound",
+    "verify_bounds",
     "is_pumping_equivalent",
+    "random_draw",
     "random_sequence",
     "pmp_residual",
 ]
@@ -133,13 +149,58 @@ def apply_singular(x: float, y: float, duration: float):
     return e * x + math.expm1(-duration), e * y
 
 
+def _step_factors(jumps: np.ndarray, arcs: np.ndarray):
+    """cos 2theta, sin 2theta, e^-t and expm1(-t) of every element, from math.
+
+    Four lists of floats, each in the element order of the arrays.
+    """
+    two_theta = (2.0 * jumps).ravel().tolist()
+    minus_t = (-arcs).ravel().tolist()
+    return (list(map(math.cos, two_theta)), list(map(math.sin, two_theta)),
+            list(map(math.exp, minus_t)), list(map(math.expm1, minus_t)))
+
+
+def _fold(steps, x, y):
+    """Jump then arc for each step (cos 2theta, sin 2theta, e^-t, expm1(-t)).
+
+    x, y and the factors are floats for one sequence and (N,) arrays, one
+    entry per row, for a batch; either way each step makes the products and
+    sums of apply_bang followed by apply_singular.
+    """
+    for c, s, e, m in steps:
+        x, y = c * x + s * y, -s * x + c * y
+        x, y = e * x + m, e * y
+    return x, y
+
+
 def propagate_sequence(seq: BangSingularSequence, start=(-1.0, 0.0)):
     """Fold jump-then-arc over the sequence; returns the final (x, y)."""
-    x, y = float(start[0]), float(start[1])
-    for theta_i, t_i in zip(seq.jumps, seq.arcs):
-        x, y = apply_bang(x, y, theta_i)
-        x, y = apply_singular(x, y, t_i)
-    return x, y
+    return _fold(zip(*_step_factors(seq.jumps, seq.arcs)),
+                 float(start[0]), float(start[1]))
+
+
+def propagate_batch(jumps, arcs, start=(-1.0, 0.0)):
+    """Fold jump-then-arc over every row of zero-padded (N, L) arrays.
+
+    Row i is one sequence; shorter rows end in zero jumps and zero arcs.
+    Returns the final (x, y) as two (N,) arrays, equal bit for bit to
+    propagate_sequence on each row.
+    """
+    jumps = np.asarray(jumps, dtype=float)
+    arcs = np.asarray(arcs, dtype=float)
+    if jumps.ndim != 2 or jumps.shape != arcs.shape:
+        raise ValueError(
+            f"jumps and arcs must be (N, L) arrays of one shape, got "
+            f"{jumps.shape} and {arcs.shape}"
+        )
+    if (arcs < 0.0).any():
+        raise ValueError("arc durations must be nonnegative")
+    n_rows, n_steps = jumps.shape
+    # Step-major, so that step k reads one contiguous row of each factor.
+    factors = [np.array(f).reshape(n_steps, n_rows)
+               for f in _step_factors(jumps.T, arcs.T)]
+    return _fold(zip(*factors), np.full(n_rows, float(start[0])),
+                 np.full(n_rows, float(start[1])))
 
 
 def closed_form_sequence(seq: BangSingularSequence):
@@ -184,7 +245,11 @@ def pumping_efficiency(T: float, params: SystemParams) -> float:
 
 @dataclass(frozen=True)
 class BoundCheck:
-    """Outcome of testing one sequence against the pumping optimum."""
+    """Outcome of testing sequences against the pumping optimum.
+
+    The fields are scalars for one sequence (verify_bound) and (N,) arrays,
+    one entry per row, for a batch (verify_bounds).
+    """
 
     xn: float
     x1: float
@@ -193,15 +258,15 @@ class BoundCheck:
     at_equality: bool
 
 
-def verify_bound(seq: BangSingularSequence, *, bound_tol: float = BOUND_TOL,
-                 equality_tol: float = EQUALITY_TOL) -> BoundCheck:
-    """Check x_n >= X1(T') for a boundary-matching sequence."""
+def _check_boundary(seq: BangSingularSequence):
     if not seq.matches_boundary():
         raise ValueError(
             f"sequence jumps must sum to pi/2, got {seq.total_angle!r}"
         )
-    xn, _ = propagate_sequence(seq)
-    x1 = optical_pumping_value(seq.total_time)
+
+
+def _bound_check(xn, x1, bound_tol: float, equality_tol: float) -> BoundCheck:
+    """Compare final populations xn with X1; floats or (N,) arrays."""
     margin = xn - x1
     return BoundCheck(
         xn=xn,
@@ -210,6 +275,59 @@ def verify_bound(seq: BangSingularSequence, *, bound_tol: float = BOUND_TOL,
         satisfied=margin >= -bound_tol,
         at_equality=abs(margin) <= equality_tol,
     )
+
+
+def verify_bound(seq: BangSingularSequence, *, bound_tol: float = BOUND_TOL,
+                 equality_tol: float = EQUALITY_TOL) -> BoundCheck:
+    """Check x_n >= X1(T') for a boundary-matching sequence."""
+    _check_boundary(seq)
+    xn, _ = propagate_sequence(seq)
+    return _bound_check(xn, optical_pumping_value(seq.total_time), bound_tol,
+                        equality_tol)
+
+
+def verify_bounds(jumps, arcs, *, bound_tol: float = BOUND_TOL,
+                  equality_tol: float = EQUALITY_TOL) -> BoundCheck:
+    """Check x_n >= X1(T') for a batch of boundary-matching sequences.
+
+    Row i is the sequence (jumps[i], arcs[i]), two 1-D arrays of one length;
+    the length may differ between rows.  Every row must pass the checks of
+    BangSingularSequence and have jumps summing to pi/2 within 1e-9; if one
+    does not, the first such row raises the ValueError that verify_bound
+    raises for it.  The fields of the result are (N,) arrays, equal bit for
+    bit to calling verify_bound row by row: the fold is propagate_batch on
+    the zero-padded rows, and X1 uses each row's own sum of arcs.
+    """
+    if len(jumps) != len(arcs) or len(jumps) == 0:
+        raise ValueError(
+            f"a batch needs at least one row and one arc row per jump row, "
+            f"got {len(jumps)} jump rows and {len(arcs)} arc rows"
+        )
+    lengths = [len(row) for row in jumps]
+    valid = min(lengths) > 0 and lengths == [len(row) for row in arcs]
+    if valid:
+        flat_jumps = np.concatenate(jumps)
+        flat_arcs = np.concatenate(arcs)
+        angles = np.array([np.add.reduce(row) for row in jumps])
+        valid = (np.isfinite(flat_jumps).all() and np.isfinite(flat_arcs).all()
+                 and (flat_arcs >= 0.0).all()
+                 and (np.abs(angles - HALF_PI) <= 1e-9).all())
+    if not valid:
+        for row_jumps, row_arcs in zip(jumps, arcs):
+            _check_boundary(BangSingularSequence(jumps=row_jumps, arcs=row_arcs))
+
+    lengths = np.array(lengths)
+    filled = np.arange(lengths.max()) < lengths[:, np.newaxis]
+    padded_jumps = np.zeros(filled.shape)
+    padded_arcs = np.zeros(filled.shape)
+    padded_jumps[filled] = flat_jumps
+    padded_arcs[filled] = flat_arcs
+    xn, _ = propagate_batch(padded_jumps, padded_arcs)
+    # Each row's own sum: a sum over the padded rows would add in another
+    # order and could change the last bit of T'.
+    totals = [float(np.add.reduce(row)) for row in arcs]
+    x1 = np.fromiter(map(optical_pumping_value, totals), float, len(totals))
+    return _bound_check(xn, x1, bound_tol, equality_tol)
 
 
 def is_pumping_equivalent(seq: BangSingularSequence, tol: float = 1e-9) -> bool:
@@ -229,15 +347,23 @@ def is_pumping_equivalent(seq: BangSingularSequence, tol: float = 1e-9) -> bool:
     return abs(first_block - HALF_PI) <= tol and abs(rest) <= tol
 
 
-def random_sequence(rng: np.random.Generator, n: int,
-                    tprime: float) -> BangSingularSequence:
+def random_draw(rng: np.random.Generator, n: int, tprime: float):
     """Uniform simplex draw: n jumps summing to pi/2, n arcs summing to T'.
 
-    Dirichlet(1, ..., 1) covers boundary-heavy cases (near-zero jumps and
-    arcs), where the optimality bound is tight.
+    Returns the (jumps, arcs) arrays.  Dirichlet(1, ..., 1) covers
+    boundary-heavy cases (near-zero jumps and arcs), where the optimality
+    bound is tight.
     """
-    jumps = rng.dirichlet(np.ones(n)) * HALF_PI
-    arcs = rng.dirichlet(np.ones(n)) * tprime
+    alpha = np.ones(n)
+    jumps = rng.dirichlet(alpha) * HALF_PI
+    arcs = rng.dirichlet(alpha) * tprime
+    return jumps, arcs
+
+
+def random_sequence(rng: np.random.Generator, n: int,
+                    tprime: float) -> BangSingularSequence:
+    """random_draw as a BangSingularSequence."""
+    jumps, arcs = random_draw(rng, n, tprime)
     return BangSingularSequence(jumps=jumps, arcs=arcs)
 
 

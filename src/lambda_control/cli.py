@@ -296,8 +296,7 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_reduce(args) -> int:
-    defaults = {"tprime": 5.0, "jumps": None, "arcs": None, "seed": 0,
-                "format": "csv"}
+    defaults = {"tprime": 5.0, "jumps": None, "arcs": None, "seed": 0}
     eff = _effective(args, defaults)
     tprime = float(eff["tprime"])
     if eff["jumps"] is None and eff["arcs"] is None:
@@ -365,8 +364,7 @@ def _control_rows(control: ControlSignal):
 
 def cmd_optimize(args) -> int:
     defaults = {"gamma": None, "gamma_diff": 0.0, "duration": None,
-                "intervals": 100, "seed": 0, "starts": 6, "max_iters": 300,
-                "format": "csv"}
+                "intervals": 100, "seed": 0, "starts": 6, "max_iters": 300}
     eff = _effective(args, defaults)
     _require(eff, "gamma", "duration")
     params = _params(eff)
@@ -405,8 +403,40 @@ def cmd_optimize(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
+# Sequences drawn and checked as one batch by `verify`; each batch's records
+# are written out before the next batch is drawn.
+VERIFY_CHUNK = 1000
+
+
+def _verify_chunk(rng, pump, tprime: float, start: int, stop: int):
+    """Records of sequences start..stop-1 and whether each meets the bound.
+
+    Sequence 0 is the pumping schedule; every other sequence has 1-10
+    entries.  The draws are made one sequence at a time, so the random
+    stream, and with it the output, does not depend on VERIFY_CHUNK.
+    """
+    jumps, arcs = [], []
+    for index in range(start, stop):
+        if index == 0:
+            row_jumps, row_arcs = pump.jumps, pump.arcs
+        else:
+            row_jumps, row_arcs = analytic.random_draw(
+                rng, int(rng.integers(1, 11)), tprime)
+        jumps.append(row_jumps)
+        arcs.append(row_arcs)
+    check = analytic.verify_bounds(jumps, arcs)
+    records = [
+        {"n": row_jumps.size, "thetas": row_jumps.tolist(),
+         "arcs": row_arcs.tolist(), "xn": xn, "x1": x1, "margin": margin}
+        for row_jumps, row_arcs, xn, x1, margin in zip(
+            jumps, arcs, check.xn.tolist(), check.x1.tolist(),
+            check.margin.tolist())
+    ]
+    return records, check.satisfied
+
+
 def cmd_verify(args) -> int:
-    defaults = {"tprime": 5.0, "n": 10000, "seed": 0, "format": "json"}
+    defaults = {"tprime": 5.0, "n": 10000, "seed": 0}
     eff = _effective(args, defaults)
     tprime = float(eff["tprime"])
     count = int(eff["n"])
@@ -415,36 +445,23 @@ def cmd_verify(args) -> int:
     seed = int(eff["seed"])
     cfg = {"command": "verify", "tprime": tprime, "n": count, "seed": seed}
 
-    rng = np.random.default_rng(seed)
-    records = []
-    violations = []
-    for index in range(count):
-        if index == 0:
-            seq = analytic.BangSingularSequence.optical_pumping(tprime)
-        else:
-            seq = analytic.random_sequence(rng, int(rng.integers(1, 11)), tprime)
-        check = analytic.verify_bound(seq)
-        record = {
-            "n": seq.n,
-            "thetas": [float(v) for v in seq.jumps],
-            "arcs": [float(v) for v in seq.arcs],
-            "xn": check.xn,
-            "x1": check.x1,
-            "margin": check.margin,
-        }
-        records.append(record)
-        if not check.satisfied:
-            violations.append(record)
-
+    # Also rejects a negative or non-finite --tprime, before any output.
     pump = analytic.BangSingularSequence.optical_pumping(tprime)
     report = analytic.pmp_residual(pump)
     pmp_ok = (report.max_phi <= PMP_RESIDUAL_GATE
               and report.max_lambda_y <= PMP_RESIDUAL_GATE)
 
+    rng = np.random.default_rng(seed)
+    violations = []
     out = _out_dir(args)
     with open(out / "verify_sequences.jsonl", "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+        for start in range(0, count, VERIFY_CHUNK):
+            records, satisfied = _verify_chunk(
+                rng, pump, tprime, start, min(count, start + VERIFY_CHUNK))
+            fh.write("".join(json.dumps(record, sort_keys=True) + "\n"
+                             for record in records))
+            violations.extend(record for record, ok in zip(records, satisfied)
+                              if not ok)
 
     summary = {
         "command": "verify",
@@ -480,8 +497,7 @@ def cmd_verify(args) -> int:
 
 def cmd_sweep(args) -> int:
     defaults = {"gammas": None, "gamma_diffs": "0", "durations": None,
-                "intervals": 100, "seed": 0, "starts": 6, "max_iters": 300,
-                "format": "csv"}
+                "intervals": 100, "seed": 0, "starts": 6, "max_iters": 300}
     eff = _effective(args, defaults)
     _require(eff, "gammas", "durations")
     gammas = _floats(eff["gammas"], "--gammas")
@@ -536,8 +552,7 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_figures(args) -> int:
-    defaults = {"intervals": 100, "seed": 0, "starts": 6, "max_iters": 300,
-                "format": "csv"}
+    defaults = {"intervals": 100, "seed": 0, "starts": 6, "max_iters": 300}
     eff = _effective(args, defaults)
     selector = args.selector
     if selector not in FIGURE_REGIMES:
@@ -595,7 +610,6 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--seed", type=int, help="seed recorded in every output")
     p.add_argument("--out", type=Path,
                    help=f"output directory (default ${ENV_OUT} or ./out)")
-    p.add_argument("--format", choices=("csv", "json"), help="trajectory format")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -606,6 +620,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="integrate the full model")
     _add_common(p)
+    p.add_argument("--format", choices=("csv", "json"), help="trajectory format")
     p.add_argument("--control",
                    choices=("pumping", "theta0", "ramp_up", "ramp_down"),
                    help="named control schedule (default pumping)")

@@ -2,20 +2,24 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lambda_control.analytic import (
+    BOUND_TOL,
+    EQUALITY_TOL,
     BangSingularSequence,
     apply_bang,
     apply_singular,
     closed_form_sequence,
     is_pumping_equivalent,
     optical_pumping_value,
+    propagate_batch,
     propagate_sequence,
     pumping_efficiency,
     random_sequence,
     verify_bound,
+    verify_bounds,
 )
 from lambda_control.model import HALF_PI, SystemParams
 from lambda_control.reduced import normalize_time
@@ -279,6 +283,79 @@ class TestVerifyBound:
         check = verify_bound(near_miss)
         assert check.margin > 1e-9
         assert not is_pumping_equivalent(near_miss)
+
+
+def _scalar_fold(jumps, arcs):
+    x, y = -1.0, 0.0
+    for jump, arc in zip(jumps, arcs):
+        x, y = apply_bang(x, y, jump)
+        x, y = apply_singular(x, y, arc)
+    return x, y
+
+
+def _bits(value) -> bytes:
+    return np.float64(value).tobytes()
+
+
+def _boundary_row(n):
+    # n - 1 free jumps (zero, negative or positive), the last one closing
+    # the sum to pi/2, and n arcs (zero or positive).
+    angle = st.one_of(st.just(0.0), st.floats(-math.pi, math.pi))
+    arc = st.one_of(st.just(0.0), st.floats(0.0, 20.0))
+    return st.tuples(st.lists(angle, min_size=n - 1, max_size=n - 1),
+                     st.lists(arc, min_size=n, max_size=n))
+
+
+ragged_batches = st.lists(st.integers(1, 10).flatmap(_boundary_row),
+                          min_size=1, max_size=8)
+
+
+class TestBatch:
+    @settings(deadline=None, max_examples=200)
+    @given(ragged_batches)
+    @example([([], [5.0])])
+    @example([([0.0, 0.0], [0.0, 0.0, 0.0]), ([0.7], [0.0, 3.0])])
+    # Seven arcs of 0.1 padded to ten sum to 0.7000000000000001, not 0.7.
+    @example([([0.0] * 6, [0.1] * 7), ([0.0] * 9, [0.0] * 10)])
+    def test_equals_scalar_folds(self, rows):
+        jumps = [np.array(free + [HALF_PI - sum(free)]) for free, _ in rows]
+        arcs = [np.array(arc) for _, arc in rows]
+        check = verify_bounds(jumps, arcs)
+        width = max(row.size for row in jumps)
+        x, y = propagate_batch(
+            np.array([np.pad(row, (0, width - row.size)) for row in jumps]),
+            np.array([np.pad(row, (0, width - row.size)) for row in arcs]))
+        for i, (row_jumps, row_arcs) in enumerate(zip(jumps, arcs)):
+            xs, ys = _scalar_fold(row_jumps, row_arcs)
+            x1 = optical_pumping_value(float(row_arcs.sum()))
+            margin = xs - x1
+            assert _bits(x[i]) == _bits(xs)
+            assert y[i] == ys
+            assert _bits(check.xn[i]) == _bits(xs)
+            assert _bits(check.x1[i]) == _bits(x1)
+            assert _bits(check.margin[i]) == _bits(margin)
+            assert check.satisfied[i] == (margin >= -BOUND_TOL)
+            assert check.at_equality[i] == (abs(margin) <= EQUALITY_TOL)
+            xc, yc = closed_form_sequence(BangSingularSequence(row_jumps,
+                                                               row_arcs))
+            assert abs(x[i] - xc) <= 1e-12
+            assert abs(y[i] - yc) <= 1e-12
+
+    def test_first_bad_row_raises_its_sequence_error(self):
+        good = (np.array([HALF_PI]), np.array([1.0]))
+        cases = [
+            ((np.array([HALF_PI]), np.array([-1.0])),
+             "arc durations must be nonnegative"),
+            ((np.array([HALF_PI, 0.0]), np.array([1.0])), "equal length"),
+            ((np.array([HALF_PI]), np.array([np.inf])), "finite"),
+            ((np.array([0.3]), np.array([1.0])), "pi/2, got 0.3"),
+        ]
+        for bad, message in cases:
+            with pytest.raises(ValueError, match=message):
+                verify_bounds([good[0], bad[0], good[0]],
+                              [good[1], bad[1], good[1]])
+        with pytest.raises(ValueError, match="nonnegative"):
+            propagate_batch([[HALF_PI]], [[-1.0]])
 
 
 class TestPumpingEquivalence:

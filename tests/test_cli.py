@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from lambda_control import cli
-from lambda_control.analytic import BoundCheck
+from lambda_control.analytic import (
+    BangSingularSequence,
+    BoundCheck,
+    apply_bang,
+    apply_singular,
+    optical_pumping_value,
+    random_sequence,
+)
 from lambda_control.model import (
     IntegrationError,
     SystemParams,
@@ -192,11 +199,14 @@ class TestVerify:
 
     def test_violation_exits_3_and_echoes_offender(self, tmp_path,
                                                    monkeypatch, capsys):
-        def fake_verify(seq, **kwargs):
-            return BoundCheck(xn=-1.0, x1=0.0, margin=-1.0, satisfied=False,
-                              at_equality=False)
+        def fake_verify(jumps, arcs, **kwargs):
+            rows = len(jumps)
+            return BoundCheck(xn=np.full(rows, -1.0), x1=np.zeros(rows),
+                              margin=np.full(rows, -1.0),
+                              satisfied=np.zeros(rows, dtype=bool),
+                              at_equality=np.zeros(rows, dtype=bool))
 
-        monkeypatch.setattr(cli.analytic, "verify_bound", fake_verify)
+        monkeypatch.setattr(cli.analytic, "verify_bounds", fake_verify)
         code = run_cli(["verify", "--n", "3", "--out", str(tmp_path)])
         assert code == 3
         err = json.loads(capsys.readouterr().err)
@@ -210,6 +220,47 @@ class TestVerify:
             run_cli(["verify", "--n", "50", "--seed", "9", "--out", str(out)])
         assert (a / "verify_sequences.jsonl").read_bytes() == \
             (b / "verify_sequences.jsonl").read_bytes()
+
+    def test_matches_per_sequence_loop(self, tmp_path):
+        # The records of a one-sequence-at-a-time check with the scalar maps;
+        # 2500 sequences span more than one batch of the batched check.
+        count, tprime = 2500, 5.0
+        assert cli.VERIFY_CHUNK < count
+        code = run_cli(["verify", "--tprime", "5", "--n", str(count),
+                        "--seed", "1", "--out", str(tmp_path)])
+        assert code == 0
+        rng = np.random.default_rng(1)
+        expected = []
+        for index in range(count):
+            if index == 0:
+                seq = BangSingularSequence.optical_pumping(tprime)
+            else:
+                seq = random_sequence(rng, int(rng.integers(1, 11)), tprime)
+            x, y = -1.0, 0.0
+            for jump, arc in zip(seq.jumps, seq.arcs):
+                x, y = apply_bang(x, y, jump)
+                x, y = apply_singular(x, y, arc)
+            x1 = optical_pumping_value(seq.total_time)
+            record = {"n": seq.n, "thetas": [float(v) for v in seq.jumps],
+                      "arcs": [float(v) for v in seq.arcs],
+                      "xn": x, "x1": x1, "margin": x - x1}
+            expected.append(json.dumps(record, sort_keys=True) + "\n")
+        assert (tmp_path / "verify_sequences.jsonl").read_bytes() == \
+            "".join(expected).encode("utf-8")
+
+    @pytest.mark.parametrize("tprime, message", [
+        ("-1", "arc durations must be nonnegative"),
+        ("nan", "jumps and arcs must be finite"),
+        ("inf", "jumps and arcs must be finite"),
+    ])
+    def test_bad_tprime_is_usage_error(self, tmp_path, capsys, tprime, message):
+        out = tmp_path / "out"
+        code = run_cli(["verify", "--tprime", tprime, "--n", "5",
+                        "--out", str(out)])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err) == {"error": message,
+                                                       "exit_code": 1}
+        assert not out.exists()
 
 
 class TestOptimizeCommand:
@@ -288,6 +339,12 @@ class TestParserPlumbing:
 
     def test_bad_flag_value(self, capsys):
         assert run_cli(["simulate", "--gamma", "ten", "--duration", "5"]) == 1
+
+    def test_format_is_a_simulate_flag(self, tmp_path, capsys):
+        for command in ("reduce", "verify", "optimize", "sweep"):
+            assert run_cli([command, "--format", "json",
+                            "--out", str(tmp_path)]) == 1
+        assert not any(tmp_path.iterdir())
 
     def test_stdout_summary_is_json(self, tmp_path, capsys):
         run_cli(["simulate", "--gamma", "2", "--duration", "5",

@@ -235,6 +235,18 @@ class TestOptimize:
         with pytest.raises(ValueError):
             optimize(OptimizationConfig(), SystemParams(gamma_total=1.0), 0.0)
 
+    def test_grid_short_of_horizon_rejected_like_integrate_full(self):
+        T = 10.0
+        control = ControlSignal(np.linspace(0.0, T * (1.0 - 5e-10), 11),
+                                np.full(10, 0.7))
+        p = SystemParams(gamma_total=2.0)
+        with pytest.raises(ValueError, match="cover"):
+            integrate_full(control, p, T)
+        with pytest.raises(ValueError, match="horizon"):
+            objective(control, p, T)
+        with pytest.raises(ValueError, match="horizon"):
+            objective_and_gradient(control, p, T)
+
     def test_bad_start_shape_rejected(self):
         config = OptimizationConfig(n_intervals=10)
         with pytest.raises(ValueError, match="shape"):
