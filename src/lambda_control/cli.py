@@ -523,7 +523,8 @@ def cmd_sweep(args) -> int:
             reason = row.error.replace(",", ";").replace("\n", " ")
             winner = f"error:{reason}"
         csv_rows.append((row.gamma, row.gamma_diff, row.duration,
-                         row.objective, row.pumping_baseline, winner))
+                         row.objective, row.pumping_baseline, winner,
+                         row.converged))
         detail.append({
             "gamma": row.gamma, "gamma_diff": row.gamma_diff,
             "duration": row.duration, "objective": row.objective,
@@ -535,7 +536,7 @@ def cmd_sweep(args) -> int:
     out = _out_dir(args)
     write_csv(out / "sweep.csv", cfg,
               "gamma_over_omega0,gamma_diff_over_omega0,omega0T,"
-              "objective,pumping_baseline,winner_start", csv_rows)
+              "objective,pumping_baseline,winner_start,converged", csv_rows)
     failures = [d for d in detail if d["error"] is not None]
     summary = {"command": "sweep", "config": cfg, "n_cells": len(rows),
                "n_failures": len(failures), "cells": detail,

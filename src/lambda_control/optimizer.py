@@ -21,6 +21,13 @@ which makes the objective gradient exact for the discretized dynamics (it
 matches finite differences of the same objective to roundoff).  Only the
 6-variable x block enters: the y block is decoupled and identically zero
 from the standard initial condition.
+
+With e1 the initial state and e3 the target, rho33(T) = e3^T P_{N-1} ... P_0
+e1.  The state before interval k is a prefix product applied to e1 and the
+adjoint after it is row 2 of the suffix product P_{N-1} ... P_{k+1}; both
+come from one doubling scan (``_prefix_products``) in ceil(log2 N) batched
+matmuls, and the gradient is the single contraction
+adjoint_k^T (dP_k/dtheta_k) state_k over all k.
 """
 
 from __future__ import annotations
@@ -174,21 +181,35 @@ def _check_grid(control: ControlSignal, T: float | None) -> float:
     return T
 
 
-def _forward(P: np.ndarray) -> list[np.ndarray]:
-    """States before and after every interval, from all population in |1>."""
-    state = np.zeros(_XDIM)
-    state[0] = 1.0
-    states = [state]
-    for Pk in P:
-        state = Pk @ state
-        states.append(state)
-    return states
+def _prefix_products(C: np.ndarray) -> np.ndarray:
+    """Overwrite C with its inclusive products C[k] @ ... @ C[0] along axis -3.
+
+    A Hillis-Steele scan: after the step with shift s every entry holds the
+    product of the last 2s factors up to it, so ceil(log2 N) batched matmuls
+    replace N sequential ones.  Leading axes are independent batches.
+    """
+    n = C.shape[-3]
+    shift = 1
+    while shift < n:
+        C[..., shift:, :, :] = C[..., shift:, :, :] @ C[..., :n - shift, :, :]
+        shift *= 2
+    return C
 
 
 def _final_rho33(thetas: np.ndarray, durations: np.ndarray,
                  params: SystemParams) -> float:
+    """rho33(T) from the product P_{N-1} ... P_0 alone.
+
+    A pairwise tree, paired from the last factor, takes N - 1 matmuls in
+    ceil(log2 N) batches.  It groups the factors as ``_prefix_products``
+    groups its last entry, so equal propagators give equal bits.
+    """
     P, _ = _interval_propagators(thetas, durations, params, with_grad=False)
-    return float(_forward(P)[-1][2])
+    while P.shape[0] > 1:
+        odd = P.shape[0] % 2
+        pairs = P[odd + 1::2] @ P[odd::2]
+        P = np.concatenate([P[:odd], pairs]) if odd else pairs
+    return float(P[0, 2, 0])
 
 
 def objective(control: ControlSignal, params: SystemParams,
@@ -208,15 +229,18 @@ def objective_and_gradient(control: ControlSignal, params: SystemParams,
     _check_grid(control, T)
     P, G = _interval_propagators(control.theta, control.durations, params,
                                  with_grad=True)
-    states = _forward(P)
     n = control.n_intervals
-    grad = np.empty(n)
-    adjoint = np.zeros(_XDIM)
-    adjoint[2] = 1.0
-    for k in range(n - 1, -1, -1):
-        grad[k] = adjoint @ (G[k] @ states[k])
-        adjoint = P[k].T @ adjoint
-    return float(states[n][2]), grad
+    # Row 0: prefix products P_k ... P_0.  Row 1: prefix products of the
+    # reversed, transposed stack, (P_{N-1} ... P_{N-1-j})^T.
+    forward, backward = _prefix_products(
+        np.stack([P, P[::-1].transpose(0, 2, 1)]))
+    # states[k] is the state before interval k, e1 before the first;
+    # adjoints[k] is row 2 of P_{N-1} ... P_{k+1}, e3 after the last.
+    unit = np.eye(_XDIM)
+    states = np.concatenate([unit[:1], forward[:-1, :, 0]])
+    adjoints = np.concatenate([backward[:n - 1][::-1, :, 2], unit[2:3]])
+    grad = np.einsum("ki,kij,kj->k", adjoints, G, states)
+    return float(forward[-1, 2, 0]), grad
 
 
 def gradient(control: ControlSignal, params: SystemParams,

@@ -278,6 +278,16 @@ class TestOptimizeCommand:
         thetas = np.array([float(r[1]) for r in rows])
         assert thetas.min() >= 0.0 and thetas.max() <= math.pi / 2 + 1e-12
 
+    def test_deterministic_outputs(self, tmp_path):
+        a, b = tmp_path / "a", tmp_path / "b"
+        for out in (a, b):
+            assert run_cli(["optimize", "--gamma", "0.1", "--duration", "5",
+                            "--intervals", "24", "--starts", "4",
+                            "--max-iters", "40", "--seed", "3",
+                            "--out", str(out)]) == 0
+        for name in ("optimize.json", "optimized_control.csv"):
+            assert (a / name).read_bytes() == (b / name).read_bytes()
+
 
 class TestSweepCommand:
     def test_grid_with_failing_cell(self, tmp_path):
@@ -288,7 +298,7 @@ class TestSweepCommand:
         assert code == 0
         header, rows = read_csv_rows(tmp_path / "sweep.csv")
         assert header == ("gamma_over_omega0,gamma_diff_over_omega0,omega0T,"
-                          "objective,pumping_baseline,winner_start")
+                          "objective,pumping_baseline,winner_start,converged")
         assert len(rows) == 2
         good = [r for r in rows if not r[5].startswith("error:")]
         bad = [r for r in rows if r[5].startswith("error:")]
@@ -296,6 +306,9 @@ class TestSweepCommand:
         assert float(good[0][3]) > 0.0
         summary = read_json(tmp_path / "sweep_summary.json")
         assert summary["n_failures"] == 1
+        assert [r[6] for r in rows] == \
+            [str(c["converged"]) for c in summary["cells"]]
+        assert bad[0][6] == "False"
 
 
 class TestFiguresCommand:

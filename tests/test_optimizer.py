@@ -17,6 +17,7 @@ from lambda_control.model import (
 from lambda_control.optimizer import (
     LineSearchConfig,
     OptimizationConfig,
+    _interval_propagators,
     grid_cells,
     gradient,
     objective,
@@ -138,6 +139,56 @@ class TestGradient:
         mask = np.abs(grad) > 1e-8
         rel = np.abs(grad[mask] - fd[mask]) / np.abs(fd[mask])
         assert rel.max() <= 1e-4
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 63, 64, 65, 100, 129])
+    def test_matches_sequential_reference(self, n):
+        # The forward and adjoint recursions one interval at a time, from the
+        # same propagators: states[0] = e1 and the last adjoint is e3.
+        rng = np.random.default_rng(n)
+        gamma = rng.uniform(0.1, 20.0)
+        p = SystemParams(gamma_total=gamma,
+                         gamma_diff=rng.uniform(-1.0, 1.0) * gamma)
+        # Intervals of 1-5 RK4 steps of at most default_max_step each.
+        durations = rng.uniform(0.2, 5.0, n) * default_max_step(p)
+        control = ControlSignal(np.concatenate([[0.0], np.cumsum(durations)]),
+                                rng.uniform(0.0, HALF_PI, n))
+        P, G = _interval_propagators(control.theta, durations, p,
+                                     with_grad=True)
+        states = [np.eye(6)[0]]
+        for Pk in P:
+            states.append(Pk @ states[-1])
+        expected = np.empty(n)
+        adjoint = np.eye(6)[2]
+        for k in range(n - 1, -1, -1):
+            expected[k] = adjoint @ (G[k] @ states[k])
+            adjoint = P[k].T @ adjoint
+        value, grad = objective_and_gradient(control, p)
+        assert value == pytest.approx(states[-1][2], abs=1e-13)
+        assert objective(control, p) == pytest.approx(states[-1][2], abs=1e-13)
+        assert grad.shape == (n,)
+        assert np.allclose(grad, expected, rtol=0.0, atol=1e-13)
+        if n > 1:
+            steps, _ = interval_steps(durations, default_max_step(p))
+            assert np.unique(steps).size > 1
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.floats(min_value=0.1, max_value=20.0),
+           st.floats(min_value=-1.0, max_value=1.0),
+           st.lists(st.tuples(st.floats(min_value=0.05, max_value=2.0),
+                              st.floats(min_value=1e-3,
+                                        max_value=HALF_PI - 1e-3)),
+                    min_size=1, max_size=12))
+    def test_matches_central_differences_property(self, gamma, asymmetry,
+                                                  intervals):
+        p = SystemParams(gamma_total=gamma, gamma_diff=asymmetry * gamma)
+        durations, thetas = (np.array(v) for v in zip(*intervals))
+        control = ControlSignal(np.concatenate([[0.0], np.cumsum(durations)]),
+                                thetas)
+        grad = gradient(control, p)
+        fd = _central_fd(control, p)
+        mask = np.abs(grad) > 1e-8
+        rel = np.abs(grad[mask] - fd[mask]) / np.abs(fd[mask])
+        assert rel.max(initial=0.0) <= 1e-4
 
     def test_objective_and_gradient_consistent(self):
         p = SystemParams(gamma_total=4.0)
