@@ -12,6 +12,7 @@ failure, 3 verification failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -392,6 +393,7 @@ def cmd_optimize(args) -> int:
         "converged": result.converged,
         "iterations": result.iterations,
         "start_label": result.start_label,
+        "starts": [dataclasses.asdict(rec) for rec in result.starts],
         "outputs": {"control": "optimized_control.csv"},
     }
     write_json(out / "optimize.json", summary)
@@ -452,13 +454,14 @@ def cmd_verify(args) -> int:
               and report.max_lambda_y <= PMP_RESIDUAL_GATE)
 
     rng = np.random.default_rng(seed)
+    encode = json.JSONEncoder(sort_keys=True).encode
     violations = []
     out = _out_dir(args)
     with open(out / "verify_sequences.jsonl", "w", encoding="utf-8") as fh:
         for start in range(0, count, VERIFY_CHUNK):
             records, satisfied = _verify_chunk(
                 rng, pump, tprime, start, min(count, start + VERIFY_CHUNK))
-            fh.write("".join(json.dumps(record, sort_keys=True) + "\n"
+            fh.write("".join(encode(record) + "\n"
                              for record in records))
             violations.extend(record for record, ok in zip(records, satisfied)
                               if not ok)

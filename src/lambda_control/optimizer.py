@@ -1,10 +1,14 @@
 """Pulse-shape optimization for the full lambda-system model.
 
 Maximizes the final target population rho33(T) over piecewise-constant
-mixing-angle schedules theta in [0, pi/2]^N by projected gradient ascent
-with a backtracking (Armijo) line search and a deterministic multi-start.
-The amplitude constraint omega_p**2 + omega_s**2 = omega0**2 is satisfied
-identically by the angle parameterization, so no penalty terms appear.
+mixing-angle schedules theta in [0, pi/2]^N by projected limited-memory
+BFGS ascent (the last ``_LBFGS_MEMORY = 10`` curvature pairs, two-loop
+recursion on the free entries, projected-gradient restarts) with a
+backtracking (Armijo) line search and a deterministic multi-start.  It is
+written in numpy: ``scipy.optimize`` would add ~0.45 s of import time and
+~47 MB of memory to every run.  The amplitude constraint
+omega_p**2 + omega_s**2 = omega0**2 is satisfied identically by the angle
+parameterization, so no penalty terms appear.
 
 The dynamics are those of ``integrate_full``: the generator
 (``system_matrix``, ``system_matrix_dtheta``), the RK4 step matrices
@@ -34,6 +38,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,20 +81,23 @@ _XDIM = 6
 
 @dataclass(frozen=True)
 class LineSearchConfig:
-    """Backtracking parameters for the ascent step."""
+    """Backtracking parameters for the ascent step.
+
+    Quasi-Newton steps start at 1; ``initial_step`` is the first trial
+    step along the projected gradient, taken when the curvature memory is
+    empty or its direction does not ascend.
+    """
 
     initial_step: float = 1.0
     shrink: float = 0.5
-    grow: float = 2.0
-    max_step: float = 16.0
     armijo: float = 1e-4
     max_backtracks: int = 40
 
     def __post_init__(self):
         if not (0.0 < self.shrink < 1.0):
             raise ValueError("shrink must lie in (0, 1)")
-        if self.initial_step <= 0.0 or self.max_step <= 0.0:
-            raise ValueError("step sizes must be positive")
+        if self.initial_step <= 0.0:
+            raise ValueError("initial_step must be positive")
         if not (0.0 < self.armijo < 1.0):
             raise ValueError("armijo constant must lie in (0, 1)")
         if self.max_backtracks < 1:
@@ -125,6 +133,7 @@ class StartRecord:
     initial_objective: float
     objective: float
     iterations: int
+    nfev: int
     converged: bool
     total_variation: float
 
@@ -250,8 +259,12 @@ def gradient(control: ControlSignal, params: SystemParams,
 
 
 # ---------------------------------------------------------------------------
-# Projected gradient ascent
+# Projected L-BFGS ascent
 # ---------------------------------------------------------------------------
+
+# Curvature pairs kept by the quasi-Newton direction.
+_LBFGS_MEMORY = 10
+
 
 def _projected_gradient(theta: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """Zero out components that push against an active bound."""
@@ -261,9 +274,34 @@ def _projected_gradient(theta: np.ndarray, grad: np.ndarray) -> np.ndarray:
     return pg
 
 
+def _lbfgs_direction(pg: np.ndarray, pairs) -> np.ndarray:
+    """Two-loop recursion H pg over the curvature pairs (s, y, 1/s^T y).
+
+    H approximates the inverse Hessian of -rho33; H0 is scaled by s^T y /
+    y^T y of the newest pair.  The result is zeroed where pg is, i.e. on
+    the active set.
+    """
+    q = pg.copy()
+    alphas = []
+    for s, y, rho in reversed(pairs):
+        alphas.append(rho * (s @ q))
+        q -= alphas[-1] * y
+    s, y, rho = pairs[-1]
+    q *= (s @ y) / (y @ y)
+    for (s, y, rho), alpha in zip(pairs, reversed(alphas)):
+        q += (alpha - rho * (y @ q)) * s
+    q[pg == 0.0] = 0.0
+    return q
+
+
 def _ascend(theta0: np.ndarray, grid: np.ndarray, params: SystemParams,
             config: OptimizationConfig):
-    """Single-start projected gradient ascent; accepted steps never decrease."""
+    """Single-start projected L-BFGS ascent; accepted steps never decrease.
+
+    Returns theta, its objective, the iterations, the converged flag, the
+    objective history and nfev, the count of objective and of
+    objective-and-gradient evaluations.
+    """
     ls = config.line_search
     durations = np.diff(grid)
 
@@ -273,8 +311,9 @@ def _ascend(theta0: np.ndarray, grid: np.ndarray, params: SystemParams,
 
     theta = np.clip(theta0, 0.0, HALF_PI)
     value, grad = f_and_g(theta)
+    nfev = 1
     history = [value]
-    alpha = ls.initial_step
+    pairs = deque(maxlen=_LBFGS_MEMORY)
     converged = False
     iterations = 0
 
@@ -283,21 +322,34 @@ def _ascend(theta0: np.ndarray, grid: np.ndarray, params: SystemParams,
         if float(np.max(np.abs(pg), initial=0.0)) <= config.grad_tol:
             converged = True
             break
+        direction = _lbfgs_direction(pg, pairs) if pairs else pg
+        if pairs and float(grad @ direction) > 0.0:
+            step = 1.0
+        else:
+            # No memory yet, or no ascent: restart from the projected gradient.
+            pairs.clear()
+            direction, step = pg, ls.initial_step
         accepted = False
-        step = alpha
         for _ in range(ls.max_backtracks):
-            trial = np.clip(theta + step * grad, 0.0, HALF_PI)
+            trial = np.clip(theta + step * direction, 0.0, HALF_PI)
             move = trial - theta
             slope = float(grad @ move)
             if slope <= 0.0:
                 step *= ls.shrink
                 continue
             trial_value = _final_rho33(trial, durations, params)
+            nfev += 1
             if trial_value >= value + ls.armijo * slope and trial_value > value:
                 theta = trial
-                value, grad = f_and_g(theta)
+                value, new_grad = f_and_g(theta)
+                nfev += 1
+                # Curvature of -rho33 along the move.
+                y = grad - new_grad
+                sy = float(move @ y)
+                if sy > 1e-12 * np.linalg.norm(move) * np.linalg.norm(y):
+                    pairs.append((move, y, 1.0 / sy))
+                grad = new_grad
                 history.append(value)
-                alpha = min(step * ls.grow, ls.max_step)
                 accepted = True
                 break
             step *= ls.shrink
@@ -308,7 +360,7 @@ def _ascend(theta0: np.ndarray, grid: np.ndarray, params: SystemParams,
             break
         iterations += 1
 
-    return theta, value, iterations, converged, np.asarray(history)
+    return theta, value, iterations, converged, np.asarray(history), nfev
 
 
 def default_starts(config: OptimizationConfig,
@@ -335,7 +387,7 @@ def default_starts(config: OptimizationConfig,
 def optimize(config: OptimizationConfig, params: SystemParams, T: float, *,
              starts: list[tuple[str, np.ndarray]] | None = None
              ) -> OptimizationResult:
-    """Multi-start projected gradient ascent over theta schedules on [0, T].
+    """Multi-start projected L-BFGS ascent over theta schedules on [0, T].
 
     Returns the best start after the tie-break (equal objectives within
     config.tie_tol resolve to the schedule with smaller total variation).
@@ -359,13 +411,15 @@ def optimize(config: OptimizationConfig, params: SystemParams, T: float, *,
             )
         initial_value = objective(ControlSignal(grid, np.clip(theta0, 0.0, HALF_PI)),
                                   params)
-        theta, value, iters, conv, history = _ascend(theta0, grid, params, config)
+        theta, value, iters, conv, history, nfev = _ascend(theta0, grid,
+                                                           params, config)
         control = ControlSignal(grid, theta)
         records.append(StartRecord(
             label=label,
             initial_objective=initial_value,
             objective=value,
             iterations=iters,
+            nfev=nfev,
             converged=conv,
             total_variation=control.total_variation(),
         ))

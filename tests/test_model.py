@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from lambda_control.model import (
@@ -261,6 +263,28 @@ class TestIntegrateFull:
                 eigvals = np.linalg.eigvalsh(reconstruct_density(state))
                 assert eigvals.min() >= -1e-7
                 assert eigvals.max() <= 1.0 + 1e-7
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.floats(min_value=0.1, max_value=20.0),
+           st.floats(min_value=-1.0, max_value=1.0),
+           st.lists(st.tuples(st.floats(min_value=1e-3, max_value=5.0),
+                              st.one_of(st.just(0.0), st.just(HALF_PI),
+                                        st.floats(min_value=0.0,
+                                                  max_value=HALF_PI))),
+                    min_size=1, max_size=8))
+    def test_density_stays_physical_property(self, gamma, asymmetry,
+                                             intervals):
+        # Every sample of a piecewise schedule is a density matrix: positive
+        # semidefinite with unit trace, and the y block never leaves zero.
+        p = SystemParams(gamma_total=gamma, gamma_diff=asymmetry * gamma)
+        durations, thetas = (np.array(v) for v in zip(*intervals))
+        control = ControlSignal(np.concatenate([[0.0], np.cumsum(durations)]),
+                                thetas)
+        traj = integrate_full(control, p)
+        rho = np.array([reconstruct_density(s) for s in traj.states])
+        assert np.linalg.eigvalsh(rho).min() >= -1e-9
+        assert np.abs(np.trace(rho, axis1=1, axis2=2) - 1.0).max() <= 1e-10
+        assert traj.max_y() == 0.0
 
     def test_y_block_stays_zero_on_callable_path(self):
         p = SystemParams(gamma_total=2.0)

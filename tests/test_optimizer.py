@@ -262,6 +262,24 @@ class TestOptimize:
         result = optimize(config, p, 5.0)
         assert result.objective > pumping_baseline(p, 5.0) + 0.1
 
+    def test_small_decay_cell_converges_on_every_start(self):
+        # Gamma/omega0 = 0.1, omega0 T = 10 at the default configuration:
+        # the slowest regime for the ascent, far from pumping.
+        p = SystemParams(gamma_total=0.1)
+        result = optimize(OptimizationConfig(), p, 10.0)
+        assert result.converged
+        assert all(record.converged for record in result.starts)
+        assert max(record.iterations for record in result.starts) <= 150
+        assert result.objective >= 0.95363
+        assert np.all(np.diff(result.history) >= 0.0)
+        for record in result.starts:
+            assert result.objective >= record.initial_objective
+            # One objective and one gradient per accepted step at least,
+            # plus the gradient at the start.
+            assert record.nfev >= 2 * record.iterations + 1
+        again = optimize(OptimizationConfig(), p, 10.0)
+        assert again.control.theta.tobytes() == result.control.theta.tobytes()
+
     def test_line_search_failure_reports_not_converged(self):
         # Start at an already-optimized point with an unreachable gradient
         # tolerance and a single absurd trial step: nothing can improve, so
