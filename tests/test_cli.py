@@ -301,7 +301,6 @@ class TestOptimizeCommand:
             assert record["nfev"] >= 2 * record["iterations"] + 1
             assert record["objective"] >= record["initial_objective"]
 
-
     def test_does_not_import_scipy_optimize(self, tmp_path):
         # The ascent is numpy only: scipy.optimize would cost every optimize
         # run ~0.45 s of import time and ~47 MB of memory.
