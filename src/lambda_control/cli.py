@@ -588,6 +588,9 @@ def cmd_figures(args) -> int:
             "duration": T, "objective": result.objective,
             "pumping_baseline": optimizer.pumping_baseline(params, T),
             "winner_start": result.start_label,
+            "converged": result.converged,
+            "iterations": result.iterations,
+            "starts": [dataclasses.asdict(rec) for rec in result.starts],
             "outputs": {"controls": controls_name,
                         "populations": populations_name},
         })

@@ -46,6 +46,8 @@ __all__ = [
     "rhs_full",
     "system_matrix",
     "system_matrix_dtheta",
+    "FRAME_GENERATOR",
+    "frame_rotation",
     "rk4_step_matrix",
     "rk4_step_matrix_pair",
     "interval_steps",
@@ -402,6 +404,57 @@ def system_matrix_dtheta(theta, params: SystemParams) -> np.ndarray:
     D[..., 8, 6] = -0.5 * op
     D[..., 8, 7] = -0.5 * os_
     return D
+
+
+# Generator K of the dark/bright frame rotation R(theta) = exp(theta K): the
+# rotation U = [[c, 0, s], [0, 1, 0], [-s, 0, c]] of the {|1>, |3>} plane,
+# acting as rho -> U rho U^T on the real encoding.  It couples
+# (rho11, rho33, x6), (x4, x5) and (y1, y2).
+FRAME_GENERATOR = np.zeros((STATE_DIM, STATE_DIM))
+FRAME_GENERATOR[0, 5] = 2.0
+FRAME_GENERATOR[2, 5] = -2.0
+FRAME_GENERATOR[3, 4] = -1.0
+FRAME_GENERATOR[4, 3] = 1.0
+FRAME_GENERATOR[5, 0] = -1.0
+FRAME_GENERATOR[5, 2] = 1.0
+FRAME_GENERATOR[6, 7] = 1.0
+FRAME_GENERATOR[7, 6] = -1.0
+FRAME_GENERATOR.setflags(write=False)
+
+# Entries of R(theta) odd in theta sit where these signs differ, so
+# R(-theta) = D R(theta) D with D = diag(_FRAME_PARITY).
+_FRAME_PARITY = np.array([1.0, 1.0, 1.0, 1.0, -1.0, -1.0, 1.0, -1.0, 1.0])
+_FRAME_SIGNS = np.outer(_FRAME_PARITY, _FRAME_PARITY)
+
+
+def frame_rotation(theta):
+    """R(theta) = exp(theta K) and its inverse R(-theta), batched over theta.
+
+    For symmetric decay the generator is the dark/bright rotation of its
+    value at theta = 0:
+
+        A(theta) = R(theta) A(0) R(-theta),   dA/dtheta = K A - A K,
+
+    with K = ``FRAME_GENERATOR``.  Asymmetric decay (gamma_diff != 0)
+    breaks this, since the population feeding terms are not rotation
+    invariant.  Shapes follow ``system_matrix``: S + (9, 9) each.
+    """
+    theta = np.asarray(theta, dtype=float)
+    c, s = np.cos(theta), np.sin(theta)
+    c2, s2 = np.cos(2.0 * theta), np.sin(2.0 * theta)
+    R = np.zeros(theta.shape + (STATE_DIM, STATE_DIM))
+    R[..., 0, 0] = R[..., 2, 2] = c * c
+    R[..., 0, 2] = R[..., 2, 0] = s * s
+    R[..., 0, 5] = s2
+    R[..., 2, 5] = -s2
+    R[..., 5, 0] = -0.5 * s2
+    R[..., 5, 2] = 0.5 * s2
+    R[..., 5, 5] = c2
+    R[..., 1, 1] = R[..., 8, 8] = 1.0
+    R[..., 3, 3] = R[..., 4, 4] = R[..., 6, 6] = R[..., 7, 7] = c
+    R[..., 3, 4] = R[..., 7, 6] = -s
+    R[..., 4, 3] = R[..., 6, 7] = s
+    return R, R * _FRAME_SIGNS
 
 
 # ---------------------------------------------------------------------------

@@ -11,20 +11,33 @@ omega_p**2 + omega_s**2 = omega0**2 is satisfied identically by the angle
 parameterization, so no penalty terms appear.
 
 The dynamics are those of ``integrate_full``: the generator
-(``system_matrix``, ``system_matrix_dtheta``), the RK4 step matrices
-(``rk4_step_matrix``, ``rk4_step_matrix_pair``) and the step rule
+(``system_matrix``, ``system_matrix_dtheta``), the dark/bright frame
+rotation (``FRAME_GENERATOR`` K, ``frame_rotation`` R), the RK4 step
+matrices (``rk4_step_matrix``, ``rk4_step_matrix_pair``) and the step rule
 (``interval_steps``) all come from ``lambda_control.model``.  Because the
 state equation is linear, a control interval integrated with fixed-step RK4
-is a matrix power of the one-step transition matrix; the gradient of each
-interval propagator follows from the block identity
+is a matrix power of the one-step transition matrix.  Only the 6-variable x
+block enters: the y block is decoupled and identically zero from the
+standard initial condition.  The interval propagators P_k and their
+derivatives take one of two paths, chosen by ``params.is_symmetric``:
 
-    [[M, dM],   ^m     [[M^m,  d(M^m)],
-     [0,  M]]        =  [0,    M^m   ]]
+* Symmetric decay: A(theta) = R(theta) A(0) R(-theta), and a polynomial of
+  a conjugated matrix is the conjugated polynomial, so
 
-which makes the objective gradient exact for the discretized dynamics (it
-matches finite differences of the same objective to roundoff).  Only the
-6-variable x block enters: the y block is decoupled and identically zero
-from the standard initial condition.
+      P_k = R(theta_k) P0 R(-theta_k),   dP_k/dtheta_k = K P_k - P_k K,
+
+  where P0, the RK4 propagator at theta = 0, is built once per distinct
+  interval duration with that interval's step count and step size.
+* Asymmetric decay: the feeding term breaks the identity, so each interval
+  gets its own RK4 polynomial of A(theta_k) and dA/dtheta_k, and the
+  derivative of its power follows from the block identity
+
+      [[M, dM],   ^m     [[M^m,  d(M^m)],
+       [0,  M]]        =  [0,    M^m   ]].
+
+Both paths are the same discretized dynamics (they agree to roundoff), and
+the gradient is exact for it: it matches finite differences of the same
+objective to roundoff.
 
 With e1 the initial state and e3 the target, rho33(T) = e3^T P_{N-1} ... P_0
 e1.  The state before interval k is a prefix product applied to e1 and the
@@ -47,9 +60,11 @@ from .model import (
     HALF_PI,
     _EDGE_TOL,
     ControlSignal,
+    FRAME_GENERATOR,
     IntegrationError,
     SystemParams,
     default_max_step,
+    frame_rotation,
     integrate_full,
     interval_steps,
     optical_pumping_control,
@@ -153,28 +168,76 @@ class OptimizationResult:
 # Interval propagators (x block only)
 # ---------------------------------------------------------------------------
 
-def _interval_propagators(thetas: np.ndarray, durations: np.ndarray,
-                          params: SystemParams, with_grad: bool):
-    """Per-interval RK4 propagators P_k (and dP_k/dtheta_k when requested)."""
-    steps, h = interval_steps(durations, default_max_step(params))
-    # The generator is block diagonal, so the x block evolves on its own.
-    A = system_matrix(thetas, params)[:, :_XDIM, :_XDIM]
-    if with_grad:
-        dA = system_matrix_dtheta(thetas, params)[:, :_XDIM, :_XDIM]
-        M, dM = rk4_step_matrix_pair(A, dA, h)
-        one_step = np.zeros((thetas.size, 2 * _XDIM, 2 * _XDIM))
-        one_step[:, :_XDIM, :_XDIM] = M
-        one_step[:, :_XDIM, _XDIM:] = dM
-        one_step[:, _XDIM:, _XDIM:] = M
-    else:
-        one_step = rk4_step_matrix(A, h)
+def _matrix_powers(one_step: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """one_step[k] ** steps[k], one batched matrix_power per distinct count."""
     powered = np.empty_like(one_step)
     for m in np.unique(steps):
         sel = steps == m
         powered[sel] = np.linalg.matrix_power(one_step[sel], int(m))
-    if with_grad:
-        return powered[:, :_XDIM, :_XDIM], powered[:, :_XDIM, _XDIM:]
-    return powered, None
+    return powered
+
+
+def _rk4_pair_propagators(thetas: np.ndarray, durations: np.ndarray,
+                          params: SystemParams, with_grad: bool):
+    """P_k and dP_k/dtheta_k from per-interval RK4 polynomials of A(theta_k).
+
+    dP_k comes from the 12x12 block identity of the module docstring.
+    Valid for any decay.
+    """
+    steps, h = interval_steps(durations, default_max_step(params))
+    # The generator is block diagonal, so the x block evolves on its own.
+    A = system_matrix(thetas, params)[:, :_XDIM, :_XDIM]
+    if not with_grad:
+        return _matrix_powers(rk4_step_matrix(A, h), steps), None
+    dA = system_matrix_dtheta(thetas, params)[:, :_XDIM, :_XDIM]
+    M, dM = rk4_step_matrix_pair(A, dA, h)
+    one_step = np.zeros((thetas.size, 2 * _XDIM, 2 * _XDIM))
+    one_step[:, :_XDIM, :_XDIM] = M
+    one_step[:, :_XDIM, _XDIM:] = dM
+    one_step[:, _XDIM:, _XDIM:] = M
+    powered = _matrix_powers(one_step, steps)
+    return powered[:, :_XDIM, :_XDIM], powered[:, :_XDIM, _XDIM:]
+
+
+# The x block of the frame generator K (K is block diagonal, like A).
+_K = FRAME_GENERATOR[:_XDIM, :_XDIM]
+
+
+def _conjugated_propagators(thetas: np.ndarray, durations: np.ndarray,
+                            params: SystemParams, with_grad: bool):
+    """P_k = R(theta_k) P0 R(-theta_k) and dP_k/dtheta_k = K P_k - P_k K.
+
+    Symmetric decay only.  A polynomial of a conjugated matrix is the
+    conjugated polynomial, so the RK4 propagator of an interval is its
+    theta = 0 propagator P0 rotated into the interval's frame.  P0 depends
+    only on the duration, so it is built once per distinct duration with
+    the interval's own step count and step size.
+    """
+    unique, inverse = np.unique(durations, return_inverse=True)
+    steps, h = interval_steps(unique, default_max_step(params))
+    A0 = system_matrix(0.0, params)[:_XDIM, :_XDIM]
+    P0 = _matrix_powers(rk4_step_matrix(A0, h), steps)
+    R, R_inv = frame_rotation(thetas)
+    P = R[:, :_XDIM, :_XDIM] @ P0[inverse] @ R_inv[:, :_XDIM, :_XDIM]
+    if not with_grad:
+        return P, None
+    return P, _K @ P - P @ _K
+
+
+def _interval_propagators(thetas: np.ndarray, durations: np.ndarray,
+                          params: SystemParams, with_grad: bool):
+    """Per-interval RK4 propagators P_k (and dP_k/dtheta_k when requested).
+
+    Symmetric decay rotates one theta = 0 propagator per distinct duration
+    into each interval's frame (``_conjugated_propagators``: no dA/dtheta,
+    no 12x12 block).  Asymmetric decay breaks that identity and keeps the
+    per-interval RK4 pair polynomial and the 12x12 block power
+    (``_rk4_pair_propagators``).  Both give the same fixed-step dynamics to
+    roundoff.
+    """
+    if params.is_symmetric:
+        return _conjugated_propagators(thetas, durations, params, with_grad)
+    return _rk4_pair_propagators(thetas, durations, params, with_grad)
 
 
 def _check_grid(control: ControlSignal, T: float | None) -> float:
@@ -409,14 +472,14 @@ def optimize(config: OptimizationConfig, params: SystemParams, T: float, *,
                 f"start {label!r} has shape {theta0.shape}, expected "
                 f"({config.n_intervals},)"
             )
-        initial_value = objective(ControlSignal(grid, np.clip(theta0, 0.0, HALF_PI)),
-                                  params)
         theta, value, iters, conv, history, nfev = _ascend(theta0, grid,
                                                            params, config)
         control = ControlSignal(grid, theta)
         records.append(StartRecord(
             label=label,
-            initial_objective=initial_value,
+            # objective_and_gradient at the clipped start, bit-equal to
+            # objective there.
+            initial_objective=float(history[0]),
             objective=value,
             iterations=iters,
             nfev=nfev,

@@ -360,6 +360,32 @@ class TestFiguresCommand:
         assert len(summary["panels"]) == 3
         assert all(p["gamma"] == 0.1 for p in summary["panels"])
 
+    def test_fig3_panels_carry_convergence_and_starts(self, tmp_path):
+        argv = ["figures", "fig3", "--intervals", "12", "--starts", "3",
+                "--max-iters", "20"]
+        summaries = []
+        for run in ("a", "b"):
+            assert run_cli(argv + ["--out", str(tmp_path / run)]) == 0
+            summary = tmp_path / run / "fig3_summary.json"
+            summaries.append(summary.read_bytes())
+        assert summaries[0] == summaries[1]
+        panels = read_json(tmp_path / "a" / "fig3_summary.json")["panels"]
+        assert [p["panel"] for p in panels] == ["T35", "T50", "T100"]
+        for panel in panels:
+            assert isinstance(panel["converged"], bool)
+            assert isinstance(panel["iterations"], int)
+            labels = [start["label"] for start in panel["starts"]]
+            assert labels == ["pumping", "counterintuitive_ramp",
+                              "intuitive_ramp"]
+            assert panel["winner_start"] in labels
+            winner = panel["starts"][labels.index(panel["winner_start"])]
+            assert winner["objective"] == panel["objective"]
+            assert winner["converged"] == panel["converged"]
+            assert winner["iterations"] == panel["iterations"]
+            assert set(winner) == {"label", "initial_objective", "objective",
+                                   "iterations", "nfev", "converged",
+                                   "total_variation"}
+
     def test_fig5_asymmetric_bundle(self, tmp_path):
         code = run_cli(["figures", "fig5", "--intervals", "16",
                         "--starts", "2", "--max-iters", "20",

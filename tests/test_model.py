@@ -7,11 +7,13 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from lambda_control.model import (
+    FRAME_GENERATOR,
     HALF_PI,
     ControlSignal,
     FullState,
     IntegrationError,
     SystemParams,
+    frame_rotation,
     integrate_full,
     optical_pumping_control,
     reconstruct_density,
@@ -150,6 +152,64 @@ class TestRhsFull:
         fd = (rk4_step_matrix(system_matrix(thetas + eps, p), h)
               - rk4_step_matrix(system_matrix(thetas - eps, p), h)) / (2 * eps)
         assert np.allclose(dM, fd, atol=1e-9)
+
+
+def _plane_rotation(theta):
+    """The {|1>, |3>} rotation whose superoperator is frame_rotation(theta)."""
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+
+
+class TestFrameRotation:
+    def test_is_superoperator_of_plane_rotation(self):
+        rng = np.random.default_rng(11)
+        thetas = np.concatenate([[0.0, HALF_PI, -0.4],
+                                 rng.uniform(-math.pi, math.pi, 20)])
+        R, R_inv = frame_rotation(thetas)
+        assert R.shape == R_inv.shape == (thetas.size, 9, 9)
+        for theta, R_k, R_inv_k in zip(thetas, R, R_inv):
+            U = _plane_rotation(theta)
+            state = rng.uniform(-1.0, 1.0, 9)
+            assert np.allclose(reconstruct_density(R_k @ state),
+                               U @ reconstruct_density(state) @ U.T,
+                               rtol=0.0, atol=1e-15)
+            assert np.allclose(R_inv_k @ R_k, np.eye(9), rtol=0.0, atol=1e-15)
+            assert np.array_equal(R_inv_k, frame_rotation(-theta)[0])
+            assert np.allclose(R_k, expm(theta * FRAME_GENERATOR),
+                               rtol=0.0, atol=1e-12)
+
+    def test_symmetric_generator_is_rotated_dark_frame_generator(self):
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            p = SystemParams(gamma_total=rng.uniform(0.1, 50.0))
+            thetas = rng.uniform(0.0, HALF_PI, 5)
+            R, R_inv = frame_rotation(thetas)
+            assert np.allclose(R @ system_matrix(0.0, p) @ R_inv,
+                               system_matrix(thetas, p), rtol=0.0,
+                               atol=1e-13 * p.gamma_total)
+
+    def test_generator_derivative_is_commutator_with_K(self):
+        # dA/dtheta = K A - A K, on the 9x9 generator and on its x block.
+        rng = np.random.default_rng(13)
+        K = FRAME_GENERATOR
+        Kx = K[:6, :6]
+        for _ in range(20):
+            p = SystemParams(gamma_total=rng.uniform(0.1, 50.0))
+            theta = rng.uniform(0.0, HALF_PI)
+            A = system_matrix(theta, p)
+            dA = system_matrix_dtheta(theta, p)
+            assert np.allclose(K @ A - A @ K, dA, rtol=0.0, atol=1e-15)
+            Ax = A[:6, :6]
+            assert np.allclose(Kx @ Ax - Ax @ Kx, dA[:6, :6], rtol=0.0,
+                               atol=1e-15)
+
+    def test_asymmetric_decay_breaks_the_identity(self):
+        # The feeding terms gamma1 != gamma3 are not rotation invariant, so
+        # the optimizer keeps the RK4 pair path for asymmetric decay.
+        p = SystemParams(gamma_total=10.0, gamma_diff=8.0)
+        A = system_matrix(0.7, p)
+        K = FRAME_GENERATOR
+        assert np.abs(K @ A - A @ K - system_matrix_dtheta(0.7, p)).max() > 1.0
 
 
 class TestControlSignal:

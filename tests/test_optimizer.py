@@ -1,10 +1,12 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from lambda_control import optimizer
 from lambda_control.model import (
     HALF_PI,
     ControlSignal,
@@ -17,7 +19,9 @@ from lambda_control.model import (
 from lambda_control.optimizer import (
     LineSearchConfig,
     OptimizationConfig,
+    _conjugated_propagators,
     _interval_propagators,
+    _rk4_pair_propagators,
     grid_cells,
     gradient,
     objective,
@@ -190,12 +194,93 @@ class TestGradient:
         rel = np.abs(grad[mask] - fd[mask]) / np.abs(fd[mask])
         assert rel.max(initial=0.0) <= 1e-4
 
+    @settings(deadline=None, max_examples=40)
+    @given(st.floats(min_value=10.0, max_value=60.0),
+           st.floats(min_value=0.5, max_value=120.0),
+           st.integers(min_value=2, max_value=100))
+    def test_pumping_satisfies_bound_stationarity(self, gamma, duration, n):
+        # The full-model side of the paper's claim: at large decay, pumping
+        # (theta = pi/2, the upper bound) is a KKT point, i.e. no interval
+        # gains from lowering its angle: g_k >= -grad_tol for every k.
+        p = SystemParams(gamma_total=gamma)
+        control = ControlSignal.constant(HALF_PI, duration, n)
+        grad = gradient(control, p)
+        assert grad.min() >= -OptimizationConfig().grad_tol
+
     def test_objective_and_gradient_consistent(self):
         p = SystemParams(gamma_total=4.0)
         control = ControlSignal.linear_ramp(0.0, HALF_PI, 8.0, 12)
         value, grad = objective_and_gradient(control, p)
         assert value == pytest.approx(objective(control, p), abs=1e-15)
         assert grad.shape == (12,)
+
+
+class TestConjugatedPropagators:
+    """The symmetric-decay path against the RK4 pair path it replaces."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.floats(min_value=0.1, max_value=50.0),
+           st.booleans(),
+           st.lists(st.tuples(st.floats(min_value=0.05, max_value=1000.0),
+                              st.floats(min_value=0.0, max_value=HALF_PI)),
+                    min_size=1, max_size=12))
+    def test_matches_rk4_pair_path(self, gamma, uniform, intervals):
+        # Interval lengths in units of the RK4 step bound: up to 1000 steps
+        # per interval, on a uniform or a non-uniform grid.
+        p = SystemParams(gamma_total=gamma)
+        lengths, thetas = (np.array(v) for v in zip(*intervals))
+        lengths = lengths * default_max_step(p)
+        if uniform:
+            grid = np.linspace(0.0, lengths.sum(), lengths.size + 1)
+        else:
+            grid = np.concatenate([[0.0], np.cumsum(lengths)])
+        durations = np.diff(grid)
+        P, G = _conjugated_propagators(thetas, durations, p, with_grad=True)
+        P_ref, G_ref = _rk4_pair_propagators(thetas, durations, p,
+                                             with_grad=True)
+        assert np.abs(P - P_ref).max() <= 1e-12
+        assert np.abs(G - G_ref).max() <= 1e-12
+        P_only, _ = _conjugated_propagators(thetas, durations, p,
+                                            with_grad=False)
+        assert np.array_equal(P_only, P)
+
+        control = ControlSignal(grid, thetas)
+        value, grad = objective_and_gradient(control, p)
+        with mock.patch.object(optimizer, "_interval_propagators",
+                               _rk4_pair_propagators):
+            value_ref, grad_ref = objective_and_gradient(control, p)
+        assert abs(value - value_ref) <= 1e-12
+        assert np.abs(grad - grad_ref).max() <= 1e-12
+
+    def test_dispatch_follows_decay_symmetry(self):
+        rng = np.random.default_rng(5)
+        thetas = rng.uniform(0.0, HALF_PI, 7)
+        durations = np.full(7, 0.3)
+        for p, path in ((SystemParams(gamma_total=2.0),
+                         _conjugated_propagators),
+                        (SystemParams(gamma_total=2.0, gamma_diff=0.5),
+                         _rk4_pair_propagators)):
+            P, G = _interval_propagators(thetas, durations, p, with_grad=True)
+            P_path, G_path = path(thetas, durations, p, with_grad=True)
+            assert np.array_equal(P, P_path) and np.array_equal(G, G_path)
+
+    def test_objective_is_bitwise_the_gradient_pass_value(self):
+        # The line search uses objective, the ascent objective_and_gradient;
+        # a start's initial_objective is taken from the latter.
+        rng = np.random.default_rng(6)
+        for case in range(100):
+            gamma = rng.uniform(0.1, 30.0)
+            diff = 0.0 if case % 2 else rng.uniform(-1.0, 1.0) * gamma
+            p = SystemParams(gamma_total=gamma, gamma_diff=diff)
+            n = int(rng.integers(2, 60))
+            if case % 4 < 2:
+                grid = np.linspace(0.0, rng.uniform(0.5, 40.0), n + 1)
+            else:
+                grid = np.concatenate(
+                    [[0.0], np.cumsum(rng.uniform(0.01, 1.0, n))])
+            control = ControlSignal(grid, rng.uniform(0.0, HALF_PI, n))
+            value = objective(control, p)
+            assert value.hex() == objective_and_gradient(control, p)[0].hex()
 
 
 class TestConfigs:
@@ -299,6 +384,19 @@ class TestOptimize:
         assert result.iterations == 0
         assert result.objective == pytest.approx(
             result.starts[0].initial_objective, abs=1e-15)
+
+    def test_initial_objective_is_objective_at_clipped_start(self):
+        config = OptimizationConfig(n_intervals=12, max_iters=20, seed=0)
+        grid = np.linspace(0.0, 6.0, 13)
+        starts = [("wide", np.linspace(-0.5, 2.0, 12)),
+                  ("ramp", HALF_PI * (np.arange(12) + 0.5) / 12)]
+        for p in (SystemParams(gamma_total=2.0),
+                  SystemParams(gamma_total=2.0, gamma_diff=1.0)):
+            result = optimize(config, p, 6.0, starts=starts)
+            for (label, theta0), record in zip(starts, result.starts):
+                expected = objective(
+                    ControlSignal(grid, np.clip(theta0, 0.0, HALF_PI)), p)
+                assert record.initial_objective.hex() == expected.hex()
 
     def test_bad_horizon_rejected(self):
         with pytest.raises(ValueError):
