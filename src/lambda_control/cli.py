@@ -534,6 +534,7 @@ def cmd_sweep(args) -> int:
             "pumping_baseline": row.pumping_baseline,
             "winner_start": row.winner_start, "converged": row.converged,
             "error": row.error,
+            "starts": [dataclasses.asdict(rec) for rec in row.starts],
         })
 
     out = _out_dir(args)
@@ -609,14 +610,20 @@ def cmd_figures(args) -> int:
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--config", type=Path, metavar="FILE",
                    help="key = value configuration file; flags take precedence")
+    p.add_argument("--seed", type=int, help="seed recorded in every output")
+    p.add_argument("--out", type=Path,
+                   help=f"output directory (default ${ENV_OUT} or ./out)")
+
+
+def _add_regime(p: argparse.ArgumentParser):
     p.add_argument("--gamma", type=float, help="decay ratio Gamma/omega0")
     p.add_argument("--gamma-diff", type=float,
                    help="decay asymmetry gamma/omega0 (default 0)")
     p.add_argument("--duration", type=float, help="window omega0*T")
+
+
+def _add_intervals(p: argparse.ArgumentParser):
     p.add_argument("--intervals", type=int, help="control grid size")
-    p.add_argument("--seed", type=int, help="seed recorded in every output")
-    p.add_argument("--out", type=Path,
-                   help=f"output directory (default ${ENV_OUT} or ./out)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -627,6 +634,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="integrate the full model")
     _add_common(p)
+    _add_regime(p)
+    _add_intervals(p)
     p.add_argument("--format", choices=("csv", "json"), help="trajectory format")
     p.add_argument("--control",
                    choices=("pumping", "theta0", "ramp_up", "ramp_down"),
@@ -645,6 +654,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("optimize", help="multi-start pulse optimization")
     _add_common(p)
+    _add_regime(p)
+    _add_intervals(p)
     p.add_argument("--starts", type=int, help="number of starts (default 6)")
     p.add_argument("--max-iters", type=int, help="iteration cap per start")
     p.set_defaults(func=cmd_optimize)
@@ -659,6 +670,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="optimize a grid of regimes")
     _add_common(p)
+    _add_intervals(p)
     p.add_argument("--gammas", type=str, help="comma-separated Gamma/omega0")
     p.add_argument("--gamma-diffs", type=str,
                    help="comma-separated gamma/omega0 (default 0)")
@@ -670,6 +682,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("figures", help="regenerate figure-data bundles")
     p.add_argument("selector", help="fig2 | fig3 | fig4 | fig5")
     _add_common(p)
+    _add_intervals(p)
     p.add_argument("--starts", type=int)
     p.add_argument("--max-iters", type=int)
     p.set_defaults(func=cmd_figures)

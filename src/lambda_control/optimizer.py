@@ -27,7 +27,9 @@ derivatives take one of two paths, chosen by ``params.is_symmetric``:
       P_k = R(theta_k) P0 R(-theta_k),   dP_k/dtheta_k = K P_k - P_k K,
 
   where P0, the RK4 propagator at theta = 0, is built once per distinct
-  interval duration with that interval's step count and step size.
+  interval duration with that interval's step count and step size.  P0
+  depends only on the grid and the parameters, so it is cached per grid
+  and built once per ascent.
 * Asymmetric decay: the feeding term breaks the identity, so each interval
   gets its own RK4 polynomial of A(theta_k) and dA/dtheta_k, and the
   derivative of its power follows from the block identity
@@ -45,10 +47,15 @@ adjoint after it is row 2 of the suffix product P_{N-1} ... P_{k+1}; both
 come from one doubling scan (``_prefix_products``) in ceil(log2 N) batched
 matmuls, and the gradient is the single contraction
 adjoint_k^T (dP_k/dtheta_k) state_k over all k.
+
+The line search evaluates its first trial with the gradient and later
+backtracks with the objective alone (``_final_rho33``); the two give the
+same objective bit for bit, so this choice leaves the ascent path unchanged.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections import deque
@@ -203,6 +210,25 @@ def _rk4_pair_propagators(thetas: np.ndarray, durations: np.ndarray,
 _K = FRAME_GENERATOR[:_XDIM, :_XDIM]
 
 
+@functools.lru_cache(maxsize=8)
+def _theta0_propagators(durations_key: bytes,
+                        params: SystemParams) -> np.ndarray:
+    """P0 of every interval of a grid, keyed by its float64 duration bytes.
+
+    The grid and the parameters stay fixed over a whole ascent, so each
+    ascent builds P0 once.  Each distinct duration is built once, with its
+    own step count and step size.  The cached array is shared by every
+    caller, so it is read-only.
+    """
+    durations = np.frombuffer(durations_key)
+    unique, inverse = np.unique(durations, return_inverse=True)
+    steps, h = interval_steps(unique, default_max_step(params))
+    A0 = system_matrix(0.0, params)[:_XDIM, :_XDIM]
+    P0 = _matrix_powers(rk4_step_matrix(A0, h), steps)[inverse]
+    P0.flags.writeable = False
+    return P0
+
+
 def _conjugated_propagators(thetas: np.ndarray, durations: np.ndarray,
                             params: SystemParams, with_grad: bool):
     """P_k = R(theta_k) P0 R(-theta_k) and dP_k/dtheta_k = K P_k - P_k K.
@@ -210,15 +236,12 @@ def _conjugated_propagators(thetas: np.ndarray, durations: np.ndarray,
     Symmetric decay only.  A polynomial of a conjugated matrix is the
     conjugated polynomial, so the RK4 propagator of an interval is its
     theta = 0 propagator P0 rotated into the interval's frame.  P0 depends
-    only on the duration, so it is built once per distinct duration with
-    the interval's own step count and step size.
+    only on the grid and the parameters (``_theta0_propagators``).
     """
-    unique, inverse = np.unique(durations, return_inverse=True)
-    steps, h = interval_steps(unique, default_max_step(params))
-    A0 = system_matrix(0.0, params)[:_XDIM, :_XDIM]
-    P0 = _matrix_powers(rk4_step_matrix(A0, h), steps)
+    P0 = _theta0_propagators(
+        np.asarray(durations, dtype=float).tobytes(), params)
     R, R_inv = frame_rotation(thetas)
-    P = R[:, :_XDIM, :_XDIM] @ P0[inverse] @ R_inv[:, :_XDIM, :_XDIM]
+    P = R[:, :_XDIM, :_XDIM] @ P0 @ R_inv[:, :_XDIM, :_XDIM]
     if not with_grad:
         return P, None
     return P, _K @ P - P @ _K
@@ -361,9 +384,16 @@ def _ascend(theta0: np.ndarray, grid: np.ndarray, params: SystemParams,
             config: OptimizationConfig):
     """Single-start projected L-BFGS ascent; accepted steps never decrease.
 
+    The first evaluated trial of each line search is evaluated with its
+    gradient, since most searches accept it; its gradient is then the next
+    iterate's.  Later backtracking trials are evaluated without the
+    gradient, which a rejected trial would waste, and a backtrack that is
+    accepted is evaluated again with it.  P0 is cached per grid
+    (``_theta0_propagators``), so a symmetric-decay ascent builds it once.
+
     Returns theta, its objective, the iterations, the converged flag, the
-    objective history and nfev, the count of objective and of
-    objective-and-gradient evaluations.
+    objective history and nfev, the number of propagator builds: one per
+    evaluated point, two at an accepted backtrack.
     """
     ls = config.line_search
     durations = np.diff(grid)
@@ -393,19 +423,30 @@ def _ascend(theta0: np.ndarray, grid: np.ndarray, params: SystemParams,
             pairs.clear()
             direction, step = pg, ls.initial_step
         accepted = False
+        rejected = None  # the last trial this search rejected
         for _ in range(ls.max_backtracks):
             trial = np.clip(theta + step * direction, 0.0, HALF_PI)
             move = trial - theta
             slope = float(grad @ move)
-            if slope <= 0.0:
+            # The clip can map a shorter step onto the trial just rejected;
+            # its value, and so its rejection, would repeat.
+            if slope <= 0.0 or np.array_equal(trial, rejected):
                 step *= ls.shrink
                 continue
-            trial_value = _final_rho33(trial, durations, params)
+            if rejected is None:
+                trial_value, new_grad = f_and_g(trial)
+            else:
+                trial_value = _final_rho33(trial, durations, params)
+                new_grad = None
             nfev += 1
             if trial_value >= value + ls.armijo * slope and trial_value > value:
                 theta = trial
-                value, new_grad = f_and_g(theta)
-                nfev += 1
+                # _final_rho33 is bitwise the gradient pass's value, so
+                # the accepted value does not depend on which one ran.
+                value = trial_value
+                if new_grad is None:
+                    new_grad = f_and_g(theta)[1]
+                    nfev += 1
                 # Curvature of -rho33 along the move.
                 y = grad - new_grad
                 sy = float(move @ y)
@@ -415,6 +456,7 @@ def _ascend(theta0: np.ndarray, grid: np.ndarray, params: SystemParams,
                 history.append(value)
                 accepted = True
                 break
+            rejected = trial
             step *= ls.shrink
         if not accepted:
             # Line search exhausted: no improving step at this resolution.
@@ -550,6 +592,8 @@ class SweepRow:
     winner_start: str
     converged: bool
     error: str | None = None
+    # Every start's record; empty on error rows.
+    starts: tuple[StartRecord, ...] = ()
 
 
 def grid_cells(gammas, gamma_diffs, durations) -> list[SweepCell]:
@@ -579,6 +623,7 @@ def sweep(cells, config: OptimizationConfig) -> list[SweepRow]:
                 pumping_baseline=baseline,
                 winner_start=result.start_label,
                 converged=result.converged,
+                starts=result.starts,
             ))
         except (ValueError, IntegrationError, FloatingPointError,
                 np.linalg.LinAlgError) as exc:  # record, go on to the next cell

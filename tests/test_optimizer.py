@@ -1,4 +1,6 @@
+import itertools
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -283,6 +285,52 @@ class TestConjugatedPropagators:
             assert value.hex() == objective_and_gradient(control, p)[0].hex()
 
 
+class TestTheta0Cache:
+    """The per-grid P0 cache of the symmetric-decay path."""
+
+    def test_entries_stay_isolated(self):
+        # 16 cases, twice the cache size, visited twice in shuffled order:
+        # entries are evicted and rebuilt, and uniform grids share their
+        # duration bytes across Gamma.
+        rng = np.random.default_rng(11)
+        cases = []
+        for gamma, n, T, uniform in itertools.product(
+                (2.0, 3.0), (7, 9), (1.0, 2.0), (True, False)):
+            if uniform:
+                grid = np.linspace(0.0, T, n + 1)
+            else:
+                grid = np.concatenate(
+                    [[0.0], np.cumsum(rng.uniform(0.2, 1.0, n))])
+                grid *= T / grid[-1]
+            cases.append((rng.uniform(0.0, HALF_PI, n), np.diff(grid),
+                          SystemParams(gamma_total=gamma)))
+        built = {}
+        for i in itertools.chain(rng.permutation(len(cases)),
+                                 rng.permutation(len(cases))):
+            thetas, durations, p = cases[i]
+            P, G = _conjugated_propagators(thetas, durations, p,
+                                           with_grad=True)
+            P_ref, G_ref = _rk4_pair_propagators(thetas, durations, p,
+                                                 with_grad=True)
+            assert np.abs(P - P_ref).max() <= 1e-12
+            assert np.abs(G - G_ref).max() <= 1e-12
+            built.setdefault(i, []).append((P, G))
+        for i, (thetas, durations, p) in enumerate(cases):
+            optimizer._theta0_propagators.cache_clear()
+            fresh_P, fresh_G = _conjugated_propagators(thetas, durations, p,
+                                                       with_grad=True)
+            for P, G in built[i]:
+                assert np.array_equal(P, fresh_P)
+                assert np.array_equal(G, fresh_G)
+
+    def test_cached_array_is_read_only(self):
+        durations = np.full(5, 0.4)
+        P0 = optimizer._theta0_propagators(durations.tobytes(),
+                                           SystemParams(gamma_total=2.0))
+        with pytest.raises(ValueError):
+            P0[0, 0, 0] = 1.0
+
+
 class TestConfigs:
     @pytest.mark.parametrize("kwargs", [
         {"n_intervals": 1},
@@ -359,11 +407,51 @@ class TestOptimize:
         assert np.all(np.diff(result.history) >= 0.0)
         for record in result.starts:
             assert result.objective >= record.initial_objective
-            # One objective and one gradient per accepted step at least,
-            # plus the gradient at the start.
-            assert record.nfev >= 2 * record.iterations + 1
+            # One propagator build per accepted step at least, plus the
+            # gradient at the start.
+            assert record.nfev >= record.iterations + 1
         again = optimize(OptimizationConfig(), p, 10.0)
         assert again.control.theta.tobytes() == result.control.theta.tobytes()
+
+    @pytest.mark.parametrize("gamma, gamma_diff, duration", [
+        (0.5, 0.0, 8.0),
+        (4.0, 2.0, 10.0),
+    ])
+    def test_nfev_counts_every_propagator_build(self, gamma, gamma_diff,
+                                                duration):
+        # Each build is coded G (with the gradient), F (without) or A (the
+        # gradient build of an accepted backtrack, at the theta of the F
+        # build just before it).  A start is G at the clipped start, then
+        # per line search a first trial built with its gradient, and any
+        # backtracks built without it.
+        calls = []
+
+        def counting(thetas, durations, params, with_grad):
+            calls.append((thetas.tobytes(), with_grad))
+            return _interval_propagators(thetas, durations, params, with_grad)
+
+        config = OptimizationConfig(n_intervals=16, max_iters=60, n_starts=4,
+                                    seed=2)
+        p = SystemParams(gamma_total=gamma, gamma_diff=gamma_diff)
+        starts = optimizer.default_starts(config,
+                                          np.random.default_rng(config.seed))
+        with mock.patch.object(optimizer, "_interval_propagators", counting):
+            result = optimize(config, p, duration, starts=starts)
+        assert sum(record.nfev for record in result.starts) == len(calls)
+
+        end = 0
+        for (_, theta0), record in zip(starts, result.starts):
+            block, end = calls[end:end + record.nfev], end + record.nfev
+            assert block[0] == (np.clip(theta0, 0.0, HALF_PI).tobytes(), True)
+            codes = "".join(
+                "A" if grad and i and block[i - 1] == (theta, False)
+                else "G" if grad else "F"
+                for i, (theta, grad) in enumerate(block))
+            assert re.fullmatch(r"G(G(F+A?)?)*", codes), codes
+            # No theta is built twice, except an accepted backtrack.
+            built = [theta for (theta, _), code in zip(block, codes)
+                     if code != "A"]
+            assert len(set(built)) == len(built)
 
     def test_line_search_failure_reports_not_converged(self):
         # Start at an already-optimized point with an unreachable gradient
@@ -443,6 +531,7 @@ class TestSweep:
         assert rows[0].pumping_baseline == pytest.approx(
             pumping_baseline(p, 10.0), abs=1e-15)
         assert rows[0].error is None
+        assert rows[0].starts == direct.starts
 
     def test_failures_recorded_and_sweep_continues(self):
         config = OptimizationConfig(n_intervals=20, max_iters=30,
@@ -452,6 +541,7 @@ class TestSweep:
         assert len(rows) == 2
         assert rows[0].error is not None
         assert math.isnan(rows[0].objective)
+        assert rows[0].starts == ()
         assert rows[1].error is None
         assert rows[1].objective > 0.0
 
