@@ -5,6 +5,11 @@ gamma/omega0 and omega0*T.  Outputs are plot-ready CSV files plus JSON
 summaries; every output embeds the configuration and seed that produced it,
 and identical configuration + seed produce byte-identical files.
 
+argparse states every option's type, default and choices.  A `--config`
+file is read as more of the command's own flags: each `key = value` line
+becomes `--key=value`, placed before the flags typed on the command line,
+so those win and a key the command does not take is rejected.
+
 Exit codes: 0 success (and all checks passed), 1 usage error, 2 numerical
 failure, 3 verification failure.
 """
@@ -62,6 +67,11 @@ class VerificationFailure(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        # No prefix matching: `--gamma-diff` must not run as `--gamma-diffs`.
+        # Subparsers are built from this class, so this covers every command.
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise UsageError(message)
 
@@ -70,32 +80,10 @@ class _Parser(argparse.ArgumentParser):
 # Configuration plumbing
 # ---------------------------------------------------------------------------
 
-_CASTS = {
-    "gamma": float,
-    "gamma_diff": float,
-    "duration": float,
-    "tprime": float,
-    "intervals": int,
-    "seed": int,
-    "n": int,
-    "starts": int,
-    "max_iters": int,
-    "format": str,
-    "out": str,
-    "control": str,
-    "control_file": str,
-    "jumps": str,
-    "arcs": str,
-    "gammas": str,
-    "gamma_diffs": str,
-    "durations": str,
-    "selector": str,
-}
-
-
-def read_config_file(path: Path) -> dict:
-    """Parse a `key = value` file mirroring the flags ('#' starts a comment)."""
-    data = {}
+def read_config_file(path: Path) -> list[str]:
+    """Turn a `key = value` file into `--key=value` flags ('#' starts a
+    comment, `_` in a key reads as `-`), to be parsed as the command's own."""
+    flags = []
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
@@ -104,41 +92,24 @@ def read_config_file(path: Path) -> dict:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" not in line:
+        key, sep, value = (part.strip() for part in line.partition("="))
+        if not sep or not key:
             raise UsageError(f"bad config line (expected key = value): {raw!r}")
-        key, value = (part.strip() for part in line.split("=", 1))
-        key = key.replace("-", "_")
-        if key not in _CASTS:
-            raise UsageError(f"unknown config key {key!r}")
-        try:
-            data[key] = _CASTS[key](value)
-        except ValueError as exc:
-            raise UsageError(f"bad value for {key!r}: {value!r}") from exc
-    return data
+        key = key.replace("_", "-")
+        if key == "config":
+            raise UsageError(f"config files do not nest: {raw!r}")
+        flags.append(f"--{key}={value}")
+    return flags
 
 
-def _effective(args, defaults: dict) -> dict:
-    """Merge defaults < config file < explicit flags."""
-    eff = dict(defaults)
-    filecfg = read_config_file(args.config) if getattr(args, "config", None) else {}
-    for key, value in filecfg.items():
-        if key in eff:
-            eff[key] = value
-    for key in eff:
-        value = getattr(args, key, None)
-        if value is not None:
-            eff[key] = value
-    return eff
-
-
-def _require(eff: dict, *keys):
+def _require(args, *keys):
     for key in keys:
-        if eff.get(key) is None:
+        if getattr(args, key) is None:
             raise UsageError(f"missing required option --{key.replace('_', '-')}")
 
 
 def _out_dir(args) -> Path:
-    out = getattr(args, "out", None)
+    out = args.out
     if out is None:
         out = os.environ.get(ENV_OUT, "out")
     path = Path(out)
@@ -146,15 +117,18 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _params(eff: dict) -> SystemParams:
-    return SystemParams(gamma_total=eff["gamma"], gamma_diff=eff["gamma_diff"])
+def _params(args) -> SystemParams:
+    return SystemParams(gamma_total=args.gamma, gamma_diff=args.gamma_diff)
 
 
 def _floats(text: str, option: str) -> list[float]:
     try:
-        return [float(part) for part in str(text).split(",") if part.strip() != ""]
+        values = [float(part) for part in text.split(",") if part.strip() != ""]
     except ValueError as exc:
         raise UsageError(f"bad {option} list: {text!r}") from exc
+    if not values:
+        raise UsageError(f"empty {option} list: {text!r}")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -219,44 +193,35 @@ def load_control_file(path: Path, duration: float) -> ControlSignal:
         raise UsageError(f"invalid control file {path}: {exc}") from exc
 
 
-def _named_control(name: str, duration: float, intervals: int) -> ControlSignal:
-    if name == "pumping":
-        return optical_pumping_control(duration)
-    if name == "theta0":
-        return ControlSignal.constant(0.0, duration)
-    if name == "ramp_up":
-        return ControlSignal.linear_ramp(0.0, HALF_PI, duration, intervals)
-    if name == "ramp_down":
-        return ControlSignal.linear_ramp(HALF_PI, 0.0, duration, intervals)
-    raise UsageError(f"unknown control {name!r}")
+# `simulate --control` schedules: name -> (duration, intervals) -> control.
+NAMED_CONTROLS = {
+    "pumping": lambda T, n: optical_pumping_control(T),
+    "theta0": lambda T, n: ControlSignal.constant(0.0, T),
+    "ramp_up": lambda T, n: ControlSignal.linear_ramp(0.0, HALF_PI, T, n),
+    "ramp_down": lambda T, n: ControlSignal.linear_ramp(HALF_PI, 0.0, T, n),
+}
 
 
 def cmd_simulate(args) -> int:
-    defaults = {"gamma": None, "gamma_diff": 0.0, "duration": None,
-                "intervals": 100, "seed": 0, "format": "csv",
-                "control": None, "control_file": None}
-    eff = _effective(args, defaults)
-    _require(eff, "gamma", "duration")
-    if eff["control"] and eff["control_file"]:
-        raise UsageError("--control and --control-file are mutually exclusive")
-    params = _params(eff)
-    T = float(eff["duration"])
-    if eff["control_file"]:
-        control = load_control_file(eff["control_file"], T)
-        control_name = f"file:{Path(eff['control_file']).name}"
+    _require(args, "gamma", "duration")
+    params = _params(args)
+    T = args.duration
+    if args.control_file:
+        control = load_control_file(args.control_file, T)
+        control_name = f"file:{args.control_file.name}"
     else:
-        control_name = eff["control"] or "pumping"
-        control = _named_control(control_name, T, int(eff["intervals"]))
+        control_name = args.control or "pumping"
+        control = NAMED_CONTROLS[control_name](T, args.intervals)
 
-    cfg = {"command": "simulate", "gamma": eff["gamma"],
-           "gamma_diff": eff["gamma_diff"], "duration": T,
-           "intervals": int(eff["intervals"]), "seed": int(eff["seed"]),
-           "control": control_name, "format": eff["format"]}
+    cfg = {"command": "simulate", "gamma": args.gamma,
+           "gamma_diff": args.gamma_diff, "duration": T,
+           "intervals": args.intervals, "seed": args.seed,
+           "control": control_name, "format": args.format}
 
     trajectory = integrate_full(control, params, T)
     out = _out_dir(args)
     outputs = {}
-    if eff["format"] == "json":
+    if args.format == "json":
         payload = {
             "config": cfg,
             "t": trajectory.times.tolist(),
@@ -297,22 +262,20 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_reduce(args) -> int:
-    defaults = {"tprime": 5.0, "jumps": None, "arcs": None, "seed": 0}
-    eff = _effective(args, defaults)
-    tprime = float(eff["tprime"])
-    if eff["jumps"] is None and eff["arcs"] is None:
+    tprime = args.tprime
+    if args.jumps is None and args.arcs is None:
         seq = analytic.BangSingularSequence.optical_pumping(tprime)
     else:
-        _require(eff, "jumps", "arcs")
+        _require(args, "jumps", "arcs")
         seq = analytic.BangSingularSequence(
-            jumps=_floats(eff["jumps"], "--jumps"),
-            arcs=_floats(eff["arcs"], "--arcs"),
+            jumps=_floats(args.jumps, "--jumps"),
+            arcs=_floats(args.arcs, "--arcs"),
         )
         tprime = seq.total_time
 
     cfg = {"command": "reduce", "tprime": tprime,
            "jumps": [float(j) for j in seq.jumps],
-           "arcs": [float(a) for a in seq.arcs], "seed": int(eff["seed"])}
+           "arcs": [float(a) for a in seq.arcs], "seed": args.seed}
 
     rows = [(0.0, -1.0, 0.0, 0.0)]
     t = 0.0
@@ -344,12 +307,12 @@ def cmd_reduce(args) -> int:
 # optimize
 # ---------------------------------------------------------------------------
 
-def _opt_config(eff: dict) -> optimizer.OptimizationConfig:
+def _opt_config(args) -> optimizer.OptimizationConfig:
     return optimizer.OptimizationConfig(
-        n_intervals=int(eff["intervals"]),
-        max_iters=int(eff["max_iters"]),
-        n_starts=int(eff["starts"]),
-        seed=int(eff["seed"]),
+        n_intervals=args.intervals,
+        max_iters=args.max_iters,
+        n_starts=args.starts,
+        seed=args.seed,
     )
 
 
@@ -364,16 +327,13 @@ def _control_rows(control: ControlSignal):
 
 
 def cmd_optimize(args) -> int:
-    defaults = {"gamma": None, "gamma_diff": 0.0, "duration": None,
-                "intervals": 100, "seed": 0, "starts": 6, "max_iters": 300}
-    eff = _effective(args, defaults)
-    _require(eff, "gamma", "duration")
-    params = _params(eff)
-    T = float(eff["duration"])
-    config = _opt_config(eff)
+    _require(args, "gamma", "duration")
+    params = _params(args)
+    T = args.duration
+    config = _opt_config(args)
 
-    cfg = {"command": "optimize", "gamma": eff["gamma"],
-           "gamma_diff": eff["gamma_diff"], "duration": T,
+    cfg = {"command": "optimize", "gamma": args.gamma,
+           "gamma_diff": args.gamma_diff, "duration": T,
            "intervals": config.n_intervals, "seed": config.seed,
            "starts": config.n_starts, "max_iters": config.max_iters}
 
@@ -386,7 +346,7 @@ def cmd_optimize(args) -> int:
     summary = {
         "command": "optimize",
         "config": cfg,
-        "params": {"gamma": eff["gamma"], "gamma_diff": eff["gamma_diff"]},
+        "params": {"gamma": args.gamma, "gamma_diff": args.gamma_diff},
         "T": T,
         "objective": result.objective,
         "pumping_baseline": baseline,
@@ -438,13 +398,9 @@ def _verify_chunk(rng, pump, tprime: float, start: int, stop: int):
 
 
 def cmd_verify(args) -> int:
-    defaults = {"tprime": 5.0, "n": 10000, "seed": 0}
-    eff = _effective(args, defaults)
-    tprime = float(eff["tprime"])
-    count = int(eff["n"])
+    tprime, count, seed = args.tprime, args.n, args.seed
     if count < 1:
         raise UsageError("--n must be at least 1")
-    seed = int(eff["seed"])
     cfg = {"command": "verify", "tprime": tprime, "n": count, "seed": seed}
 
     # Also rejects a negative or non-finite --tprime, before any output.
@@ -499,14 +455,11 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_sweep(args) -> int:
-    defaults = {"gammas": None, "gamma_diffs": "0", "durations": None,
-                "intervals": 100, "seed": 0, "starts": 6, "max_iters": 300}
-    eff = _effective(args, defaults)
-    _require(eff, "gammas", "durations")
-    gammas = _floats(eff["gammas"], "--gammas")
-    gamma_diffs = _floats(eff["gamma_diffs"], "--gamma-diffs")
-    durations = _floats(eff["durations"], "--durations")
-    config = _opt_config(eff)
+    _require(args, "gammas", "durations")
+    gammas = _floats(args.gammas, "--gammas")
+    gamma_diffs = _floats(args.gamma_diffs, "--gamma-diffs")
+    durations = _floats(args.durations, "--durations")
+    config = _opt_config(args)
 
     cfg = {"command": "sweep", "gammas": gammas, "gamma_diffs": gamma_diffs,
            "durations": durations, "intervals": config.n_intervals,
@@ -557,16 +510,9 @@ def cmd_sweep(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_figures(args) -> int:
-    defaults = {"intervals": 100, "seed": 0, "starts": 6, "max_iters": 300}
-    eff = _effective(args, defaults)
     selector = args.selector
-    if selector not in FIGURE_REGIMES:
-        raise UsageError(
-            f"unknown figure selector {selector!r}; "
-            f"choose from {sorted(FIGURE_REGIMES)}"
-        )
     gamma, panels = FIGURE_REGIMES[selector]
-    config = _opt_config(eff)
+    config = _opt_config(args)
     out = _out_dir(args)
 
     panel_summaries = []
@@ -607,23 +553,47 @@ def cmd_figures(args) -> int:
 # Entry point
 # ---------------------------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser):
+# Help for `--seed` on the commands that draw no random numbers.
+SEED_LABEL_HELP = ("label recorded in every output; this command draws no "
+                   "random numbers")
+
+
+def _add_common(p: argparse.ArgumentParser,
+                seed_help: str = "seed of the random draws, recorded in "
+                                 "every output"):
     p.add_argument("--config", type=Path, metavar="FILE",
-                   help="key = value configuration file; flags take precedence")
-    p.add_argument("--seed", type=int, help="seed recorded in every output")
+                   help="file of `key = value` lines, each read as the "
+                        "command's flag --key=value; flags given here win")
+    p.add_argument("--seed", type=int, default=0,
+                   help=f"{seed_help} (default 0)")
     p.add_argument("--out", type=Path,
                    help=f"output directory (default ${ENV_OUT} or ./out)")
 
 
 def _add_regime(p: argparse.ArgumentParser):
-    p.add_argument("--gamma", type=float, help="decay ratio Gamma/omega0")
-    p.add_argument("--gamma-diff", type=float,
+    p.add_argument("--gamma", type=float,
+                   help="decay ratio Gamma/omega0 (required)")
+    p.add_argument("--gamma-diff", type=float, default=0.0,
                    help="decay asymmetry gamma/omega0 (default 0)")
-    p.add_argument("--duration", type=float, help="window omega0*T")
+    p.add_argument("--duration", type=float,
+                   help="window omega0*T (required)")
 
 
 def _add_intervals(p: argparse.ArgumentParser):
-    p.add_argument("--intervals", type=int, help="control grid size")
+    p.add_argument("--intervals", type=int, default=100,
+                   help="control grid size (default 100)")
+
+
+def _add_ascent(p: argparse.ArgumentParser):
+    p.add_argument("--starts", type=int, default=6,
+                   help="number of starts (default 6)")
+    p.add_argument("--max-iters", type=int, default=300,
+                   help="iteration cap per start (default 300)")
+
+
+def _add_tprime(p: argparse.ArgumentParser):
+    p.add_argument("--tprime", type=float, default=5.0,
+                   help="normalized duration T' (default 5)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -633,58 +603,57 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="cmd", required=True)
 
     p = sub.add_parser("simulate", help="integrate the full model")
-    _add_common(p)
+    _add_common(p, SEED_LABEL_HELP)
     _add_regime(p)
     _add_intervals(p)
-    p.add_argument("--format", choices=("csv", "json"), help="trajectory format")
-    p.add_argument("--control",
-                   choices=("pumping", "theta0", "ramp_up", "ramp_down"),
-                   help="named control schedule (default pumping)")
-    p.add_argument("--control-file", type=Path,
-                   help="CSV of t,theta interval start times")
+    p.add_argument("--format", choices=("csv", "json"), default="csv",
+                   help="trajectory format (default csv)")
+    schedule = p.add_mutually_exclusive_group()
+    schedule.add_argument("--control", choices=tuple(NAMED_CONTROLS),
+                          help="named control schedule (default pumping)")
+    schedule.add_argument("--control-file", type=Path,
+                          help="CSV of t,theta interval start times")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("reduce", help="sample a jump/arc schedule of the "
                                       "reduced model")
-    _add_common(p)
-    p.add_argument("--tprime", type=float, help="normalized duration T'")
-    p.add_argument("--jumps", type=str, help="comma-separated jump angles")
-    p.add_argument("--arcs", type=str, help="comma-separated arc durations")
+    _add_common(p, SEED_LABEL_HELP)
+    _add_tprime(p)
+    p.add_argument("--jumps", help="comma-separated jump angles")
+    p.add_argument("--arcs", help="comma-separated arc durations")
     p.set_defaults(func=cmd_reduce)
 
     p = sub.add_parser("optimize", help="multi-start pulse optimization")
     _add_common(p)
     _add_regime(p)
     _add_intervals(p)
-    p.add_argument("--starts", type=int, help="number of starts (default 6)")
-    p.add_argument("--max-iters", type=int, help="iteration cap per start")
+    _add_ascent(p)
     p.set_defaults(func=cmd_optimize)
 
     p = sub.add_parser("verify", help="randomized bound checks and PMP "
                                       "residuals")
     _add_common(p)
-    p.add_argument("--tprime", type=float, help="normalized duration T'")
-    p.add_argument("--n", type=int, help="number of sequences (default 10000; "
-                                         "sequence 0 is always pumping)")
+    _add_tprime(p)
+    p.add_argument("--n", type=int, default=10000,
+                   help="number of sequences (default 10000; sequence 0 is "
+                        "always pumping)")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("sweep", help="optimize a grid of regimes")
     _add_common(p)
     _add_intervals(p)
-    p.add_argument("--gammas", type=str, help="comma-separated Gamma/omega0")
-    p.add_argument("--gamma-diffs", type=str,
+    p.add_argument("--gammas", help="comma-separated Gamma/omega0 (required)")
+    p.add_argument("--gamma-diffs", default="0",
                    help="comma-separated gamma/omega0 (default 0)")
-    p.add_argument("--durations", type=str, help="comma-separated omega0*T")
-    p.add_argument("--starts", type=int)
-    p.add_argument("--max-iters", type=int)
+    p.add_argument("--durations", help="comma-separated omega0*T (required)")
+    _add_ascent(p)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("figures", help="regenerate figure-data bundles")
-    p.add_argument("selector", help="fig2 | fig3 | fig4 | fig5")
+    p.add_argument("selector", choices=sorted(FIGURE_REGIMES))
     _add_common(p)
     _add_intervals(p)
-    p.add_argument("--starts", type=int)
-    p.add_argument("--max-iters", type=int)
+    _add_ascent(p)
     p.set_defaults(func=cmd_figures)
 
     return parser
@@ -699,9 +668,16 @@ def _fail(message: str, code: int, extra: dict | None = None) -> int:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.config is not None:
+            # The file's lines become flags right after the command name, so
+            # argparse checks them like typed flags and the later, typed
+            # ones win.
+            args = parser.parse_args(
+                [argv[0], *read_config_file(args.config), *argv[1:]])
         return args.func(args)
     except UsageError as exc:
         return _fail(str(exc), EXIT_USAGE)

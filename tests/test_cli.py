@@ -445,6 +445,9 @@ class TestParserPlumbing:
         ["figures", "fig3", "--gamma", "5", "--duration", "1"],
         ["reduce", "--intervals", "9"],
         ["reduce", "--duration", "3"],
+        # No prefix matching: neither runs as a longer flag of the command.
+        ["sweep", "--gammas", "2", "--durations", "5", "--gamma-diff", "1"],
+        ["simulate", "--gam", "2", "--duration", "1"],
     ])
     def test_flags_a_command_ignores_are_rejected(self, tmp_path, capsys,
                                                   argv):
@@ -453,8 +456,126 @@ class TestParserPlumbing:
         assert "unrecognized arguments" in err["error"]
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--gammas", ",", "--durations", "5"],
+        ["sweep", "--gammas", "2", "--durations", ""],
+    ])
+    def test_empty_value_list_is_rejected(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert run_cli(argv + ["--out", str(out)]) == 1
+        assert "empty" in json.loads(capsys.readouterr().err)["error"]
+        assert not out.exists()
+
     def test_stdout_summary_is_json(self, tmp_path, capsys):
         run_cli(["simulate", "--gamma", "2", "--duration", "5",
                  "--out", str(tmp_path)])
         payload = json.loads(capsys.readouterr().out)
         assert payload["command"] == "simulate"
+
+
+class TestConfigFile:
+    """A `key = value` line is the command's flag `--key=value`."""
+
+    # (command, positional arguments, every option as (config key, value)).
+    CASES = {
+        "simulate": ("simulate", [], [
+            ("gamma", "2"), ("gamma_diff", "-1"), ("duration", "5"),
+            ("intervals", "12"), ("seed", "7"), ("format", "json"),
+            ("control", "ramp_up")]),
+        "simulate_control_file": ("simulate", [], [
+            ("gamma", "2"), ("gamma_diff", "0.5"), ("duration", "10"),
+            ("intervals", "12"), ("seed", "7"), ("format", "csv"),
+            ("control_file", "{tmp}/control.csv")]),
+        "reduce": ("reduce", [], [
+            ("tprime", "3"), ("jumps", "0.5,1.0707963267948966"),
+            ("arcs", "1,2"), ("seed", "5")]),
+        "optimize": ("optimize", [], [
+            ("gamma", "10"), ("gamma_diff", "-8"), ("duration", "5"),
+            ("intervals", "8"), ("seed", "3"), ("starts", "4"),
+            ("max_iters", "10")]),
+        "verify": ("verify", [], [
+            ("tprime", "3"), ("n", "20"), ("seed", "4")]),
+        "sweep": ("sweep", [], [
+            ("gammas", "0.5,2"), ("gamma_diffs", "0,1"), ("durations", "5"),
+            ("intervals", "8"), ("seed", "3"), ("starts", "2"),
+            ("max_iters", "5")]),
+        "figures": ("figures", ["fig4"], [
+            ("intervals", "6"), ("seed", "2"), ("starts", "2"),
+            ("max_iters", "5")]),
+    }
+
+    @staticmethod
+    def files(root):
+        return {path.relative_to(root): path.read_bytes()
+                for path in sorted(root.rglob("*")) if path.is_file()}
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_config_file_gives_the_files_of_the_same_flags(self, tmp_path,
+                                                           case):
+        command, positional, options = self.CASES[case]
+        (tmp_path / "control.csv").write_text("t,theta\n0,0.3\n4,1.2\n")
+        options = [(key, value.format(tmp=tmp_path))
+                   for key, value in options]
+        from_file, from_flags = tmp_path / "file", tmp_path / "flags"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in options)
+                       + f"out = {from_file}\n")
+        assert run_cli([command, *positional, "--config", str(cfg)]) == 0
+        flags = [arg for key, value in options
+                 for arg in (f"--{key.replace('_', '-')}", value)]
+        assert run_cli([command, *positional, *flags,
+                        "--out", str(from_flags)]) == 0
+        got = self.files(from_file)
+        assert got and got == self.files(from_flags)
+
+    def test_bad_choice_exits_1_and_writes_nothing(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("gamma = 2\nduration = 1\nformat = xml\n")
+        out = tmp_path / "out"
+        assert run_cli(["simulate", "--config", str(cfg),
+                        "--out", str(out)]) == 1
+        assert "--format" in json.loads(capsys.readouterr().err)["error"]
+        assert not out.exists()
+
+    def test_out_is_honoured(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv(cli.ENV_OUT, raising=False)
+        target = tmp_path / "target"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"gamma = 2\nduration = 1\nout = {target}\n")
+        assert run_cli(["simulate", "--config", str(cfg)]) == 0
+        assert (target / "summary.json").exists()
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("line", ["n = 5", "max_iters = 3",
+                                      "selector = fig9"])
+    def test_key_the_command_does_not_take_is_rejected(self, tmp_path,
+                                                       capsys, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"gamma = 2\nduration = 1\n{line}\n")
+        out = tmp_path / "out"
+        assert run_cli(["simulate", "--config", str(cfg),
+                        "--out", str(out)]) == 1
+        assert "unrecognized arguments" in \
+            json.loads(capsys.readouterr().err)["error"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text", ["gamma 2\n", "= 2\n",
+                                      "config = other.cfg\n"])
+    def test_malformed_or_nested_file_is_rejected(self, tmp_path, text):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        assert run_cli(["simulate", "--config", str(cfg), "--duration", "1",
+                        "--out", str(tmp_path / "out")]) == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_main_reads_sys_argv(self, tmp_path, monkeypatch):
+        # The console script calls main() with no arguments.
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n = 20\ntprime = 3\n")
+        out = tmp_path / "verify"
+        monkeypatch.setattr(sys, "argv", ["lambda-control", "verify",
+                                          "--config", str(cfg),
+                                          "--out", str(out)])
+        assert cli.main() == 0
+        assert read_json(out / "verify_summary.json")["n_sequences"] == 20
