@@ -166,23 +166,29 @@ def _emit(payload: dict):
 
 def load_control_file(path: Path, duration: float) -> ControlSignal:
     """CSV of `t,theta` rows: interval start times and angles; last interval
-    extends to the requested duration."""
+    extends to the requested duration.  Only the first row may be a header."""
     starts, thetas = [], []
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot read control file {path}: {exc}") from exc
+    rows = 0
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
+        rows += 1
         parts = line.split(",")
         if len(parts) < 2:
             raise UsageError(f"bad control row (expected t,theta): {raw!r}")
         try:
             t, th = float(parts[0]), float(parts[1])
         except ValueError:
-            continue  # header row
+            if rows == 1:
+                continue  # header row
+            raise UsageError(
+                f"bad control row {rows} (expected numbers t,theta): {raw!r}"
+            ) from None
         starts.append(t)
         thetas.append(th)
     if not starts:
@@ -262,8 +268,8 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_reduce(args) -> int:
-    tprime = args.tprime
     if args.jumps is None and args.arcs is None:
+        tprime = 5.0 if args.tprime is None else args.tprime
         seq = analytic.BangSingularSequence.optical_pumping(tprime)
     else:
         _require(args, "jumps", "arcs")
@@ -272,6 +278,10 @@ def cmd_reduce(args) -> int:
             arcs=_floats(args.arcs, "--arcs"),
         )
         tprime = seq.total_time
+        # pmp_residual's tolerance for the same check; `not <=` catches nan.
+        if args.tprime is not None and not abs(args.tprime - tprime) <= 1e-9:
+            raise UsageError(f"--tprime {args.tprime!r} disagrees with the "
+                             f"arcs, which sum to {tprime!r}")
 
     cfg = {"command": "reduce", "tprime": tprime,
            "jumps": [float(j) for j in seq.jumps],
@@ -591,11 +601,6 @@ def _add_ascent(p: argparse.ArgumentParser):
                    help="iteration cap per start (default 300)")
 
 
-def _add_tprime(p: argparse.ArgumentParser):
-    p.add_argument("--tprime", type=float, default=5.0,
-                   help="normalized duration T' (default 5)")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="lambda-control",
                      description="Lambda-system simulation, pulse optimization "
@@ -618,7 +623,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reduce", help="sample a jump/arc schedule of the "
                                       "reduced model")
     _add_common(p, SEED_LABEL_HELP)
-    _add_tprime(p)
+    p.add_argument("--tprime", type=float,
+                   help="normalized duration T' (default 5; with --jumps and "
+                        "--arcs it must equal the sum of the arcs)")
     p.add_argument("--jumps", help="comma-separated jump angles")
     p.add_argument("--arcs", help="comma-separated arc durations")
     p.set_defaults(func=cmd_reduce)
@@ -633,7 +640,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="randomized bound checks and PMP "
                                       "residuals")
     _add_common(p)
-    _add_tprime(p)
+    p.add_argument("--tprime", type=float, default=5.0,
+                   help="normalized duration T' (default 5)")
     p.add_argument("--n", type=int, default=10000,
                    help="number of sequences (default 10000; sequence 0 is "
                         "always pumping)")

@@ -49,7 +49,6 @@ __all__ = [
     "FRAME_GENERATOR",
     "frame_rotation",
     "rk4_step_matrix",
-    "rk4_step_matrix_pair",
     "interval_steps",
     "default_max_step",
     "integrate_full",
@@ -378,34 +377,6 @@ def system_matrix(theta, params: SystemParams) -> np.ndarray:
     return A
 
 
-def system_matrix_dtheta(theta, params: SystemParams) -> np.ndarray:
-    """Derivative dA/dtheta of the generator, batched like ``system_matrix``.
-
-    Uses d omega_p / d theta = omega_s and d omega_s / d theta = -omega_p.
-    """
-    theta = np.asarray(theta, dtype=float)
-    op = params.omega0 * np.sin(theta)
-    os_ = params.omega0 * np.cos(theta)
-    D = np.zeros(theta.shape + (STATE_DIM, STATE_DIM))
-    D[..., 0, 3] = -os_
-    D[..., 1, 3] = os_
-    D[..., 1, 4] = op
-    D[..., 2, 4] = -op
-    D[..., 3, 0] = 0.5 * os_
-    D[..., 3, 1] = -0.5 * os_
-    D[..., 3, 5] = -0.5 * op
-    D[..., 4, 1] = -0.5 * op
-    D[..., 4, 2] = 0.5 * op
-    D[..., 4, 5] = -0.5 * os_
-    D[..., 5, 3] = 0.5 * op
-    D[..., 5, 4] = 0.5 * os_
-    D[..., 6, 8] = 0.5 * op
-    D[..., 7, 8] = 0.5 * os_
-    D[..., 8, 6] = -0.5 * op
-    D[..., 8, 7] = -0.5 * os_
-    return D
-
-
 # Generator K of the dark/bright frame rotation R(theta) = exp(theta K): the
 # rotation U = [[c, 0, s], [0, 1, 0], [-s, 0, c]] of the {|1>, |3>} plane,
 # acting as rho -> U rho U^T on the real encoding.  It couples
@@ -427,6 +398,26 @@ _FRAME_PARITY = np.array([1.0, 1.0, 1.0, 1.0, -1.0, -1.0, 1.0, -1.0, 1.0])
 _FRAME_SIGNS = np.outer(_FRAME_PARITY, _FRAME_PARITY)
 
 
+def system_matrix_dtheta(theta, params: SystemParams) -> np.ndarray:
+    """Derivative dA/dtheta of the generator, batched like ``system_matrix``.
+
+    Split A(theta) = A_sym(theta) + F, where F = (gamma/2) (E_01 - E_21)
+    holds the feeding asymmetry gamma1 - gamma3 = gamma and does not depend
+    on theta.  A_sym is the generator of the symmetric system with the same
+    Gamma, which is the dark/bright rotation of its value at theta = 0
+    (``frame_rotation``), so dA_sym/dtheta = K A_sym - A_sym K.  Hence
+
+        dA/dtheta = K A - A K - (K F - F K) = K A - A K + gamma E_51,
+
+    because row 1 of K is zero (F K = 0) and K F = -gamma E_51 (row 5 of K
+    is -1 at rho11 and +1 at rho33).  E_51 is the unit entry at (x6, rho22).
+    """
+    A = system_matrix(theta, params)
+    dA = FRAME_GENERATOR @ A - A @ FRAME_GENERATOR
+    dA[..., 5, 1] += params.gamma_diff
+    return dA
+
+
 def frame_rotation(theta):
     """R(theta) = exp(theta K) and its inverse R(-theta), batched over theta.
 
@@ -437,7 +428,8 @@ def frame_rotation(theta):
 
     with K = ``FRAME_GENERATOR``.  Asymmetric decay (gamma_diff != 0)
     breaks this, since the population feeding terms are not rotation
-    invariant.  Shapes follow ``system_matrix``: S + (9, 9) each.
+    invariant; ``system_matrix_dtheta`` adds their correction.  Shapes
+    follow ``system_matrix``: S + (9, 9) each.
     """
     theta = np.asarray(theta, dtype=float)
     c, s = np.cos(theta), np.sin(theta)
@@ -473,25 +465,6 @@ def interval_steps(durations, h_max: float):
     return steps, durations / steps
 
 
-def _rk4_polynomial(A: np.ndarray, h, dA: np.ndarray | None = None):
-    """Degree-4 Taylor polynomial of exp(hA) and, given dA, its derivative."""
-    h = np.asarray(h, dtype=float)[..., None, None]
-    B = h * A
-    B2 = B @ B
-    B3 = B2 @ B
-    B4 = B3 @ B
-    M = B + B2 / 2.0 + B3 / 6.0 + B4 / 24.0
-    idx = np.arange(A.shape[-1])
-    M[..., idx, idx] += 1.0
-    if dA is None:
-        return M, None
-    D = h * dA
-    D2 = D @ B + B @ D
-    D3 = D2 @ B + B2 @ D
-    D4 = D3 @ B + B3 @ D
-    return M, D + D2 / 2.0 + D3 / 6.0 + D4 / 24.0
-
-
 def rk4_step_matrix(A: np.ndarray, h) -> np.ndarray:
     """One classical RK4 step for xdot = A x, as a transition matrix.
 
@@ -501,15 +474,30 @@ def rk4_step_matrix(A: np.ndarray, h) -> np.ndarray:
     repeated application of this matrix reproduces stepwise RK4 in exact
     arithmetic.
     """
-    return _rk4_polynomial(A, h)[0]
+    h = np.asarray(h, dtype=float)[..., None, None]
+    B = h * A
+    B2 = B @ B
+    B3 = B2 @ B
+    B4 = B3 @ B
+    M = B + B2 / 2.0 + B3 / 6.0 + B4 / 24.0
+    idx = np.arange(A.shape[-1])
+    M[..., idx, idx] += 1.0
+    return M
 
 
-def rk4_step_matrix_pair(A: np.ndarray, dA: np.ndarray, h):
-    """RK4 one-step matrix M and its derivative dM/dtheta, given dA/dtheta.
+def _rk4_march(f, state: np.ndarray, h: float, n: int):
+    """Classical RK4 for ds/dt = f(t, s): yields the state after each step.
 
-    Batched like ``rk4_step_matrix``: M and dM have the shape of A.
+    Step i (0 <= i < n) starts at t = i * h.
     """
-    return _rk4_polynomial(A, h, dA)
+    for i in range(n):
+        t = i * h
+        k1 = f(t, state)
+        k2 = f(t + 0.5 * h, state + 0.5 * h * k1)
+        k3 = f(t + 0.5 * h, state + 0.5 * h * k2)
+        k4 = f(t + h, state + h * k3)
+        state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        yield state
 
 
 def default_max_step(params: SystemParams) -> float:
@@ -652,24 +640,19 @@ def _integrate_callable_rk4(theta_fn, params: SystemParams, T: float,
     times = [0.0]
     samples = [x0.copy()]
     sample_theta = [float(theta_fn(0.0))]
-    state = x0.copy()
     last_good = 0.0
 
+    def f(t, s):
+        return rhs_full(s, float(theta_fn(t)), params)
+
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n):
-            t = i * h
-            th_mid = float(theta_fn(t + 0.5 * h))
-            k1 = rhs_full(state, float(theta_fn(t)), params)
-            k2 = rhs_full(state + 0.5 * h * k1, th_mid, params)
-            k3 = rhs_full(state + 0.5 * h * k2, th_mid, params)
-            k4 = rhs_full(state + h * k3, float(theta_fn(t + h)), params)
-            state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if (i + 1) % stride == 0 or i + 1 == n:
-                t_next = T if i + 1 == n else (i + 1) * h
+        for i, state in enumerate(_rk4_march(f, x0, h, n), 1):
+            if i % stride == 0 or i == n:
+                t_next = T if i == n else i * h
                 _check_finite(state, t_next, last_good)
                 last_good = t_next
                 times.append(t_next)
-                samples.append(state.copy())
+                samples.append(state)
                 sample_theta.append(float(theta_fn(t_next)))
 
     return Trajectory(np.asarray(times), np.asarray(samples),
@@ -737,13 +720,20 @@ def integrate_full(control, params: SystemParams, T: float | None = None, *,
     initial_state : optional
         Defaults to all population in |1>.
     max_step : float, optional
-        Override of the default step bound (omega0*h <= 0.01, Gamma*h <= 0.1).
+        Override of the default step bound (omega0*h <= 0.01, Gamma*h <= 0.1);
+        must be finite and positive.
     method : {"rk4", "adaptive"}
         Fixed-step RK4 (default), or adaptive high-order integration for
         oracle-grade runs (scipy DOP853 at rtol/atol).
 
     The returned trajectory always contains the final sample at exactly t = T.
     """
+    if method not in ("rk4", "adaptive"):
+        raise ValueError(f"unknown method {method!r}")
+    h_max = default_max_step(params) if max_step is None else float(max_step)
+    if not (math.isfinite(h_max) and h_max > 0.0):
+        raise ValueError(
+            f"max_step must be finite and positive, got {max_step!r}")
     if initial_state is None:
         x0 = FullState.ground().as_array()
     else:
@@ -758,7 +748,6 @@ def integrate_full(control, params: SystemParams, T: float | None = None, *,
         if method == "adaptive":
             return _integrate_adaptive(control, params, T, x0, max_samples,
                                        rtol, atol)
-        h_max = default_max_step(params) if max_step is None else float(max_step)
         return _integrate_callable_rk4(control, params, T, x0, h_max,
                                        max_samples)
 
@@ -775,11 +764,6 @@ def integrate_full(control, params: SystemParams, T: float | None = None, *,
     if method == "adaptive":
         return _integrate_adaptive(control, params, T, x0, max_samples,
                                    rtol, atol)
-    if method != "rk4":
-        raise ValueError(f"unknown method {method!r}")
-    h_max = default_max_step(params) if max_step is None else float(max_step)
-    if h_max <= 0.0:
-        raise ValueError("max_step must be positive")
     return _integrate_piecewise_rk4(control, params, T, x0, h_max, max_samples)
 
 

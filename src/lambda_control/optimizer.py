@@ -12,14 +12,14 @@ parameterization, so no penalty terms appear.
 
 The dynamics are those of ``integrate_full``: the generator
 (``system_matrix``, ``system_matrix_dtheta``), the dark/bright frame
-rotation (``FRAME_GENERATOR`` K, ``frame_rotation`` R), the RK4 step
-matrices (``rk4_step_matrix``, ``rk4_step_matrix_pair``) and the step rule
-(``interval_steps``) all come from ``lambda_control.model``.  Because the
-state equation is linear, a control interval integrated with fixed-step RK4
-is a matrix power of the one-step transition matrix.  Only the 6-variable x
-block enters: the y block is decoupled and identically zero from the
-standard initial condition.  The interval propagators P_k and their
-derivatives take one of two paths, chosen by ``params.is_symmetric``:
+rotation (``FRAME_GENERATOR`` K, ``frame_rotation`` R), the RK4 step matrix
+(``rk4_step_matrix``) and the step rule (``interval_steps``) all come from
+``lambda_control.model``.  Because the state equation is linear, a control
+interval integrated with fixed-step RK4 is a matrix power of the one-step
+transition matrix.  Only the 6-variable x block enters: the y block is
+decoupled and identically zero from the standard initial condition.  The
+interval propagators P_k and their derivatives take one of two paths,
+chosen by ``params.is_symmetric``:
 
 * Symmetric decay: A(theta) = R(theta) A(0) R(-theta), and a polynomial of
   a conjugated matrix is the conjugated polynomial, so
@@ -31,11 +31,13 @@ derivatives take one of two paths, chosen by ``params.is_symmetric``:
   depends only on the grid and the parameters, so it is cached per grid
   and built once per ascent.
 * Asymmetric decay: the feeding term breaks the identity, so each interval
-  gets its own RK4 polynomial of A(theta_k) and dA/dtheta_k, and the
-  derivative of its power follows from the block identity
+  gets its own RK4 step.  A function of the block generator
+  [[A, dA], [0, A]] (dA = dA/dtheta_k) carries the derivative of the same
+  function of A in its top-right block, so the RK4 step of the block and
+  its m-th power are
 
-      [[M, dM],   ^m     [[M^m,  d(M^m)],
-       [0,  M]]        =  [0,    M^m   ]].
+      [[M, dM],          [[M^m,  d(M^m)],
+       [0,  M]]   and     [0,    M^m   ]].
 
 Both paths are the same discretized dynamics (they agree to roundoff), and
 the gradient is exact for it: it matches finite differences of the same
@@ -76,7 +78,6 @@ from .model import (
     interval_steps,
     optical_pumping_control,
     rk4_step_matrix,
-    rk4_step_matrix_pair,
     system_matrix,
     system_matrix_dtheta,
 )
@@ -186,23 +187,21 @@ def _matrix_powers(one_step: np.ndarray, steps: np.ndarray) -> np.ndarray:
 
 def _rk4_pair_propagators(thetas: np.ndarray, durations: np.ndarray,
                           params: SystemParams, with_grad: bool):
-    """P_k and dP_k/dtheta_k from per-interval RK4 polynomials of A(theta_k).
+    """P_k and dP_k/dtheta_k from per-interval RK4 steps of A(theta_k).
 
-    dP_k comes from the 12x12 block identity of the module docstring.
-    Valid for any decay.
+    dP_k comes from the 12x12 block generator of the module docstring,
+    stepped and powered like the 6x6 generator.  Valid for any decay.
     """
     steps, h = interval_steps(durations, default_max_step(params))
     # The generator is block diagonal, so the x block evolves on its own.
     A = system_matrix(thetas, params)[:, :_XDIM, :_XDIM]
     if not with_grad:
         return _matrix_powers(rk4_step_matrix(A, h), steps), None
-    dA = system_matrix_dtheta(thetas, params)[:, :_XDIM, :_XDIM]
-    M, dM = rk4_step_matrix_pair(A, dA, h)
-    one_step = np.zeros((thetas.size, 2 * _XDIM, 2 * _XDIM))
-    one_step[:, :_XDIM, :_XDIM] = M
-    one_step[:, :_XDIM, _XDIM:] = dM
-    one_step[:, _XDIM:, _XDIM:] = M
-    powered = _matrix_powers(one_step, steps)
+    block = np.zeros((thetas.size, 2 * _XDIM, 2 * _XDIM))
+    block[:, :_XDIM, :_XDIM] = block[:, _XDIM:, _XDIM:] = A
+    block[:, :_XDIM, _XDIM:] = system_matrix_dtheta(
+        thetas, params)[:, :_XDIM, :_XDIM]
+    powered = _matrix_powers(rk4_step_matrix(block, h), steps)
     return powered[:, :_XDIM, :_XDIM], powered[:, :_XDIM, _XDIM:]
 
 
@@ -254,7 +253,7 @@ def _interval_propagators(thetas: np.ndarray, durations: np.ndarray,
     Symmetric decay rotates one theta = 0 propagator per distinct duration
     into each interval's frame (``_conjugated_propagators``: no dA/dtheta,
     no 12x12 block).  Asymmetric decay breaks that identity and keeps the
-    per-interval RK4 pair polynomial and the 12x12 block power
+    per-interval RK4 step and power of the 12x12 block generator
     (``_rk4_pair_propagators``).  Both give the same fixed-step dynamics to
     roundoff.
     """

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SystemParams
+from .model import SystemParams, _rk4_march
 
 __all__ = [
     "ReducedState",
@@ -181,7 +181,6 @@ def integrate_adiabatic(theta_fn, params: SystemParams, T: float,
     with states of shape (n_steps + 1, 3) ordered (rho11, rho33, rho13).
     """
     _require_symmetric(params)
-    h = T / n_steps
 
     def f(t, s):
         return np.array(rhs_adiabatic(s[0], s[1], s[2], float(theta_fn(t)),
@@ -189,16 +188,10 @@ def integrate_adiabatic(theta_fn, params: SystemParams, T: float,
 
     times = np.linspace(0.0, T, n_steps + 1)
     states = np.empty((n_steps + 1, 3))
-    s = np.array(rho0, dtype=float)
-    states[0] = s
-    for i in range(n_steps):
-        t = times[i]
-        k1 = f(t, s)
-        k2 = f(t + 0.5 * h, s + 0.5 * h * k1)
-        k3 = f(t + 0.5 * h, s + 0.5 * h * k2)
-        k4 = f(t + h, s + h * k3)
-        s = s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        states[i + 1] = s
+    states[0] = rho0
+    march = _rk4_march(f, states[0], T / n_steps, n_steps)
+    for i, s in enumerate(march, 1):
+        states[i] = s
     return times, states
 
 
@@ -209,18 +202,13 @@ def integrate_reduced(u_fn, tprime: float, n_steps: int,
     u_fn maps normalized time to the angle velocity u.  Returns
     (times, states) with states of shape (n_steps + 1, 3).
     """
-    h = tprime / n_steps
+    def f(t, s):
+        return rhs_reduced(s, float(u_fn(t)))
+
     times = np.linspace(0.0, tprime, n_steps + 1)
     states = np.empty((n_steps + 1, 3))
-    s = np.array(state0, dtype=float)
-    states[0] = s
-    for i in range(n_steps):
-        t = times[i]
-        k1 = rhs_reduced(s, float(u_fn(t)))
-        u_mid = float(u_fn(t + 0.5 * h))
-        k2 = rhs_reduced(s + 0.5 * h * k1, u_mid)
-        k3 = rhs_reduced(s + 0.5 * h * k2, u_mid)
-        k4 = rhs_reduced(s + h * k3, float(u_fn(t + h)))
-        s = s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        states[i + 1] = s
+    states[0] = state0
+    march = _rk4_march(f, states[0], tprime / n_steps, n_steps)
+    for i, s in enumerate(march, 1):
+        states[i] = s
     return times, states

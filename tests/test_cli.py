@@ -99,6 +99,32 @@ class TestSimulate:
         assert np.array_equal(got[:, 0], trajectory.times)
         assert np.array_equal(got[:, 1:7], trajectory.states[:, :6])
 
+    @pytest.mark.parametrize("text,bad_row", [
+        ("t,theta\n0,0.5\n1,abc\n2,0.7\n", "1,abc"),
+        ("0,0.5\nt,theta\n2,0.7\n", "t,theta"),
+        ("# t in 1/omega0\nt,theta\ntime,angle\n0,0.5\n", "time,angle"),
+    ], ids=["later_bad_row", "header_not_first", "second_header"])
+    def test_bad_control_row_exits_1_naming_it(self, tmp_path, capsys, text,
+                                               bad_row):
+        # Only the first row may be a header; a later bad row is an error,
+        # not a silently dropped interval.
+        control_path = tmp_path / "control.csv"
+        control_path.write_text(text)
+        out = tmp_path / "out"
+        code = run_cli(["simulate", "--gamma", "2", "--duration", "3",
+                        "--control-file", str(control_path),
+                        "--out", str(out)])
+        assert code == 1
+        assert bad_row in json.loads(capsys.readouterr().err)["error"]
+        assert not out.exists()
+
+    def test_header_after_comment_is_accepted(self, tmp_path):
+        control_path = tmp_path / "control.csv"
+        control_path.write_text("# t in 1/omega0\nt,theta\n0,0.5\n2,0.7\n")
+        control = cli.load_control_file(control_path, 3.0)
+        assert control.grid.tolist() == [0.0, 2.0, 3.0]
+        assert control.theta.tolist() == [0.5, 0.7]
+
     def test_json_format(self, tmp_path):
         code = run_cli(["simulate", "--gamma", "2", "--duration", "5",
                         "--format", "json", "--out", str(tmp_path)])
@@ -174,6 +200,40 @@ class TestReduce:
         summary = read_json(tmp_path / "reduced_summary.json")
         assert summary["final"]["x"] == pytest.approx(
             math.exp(-2) + math.exp(-1) - 1, abs=1e-9)
+
+    SCHEDULE = ["--jumps", "0.5,1.0707963267948966", "--arcs", "1,2"]
+
+    @pytest.mark.parametrize("via_config", [False, True],
+                             ids=["flag", "config"])
+    def test_tprime_disagreeing_with_the_arcs_is_rejected(self, tmp_path,
+                                                          capsys, via_config):
+        out = tmp_path / "out"
+        if via_config:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text("tprime = 7\n")
+            argv = ["reduce", "--config", str(cfg)]
+        else:
+            argv = ["reduce", "--tprime", "7"]
+        assert run_cli([*argv, *self.SCHEDULE, "--out", str(out)]) == 1
+        assert "--tprime" in json.loads(capsys.readouterr().err)["error"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("schedule,tprimes", [
+        (SCHEDULE, ["3", "3.0000000001"]),
+        ([], ["5"]),
+    ], ids=["arcs", "pumping"])
+    def test_omitted_or_matching_tprime_gives_the_same_files(
+            self, tmp_path, schedule, tprimes):
+        runs = [[], *(["--tprime", tprime] for tprime in tprimes)]
+        got = []
+        for i, extra in enumerate(runs):
+            out = tmp_path / str(i)
+            assert run_cli(["reduce", *extra, *schedule,
+                            "--out", str(out)]) == 0
+            got.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert all(files == got[0] for files in got[1:])
+        summary = json.loads(got[0]["reduced_summary.json"])
+        assert summary["config"]["tprime"] == (3.0 if schedule else 5.0)
 
 
 class TestVerify:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
+from lambda_control import reduced
 from lambda_control.model import (
     FRAME_GENERATOR,
     HALF_PI,
@@ -19,7 +20,6 @@ from lambda_control.model import (
     reconstruct_density,
     rhs_full,
     rk4_step_matrix,
-    rk4_step_matrix_pair,
     system_matrix,
     system_matrix_dtheta,
 )
@@ -143,15 +143,46 @@ class TestRhsFull:
 
         thetas = np.array([0.0, 0.3, 0.8, 1.2, HALF_PI])
         h = np.array([0.3, 0.05, 0.1, 0.01, 0.2])
+        A = system_matrix(thetas, p)
         dA = system_matrix_dtheta(thetas, p)
         assert np.array_equal(
             dA, np.stack([system_matrix_dtheta(t, p) for t in thetas]))
         assert not dA[..., :6, 6:].any() and not dA[..., 6:, :6].any()
-        M, dM = rk4_step_matrix_pair(system_matrix(thetas, p), dA, h)
-        assert np.array_equal(M, rk4_step_matrix(system_matrix(thetas, p), h))
+        # The RK4 step of the block generator [[A, dA], [0, A]] is
+        # [[M, dM], [0, M]]: its top-right block is dM/dtheta.  The 6x6 x
+        # block is what the optimizer steps.
         fd = (rk4_step_matrix(system_matrix(thetas + eps, p), h)
               - rk4_step_matrix(system_matrix(thetas - eps, p), h)) / (2 * eps)
-        assert np.allclose(dM, fd, atol=1e-9)
+        for d in (6, 9):
+            block = np.zeros((thetas.size, 2 * d, 2 * d))
+            block[:, :d, :d] = block[:, d:, d:] = A[:, :d, :d]
+            block[:, :d, d:] = dA[:, :d, :d]
+            step = rk4_step_matrix(block, h)
+            M = rk4_step_matrix(A[:, :d, :d], h)
+            assert np.array_equal(step[:, :d, :d], M)
+            assert np.array_equal(step[:, d:, d:], M)
+            assert not step[:, d:, :d].any()
+            assert np.allclose(step[:, :d, d:], fd[:, :d, :d], rtol=0.0,
+                               atol=1e-9)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.floats(min_value=0.1, max_value=50.0),
+           st.floats(min_value=-1.0, max_value=1.0),
+           st.floats(min_value=0.2, max_value=3.0),
+           st.lists(st.floats(min_value=0.0, max_value=HALF_PI),
+                    min_size=1, max_size=8))
+    def test_generator_derivative_matches_central_differences(
+            self, gamma, asymmetry, omega0, thetas):
+        # dA/dtheta is built from the frame generator K; central differences
+        # of the hand-written A(theta) check it independently.
+        p = SystemParams(gamma_total=gamma, gamma_diff=asymmetry * gamma,
+                         omega0=omega0)
+        thetas = np.array(thetas)
+        eps = 1e-6
+        fd = (system_matrix(thetas + eps, p)
+              - system_matrix(thetas - eps, p)) / (2 * eps)
+        assert np.allclose(system_matrix_dtheta(thetas, p), fd, rtol=0.0,
+                           atol=1e-8)
 
 
 def _plane_rotation(theta):
@@ -412,6 +443,81 @@ class TestIntegrateFull:
             integrate_full(theta_fn, p, T, max_step=0.01).final_state - ref)
         ratio = err_coarse / err_fine
         assert 10.0 < ratio < 26.0
+
+
+    @pytest.mark.parametrize("control", [ControlSignal.constant(0.3, 2.0),
+                                         lambda t: 0.3],
+                             ids=["piecewise", "callable"])
+    @pytest.mark.parametrize("kwargs", [
+        {"method": "bogus"},
+        {"max_step": -1.0},
+        {"max_step": 0.0},
+        {"max_step": math.nan},
+        {"max_step": math.inf},
+        {"method": "adaptive", "max_step": math.nan},
+    ])
+    def test_bad_method_or_max_step_rejected(self, control, kwargs):
+        with pytest.raises(ValueError):
+            integrate_full(control, SystemParams(gamma_total=3.0), 2.0,
+                           **kwargs)
+
+
+def _textbook_rk4(f, s, h, n):
+    """States of n classical RK4 steps of ds/dt = f(t, s) from s at t = 0."""
+    states = [s]
+    for i in range(n):
+        t = i * h
+        k1 = f(t, s)
+        k2 = f(t + 0.5 * h, s + 0.5 * h * k1)
+        k3 = f(t + 0.5 * h, s + 0.5 * h * k2)
+        k4 = f(t + h, s + h * k3)
+        s = s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        states.append(s)
+    return np.array(states)
+
+
+class TestRk4Loops:
+    """The stepwise integrators are classical RK4, bit for bit."""
+
+    def test_callable_integrate_full(self):
+        p = SystemParams(gamma_total=3.0, gamma_diff=1.0)
+        T, n = 2.0, 160
+
+        def ramp(t):
+            return HALF_PI * math.sin(t) ** 2
+
+        traj = integrate_full(ramp, p, T, max_step=T / n)
+        ref = _textbook_rk4(lambda t, s: rhs_full(s, ramp(t), p),
+                            FullState.ground().as_array(), T / n, n)
+        assert traj.states.tobytes() == ref.tobytes()
+        assert traj.times[-1] == T
+        assert traj.times[:-1].tobytes() == (np.arange(n) * (T / n)).tobytes()
+
+    def test_integrate_adiabatic(self):
+        p = SystemParams(gamma_total=20.0)
+        T, n = 30.0, 157
+
+        def ramp(t):
+            return HALF_PI * min(1.0, t / 25.0)
+
+        times, states = reduced.integrate_adiabatic(ramp, p, T, n)
+        ref = _textbook_rk4(
+            lambda t, s: np.array(reduced.rhs_adiabatic(*s, ramp(t), p)),
+            np.array([1.0, 0.0, 0.0]), T / n, n)
+        assert states.tobytes() == ref.tobytes()
+        assert times.tobytes() == np.linspace(0.0, T, n + 1).tobytes()
+
+    def test_integrate_reduced(self):
+        tprime, n = 4.0, 211
+
+        def u(t):
+            return 0.3 * math.cos(t)
+
+        times, states = reduced.integrate_reduced(u, tprime, n)
+        ref = _textbook_rk4(lambda t, s: reduced.rhs_reduced(s, u(t)),
+                            np.array([-1.0, 0.0, 0.0]), tprime / n, n)
+        assert states.tobytes() == ref.tobytes()
+        assert times.tobytes() == np.linspace(0.0, tprime, n + 1).tobytes()
 
 
 class TestTrajectoryExport:
