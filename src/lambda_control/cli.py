@@ -32,6 +32,7 @@ from .model import (
     ControlSignal,
     IntegrationError,
     SystemParams,
+    Trajectory,
     integrate_full,
     optical_pumping_control,
 )
@@ -228,19 +229,8 @@ def cmd_simulate(args) -> int:
     out = _out_dir(args)
     outputs = {}
     if args.format == "json":
-        payload = {
-            "config": cfg,
-            "t": trajectory.times.tolist(),
-            "rho11": trajectory.rho11.tolist(),
-            "rho22": trajectory.rho22.tolist(),
-            "rho33": trajectory.rho33.tolist(),
-            "x4": trajectory.states[:, 3].tolist(),
-            "x5": trajectory.states[:, 4].tolist(),
-            "x6": trajectory.states[:, 5].tolist(),
-            "theta": trajectory.thetas.tolist(),
-            "omega_p": np.sin(trajectory.thetas).tolist(),
-            "omega_s": np.cos(trajectory.thetas).tolist(),
-        }
+        columns = trajectory.columns(params.omega0).T.tolist()
+        payload = {"config": cfg, **dict(zip(Trajectory.COLUMNS, columns))}
         write_json(out / "trajectory.json", payload)
         outputs["trajectory"] = "trajectory.json"
     else:

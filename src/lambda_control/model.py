@@ -66,6 +66,9 @@ _EDGE_TOL = 1e-12
 # Intervals whose step matrices integrate_full builds in one batched call.
 _BATCH = 64
 
+# Rows that Trajectory.write_csv formats per write.
+_CSV_BLOCK = 256
+
 
 class IntegrationError(RuntimeError):
     """Integration failed (non-finite state or step-size underflow).
@@ -517,6 +520,10 @@ class Trajectory:
     states: np.ndarray
     thetas: np.ndarray
 
+    # Names of the exported columns (``columns``, ``write_csv``).
+    COLUMNS = ("t", "rho11", "rho22", "rho33", "x4", "x5", "x6", "theta",
+               "omega_p", "omega_s")
+
     @property
     def rho11(self) -> np.ndarray:
         return self.states[:, 0]
@@ -545,18 +552,36 @@ class Trajectory:
         """Largest |y| component over all samples (zero from the standard start)."""
         return float(np.max(np.abs(self.states[:, 6:9])))
 
+    def columns(self, omega0: float = 1.0) -> np.ndarray:
+        """Exported columns as an (n, 10) array, in ``COLUMNS`` order.
+
+        omega_p and omega_s are omega0 * sin(theta) and omega0 * cos(theta),
+        evaluated per sample with ``math.sin``/``math.cos``.
+        """
+        cols = np.empty((self.times.size, len(self.COLUMNS)))
+        cols[:, 0] = self.times
+        cols[:, 1:7] = self.states[:, :6]
+        cols[:, 7] = self.thetas
+        thetas = self.thetas.tolist()
+        cols[:, 8] = [omega0 * math.sin(th) for th in thetas]
+        cols[:, 9] = [omega0 * math.cos(th) for th in thetas]
+        return cols
+
     def write_csv(self, path, omega0: float = 1.0, comment: str | None = None):
-        """Plot-ready export; times are in units of 1/omega0."""
-        lines = []
-        if comment:
-            lines.append(f"# {comment}")
-        lines.append("t,rho11,rho22,rho33,x4,x5,x6,theta,omega_p,omega_s")
-        for t, s, th in zip(self.times, self.states, self.thetas):
-            row = [t, s[0], s[1], s[2], s[3], s[4], s[5], th,
-                   omega0 * math.sin(th), omega0 * math.cos(th)]
-            lines.append(",".join(format(v, ".17g") for v in row))
+        """Plot-ready export; times are in units of 1/omega0.
+
+        Every value is written as ``format(v, ".17g")``; rows are formatted
+        and written in blocks of ``_CSV_BLOCK``.
+        """
+        cols = self.columns(omega0)
+        row = ",".join(["%.17g"] * cols.shape[1]) + "\n"
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+            if comment:
+                fh.write(f"# {comment}\n")
+            fh.write(",".join(self.COLUMNS) + "\n")
+            for lo in range(0, cols.shape[0], _CSV_BLOCK):
+                block = cols[lo:lo + _CSV_BLOCK]
+                fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
 
 
 def _check_finite(state: np.ndarray, t: float, last_good: float):
@@ -594,40 +619,46 @@ def _integrate_piecewise_rk4(control: ControlSignal, params: SystemParams,
     total = int(steps.sum())
     stride = max(1, math.ceil(total / max(1, max_samples - 1)))
 
-    times = [0.0]
-    samples = [x0.copy()]
-    sample_theta = [thetas[0]]
-    state = x0.copy()
-    last_good = 0.0
+    # Interval k advances by `stride` steps n_chunks[k] times, then by the
+    # rem[k] left over; each advance is one sample row.
+    n_chunks, rem = np.divmod(steps, stride)
+    rows = n_chunks + (rem > 0)
+    last_rows = np.cumsum(rows)
+    n = 1 + int(last_rows[-1])
+
+    # A row's time is its interval's start plus the steps taken so far,
+    # except that each interval's last row is exactly its end.
+    times = np.empty(n)
+    times[0] = 0.0
+    done = stride * (np.arange(1, n) - np.repeat(last_rows - rows, rows))
+    times[1:] = np.repeat(starts, rows) + done * np.repeat(h, rows)
+    times[last_rows] = ends
+    states = np.empty((n, STATE_DIM))
+    states[0] = x0
 
     # Divergence is detected via the finite check; silence the transient
     # overflow warnings it rides in on.
     with np.errstate(over="ignore", invalid="ignore"):
         matrices = _step_matrices(thetas, h, params, stride)
-        for t0, t1, th, m, hk, (Mk, Mk_stride) in zip(starts, ends, thetas,
-                                                      steps, h, matrices):
-            n_chunks, rem = divmod(m, stride)
-            done = 0
-            for _ in range(n_chunks):
-                state = Mk_stride @ state
-                done += stride
-                t = t1 if done == m else t0 + done * hk
-                _check_finite(state, t, last_good)
-                last_good = t
-                times.append(t)
-                samples.append(state.copy())
-                sample_theta.append(th)
-            if rem:
-                state = np.linalg.matrix_power(Mk, rem) @ state
-                _check_finite(state, t1, last_good)
-                last_good = t1
-                times.append(t1)
-                samples.append(state.copy())
-                sample_theta.append(th)
+        lo = 1
+        for k_chunks, k_rem, (Mk, Mk_stride) in zip(n_chunks.tolist(),
+                                                    rem.tolist(), matrices):
+            hi = lo + k_chunks
+            for i in range(lo, hi):
+                states[i] = Mk_stride @ states[i - 1]
+            if k_rem:
+                states[hi] = np.linalg.matrix_power(Mk, k_rem) @ states[hi - 1]
+                hi += 1
+            finite = np.isfinite(states[lo:hi])
+            if not finite.all():
+                bad = lo + int(np.argmin(finite.all(axis=1)))
+                raise IntegrationError(
+                    f"non-finite state encountered at t={times[bad]:.6g}",
+                    last_time=times[bad - 1])
+            lo = hi
 
-    times = np.asarray(times)
-    times[-1] = T
-    return Trajectory(times, np.asarray(samples), np.asarray(sample_theta))
+    return Trajectory(times, states, np.concatenate((thetas[:1],
+                                                     np.repeat(thetas, rows))))
 
 
 def _integrate_callable_rk4(theta_fn, params: SystemParams, T: float,

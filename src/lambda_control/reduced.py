@@ -26,6 +26,7 @@ enforced beyond symmetry.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +69,12 @@ def _require_symmetric(params: SystemParams):
             "the reduced model is defined for symmetric decay only "
             f"(gamma_diff = 0), got gamma_diff={params.gamma_diff!r}"
         )
+
+
+def _require_steps(n_steps):
+    if (isinstance(n_steps, bool) or not isinstance(n_steps, numbers.Integral)
+            or n_steps < 1):
+        raise ValueError(f"n_steps must be an integer >= 1, got {n_steps!r}")
 
 
 def eliminated_coherences(rho11: float, rho33: float, rho13_real: float,
@@ -180,6 +187,7 @@ def integrate_adiabatic(theta_fn, params: SystemParams, T: float,
     theta_fn maps physical time to the mixing angle.  Returns (times, states)
     with states of shape (n_steps + 1, 3) ordered (rho11, rho33, rho13).
     """
+    _require_steps(n_steps)
     _require_symmetric(params)
 
     def f(t, s):
@@ -202,6 +210,8 @@ def integrate_reduced(u_fn, tprime: float, n_steps: int,
     u_fn maps normalized time to the angle velocity u.  Returns
     (times, states) with states of shape (n_steps + 1, 3).
     """
+    _require_steps(n_steps)
+
     def f(t, s):
         return rhs_reduced(s, float(u_fn(t)))
 

@@ -133,6 +133,36 @@ class TestSimulate:
         assert payload["t"][-1] == 5.0
         assert len(payload["rho33"]) == len(payload["t"])
 
+    @pytest.mark.parametrize("control", ["pumping", "ramp_up", "ramp_down"])
+    def test_json_bytes_equal_per_array_payload(self, tmp_path, control):
+        # trajectory.json as built from slices of the states and np.sin/np.cos
+        # of the angles; at omega0 = 1 the shared column array gives the
+        # same bytes.
+        code = run_cli(["simulate", "--gamma", "2", "--gamma-diff", "0.5",
+                        "--duration", "12", "--control", control,
+                        "--intervals", "30", "--format", "json",
+                        "--out", str(tmp_path)])
+        assert code == 0
+        traj = integrate_full(cli.NAMED_CONTROLS[control](12.0, 30),
+                              SystemParams(gamma_total=2.0, gamma_diff=0.5),
+                              12.0)
+        payload = {
+            "config": read_json(tmp_path / "summary.json")["config"],
+            "t": traj.times.tolist(),
+            "rho11": traj.rho11.tolist(),
+            "rho22": traj.rho22.tolist(),
+            "rho33": traj.rho33.tolist(),
+            "x4": traj.states[:, 3].tolist(),
+            "x5": traj.states[:, 4].tolist(),
+            "x6": traj.states[:, 5].tolist(),
+            "theta": traj.thetas.tolist(),
+            "omega_p": np.sin(traj.thetas).tolist(),
+            "omega_s": np.cos(traj.thetas).tolist(),
+        }
+        want = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+        assert (tmp_path / "trajectory.json").read_bytes() == \
+            want.encode("utf-8")
+
     def test_missing_required_flag(self, tmp_path, capsys):
         code = run_cli(["simulate", "--duration", "10", "--out", str(tmp_path)])
         assert code == 1

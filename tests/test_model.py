@@ -2,11 +2,12 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.linalg import expm
 
-from lambda_control import reduced
+from lambda_control import model, reduced
 from lambda_control.model import (
     FRAME_GENERATOR,
     HALF_PI,
@@ -14,6 +15,7 @@ from lambda_control.model import (
     FullState,
     IntegrationError,
     SystemParams,
+    Trajectory,
     frame_rotation,
     integrate_full,
     optical_pumping_control,
@@ -425,7 +427,10 @@ class TestIntegrateFull:
         with pytest.raises(IntegrationError) as excinfo:
             integrate_full(ControlSignal.constant(0.3, 2000.0), p,
                            initial_state=state, max_step=5.0)
-        assert 0.0 <= excinfo.value.last_time < 2000.0
+        # With 400 steps and 2048 samples every step is a sample: the state
+        # is first non-finite after step 58 and was finite after step 57.
+        assert str(excinfo.value) == "non-finite state encountered at t=290"
+        assert excinfo.value.last_time == 285.0
 
     def test_order_check_smooth_control(self):
         # Halving the step cuts the error by ~2^4 on a smooth schedule.
@@ -520,7 +525,166 @@ class TestRk4Loops:
         assert times.tobytes() == np.linspace(0.0, tprime, n + 1).tobytes()
 
 
+def _reference_piecewise_rk4(control, params, T, x0, h_max, max_samples):
+    """The sampler as a per-sample loop: one matvec, finite check and set of
+    list appends per sample."""
+    starts, ends, thetas = model._interval_edges(control, T)
+    steps, h = model.interval_steps(ends - starts, h_max)
+    total = int(steps.sum())
+    stride = max(1, math.ceil(total / max(1, max_samples - 1)))
+
+    times = [0.0]
+    samples = [x0.copy()]
+    sample_theta = [thetas[0]]
+    state = x0.copy()
+    last_good = 0.0
+
+    def append(t, th):
+        nonlocal last_good
+        if not np.all(np.isfinite(state)):
+            raise IntegrationError(
+                f"non-finite state encountered at t={t:.6g}",
+                last_time=last_good)
+        last_good = t
+        times.append(t)
+        samples.append(state.copy())
+        sample_theta.append(th)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        matrices = model._step_matrices(thetas, h, params, stride)
+        for t0, t1, th, m, hk, (Mk, Mk_stride) in zip(starts, ends, thetas,
+                                                      steps, h, matrices):
+            n_chunks, rem = divmod(m, stride)
+            done = 0
+            for _ in range(n_chunks):
+                state = Mk_stride @ state
+                done += stride
+                append(t1 if done == m else t0 + done * hk, th)
+            if rem:
+                state = np.linalg.matrix_power(Mk, rem) @ state
+                append(t1, th)
+
+    times = np.asarray(times)
+    times[-1] = T
+    return Trajectory(times, np.asarray(samples), np.asarray(sample_theta))
+
+
+def _outcome(integrate):
+    """Trajectory arrays as bytes, or the IntegrationError's message and
+    last_time."""
+    try:
+        traj = integrate()
+    except IntegrationError as exc:
+        return str(exc), exc.last_time
+    return [(a.dtype, a.shape, a.tobytes())
+            for a in (traj.times, traj.states, traj.thetas)]
+
+
+@st.composite
+def _sampler_cases(draw):
+    n = draw(st.integers(1, 6))
+    unstable = draw(st.booleans())
+    # Unstable cases take Gamma * h = 20..50, far outside the RK4 stability
+    # region, so the state overflows within some hundred steps.
+    length = st.floats(50.0, 400.0) if unstable else st.floats(1e-3, 4.0)
+    grid = np.cumsum([0.0] + draw(st.lists(length, min_size=n, max_size=n)))
+    theta = draw(st.lists(st.floats(0.0, HALF_PI), min_size=n, max_size=n))
+    control = ControlSignal(grid, theta)
+    gamma = 10.0 if unstable else draw(st.sampled_from([0.1, 2.0, 10.0]))
+    params = SystemParams(gamma_total=gamma,
+                          gamma_diff=gamma * draw(st.floats(-1.0, 1.0)))
+    T = control.duration * draw(st.one_of(st.just(1.0),
+                                          st.floats(0.05, 1.0)))
+    h_max = draw(st.sampled_from([2.0, 5.0] if unstable
+                                 else [0.003, 0.05, 0.4]))
+    max_samples = draw(st.sampled_from([2, 3, 7, 40, 2048, 10**6]))
+    x0 = (np.array([0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]) if unstable
+          else FullState.ground().as_array())
+    return control, params, T, x0, h_max, max_samples
+
+
+class TestPiecewiseSampler:
+    """The preallocated sampler equals the per-sample loop, byte for byte."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(_sampler_cases())
+    # One interval, stride 1 (every step a sample).
+    @example((ControlSignal.constant(0.7, 1.0), SystemParams(gamma_total=2.0),
+              1.0, FullState.ground().as_array(), 0.01, 10**6))
+    # Intervals shorter than one stride, rem > 0, T inside the last interval.
+    @example((ControlSignal([0.0, 0.013, 0.5, 0.52, 3.0], [0.1, 1.2, 0.4, 1.5]),
+              SystemParams(gamma_total=10.0, gamma_diff=-4.0), 2.9,
+              FullState.ground().as_array(), 0.01, 7))
+    # max_samples = 2: one stride spans the whole window.
+    @example((ControlSignal([0.0, 1.0, 2.5], [0.3, 1.1]),
+              SystemParams(gamma_total=2.0), 2.5,
+              FullState.ground().as_array(), 0.01, 2))
+    def test_equals_per_sample_loop(self, case):
+        control, params, T, x0, h_max, max_samples = case
+        got = _outcome(lambda: model._integrate_piecewise_rk4(
+            control, params, T, x0.copy(), h_max, max_samples))
+        want = _outcome(lambda: _reference_piecewise_rk4(
+            control, params, T, x0.copy(), h_max, max_samples))
+        assert got == want
+
+    def test_diverging_schedule_raises_like_the_loop(self):
+        # Diverges in the second interval, between two samples of a stride.
+        p = SystemParams(gamma_total=10.0)
+        x0 = np.array([0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+        control = ControlSignal([0.0, 100.0, 400.0], [0.3, 1.0])
+        got = _outcome(lambda: model._integrate_piecewise_rk4(
+            control, p, 400.0, x0, 5.0, 7))
+        assert got == _outcome(lambda: _reference_piecewise_rk4(
+            control, p, 400.0, x0, 5.0, 7))
+        assert got[0].startswith("non-finite state encountered at t=")
+
+
+def _reference_csv(traj, omega0, comment):
+    """Trajectory.write_csv as one format(v, ".17g") call per value."""
+    lines = []
+    if comment:
+        lines.append(f"# {comment}")
+    lines.append("t,rho11,rho22,rho33,x4,x5,x6,theta,omega_p,omega_s")
+    for t, s, th in zip(traj.times, traj.states, traj.thetas):
+        row = [t, s[0], s[1], s[2], s[3], s[4], s[5], th,
+               omega0 * math.sin(th), omega0 * math.cos(th)]
+        lines.append(",".join(format(v, ".17g") for v in row))
+    return "\n".join(lines) + "\n"
+
+
+_SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, math.nan, 0.1, 1.0]
+_CSV_VALUES = st.one_of(st.sampled_from(_SPECIAL + [math.inf, -math.inf]),
+                        st.floats())
+# math.sin and math.cos reject infinite angles.
+_CSV_ANGLES = st.one_of(st.sampled_from(_SPECIAL),
+                        st.floats(allow_infinity=False))
+
+
+@st.composite
+def _csv_trajectories(draw):
+    # Up to a few blocks of rows, so block edges are crossed.
+    n = draw(st.integers(1, 3 * model._CSV_BLOCK + 1))
+    return Trajectory(draw(hnp.arrays(float, n, elements=_CSV_VALUES)),
+                      draw(hnp.arrays(float, (n, 9), elements=_CSV_VALUES)),
+                      draw(hnp.arrays(float, n, elements=_CSV_ANGLES)))
+
+
 class TestTrajectoryExport:
+    @settings(deadline=None, max_examples=60)
+    @given(_csv_trajectories(),
+           st.one_of(st.just(1.0), st.floats(1e-3, 1e3)),
+           st.one_of(st.none(), st.just(""), st.text(max_size=30)))
+    @example(Trajectory(np.array([-0.0, 5e-324, 1e300, math.nan, math.inf]),
+                        np.full((5, 9), -0.0),
+                        np.array([0.0, -0.0, 5e-324, 1e300, math.nan])),
+             2.5, "config: {}")
+    def test_csv_equals_per_value_format(self, tmp_path_factory, traj,
+                                         omega0, comment):
+        path = tmp_path_factory.mktemp("csv") / "traj.csv"
+        traj.write_csv(path, omega0=omega0, comment=comment)
+        assert path.read_bytes() == \
+            _reference_csv(traj, omega0, comment).encode("utf-8")
+
     def test_csv_format(self, tmp_path):
         p = SystemParams(gamma_total=10.0)
         traj = integrate_full(optical_pumping_control(10.0), p, max_samples=64)

@@ -234,3 +234,26 @@ class TestConsistency:
         _, states = integrate_reduced(lambda tp: 0.0, 1.5, 2000,
                                       state0=(1.0, 0.0, HALF_PI))
         assert full == pytest.approx(0.5 * (1.0 - states[-1, 0]), abs=5e-3)
+
+
+class TestStepCountValidation:
+    @pytest.mark.parametrize("n_steps", [0, -2, 2.5])
+    def test_integrate_adiabatic_rejects(self, n_steps):
+        def theta_fn(t):
+            raise AssertionError("no work before the check")
+
+        with pytest.raises(ValueError, match="n_steps must be an integer"):
+            integrate_adiabatic(theta_fn, SystemParams(gamma_total=10.0),
+                                5.0, n_steps)
+
+    @pytest.mark.parametrize("n_steps", [0, -2, 2.5])
+    def test_integrate_reduced_rejects(self, n_steps):
+        def u_fn(t):
+            raise AssertionError("no work before the check")
+
+        with pytest.raises(ValueError, match="n_steps must be an integer"):
+            integrate_reduced(u_fn, 5.0, n_steps)
+
+    def test_numpy_integer_accepted(self):
+        _, states = integrate_reduced(lambda tp: 0.0, 1.0, np.int64(4))
+        assert states.shape == (5, 3)
