@@ -477,15 +477,68 @@ def rk4_step_matrix(A: np.ndarray, h) -> np.ndarray:
     repeated application of this matrix reproduces stepwise RK4 in exact
     arithmetic.
     """
-    h = np.asarray(h, dtype=float)[..., None, None]
-    B = h * A
-    B2 = B @ B
-    B3 = B2 @ B
-    B4 = B3 @ B
-    M = B + B2 / 2.0 + B3 / 6.0 + B4 / 24.0
-    idx = np.arange(A.shape[-1])
-    M[..., idx, idx] += 1.0
-    return M
+    B = np.asarray(h, dtype=float)[..., None, None] * A
+    return _rk4_polynomial(B, np.empty((3,) + B.shape))
+
+
+def _rk4_polynomial(B: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """Overwrite B = h A with I + B + B^2/2 + B^3/6 + B^4/24 and return it.
+
+    ``work`` holds three arrays of B's shape for the powers.  The sum is
+    taken in the order ((B + B^2/2) + B^3/6) + B^4/24, so this is
+    ``rk4_step_matrix`` bit for bit; callers that keep B and ``work``
+    across calls allocate nothing.
+    """
+    B2, B3, B4 = work
+    np.matmul(B, B, out=B2)
+    np.matmul(B2, B, out=B3)
+    np.matmul(B3, B, out=B4)
+    B2 *= 0.5  # x * 0.5 is x / 2 exactly, and faster
+    B += B2
+    B3 /= 6.0
+    B += B3
+    B4 /= 24.0
+    B += B4
+    idx = np.arange(B.shape[-1])
+    B[..., idx, idx] += 1.0
+    return B
+
+
+def _matrix_power_into(a: np.ndarray, n: int, spare) -> np.ndarray:
+    """a ** n (n >= 1) in the arrays ``a`` and ``spare`` (two of a's shape).
+
+    The products and their order are those of ``np.linalg.matrix_power``:
+    a @ a for n = 2, (a @ a) @ a for n = 3, and otherwise the binary
+    decomposition of n from its lowest bit, multiplying result @ z and
+    squaring z.  The three arrays take turns as outputs, so ``a`` may be
+    overwritten; the return value is one of them (``a`` itself for n = 1).
+    """
+    x, y = spare
+    if n == 1:
+        return a
+    if n == 2:
+        return np.matmul(a, a, out=x)
+    if n == 3:
+        return np.matmul(np.matmul(a, a, out=x), a, out=y)
+    free = [x, y]  # the arrays that hold neither z nor result
+    z, result = a, None
+    while True:
+        n, bit = divmod(n, 2)
+        if bit:
+            if result is None:
+                result = z
+            else:
+                out = free.pop()
+                np.matmul(result, z, out=out)
+                free.append(result)
+                result = out
+        if n == 0:
+            return result
+        out = free.pop()
+        np.matmul(z, z, out=out)
+        if z is not result:
+            free.append(z)
+        z = out
 
 
 def _rk4_march(f, state: np.ndarray, h: float, n: int):
@@ -598,17 +651,24 @@ def _interval_edges(control: ControlSignal, T: float):
     return starts, ends, control.theta[: starts.size]
 
 
-def _step_matrices(thetas: np.ndarray, h: np.ndarray, params: SystemParams,
-                   stride: int):
-    """Per interval, the RK4 step matrix M and M**stride.
+def _step_matrices(thetas: np.ndarray, h: np.ndarray, rem: np.ndarray,
+                   params: SystemParams, stride: int):
+    """Per interval, M**stride and M**rem of its RK4 step matrix M.
 
     Built in batches of _BATCH intervals, so memory stays bounded for
-    schedules with many intervals.
+    schedules with many intervals.  Within a batch the remainder powers
+    take one ``matrix_power`` per distinct remainder, which multiplies each
+    matrix as a call on it alone would; entries with rem = 0 are unset.
     """
     for lo in range(0, thetas.size, _BATCH):
-        M = rk4_step_matrix(system_matrix(thetas[lo:lo + _BATCH], params),
-                            h[lo:lo + _BATCH])
-        yield from zip(M, np.linalg.matrix_power(M, stride))
+        hi = lo + _BATCH
+        M = rk4_step_matrix(system_matrix(thetas[lo:hi], params), h[lo:hi])
+        batch_rem = rem[lo:hi]
+        M_rem = np.empty_like(M)
+        for r in np.unique(batch_rem[batch_rem > 0]):
+            sel = batch_rem == r
+            M_rem[sel] = np.linalg.matrix_power(M[sel], int(r))
+        yield from zip(np.linalg.matrix_power(M, stride), M_rem)
 
 
 def _integrate_piecewise_rk4(control: ControlSignal, params: SystemParams,
@@ -639,15 +699,15 @@ def _integrate_piecewise_rk4(control: ControlSignal, params: SystemParams,
     # Divergence is detected via the finite check; silence the transient
     # overflow warnings it rides in on.
     with np.errstate(over="ignore", invalid="ignore"):
-        matrices = _step_matrices(thetas, h, params, stride)
+        matrices = _step_matrices(thetas, h, rem, params, stride)
         lo = 1
-        for k_chunks, k_rem, (Mk, Mk_stride) in zip(n_chunks.tolist(),
-                                                    rem.tolist(), matrices):
+        for k_chunks, k_rem, (Mk_stride, Mk_rem) in zip(
+                n_chunks.tolist(), rem.tolist(), matrices):
             hi = lo + k_chunks
             for i in range(lo, hi):
                 states[i] = Mk_stride @ states[i - 1]
             if k_rem:
-                states[hi] = np.linalg.matrix_power(Mk, k_rem) @ states[hi - 1]
+                states[hi] = Mk_rem @ states[hi - 1]
                 hi += 1
             finite = np.isfinite(states[lo:hi])
             if not finite.all():

@@ -11,15 +11,16 @@ omega_p**2 + omega_s**2 = omega0**2 is satisfied identically by the angle
 parameterization, so no penalty terms appear.
 
 The dynamics are those of ``integrate_full``: the generator
-(``system_matrix``, ``system_matrix_dtheta``), the dark/bright frame
-rotation (``FRAME_GENERATOR`` K, ``frame_rotation`` R), the RK4 step matrix
-(``rk4_step_matrix``) and the step rule (``interval_steps``) all come from
-``lambda_control.model``.  Because the state equation is linear, a control
-interval integrated with fixed-step RK4 is a matrix power of the one-step
-transition matrix.  Only the 6-variable x block enters: the y block is
-decoupled and identically zero from the standard initial condition.  The
-interval propagators P_k and their derivatives take one of two paths,
-chosen by ``params.is_symmetric``:
+(``system_matrix``), the dark/bright frame rotation (``FRAME_GENERATOR`` K,
+``frame_rotation`` R), the RK4 step matrix (``rk4_step_matrix`` and its
+in-place form) and the step rule (``interval_steps``) all come from
+``lambda_control.model``; dA/dtheta is ``system_matrix_dtheta``'s
+K A - A K + gamma E_51, taken on the x block.  Because the state equation
+is linear, a control interval integrated with fixed-step RK4 is a matrix
+power of the one-step transition matrix.  Only the 6-variable x block
+enters: the y block is decoupled and identically zero from the standard
+initial condition.  The interval propagators P_k and their derivatives
+take one of two paths, chosen by ``params.is_symmetric``:
 
 * Symmetric decay: A(theta) = R(theta) A(0) R(-theta), and a polynomial of
   a conjugated matrix is the conjugated polynomial, so
@@ -53,6 +54,22 @@ adjoint_k^T (dP_k/dtheta_k) state_k over all k.
 The line search evaluates its first trial with the gradient and later
 backtracks with the objective alone (``_final_rho33``); the two give the
 same objective bit for bit, so this choice leaves the ascent path unchanged.
+
+Scratch arrays.  An asymmetric-decay evaluation at N = 100 works on
+(N, 12, 12) arrays of 115 KB.  Made fresh and freed on every call, such
+temporaries are handed back to the OS by glibc and faulted in again on the
+next call.  On a 2-vCPU Xeon host, one RK4 step of the (100, 12, 12) block
+took 360-460 us that way, 125-175 us with glibc's trim and mmap thresholds
+raised, and 130 us in arrays kept across calls; its three batched matmuls
+take 14-26 us each.  So the block, the RK4 polynomial, the matrix powers and
+the prefix scan write into arrays from ``_scratch``: a pool of at most
+``_SCRATCH_ENTRIES`` arrays, least recently used dropped first, keyed by
+(thread, role, shape), so every grid with the same N shares one set and no
+two threads share one.  The arithmetic is the allocating expressions'
+(``out=`` products and in-place sums in the same order), so every output
+bit is unchanged.  P_k, dP_k/dtheta_k and the gradient are copied out: no
+returned array is a view of a scratch array.  The symmetric conjugation
+allocates, since scratch arrays measured no faster there.
 """
 
 from __future__ import annotations
@@ -60,7 +77,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections import deque
+import threading
+from collections import OrderedDict, deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -72,6 +90,8 @@ from .model import (
     FRAME_GENERATOR,
     IntegrationError,
     SystemParams,
+    _matrix_power_into,
+    _rk4_polynomial,
     default_max_step,
     frame_rotation,
     integrate_full,
@@ -79,7 +99,6 @@ from .model import (
     optical_pumping_control,
     rk4_step_matrix,
     system_matrix,
-    system_matrix_dtheta,
 )
 
 __all__ = [
@@ -173,15 +192,55 @@ class OptimizationResult:
 
 
 # ---------------------------------------------------------------------------
+# Scratch arrays
+# ---------------------------------------------------------------------------
+
+# Scratch arrays kept, least recently used dropped first.  An ascent uses
+# five keys per thread.
+_SCRATCH_ENTRIES = 16
+_scratch_arrays: OrderedDict = OrderedDict()
+_scratch_lock = threading.Lock()
+
+
+def _scratch(role: str, shape: tuple[int, ...]) -> np.ndarray:
+    """A float64 work array that persists across calls, zero when made.
+
+    Keyed by (thread, role, shape): every grid with the same number of
+    intervals shares one set, and no two threads share one.  Contents
+    persist until the key's next use, so a caller writes every entry it
+    reads (or relies on one never written), and no array it returns may
+    be a view of a scratch array.
+    """
+    key = (threading.get_ident(), role, shape)
+    with _scratch_lock:
+        array = _scratch_arrays.pop(key, None)
+        if array is None:
+            array = np.zeros(shape)
+        _scratch_arrays[key] = array
+        if len(_scratch_arrays) > _SCRATCH_ENTRIES:
+            _scratch_arrays.popitem(last=False)
+    return array
+
+
+# ---------------------------------------------------------------------------
 # Interval propagators (x block only)
 # ---------------------------------------------------------------------------
 
-def _matrix_powers(one_step: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    """one_step[k] ** steps[k], one batched matrix_power per distinct count."""
+def _matrix_powers(one_step: np.ndarray, steps: np.ndarray,
+                   spare: np.ndarray) -> np.ndarray:
+    """one_step[k] ** steps[k], one batched power per distinct count.
+
+    With a single count (a uniform grid) the power is taken in one_step and
+    the two ``spare`` arrays of its shape, and the result is one of them.
+    """
+    if steps.min() == steps.max():
+        return _matrix_power_into(one_step, int(steps[0]), spare)
     powered = np.empty_like(one_step)
     for m in np.unique(steps):
         sel = steps == m
-        powered[sel] = np.linalg.matrix_power(one_step[sel], int(m))
+        group = one_step[sel]
+        powered[sel] = _matrix_power_into(group, int(m),
+                                          np.empty((2,) + group.shape))
     return powered
 
 
@@ -190,19 +249,35 @@ def _rk4_pair_propagators(thetas: np.ndarray, durations: np.ndarray,
     """P_k and dP_k/dtheta_k from per-interval RK4 steps of A(theta_k).
 
     dP_k comes from the 12x12 block generator of the module docstring,
-    stepped and powered like the 6x6 generator.  Valid for any decay.
+    stepped and powered like the 6x6 generator.  Valid for any decay.  The
+    block, the RK4 polynomial and the powers live in scratch arrays; P_k
+    and dP_k are copied out of them.
     """
     steps, h = interval_steps(durations, default_max_step(params))
     # The generator is block diagonal, so the x block evolves on its own.
     A = system_matrix(thetas, params)[:, :_XDIM, :_XDIM]
+    d = 2 * _XDIM if with_grad else _XDIM
+    work = _scratch("rk4", (4, thetas.size, d, d))
+    B = work[0]
+    if with_grad:
+        # [[A, dA], [0, A]] with dA = K A - A K + gamma E_51 (see
+        # system_matrix_dtheta).  The zero block is never written.  dA is
+        # formed in contiguous arrays: arithmetic on the strided block
+        # views is several times slower than one copy into them.
+        block = _scratch("block", (thetas.size, d, d))
+        block[:, :_XDIM, :_XDIM] = block[:, _XDIM:, _XDIM:] = A
+        dA, AK = _scratch("dA", (2, thetas.size, _XDIM, _XDIM))
+        np.matmul(_K, A, out=dA)
+        dA -= np.matmul(A, _K, out=AK)
+        dA[:, 5, 1] += params.gamma_diff
+        block[:, :_XDIM, _XDIM:] = dA
+        A = block
+    np.multiply(h[:, None, None], A, out=B)
+    powered = _matrix_powers(_rk4_polynomial(B, work[1:]), steps, work[1:3])
     if not with_grad:
-        return _matrix_powers(rk4_step_matrix(A, h), steps), None
-    block = np.zeros((thetas.size, 2 * _XDIM, 2 * _XDIM))
-    block[:, :_XDIM, :_XDIM] = block[:, _XDIM:, _XDIM:] = A
-    block[:, :_XDIM, _XDIM:] = system_matrix_dtheta(
-        thetas, params)[:, :_XDIM, :_XDIM]
-    powered = _matrix_powers(rk4_step_matrix(block, h), steps)
-    return powered[:, :_XDIM, :_XDIM], powered[:, :_XDIM, _XDIM:]
+        return powered.copy(), None
+    return (powered[:, :_XDIM, :_XDIM].copy(),
+            powered[:, :_XDIM, _XDIM:].copy())
 
 
 # The x block of the frame generator K (K is block diagonal, like A).
@@ -223,7 +298,9 @@ def _theta0_propagators(durations_key: bytes,
     unique, inverse = np.unique(durations, return_inverse=True)
     steps, h = interval_steps(unique, default_max_step(params))
     A0 = system_matrix(0.0, params)[:_XDIM, :_XDIM]
-    P0 = _matrix_powers(rk4_step_matrix(A0, h), steps)[inverse]
+    one_step = rk4_step_matrix(A0, h)
+    P0 = _matrix_powers(one_step, steps,
+                        np.empty((2,) + one_step.shape))[inverse]
     P0.flags.writeable = False
     return P0
 
@@ -275,17 +352,22 @@ def _check_grid(control: ControlSignal, T: float | None) -> float:
     return T
 
 
-def _prefix_products(C: np.ndarray) -> np.ndarray:
-    """Overwrite C with its inclusive products C[k] @ ... @ C[0] along axis -3.
+def _prefix_products(C: np.ndarray, spare: np.ndarray) -> np.ndarray:
+    """Inclusive products C[k] @ ... @ C[0] along axis -3.
 
     A Hillis-Steele scan: after the step with shift s every entry holds the
     product of the last 2s factors up to it, so ceil(log2 N) batched matmuls
-    replace N sequential ones.  Leading axes are independent batches.
+    replace N sequential ones.  Leading axes are independent batches.  Each
+    step writes into the other of C and ``spare`` (same shape); the result
+    is whichever of the two holds it.
     """
     n = C.shape[-3]
     shift = 1
     while shift < n:
-        C[..., shift:, :, :] = C[..., shift:, :, :] @ C[..., :n - shift, :, :]
+        np.matmul(C[..., shift:, :, :], C[..., :n - shift, :, :],
+                  out=spare[..., shift:, :, :])
+        spare[..., :shift, :, :] = C[..., :shift, :, :]
+        C, spare = spare, C
         shift *= 2
     return C
 
@@ -326,8 +408,10 @@ def objective_and_gradient(control: ControlSignal, params: SystemParams,
     n = control.n_intervals
     # Row 0: prefix products P_k ... P_0.  Row 1: prefix products of the
     # reversed, transposed stack, (P_{N-1} ... P_{N-1-j})^T.
-    forward, backward = _prefix_products(
-        np.stack([P, P[::-1].transpose(0, 2, 1)]))
+    scan, spare = _scratch("scan", (2, 2, n, _XDIM, _XDIM))
+    scan[0] = P
+    scan[1] = P[::-1].transpose(0, 2, 1)
+    forward, backward = _prefix_products(scan, spare)
     # states[k] is the state before interval k, e1 before the first;
     # adjoints[k] is row 2 of P_{N-1} ... P_{k+1}, e3 after the last.
     unit = np.eye(_XDIM)

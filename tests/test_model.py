@@ -525,9 +525,31 @@ class TestRk4Loops:
         assert times.tobytes() == np.linspace(0.0, tprime, n + 1).tobytes()
 
 
+def _reference_rk4_step_matrix(A, h):
+    """The RK4 step matrix as one allocating expression per term."""
+    h = np.asarray(h, dtype=float)[..., None, None]
+    B = h * A
+    B2 = B @ B
+    B3 = B2 @ B
+    B4 = B3 @ B
+    M = B + B2 / 2.0 + B3 / 6.0 + B4 / 24.0
+    idx = np.arange(A.shape[-1])
+    M[..., idx, idx] += 1.0
+    return M
+
+
+def _reference_step_matrices(thetas, h, params, stride):
+    """Per interval, M and M**stride, built in batches of model._BATCH."""
+    for lo in range(0, thetas.size, model._BATCH):
+        M = _reference_rk4_step_matrix(
+            system_matrix(thetas[lo:lo + model._BATCH], params),
+            h[lo:lo + model._BATCH])
+        yield from zip(M, np.linalg.matrix_power(M, stride))
+
+
 def _reference_piecewise_rk4(control, params, T, x0, h_max, max_samples):
     """The sampler as a per-sample loop: one matvec, finite check and set of
-    list appends per sample."""
+    list appends per sample, and one matrix_power per remainder."""
     starts, ends, thetas = model._interval_edges(control, T)
     steps, h = model.interval_steps(ends - starts, h_max)
     total = int(steps.sum())
@@ -551,7 +573,7 @@ def _reference_piecewise_rk4(control, params, T, x0, h_max, max_samples):
         sample_theta.append(th)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        matrices = model._step_matrices(thetas, h, params, stride)
+        matrices = _reference_step_matrices(thetas, h, params, stride)
         for t0, t1, th, m, hk, (Mk, Mk_stride) in zip(starts, ends, thetas,
                                                       steps, h, matrices):
             n_chunks, rem = divmod(m, stride)
@@ -627,6 +649,34 @@ class TestPiecewiseSampler:
             control, params, T, x0.copy(), h_max, max_samples))
         assert got == want
 
+    @settings(deadline=None, max_examples=20)
+    @given(st.integers(model._BATCH + 1, 3 * model._BATCH + 5),
+           st.sampled_from([3, 7, 16]),
+           st.integers(0, 2**32 - 1))
+    def test_remainder_powers_equal_per_interval_calls(self, n, stride,
+                                                       seed):
+        # Step counts of 1..3 strides plus a remainder that varies from
+        # interval to interval, over several batches: the per-batch
+        # remainder powers must give the per-interval calls' bytes.
+        rng = np.random.default_rng(seed)
+        h_max = 0.01
+        steps = rng.integers(1, 3 * stride + 1, n)
+        grid = np.concatenate([[0.0], np.cumsum(steps * h_max * 0.999)])
+        control = ControlSignal(grid, rng.uniform(0.0, HALF_PI, n))
+        params = SystemParams(gamma_total=2.0, gamma_diff=-0.5)
+        max_samples = -(-int(steps.sum()) // stride) + 1
+        assert math.ceil(steps.sum() / (max_samples - 1)) == stride
+        _, rem = np.divmod(steps, stride)
+        assert np.unique(rem[rem > 0]).size > 1
+        got = model._integrate_piecewise_rk4(
+            control, params, control.duration, FullState.ground().as_array(),
+            h_max, max_samples)
+        want = _reference_piecewise_rk4(
+            control, params, control.duration, FullState.ground().as_array(),
+            h_max, max_samples)
+        assert got.times.tobytes() == want.times.tobytes()
+        assert got.states.tobytes() == want.states.tobytes()
+
     def test_diverging_schedule_raises_like_the_loop(self):
         # Diverges in the second interval, between two samples of a stride.
         p = SystemParams(gamma_total=10.0)
@@ -637,6 +687,48 @@ class TestPiecewiseSampler:
         assert got == _outcome(lambda: _reference_piecewise_rk4(
             control, p, 400.0, x0, 5.0, 7))
         assert got[0].startswith("non-finite state encountered at t=")
+
+
+class TestInPlaceKernels:
+    """The RK4 polynomial and matrix power in preallocated arrays equal the
+    allocating expressions, byte for byte, whatever the arrays held."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.sampled_from([6, 9, 12]), st.integers(1, 40),
+           st.integers(0, 2**32 - 1))
+    def test_rk4_polynomial_is_the_allocating_formula(self, d, n, seed):
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((n, d, d))
+        # Exact zeros of both signs, as the generator has at the bounds.
+        A[rng.random(A.shape) < 0.3] = 0.0
+        A[rng.random(A.shape) < 0.1] = -0.0
+        h = rng.uniform(1e-3, 0.2, n)
+        want = _reference_rk4_step_matrix(A, h)
+        assert rk4_step_matrix(A, h).tobytes() == want.tobytes()
+        assert (rk4_step_matrix(A[0], h[0]).tobytes()
+                == _reference_rk4_step_matrix(A[0], h[0]).tobytes())
+        B = np.empty_like(A)
+        work = np.full((3,) + A.shape, np.nan)
+        for _ in range(2):
+            np.multiply(h[:, None, None], A, out=B)
+            assert model._rk4_polynomial(B, work) is B
+            assert B.tobytes() == want.tobytes()
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.integers(1, 300), st.integers(1, 20), st.integers(0, 2**32 - 1))
+    @example(1, 3, 0)
+    @example(2, 3, 0)
+    @example(3, 3, 0)
+    @example(4, 3, 0)
+    @example(7, 3, 0)
+    def test_matrix_power_into_is_matrix_power(self, power, n, seed):
+        rng = np.random.default_rng(seed)
+        a = np.eye(6) + 0.01 * rng.standard_normal((n, 6, 6))
+        want = np.linalg.matrix_power(a, power)
+        arrays = (a.copy(), np.full_like(a, np.nan), np.full_like(a, np.nan))
+        got = model._matrix_power_into(arrays[0], power, arrays[1:])
+        assert any(got is b for b in arrays)
+        assert got.tobytes() == want.tobytes()
 
 
 def _reference_csv(traj, omega0, comment):

@@ -1,6 +1,9 @@
 import itertools
 import math
 import re
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -10,13 +13,17 @@ from hypothesis import strategies as st
 
 from lambda_control import optimizer
 from lambda_control.model import (
+    FRAME_GENERATOR,
     HALF_PI,
     ControlSignal,
     SystemParams,
     default_max_step,
+    frame_rotation,
     integrate_full,
     interval_steps,
     optical_pumping_control,
+    system_matrix,
+    system_matrix_dtheta,
 )
 from lambda_control.optimizer import (
     LineSearchConfig,
@@ -283,6 +290,218 @@ class TestConjugatedPropagators:
             control = ControlSignal(grid, rng.uniform(0.0, HALF_PI, n))
             value = objective(control, p)
             assert value.hex() == objective_and_gradient(control, p)[0].hex()
+
+
+# The optimizer's arithmetic as allocating expressions, one new array per
+# operation and no state kept between calls.  The optimizer computes in
+# scratch arrays that persist across calls and must match these byte for
+# byte.
+
+def _ref_rk4_step_matrix(A, h):
+    h = np.asarray(h, dtype=float)[..., None, None]
+    B = h * A
+    B2 = B @ B
+    B3 = B2 @ B
+    B4 = B3 @ B
+    M = B + B2 / 2.0 + B3 / 6.0 + B4 / 24.0
+    idx = np.arange(A.shape[-1])
+    M[..., idx, idx] += 1.0
+    return M
+
+
+def _ref_matrix_powers(one_step, steps):
+    powered = np.empty_like(one_step)
+    for m in np.unique(steps):
+        sel = steps == m
+        powered[sel] = np.linalg.matrix_power(one_step[sel], int(m))
+    return powered
+
+
+def _ref_propagators(thetas, durations, params, with_grad):
+    """P_k and dP_k/dtheta_k: conjugated P0 for symmetric decay, else the
+    RK4 step and power of [[A, dA], [0, A]] with dA sliced from the 9x9
+    system_matrix_dtheta."""
+    x = 6
+    h_max = default_max_step(params)
+    if params.is_symmetric:
+        unique, inverse = np.unique(durations, return_inverse=True)
+        steps, h = interval_steps(unique, h_max)
+        A0 = system_matrix(0.0, params)[:x, :x]
+        P0 = _ref_matrix_powers(_ref_rk4_step_matrix(A0, h), steps)[inverse]
+        R, R_inv = frame_rotation(thetas)
+        P = R[:, :x, :x] @ P0 @ R_inv[:, :x, :x]
+        K = FRAME_GENERATOR[:x, :x]
+        return P, (K @ P - P @ K if with_grad else None)
+    steps, h = interval_steps(durations, h_max)
+    A = system_matrix(thetas, params)[:, :x, :x]
+    if not with_grad:
+        return _ref_matrix_powers(_ref_rk4_step_matrix(A, h), steps), None
+    block = np.zeros((thetas.size, 2 * x, 2 * x))
+    block[:, :x, :x] = block[:, x:, x:] = A
+    block[:, :x, x:] = system_matrix_dtheta(thetas, params)[:, :x, :x]
+    powered = _ref_matrix_powers(_ref_rk4_step_matrix(block, h), steps)
+    return powered[:, :x, :x], powered[:, :x, x:]
+
+
+def _ref_objective_and_gradient(control, params):
+    P, G = _ref_propagators(control.theta, control.durations, params, True)
+    n = control.n_intervals
+    C = np.stack([P, P[::-1].transpose(0, 2, 1)])
+    shift = 1
+    while shift < n:
+        C[..., shift:, :, :] = C[..., shift:, :, :] @ C[..., :n - shift, :, :]
+        shift *= 2
+    forward, backward = C
+    unit = np.eye(6)
+    states = np.concatenate([unit[:1], forward[:-1, :, 0]])
+    adjoints = np.concatenate([backward[:n - 1][::-1, :, 2], unit[2:3]])
+    grad = np.einsum("ki,kij,kj->k", adjoints, G, states)
+    return float(forward[-1, 2, 0]), grad
+
+
+def _ref_objective(control, params):
+    P, _ = _ref_propagators(control.theta, control.durations, params, False)
+    while P.shape[0] > 1:
+        odd = P.shape[0] % 2
+        pairs = P[odd + 1::2] @ P[odd::2]
+        P = np.concatenate([P[:odd], pairs]) if odd else pairs
+    return float(P[0, 2, 0])
+
+
+def _assert_matches_reference(control, params):
+    thetas, durations = control.theta, control.durations
+    for with_grad in (True, False):
+        got = _interval_propagators(thetas, durations, params, with_grad)
+        want = _ref_propagators(thetas, durations, params, with_grad)
+        assert got[0].tobytes() == want[0].tobytes()
+        if with_grad:
+            assert got[1].tobytes() == want[1].tobytes()
+        else:
+            assert got[1] is None
+    value, grad = objective_and_gradient(control, params)
+    ref_value, ref_grad = _ref_objective_and_gradient(control, params)
+    assert value.hex() == ref_value.hex()
+    assert grad.tobytes() == ref_grad.tobytes()
+    assert objective(control, params).hex() == _ref_objective(
+        control, params).hex()
+
+
+# Step counts per interval: the short cuts of matrix_power (1-3), binary
+# decompositions, and the 100 steps of the benchmark's asymmetric cell.
+_STEP_COUNTS = [1, 2, 3, 4, 5, 17, 100]
+
+
+@st.composite
+def _scratch_cases(draw, n=st.integers(1, 130)):
+    gamma = draw(st.floats(0.1, 50.0))
+    sign = draw(st.sampled_from([0.0, 1.0, -1.0]))
+    params = SystemParams(gamma_total=gamma,
+                          gamma_diff=sign * draw(st.floats(0.0, 1.0)) * gamma)
+    n = draw(n)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # Just under whole multiples of the step bound, so each interval takes
+    # exactly its drawn number of steps.
+    h = 0.999 * default_max_step(params)
+    if draw(st.booleans()):
+        grid = np.linspace(0.0, n * draw(st.sampled_from(_STEP_COUNTS)) * h,
+                           n + 1)
+    else:
+        steps = rng.choice(draw(st.lists(st.sampled_from(_STEP_COUNTS),
+                                         min_size=1, max_size=3)), n)
+        grid = np.concatenate([[0.0], np.cumsum(steps * h)])
+    # Angles at both bounds as well as inside, where exact zeros of both
+    # signs enter the generator.
+    theta = rng.uniform(0.0, HALF_PI, n)
+    at = rng.random(n)
+    theta[at < 0.2] = 0.0
+    theta[at > 0.8] = HALF_PI
+    return ControlSignal(grid, theta), params
+
+
+class TestScratchArrays:
+    """The optimizer's scratch arrays change no bit and leak no state."""
+
+    @settings(deadline=None, max_examples=80)
+    @given(_scratch_cases())
+    def test_equals_allocating_reference(self, case):
+        _assert_matches_reference(*case)
+
+    @settings(deadline=None, max_examples=25)
+    @given(_scratch_cases(n=st.integers(1, 40)),
+           _scratch_cases(n=st.integers(41, 130)),
+           st.integers(0, 2**32 - 1))
+    def test_interleaved_grids_leave_no_stale_state(self, case_a, case_b,
+                                                    seed):
+        # Grid A, grid B of another N, then A again at new angles: the
+        # second visit to A's arrays must not see B's or A's first values.
+        (control_a, params_a), (control_b, params_b) = case_a, case_b
+        rng = np.random.default_rng(seed)
+        again = control_a.with_theta(
+            rng.uniform(0.0, HALF_PI, control_a.n_intervals))
+        for control, params in ((control_a, params_a),
+                                (control_b, params_b),
+                                (again, params_a),
+                                (again, params_b)):
+            _assert_matches_reference(control, params)
+
+    @pytest.mark.parametrize("gamma_diff", [0.0, 8.0])
+    def test_returned_arrays_do_not_alias_scratch(self, gamma_diff):
+        p = SystemParams(gamma_total=10.0, gamma_diff=gamma_diff)
+        rng = np.random.default_rng(12)
+        grid = np.linspace(0.0, 100.0, 101)
+        first = ControlSignal(grid, rng.uniform(0.0, HALF_PI, 100))
+        second = first.with_theta(rng.uniform(0.0, HALF_PI, 100))
+        P, G = _interval_propagators(first.theta, first.durations, p,
+                                     with_grad=True)
+        P_only, _ = _interval_propagators(first.theta, first.durations, p,
+                                          with_grad=False)
+        value, grad = objective_and_gradient(first, p)
+        returned = (P, G, P_only, grad)
+        saved = [a.copy() for a in returned]
+        for with_grad in (True, False):
+            _interval_propagators(second.theta, second.durations, p,
+                                  with_grad)
+        objective_and_gradient(second, p)
+        objective(second, p)
+        for a, b in zip(returned, saved):
+            assert a.tobytes() == b.tobytes()
+        for a in returned:
+            for scratch in list(optimizer._scratch_arrays.values()):
+                assert not np.shares_memory(a, scratch)
+        assert value == objective(first, p)
+
+    def test_concurrent_threads_get_single_thread_bits(self):
+        # Two threads evaluate at once, on grids of the same N (so the same
+        # array shapes) but different parameters and angles.
+        rng = np.random.default_rng(13)
+        n = 100
+        cases = [
+            (ControlSignal(np.linspace(0.0, 100.0, n + 1),
+                           rng.uniform(0.0, HALF_PI, n)),
+             SystemParams(gamma_total=10.0, gamma_diff=8.0)),
+            (ControlSignal(np.concatenate(
+                [[0.0], np.cumsum(rng.uniform(0.2, 1.0, n))]),
+                rng.uniform(0.0, HALF_PI, n)),
+             SystemParams(gamma_total=2.0, gamma_diff=-1.5)),
+        ]
+        expected = [objective_and_gradient(c, p) for c, p in cases]
+        barrier = threading.Barrier(2, timeout=60.0)
+
+        def run(case):
+            barrier.wait()
+            return [objective_and_gradient(*case) for _ in range(40)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                results = list(pool.map(run, cases, timeout=120.0))
+        finally:
+            sys.setswitchinterval(interval)
+        for (value, grad), runs in zip(expected, results):
+            for got_value, got_grad in runs:
+                assert got_value.hex() == value.hex()
+                assert got_grad.tobytes() == grad.tobytes()
 
 
 class TestTheta0Cache:
