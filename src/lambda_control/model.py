@@ -32,6 +32,7 @@ well is a different dissipator and is not used here.)
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -652,17 +653,28 @@ def _interval_edges(control: ControlSignal, T: float):
 
 
 def _step_matrices(thetas: np.ndarray, h: np.ndarray, rem: np.ndarray,
-                   params: SystemParams, stride: int):
-    """Per interval, M**stride and M**rem of its RK4 step matrix M.
+                   params: SystemParams, stride: int, exact: bool):
+    """Per interval, M**stride and M**rem of its step matrix M.
 
-    Built in batches of _BATCH intervals, so memory stays bounded for
-    schedules with many intervals.  Within a batch the remainder powers
-    take one ``matrix_power`` per distinct remainder, which multiplies each
-    matrix as a call on it alone would; entries with rem = 0 are unset.
+    M is the RK4 step matrix.  With ``exact`` the two are expm(stride h A)
+    and expm(rem h A), the exact propagators over those steps, from one
+    batched ``scipy.linalg.expm`` each; powers of expm(h A) would compound
+    its rounding over the steps.  Built in batches of _BATCH intervals, so
+    memory stays bounded for schedules with many intervals.  Within a batch
+    the RK4 remainder powers take one ``matrix_power`` per distinct
+    remainder, which multiplies each matrix as a call on it alone would;
+    entries with rem = 0 are unset (the identity when ``exact``).
     """
+    if exact:
+        from scipy.linalg import expm
     for lo in range(0, thetas.size, _BATCH):
         hi = lo + _BATCH
-        M = rk4_step_matrix(system_matrix(thetas[lo:hi], params), h[lo:hi])
+        A = system_matrix(thetas[lo:hi], params)
+        if exact:
+            yield from zip(expm((stride * h[lo:hi])[:, None, None] * A),
+                           expm((rem[lo:hi] * h[lo:hi])[:, None, None] * A))
+            continue
+        M = rk4_step_matrix(A, h[lo:hi])
         batch_rem = rem[lo:hi]
         M_rem = np.empty_like(M)
         for r in np.unique(batch_rem[batch_rem > 0]):
@@ -671,13 +683,15 @@ def _step_matrices(thetas: np.ndarray, h: np.ndarray, rem: np.ndarray,
         yield from zip(np.linalg.matrix_power(M, stride), M_rem)
 
 
-def _integrate_piecewise_rk4(control: ControlSignal, params: SystemParams,
-                             T: float, x0: np.ndarray, h_max: float,
-                             max_samples: int) -> Trajectory:
+def _integrate_piecewise(control: ControlSignal, params: SystemParams,
+                         T: float, x0: np.ndarray, h_max: float,
+                         max_samples: int, exact: bool) -> Trajectory:
+    """Sample a piecewise schedule on the steps of ``interval_steps``;
+    ``exact`` swaps RK4 for the exact propagator, not the times or angles."""
     starts, ends, thetas = _interval_edges(control, T)
     steps, h = interval_steps(ends - starts, h_max)
     total = int(steps.sum())
-    stride = max(1, math.ceil(total / max(1, max_samples - 1)))
+    stride = math.ceil(total / (max_samples - 1))
 
     # Interval k advances by `stride` steps n_chunks[k] times, then by the
     # rem[k] left over; each advance is one sample row.
@@ -699,7 +713,7 @@ def _integrate_piecewise_rk4(control: ControlSignal, params: SystemParams,
     # Divergence is detected via the finite check; silence the transient
     # overflow warnings it rides in on.
     with np.errstate(over="ignore", invalid="ignore"):
-        matrices = _step_matrices(thetas, h, rem, params, stride)
+        matrices = _step_matrices(thetas, h, rem, params, stride, exact)
         lo = 1
         for k_chunks, k_rem, (Mk_stride, Mk_rem) in zip(
                 n_chunks.tolist(), rem.tolist(), matrices):
@@ -726,7 +740,7 @@ def _integrate_callable_rk4(theta_fn, params: SystemParams, T: float,
                             max_samples: int) -> Trajectory:
     n, h = interval_steps(T, h_max)
     n, h = int(n), float(h)
-    stride = max(1, math.ceil(n / max(1, max_samples - 1)))
+    stride = math.ceil(n / (max_samples - 1))
 
     times = [0.0]
     samples = [x0.copy()]
@@ -750,48 +764,21 @@ def _integrate_callable_rk4(theta_fn, params: SystemParams, T: float,
                       np.asarray(sample_theta))
 
 
-def _integrate_adaptive(control, params: SystemParams, T: float,
-                        x0: np.ndarray, max_samples: int,
-                        rtol: float, atol: float) -> Trajectory:
+def _integrate_callable_dop853(theta_fn, params: SystemParams, T: float,
+                               x0: np.ndarray, max_samples: int,
+                               rtol: float, atol: float) -> Trajectory:
     from scipy.integrate import solve_ivp
 
-    if callable(control):
-        def fun(t, s):
-            return rhs_full(s, float(control(t)), params)
+    def fun(t, s):
+        return rhs_full(s, float(theta_fn(t)), params)
 
-        t_eval = np.linspace(0.0, T, min(max_samples, 512))
-        sol = solve_ivp(fun, (0.0, T), x0, method="DOP853",
-                        rtol=rtol, atol=atol, t_eval=t_eval)
-        if not sol.success:
-            raise IntegrationError(sol.message, last_time=float(sol.t[-1]))
-        thetas = np.array([float(control(t)) for t in sol.t])
-        return Trajectory(sol.t.copy(), sol.y.T.copy(), thetas)
-
-    starts, ends, thetas = _interval_edges(control, T)
-    times = [0.0]
-    samples = [x0.copy()]
-    sample_theta = [thetas[0]]
-    state = x0.copy()
-    per_interval = max(2, math.ceil(max_samples / starts.size))
-
-    for t0, t1, th in zip(starts, ends, thetas):
-        def fun(t, s, _th=th):
-            return rhs_full(s, _th, params)
-
-        t_eval = np.linspace(t0, t1, per_interval)[1:]
-        sol = solve_ivp(fun, (t0, t1), state, method="DOP853",
-                        rtol=rtol, atol=atol, t_eval=t_eval)
-        if not sol.success:
-            raise IntegrationError(sol.message, last_time=times[-1])
-        for t, col in zip(sol.t, sol.y.T):
-            times.append(t)
-            samples.append(col)
-            sample_theta.append(th)
-        state = sol.y[:, -1]
-
-    times = np.asarray(times)
-    times[-1] = T
-    return Trajectory(times, np.asarray(samples), np.asarray(sample_theta))
+    t_eval = np.linspace(0.0, T, min(max_samples, 512))
+    sol = solve_ivp(fun, (0.0, T), x0, method="DOP853",
+                    rtol=rtol, atol=atol, t_eval=t_eval)
+    if not sol.success:
+        raise IntegrationError(sol.message, last_time=float(sol.t[-1]))
+    thetas = np.array([float(theta_fn(t)) for t in sol.t])
+    return Trajectory(sol.t.copy(), sol.y.T.copy(), thetas)
 
 
 def integrate_full(control, params: SystemParams, T: float | None = None, *,
@@ -812,10 +799,20 @@ def integrate_full(control, params: SystemParams, T: float | None = None, *,
         Defaults to all population in |1>.
     max_step : float, optional
         Override of the default step bound (omega0*h <= 0.01, Gamma*h <= 0.1);
-        must be finite and positive.
+        must be finite and positive.  It sets the steps of the RK4 paths and
+        the sample spacing of the exact path.
+    max_samples : int
+        Sample budget, an integer >= 2: samples are taken every
+        ceil(steps / (max_samples - 1)) steps, and at the end of every
+        control interval.  DOP853 takes min(max_samples, 512) evenly spaced
+        samples.
     method : {"rk4", "adaptive"}
-        Fixed-step RK4 (default), or adaptive high-order integration for
-        oracle-grade runs (scipy DOP853 at rtol/atol).
+        Fixed-step RK4 (default), or an oracle-grade method.  For a
+        ControlSignal, "adaptive" is exact: each advance between two
+        samples applies expm(t A) over its length t, in place of a power of
+        the RK4 step matrix, so the trajectory has the sample times and
+        angles of "rk4".  For a callable it is scipy's DOP853 at rtol/atol,
+        which apply to that case only.
 
     The returned trajectory always contains the final sample at exactly t = T.
     """
@@ -825,6 +822,9 @@ def integrate_full(control, params: SystemParams, T: float | None = None, *,
     if not (math.isfinite(h_max) and h_max > 0.0):
         raise ValueError(
             f"max_step must be finite and positive, got {max_step!r}")
+    if not isinstance(max_samples, numbers.Integral) or max_samples < 2:
+        raise ValueError(
+            f"max_samples must be an integer >= 2, got {max_samples!r}")
     if initial_state is None:
         x0 = FullState.ground().as_array()
     else:
@@ -837,8 +837,8 @@ def integrate_full(control, params: SystemParams, T: float | None = None, *,
         if T <= 0.0:
             raise ValueError(f"T must be positive, got {T!r}")
         if method == "adaptive":
-            return _integrate_adaptive(control, params, T, x0, max_samples,
-                                       rtol, atol)
+            return _integrate_callable_dop853(control, params, T, x0,
+                                              max_samples, rtol, atol)
         return _integrate_callable_rk4(control, params, T, x0, h_max,
                                        max_samples)
 
@@ -852,10 +852,8 @@ def integrate_full(control, params: SystemParams, T: float | None = None, *,
             f"control grid [{control.grid[0]!r}, {control.duration!r}] "
             f"does not cover [0, {T!r}]"
         )
-    if method == "adaptive":
-        return _integrate_adaptive(control, params, T, x0, max_samples,
-                                   rtol, atol)
-    return _integrate_piecewise_rk4(control, params, T, x0, h_max, max_samples)
+    return _integrate_piecewise(control, params, T, x0, h_max, max_samples,
+                                exact=method == "adaptive")
 
 
 def reconstruct_density(state) -> np.ndarray:

@@ -644,13 +644,13 @@ def pumping_baseline(params: SystemParams, T: float, *,
                      oracle: bool = False) -> float:
     """rho33(T) under pure pumping (theta = pi/2 for the whole window).
 
-    With oracle=True the value comes from adaptive high-order integration
-    instead of the fixed-step dynamics.
+    With oracle=True the value comes from the exact dynamics
+    (``integrate_full(method="adaptive")``, a product of matrix
+    exponentials) instead of the fixed-step RK4 objective.
     """
     control = optical_pumping_control(T)
     if oracle:
-        return integrate_full(control, params, method="adaptive",
-                              rtol=1e-11, atol=1e-13).final_rho33
+        return integrate_full(control, params, method="adaptive").final_rho33
     return objective(control, params, T)
 
 

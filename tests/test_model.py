@@ -460,11 +460,53 @@ class TestIntegrateFull:
         {"max_step": math.nan},
         {"max_step": math.inf},
         {"method": "adaptive", "max_step": math.nan},
+        {"method": "adaptive", "max_samples": 1},
+        {"method": "adaptive", "max_samples": 0},
+        {"method": "adaptive", "max_samples": -3},
+        {"max_samples": 1},
+        {"max_samples": 2048.0},
     ])
     def test_bad_method_or_max_step_rejected(self, control, kwargs):
         with pytest.raises(ValueError):
             integrate_full(control, SystemParams(gamma_total=3.0), 2.0,
                            **kwargs)
+
+    @pytest.mark.parametrize("method", ["rk4", "adaptive"])
+    @pytest.mark.parametrize("control", [ControlSignal.constant(0.3, 2.0),
+                                         lambda t: 0.3],
+                             ids=["piecewise", "callable"])
+    def test_two_samples_span_the_window(self, control, method):
+        traj = integrate_full(control, SystemParams(gamma_total=3.0), 2.0,
+                              max_samples=2, method=method)
+        assert traj.times.tolist() == [0.0, 2.0]
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.floats(min_value=0.1, max_value=50.0),
+           st.floats(min_value=-1.0, max_value=1.0),
+           st.lists(st.tuples(st.floats(min_value=1e-3, max_value=5.0),
+                              st.one_of(st.just(0.0), st.just(HALF_PI),
+                                        st.floats(min_value=0.0,
+                                                  max_value=HALF_PI))),
+                    min_size=1, max_size=12),
+           st.one_of(st.just(1.0), st.floats(min_value=0.05, max_value=1.0)),
+           st.sampled_from([2, 7, 40, 2048]))
+    def test_exact_method_samples_like_rk4(self, gamma, asymmetry, intervals,
+                                           fraction, max_samples):
+        # Both methods run one sampler and differ only in the propagators,
+        # so a piecewise schedule gives the same times and angles, also
+        # when T ends inside an interval.
+        p = SystemParams(gamma_total=gamma, gamma_diff=asymmetry * gamma)
+        durations, thetas = (np.array(v) for v in zip(*intervals))
+        control = ControlSignal(np.concatenate([[0.0], np.cumsum(durations)]),
+                                thetas)
+        T = control.duration * fraction
+        exact, rk4 = (integrate_full(control, p, T, max_samples=max_samples,
+                                     method=method)
+                      for method in ("adaptive", "rk4"))
+        assert exact.times.tobytes() == rk4.times.tobytes()
+        assert exact.thetas.tobytes() == rk4.thetas.tobytes()
+        assert exact.max_y() == 0.0
+        assert abs(exact.final_rho33 - rk4.final_rho33) <= 1e-8
 
 
 def _textbook_rk4(f, s, h, n):
@@ -643,8 +685,8 @@ class TestPiecewiseSampler:
               FullState.ground().as_array(), 0.01, 2))
     def test_equals_per_sample_loop(self, case):
         control, params, T, x0, h_max, max_samples = case
-        got = _outcome(lambda: model._integrate_piecewise_rk4(
-            control, params, T, x0.copy(), h_max, max_samples))
+        got = _outcome(lambda: model._integrate_piecewise(
+            control, params, T, x0.copy(), h_max, max_samples, exact=False))
         want = _outcome(lambda: _reference_piecewise_rk4(
             control, params, T, x0.copy(), h_max, max_samples))
         assert got == want
@@ -668,9 +710,9 @@ class TestPiecewiseSampler:
         assert math.ceil(steps.sum() / (max_samples - 1)) == stride
         _, rem = np.divmod(steps, stride)
         assert np.unique(rem[rem > 0]).size > 1
-        got = model._integrate_piecewise_rk4(
+        got = model._integrate_piecewise(
             control, params, control.duration, FullState.ground().as_array(),
-            h_max, max_samples)
+            h_max, max_samples, exact=False)
         want = _reference_piecewise_rk4(
             control, params, control.duration, FullState.ground().as_array(),
             h_max, max_samples)
@@ -682,8 +724,8 @@ class TestPiecewiseSampler:
         p = SystemParams(gamma_total=10.0)
         x0 = np.array([0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
         control = ControlSignal([0.0, 100.0, 400.0], [0.3, 1.0])
-        got = _outcome(lambda: model._integrate_piecewise_rk4(
-            control, p, 400.0, x0, 5.0, 7))
+        got = _outcome(lambda: model._integrate_piecewise(
+            control, p, 400.0, x0, 5.0, 7, exact=False))
         assert got == _outcome(lambda: _reference_piecewise_rk4(
             control, p, 400.0, x0, 5.0, 7))
         assert got[0].startswith("non-finite state encountered at t=")

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.linalg import expm
 
 from lambda_control import optimizer
 from lambda_control.model import (
@@ -54,6 +55,26 @@ def _central_fd(control, params, eps=1e-5):
     return out
 
 
+@st.composite
+def _schedules(draw):
+    """A piecewise schedule on a uniform or random grid, with its params."""
+    gamma = draw(st.floats(min_value=0.1, max_value=50.0))
+    p = SystemParams(gamma_total=gamma,
+                     gamma_diff=gamma * draw(st.floats(-1.0, 1.0)))
+    duration = draw(st.floats(min_value=0.5, max_value=100.0))
+    n = draw(st.integers(1, 100))
+    angle = st.one_of(st.just(0.0), st.just(HALF_PI),
+                      st.floats(min_value=0.0, max_value=HALF_PI))
+    theta = draw(st.lists(angle, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        grid = np.linspace(0.0, duration, n + 1)
+    else:
+        cuts = np.cumsum(draw(st.lists(st.floats(0.01, 1.0), min_size=n,
+                                       max_size=n)))
+        grid = np.concatenate([[0.0], duration * (cuts / cuts[-1])])
+    return ControlSignal(grid, theta), p
+
+
 class TestObjective:
     def test_pumping_value_large_decay(self):
         p = SystemParams(gamma_total=10.0)
@@ -88,6 +109,21 @@ class TestObjective:
                                 thetas)
         assert objective(control, p) == pytest.approx(
             integrate_full(control, p).final_rho33, abs=1e-12)
+
+    @settings(deadline=None, max_examples=100)
+    @given(_schedules())
+    def test_step_rule_is_within_1e8_of_exact(self, case):
+        # The price of the step rule (omega0 h <= 0.01, Gamma h <= 0.1): the
+        # RK4 objective is within 1e-8 of the exact rho33(T), whose final
+        # state is the product of expm(A_k d_k) over the intervals.
+        control, p = case
+        exact = integrate_full(control, p, method="adaptive").final_state
+        state = np.eye(9)[0]
+        for P in expm(control.durations[:, None, None]
+                      * system_matrix(control.theta, p)):
+            state = P @ state
+        assert np.abs(exact - state).max() <= 1e-12
+        assert abs(objective(control, p) - exact[2]) <= 1e-8
 
     def test_range(self):
         rng = np.random.default_rng(1)
