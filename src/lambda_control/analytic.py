@@ -65,8 +65,11 @@ EQUALITY_TOL = 1e-9
 # Slack allowed when testing the bound itself (closed forms are exact;
 # sequence parameters may carry float noise).
 BOUND_TOL = 1e-12
+# Slack on a sequence's total angle and on arcs merged as zero.
+_SEQUENCE_TOL = 1e-9
 
 _ARC_TOL = 1e-12
+_PMP_SAMPLES_PER_ARC = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,8 +119,8 @@ class BangSingularSequence:
     def total_time(self) -> float:
         return float(self.arcs.sum())
 
-    def matches_boundary(self, tol: float = 1e-9) -> bool:
-        return abs(self.total_angle - HALF_PI) <= tol
+    def matches_boundary(self) -> bool:
+        return abs(self.total_angle - HALF_PI) <= _SEQUENCE_TOL
 
 
 @dataclass(frozen=True)
@@ -173,18 +176,17 @@ def _fold(steps, x, y):
     return x, y
 
 
-def propagate_sequence(seq: BangSingularSequence, start=(-1.0, 0.0)):
-    """Fold jump-then-arc over the sequence; returns the final (x, y)."""
-    return _fold(zip(*_step_factors(seq.jumps, seq.arcs)),
-                 float(start[0]), float(start[1]))
+def propagate_sequence(seq: BangSingularSequence):
+    """Fold jump-then-arc over the sequence from (-1, 0); the final (x, y)."""
+    return _fold(zip(*_step_factors(seq.jumps, seq.arcs)), -1.0, 0.0)
 
 
-def propagate_batch(jumps, arcs, start=(-1.0, 0.0)):
+def propagate_batch(jumps, arcs):
     """Fold jump-then-arc over every row of zero-padded (N, L) arrays.
 
-    Row i is one sequence; shorter rows end in zero jumps and zero arcs.
-    Returns the final (x, y) as two (N,) arrays, equal bit for bit to
-    propagate_sequence on each row.
+    Row i is one sequence, started at (-1, 0); shorter rows end in zero
+    jumps and zero arcs.  Returns the final (x, y) as two (N,) arrays, equal
+    bit for bit to propagate_sequence on each row.
     """
     jumps = np.asarray(jumps, dtype=float)
     arcs = np.asarray(arcs, dtype=float)
@@ -199,8 +201,7 @@ def propagate_batch(jumps, arcs, start=(-1.0, 0.0)):
     # Step-major, so that step k reads one contiguous row of each factor.
     factors = [np.array(f).reshape(n_steps, n_rows)
                for f in _step_factors(jumps.T, arcs.T)]
-    return _fold(zip(*factors), np.full(n_rows, float(start[0])),
-                 np.full(n_rows, float(start[1])))
+    return _fold(zip(*factors), np.full(n_rows, -1.0), np.zeros(n_rows))
 
 
 def closed_form_sequence(seq: BangSingularSequence):
@@ -265,29 +266,26 @@ def _check_boundary(seq: BangSingularSequence):
         )
 
 
-def _bound_check(xn, x1, bound_tol: float, equality_tol: float) -> BoundCheck:
+def _bound_check(xn, x1) -> BoundCheck:
     """Compare final populations xn with X1; floats or (N,) arrays."""
     margin = xn - x1
     return BoundCheck(
         xn=xn,
         x1=x1,
         margin=margin,
-        satisfied=margin >= -bound_tol,
-        at_equality=abs(margin) <= equality_tol,
+        satisfied=margin >= -BOUND_TOL,
+        at_equality=abs(margin) <= EQUALITY_TOL,
     )
 
 
-def verify_bound(seq: BangSingularSequence, *, bound_tol: float = BOUND_TOL,
-                 equality_tol: float = EQUALITY_TOL) -> BoundCheck:
+def verify_bound(seq: BangSingularSequence) -> BoundCheck:
     """Check x_n >= X1(T') for a boundary-matching sequence."""
     _check_boundary(seq)
     xn, _ = propagate_sequence(seq)
-    return _bound_check(xn, optical_pumping_value(seq.total_time), bound_tol,
-                        equality_tol)
+    return _bound_check(xn, optical_pumping_value(seq.total_time))
 
 
-def verify_bounds(jumps, arcs, *, bound_tol: float = BOUND_TOL,
-                  equality_tol: float = EQUALITY_TOL) -> BoundCheck:
+def verify_bounds(jumps, arcs) -> BoundCheck:
     """Check x_n >= X1(T') for a batch of boundary-matching sequences.
 
     Row i is the sequence (jumps[i], arcs[i]), two 1-D arrays of one length;
@@ -311,7 +309,7 @@ def verify_bounds(jumps, arcs, *, bound_tol: float = BOUND_TOL,
         angles = np.array([np.add.reduce(row) for row in jumps])
         valid = (np.isfinite(flat_jumps).all() and np.isfinite(flat_arcs).all()
                  and (flat_arcs >= 0.0).all()
-                 and (np.abs(angles - HALF_PI) <= 1e-9).all())
+                 and (np.abs(angles - HALF_PI) <= _SEQUENCE_TOL).all())
     if not valid:
         for row_jumps, row_arcs in zip(jumps, arcs):
             _check_boundary(BangSingularSequence(jumps=row_jumps, arcs=row_arcs))
@@ -327,10 +325,10 @@ def verify_bounds(jumps, arcs, *, bound_tol: float = BOUND_TOL,
     # order and could change the last bit of T'.
     totals = [float(np.add.reduce(row)) for row in arcs]
     x1 = np.fromiter(map(optical_pumping_value, totals), float, len(totals))
-    return _bound_check(xn, x1, bound_tol, equality_tol)
+    return _bound_check(xn, x1)
 
 
-def is_pumping_equivalent(seq: BangSingularSequence, tol: float = 1e-9) -> bool:
+def is_pumping_equivalent(seq: BangSingularSequence) -> bool:
     """True if the schedule collapses to a single pi/2 jump at t' = 0.
 
     Jumps separated only by (numerically) zero-duration arcs merge; the
@@ -340,11 +338,12 @@ def is_pumping_equivalent(seq: BangSingularSequence, tol: float = 1e-9) -> bool:
     i = 0
     while i < seq.n:
         first_block += seq.jumps[i]
-        if seq.arcs[i] > tol:
+        if seq.arcs[i] > _SEQUENCE_TOL:
             break
         i += 1
     rest = seq.total_angle - first_block
-    return abs(first_block - HALF_PI) <= tol and abs(rest) <= tol
+    return (abs(first_block - HALF_PI) <= _SEQUENCE_TOL
+            and abs(rest) <= _SEQUENCE_TOL)
 
 
 def random_draw(rng: np.random.Generator, n: int, tprime: float):
@@ -417,8 +416,7 @@ def _bang_matrix(theta_jump: float) -> np.ndarray:
 
 
 def pmp_residual(schedule: BangSingularSequence,
-                 tprime: float | None = None, *,
-                 samples_per_arc: int = 256) -> PmpReport:
+                 tprime: float | None = None) -> PmpReport:
     """Residuals of the stationarity conditions along a candidate schedule.
 
     The state runs forward from (-1, 0) and the costate backward from the
@@ -464,7 +462,7 @@ def pmp_residual(schedule: BangSingularSequence,
                          lambda_x=empty, lambda_y=empty)
 
     def arc_samples(i: int):
-        tau = np.linspace(0.0, schedule.arcs[i], samples_per_arc)
+        tau = np.linspace(0.0, schedule.arcs[i], _PMP_SAMPLES_PER_ARC)
         decay = np.exp(-tau)
         grow = np.exp(tau)
         xs = decay * (post_jump[i, 0] + 1.0) - 1.0

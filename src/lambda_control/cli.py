@@ -501,6 +501,9 @@ def cmd_sweep(args) -> int:
     write_json(out / "sweep_summary.json", summary)
     _emit(summary)
     if failures and len(failures) == len(rows):
+        if all(row.invalid for row in rows):
+            # A usage error, as optimize reports for any one of these cells.
+            raise ValueError(rows[0].error)
         raise IntegrationError("every sweep cell failed", last_time=0.0)
     return EXIT_OK
 
@@ -679,6 +682,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except UsageError as exc:
         return _fail(str(exc), EXIT_USAGE)
+    # Before ValueError: numpy's LinAlgError is one.
+    except (IntegrationError, FloatingPointError, OverflowError,
+            np.linalg.LinAlgError) as exc:
+        return _fail(str(exc), EXIT_NUMERICAL)
     except ValueError as exc:
         return _fail(str(exc), EXIT_USAGE)
     except OSError as exc:
@@ -686,9 +693,6 @@ def main(argv=None) -> int:
     except VerificationFailure as exc:
         return _fail(str(exc), EXIT_VERIFICATION,
                      {"offenders": exc.offenders[:10]})
-    except (IntegrationError, FloatingPointError, OverflowError,
-            np.linalg.LinAlgError) as exc:
-        return _fail(str(exc), EXIT_NUMERICAL)
 
 
 if __name__ == "__main__":

@@ -70,6 +70,10 @@ _BATCH = 64
 # Rows that Trajectory.write_csv formats per write.
 _CSV_BLOCK = 256
 
+# Tolerances of the DOP853 oracle for callable controls.
+_DOP853_RTOL = 1e-10
+_DOP853_ATOL = 1e-12
+
 
 class IntegrationError(RuntimeError):
     """Integration failed (non-finite state or step-size underflow).
@@ -765,8 +769,7 @@ def _integrate_callable_rk4(theta_fn, params: SystemParams, T: float,
 
 
 def _integrate_callable_dop853(theta_fn, params: SystemParams, T: float,
-                               x0: np.ndarray, max_samples: int,
-                               rtol: float, atol: float) -> Trajectory:
+                               x0: np.ndarray, max_samples: int) -> Trajectory:
     from scipy.integrate import solve_ivp
 
     def fun(t, s):
@@ -774,7 +777,7 @@ def _integrate_callable_dop853(theta_fn, params: SystemParams, T: float,
 
     t_eval = np.linspace(0.0, T, min(max_samples, 512))
     sol = solve_ivp(fun, (0.0, T), x0, method="DOP853",
-                    rtol=rtol, atol=atol, t_eval=t_eval)
+                    rtol=_DOP853_RTOL, atol=_DOP853_ATOL, t_eval=t_eval)
     if not sol.success:
         raise IntegrationError(sol.message, last_time=float(sol.t[-1]))
     thetas = np.array([float(theta_fn(t)) for t in sol.t])
@@ -783,8 +786,7 @@ def _integrate_callable_dop853(theta_fn, params: SystemParams, T: float,
 
 def integrate_full(control, params: SystemParams, T: float | None = None, *,
                    initial_state=None, max_step: float | None = None,
-                   max_samples: int = 2048, method: str = "rk4",
-                   rtol: float = 1e-10, atol: float = 1e-12) -> Trajectory:
+                   max_samples: int = 2048, method: str = "rk4") -> Trajectory:
     """Integrate the full 9-variable system under the given control.
 
     Parameters
@@ -811,8 +813,8 @@ def integrate_full(control, params: SystemParams, T: float | None = None, *,
         ControlSignal, "adaptive" is exact: each advance between two
         samples applies expm(t A) over its length t, in place of a power of
         the RK4 step matrix, so the trajectory has the sample times and
-        angles of "rk4".  For a callable it is scipy's DOP853 at rtol/atol,
-        which apply to that case only.
+        angles of "rk4".  For a callable it is scipy's DOP853 at a relative
+        tolerance of 1e-10 and an absolute one of 1e-12.
 
     The returned trajectory always contains the final sample at exactly t = T.
     """
@@ -838,7 +840,7 @@ def integrate_full(control, params: SystemParams, T: float | None = None, *,
             raise ValueError(f"T must be positive, got {T!r}")
         if method == "adaptive":
             return _integrate_callable_dop853(control, params, T, x0,
-                                              max_samples, rtol, atol)
+                                              max_samples)
         return _integrate_callable_rk4(control, params, T, x0, h_max,
                                        max_samples)
 

@@ -79,7 +79,7 @@ import itertools
 import math
 import threading
 from collections import OrderedDict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,7 +102,6 @@ from .model import (
 )
 
 __all__ = [
-    "LineSearchConfig",
     "OptimizationConfig",
     "StartRecord",
     "OptimizationResult",
@@ -122,47 +121,15 @@ _XDIM = 6
 
 
 @dataclass(frozen=True)
-class LineSearchConfig:
-    """Backtracking parameters for the ascent step.
-
-    Quasi-Newton steps start at 1; ``initial_step`` is the first trial
-    step along the projected gradient, taken when the curvature memory is
-    empty or its direction does not ascend.
-    """
-
-    initial_step: float = 1.0
-    shrink: float = 0.5
-    armijo: float = 1e-4
-    max_backtracks: int = 40
-
-    def __post_init__(self):
-        if not (0.0 < self.shrink < 1.0):
-            raise ValueError("shrink must lie in (0, 1)")
-        if self.initial_step <= 0.0:
-            raise ValueError("initial_step must be positive")
-        if not (0.0 < self.armijo < 1.0):
-            raise ValueError("armijo constant must lie in (0, 1)")
-        if self.max_backtracks < 1:
-            raise ValueError("max_backtracks must be at least 1")
-
-
-@dataclass(frozen=True)
 class OptimizationConfig:
     n_intervals: int = 100
     max_iters: int = 300
-    grad_tol: float = 1e-6
     n_starts: int = 6
     seed: int = 0
-    line_search: LineSearchConfig = field(default_factory=LineSearchConfig)
-    # Starts whose objectives agree within tie_tol are ranked by total
-    # variation of theta (smoother pulse wins).
-    tie_tol: float = 1e-6
 
     def __post_init__(self):
         if self.n_intervals < 2:
             raise ValueError("n_intervals must be at least 2")
-        if self.grad_tol <= 0.0:
-            raise ValueError("grad_tol must be positive")
         if self.n_starts < 1:
             raise ValueError("n_starts must be at least 1")
         if self.max_iters < 0:
@@ -431,8 +398,19 @@ def gradient(control: ControlSignal, params: SystemParams,
 # Projected L-BFGS ascent
 # ---------------------------------------------------------------------------
 
-# Curvature pairs kept by the quasi-Newton direction.
+# The ascent policy.  The direction keeps _LBFGS_MEMORY curvature pairs.
+# A start has converged when no projected-gradient entry exceeds _GRAD_TOL.
+# A line search tries step 1 along a quasi-Newton direction, or
+# _INITIAL_STEP along the projected gradient, shrinks it by _SHRINK for at
+# most _MAX_BACKTRACKS trials and accepts the Armijo increase _ARMIJO.
+# Starts within _TIE_TOL of the best go to the smallest total variation.
 _LBFGS_MEMORY = 10
+_GRAD_TOL = 1e-6
+_INITIAL_STEP = 1.0
+_SHRINK = 0.5
+_ARMIJO = 1e-4
+_MAX_BACKTRACKS = 40
+_TIE_TOL = 1e-6
 
 
 def _projected_gradient(theta: np.ndarray, grad: np.ndarray) -> np.ndarray:
@@ -478,7 +456,6 @@ def _ascend(theta0: np.ndarray, grid: np.ndarray, params: SystemParams,
     objective history and nfev, the number of propagator builds: one per
     evaluated point, two at an accepted backtrack.
     """
-    ls = config.line_search
     durations = np.diff(grid)
 
     def f_and_g(th):
@@ -495,7 +472,7 @@ def _ascend(theta0: np.ndarray, grid: np.ndarray, params: SystemParams,
 
     for _ in range(config.max_iters):
         pg = _projected_gradient(theta, grad)
-        if float(np.max(np.abs(pg), initial=0.0)) <= config.grad_tol:
+        if float(np.max(np.abs(pg), initial=0.0)) <= _GRAD_TOL:
             converged = True
             break
         direction = _lbfgs_direction(pg, pairs) if pairs else pg
@@ -504,17 +481,17 @@ def _ascend(theta0: np.ndarray, grid: np.ndarray, params: SystemParams,
         else:
             # No memory yet, or no ascent: restart from the projected gradient.
             pairs.clear()
-            direction, step = pg, ls.initial_step
+            direction, step = pg, _INITIAL_STEP
         accepted = False
         rejected = None  # the last trial this search rejected
-        for _ in range(ls.max_backtracks):
+        for _ in range(_MAX_BACKTRACKS):
             trial = np.clip(theta + step * direction, 0.0, HALF_PI)
             move = trial - theta
             slope = float(grad @ move)
             # The clip can map a shorter step onto the trial just rejected;
             # its value, and so its rejection, would repeat.
             if slope <= 0.0 or np.array_equal(trial, rejected):
-                step *= ls.shrink
+                step *= _SHRINK
                 continue
             if rejected is None:
                 trial_value, new_grad = f_and_g(trial)
@@ -522,7 +499,7 @@ def _ascend(theta0: np.ndarray, grid: np.ndarray, params: SystemParams,
                 trial_value = _final_rho33(trial, durations, params)
                 new_grad = None
             nfev += 1
-            if trial_value >= value + ls.armijo * slope and trial_value > value:
+            if trial_value >= value + _ARMIJO * slope and trial_value > value:
                 theta = trial
                 # _final_rho33 is bitwise the gradient pass's value, so
                 # the accepted value does not depend on which one ran.
@@ -540,11 +517,11 @@ def _ascend(theta0: np.ndarray, grid: np.ndarray, params: SystemParams,
                 accepted = True
                 break
             rejected = trial
-            step *= ls.shrink
+            step *= _SHRINK
         if not accepted:
             # Line search exhausted: no improving step at this resolution.
             pg = _projected_gradient(theta, grad)
-            converged = float(np.max(np.abs(pg), initial=0.0)) <= config.grad_tol
+            converged = float(np.max(np.abs(pg), initial=0.0)) <= _GRAD_TOL
             break
         iterations += 1
 
@@ -578,7 +555,7 @@ def optimize(config: OptimizationConfig, params: SystemParams, T: float, *,
     """Multi-start projected L-BFGS ascent over theta schedules on [0, T].
 
     Returns the best start after the tie-break (equal objectives within
-    config.tie_tol resolve to the schedule with smaller total variation).
+    _TIE_TOL resolve to the schedule with smaller total variation).
     The winner's objective is never below any start's initial objective.
     """
     if T <= 0.0:
@@ -614,11 +591,11 @@ def optimize(config: OptimizationConfig, params: SystemParams, T: float, *,
         solved.append((control, history))
 
     best_value = max(r.objective for r in records)
-    # Tie-break within tie_tol by smoothness, but never pick a candidate
+    # Tie-break within _TIE_TOL by smoothness, but never pick a candidate
     # below some start's initial objective (the argmax always qualifies).
     floor = max(r.initial_objective for r in records) - 1e-12
     candidates = [i for i, r in enumerate(records)
-                  if r.objective >= best_value - config.tie_tol
+                  if r.objective >= best_value - _TIE_TOL
                   and r.objective >= floor]
     winner = min(candidates, key=lambda i: (records[i].total_variation, i))
 
@@ -677,6 +654,8 @@ class SweepRow:
     error: str | None = None
     # Every start's record; empty on error rows.
     starts: tuple[StartRecord, ...] = ()
+    # An error row from parameter validation, not a numerical failure.
+    invalid: bool = False
 
 
 def grid_cells(gammas, gamma_diffs, durations) -> list[SweepCell]:
@@ -687,9 +666,9 @@ def grid_cells(gammas, gamma_diffs, durations) -> list[SweepCell]:
 def sweep(cells, config: OptimizationConfig) -> list[SweepRow]:
     """Optimize every cell; per-cell failures are recorded and do not abort.
 
-    Only invalid parameters and numerical failures (``ValueError``,
-    ``IntegrationError``, ``FloatingPointError``, ``LinAlgError``) become
-    error rows; any other exception is a bug and propagates.
+    Invalid parameters (``ValueError``: ``invalid`` rows) and numerical
+    failures (``IntegrationError``, ``FloatingPointError``, numpy's
+    ``LinAlgError``) become error rows; any other exception propagates.
     """
     rows = []
     for cell in cells:
@@ -708,8 +687,8 @@ def sweep(cells, config: OptimizationConfig) -> list[SweepRow]:
                 converged=result.converged,
                 starts=result.starts,
             ))
-        except (ValueError, IntegrationError, FloatingPointError,
-                np.linalg.LinAlgError) as exc:  # record, go on to the next cell
+        except (ValueError, IntegrationError,
+                FloatingPointError) as exc:  # record, go on to the next cell
             rows.append(SweepRow(
                 gamma=cell.gamma,
                 gamma_diff=cell.gamma_diff,
@@ -719,5 +698,7 @@ def sweep(cells, config: OptimizationConfig) -> list[SweepRow]:
                 winner_start="",
                 converged=False,
                 error=str(exc),
+                invalid=(isinstance(exc, ValueError) and
+                         not isinstance(exc, np.linalg.LinAlgError)),
             ))
     return rows

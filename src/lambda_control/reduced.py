@@ -181,11 +181,12 @@ def denormalize_time(tprime: float, params: SystemParams) -> float:
 
 
 def integrate_adiabatic(theta_fn, params: SystemParams, T: float,
-                        n_steps: int, rho0=(1.0, 0.0, 0.0)):
+                        n_steps: int):
     """RK4 integration of the eliminated (rho11, rho33, Re rho13) system.
 
-    theta_fn maps physical time to the mixing angle.  Returns (times, states)
-    with states of shape (n_steps + 1, 3) ordered (rho11, rho33, rho13).
+    Starts with all population in |1>; theta_fn maps physical time to the
+    mixing angle.  Returns (times, states) with states of shape
+    (n_steps + 1, 3) ordered (rho11, rho33, rho13).
     """
     _require_steps(n_steps)
     _require_symmetric(params)
@@ -196,7 +197,7 @@ def integrate_adiabatic(theta_fn, params: SystemParams, T: float,
 
     times = np.linspace(0.0, T, n_steps + 1)
     states = np.empty((n_steps + 1, 3))
-    states[0] = rho0
+    states[0] = (1.0, 0.0, 0.0)
     march = _rk4_march(f, states[0], T / n_steps, n_steps)
     for i, s in enumerate(march, 1):
         states[i] = s

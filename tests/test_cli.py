@@ -391,6 +391,19 @@ class TestOptimizeCommand:
             assert record["nfev"] >= record["iterations"] + 1
             assert record["objective"] >= record["initial_objective"]
 
+    def test_linalg_error_exits_numerical(self, tmp_path, monkeypatch,
+                                          capsys):
+        # numpy's LinAlgError is a ValueError, yet a numerical failure.
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("singular")
+
+        monkeypatch.setattr(cli.optimizer, "optimize", singular)
+        code = run_cli(["optimize", "--gamma", "2", "--duration", "5",
+                        "--out", str(tmp_path)])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "singular", "exit_code": 2}
+
     def test_does_not_import_scipy_optimize(self, tmp_path):
         # The ascent is numpy only: scipy.optimize would cost every optimize
         # run ~0.45 s of import time and ~47 MB of memory.
@@ -429,6 +442,37 @@ class TestSweepCommand:
         assert [r[6] for r in rows] == \
             [str(c["converged"]) for c in summary["cells"]]
         assert bad[0][6] == "False"
+
+    @pytest.mark.parametrize("optimize_args, sweep_args", [
+        (["--gamma", "1", "--gamma-diff", "5", "--duration", "10"],
+         ["--gammas", "1", "--gamma-diffs", "5", "--durations", "10"]),
+        (["--gamma", "1", "--duration", "-5"],
+         ["--gammas", "1,2", "--durations", "-5"]),
+    ], ids=["gamma_diff", "duration"])
+    def test_every_cell_invalid_exits_usage(self, tmp_path, capsys,
+                                            optimize_args, sweep_args):
+        # The exit code and message of optimize on the first cell.
+        code = run_cli(["optimize", *optimize_args,
+                        "--out", str(tmp_path / "opt")])
+        assert code == 1
+        expected = json.loads(capsys.readouterr().err)
+        code = run_cli(["sweep", *sweep_args, "--out", str(tmp_path / "sweep")])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err) == expected
+
+    def test_every_cell_linalg_error_exits_numerical(self, tmp_path,
+                                                     monkeypatch, capsys):
+        def singular(*args, **kwargs):
+            raise np.linalg.LinAlgError("singular")
+
+        monkeypatch.setattr(cli.optimizer, "optimize", singular)
+        code = run_cli(["sweep", "--gammas", "1,2", "--durations", "10",
+                        "--out", str(tmp_path)])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "every sweep cell failed", "exit_code": 2}
+        cells = read_json(tmp_path / "sweep_summary.json")["cells"]
+        assert [cell["error"] for cell in cells] == ["singular", "singular"]
 
     def test_summary_lists_every_start(self, tmp_path):
         argv = ["sweep", "--gammas", "0.5,2", "--gamma-diffs", "0,1",

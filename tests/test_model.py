@@ -440,8 +440,7 @@ class TestIntegrateFull:
         def theta_fn(t):
             return HALF_PI * math.sin(math.pi * t / (2 * T)) ** 2
 
-        ref = integrate_full(theta_fn, p, T, method="adaptive",
-                             rtol=1e-12, atol=1e-14).final_state
+        ref = integrate_full(theta_fn, p, T, method="adaptive").final_state
         err_coarse = np.linalg.norm(
             integrate_full(theta_fn, p, T, max_step=0.02).final_state - ref)
         err_fine = np.linalg.norm(

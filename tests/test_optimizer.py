@@ -27,7 +27,6 @@ from lambda_control.model import (
     system_matrix_dtheta,
 )
 from lambda_control.optimizer import (
-    LineSearchConfig,
     OptimizationConfig,
     _conjugated_propagators,
     _interval_propagators,
@@ -246,11 +245,11 @@ class TestGradient:
     def test_pumping_satisfies_bound_stationarity(self, gamma, duration, n):
         # The full-model side of the paper's claim: at large decay, pumping
         # (theta = pi/2, the upper bound) is a KKT point, i.e. no interval
-        # gains from lowering its angle: g_k >= -grad_tol for every k.
+        # gains from lowering its angle: g_k >= -_GRAD_TOL for every k.
         p = SystemParams(gamma_total=gamma)
         control = ControlSignal.constant(HALF_PI, duration, n)
         grad = gradient(control, p)
-        assert grad.min() >= -OptimizationConfig().grad_tol
+        assert grad.min() >= -optimizer._GRAD_TOL
 
     def test_objective_and_gradient_consistent(self):
         p = SystemParams(gamma_total=4.0)
@@ -589,23 +588,12 @@ class TestTheta0Cache:
 class TestConfigs:
     @pytest.mark.parametrize("kwargs", [
         {"n_intervals": 1},
-        {"grad_tol": 0.0},
         {"n_starts": 0},
         {"max_iters": -1},
     ])
     def test_invalid_config(self, kwargs):
         with pytest.raises(ValueError):
             OptimizationConfig(**kwargs)
-
-    @pytest.mark.parametrize("kwargs", [
-        {"shrink": 1.0},
-        {"initial_step": 0.0},
-        {"armijo": 0.0},
-        {"max_backtracks": 0},
-    ])
-    def test_invalid_line_search(self, kwargs):
-        with pytest.raises(ValueError):
-            LineSearchConfig(**kwargs)
 
 
 class TestOptimize:
@@ -718,11 +706,12 @@ class TestOptimize:
             p, 5.0,
             starts=[("ramp", HALF_PI * (np.arange(20) + 0.5) / 20)])
         assert warm.converged
-        config = OptimizationConfig(
-            n_intervals=20, max_iters=5, seed=0, grad_tol=1e-30,
-            line_search=LineSearchConfig(initial_step=1e9, max_backtracks=1))
-        result = optimize(config, p, 5.0,
-                          starts=[("stall", warm.control.theta)])
+        config = OptimizationConfig(n_intervals=20, max_iters=5, seed=0)
+        with (mock.patch.object(optimizer, "_GRAD_TOL", 1e-30),
+              mock.patch.object(optimizer, "_INITIAL_STEP", 1e9),
+              mock.patch.object(optimizer, "_MAX_BACKTRACKS", 1)):
+            result = optimize(config, p, 5.0,
+                              starts=[("stall", warm.control.theta)])
         assert not result.converged
         assert result.iterations == 0
         assert result.objective == pytest.approx(

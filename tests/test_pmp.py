@@ -128,16 +128,19 @@ class TestPerturbedSchedules:
     def test_residuals_match_numeric_recomputation(self):
         seq = BangSingularSequence(
             jumps=[HALF_PI - 0.3, 0.2, 0.1], arcs=[1.0, 2.0, 2.0])
-        report = pmp_residual(seq, samples_per_arc=64)
-        # Group the report's sample times by arc, relative to arc starts.
+        report = pmp_residual(seq)
+        # Group the report's sample times by arc, relative to arc starts:
+        # pmp_residual samples each positive arc at 256 points.
+        per_arc = 256
+        assert report.times.size == 3 * per_arc
         starts = np.concatenate(([0.0], np.cumsum(seq.arcs)[:-1]))
         times_by_arc = []
         cursor = 0
         for i in range(seq.n):
             if seq.arcs[i] > 0.0:
-                chunk = report.times[cursor:cursor + 64] - starts[i]
+                chunk = report.times[cursor:cursor + per_arc] - starts[i]
                 times_by_arc.append(np.clip(chunk, 0.0, seq.arcs[i]))
-                cursor += 64
+                cursor += per_arc
             else:
                 times_by_arc.append(np.array([]))
         phis, mu = _numeric_phi(seq, times_by_arc)
