@@ -588,6 +588,7 @@ class TestTheta0Cache:
 class TestConfigs:
     @pytest.mark.parametrize("kwargs", [
         {"n_intervals": 1},
+        {"n_intervals": 0},
         {"n_starts": 0},
         {"max_iters": -1},
     ])
