@@ -28,6 +28,8 @@ one element at a time and only the multiply-add recursion runs on numpy
 columns: numpy's vectorised cos, sin and exp may differ from the C library
 in the last bit, and a batch must equal the scalar maps apply_bang /
 apply_singular bit for bit, so that `verify` output stays byte-identical.
+random_batch draws such a zero-padded batch of random sequences, equal bit
+for bit to one random_draw per row.
 """
 
 from __future__ import annotations
@@ -56,6 +58,7 @@ __all__ = [
     "verify_bounds",
     "is_pumping_equivalent",
     "random_draw",
+    "random_batch",
     "random_sequence",
     "pmp_residual",
 ]
@@ -70,6 +73,9 @@ _SEQUENCE_TOL = 1e-9
 
 _ARC_TOL = 1e-12
 _PMP_SAMPLES_PER_ARC = 256
+
+# random_batch draws sequences of 1..RANDOM_MAX_N entries.
+RANDOM_MAX_N = 10
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,6 +201,8 @@ def propagate_batch(jumps, arcs):
             f"jumps and arcs must be (N, L) arrays of one shape, got "
             f"{jumps.shape} and {arcs.shape}"
         )
+    if not (np.isfinite(jumps).all() and np.isfinite(arcs).all()):
+        raise ValueError("jumps and arcs must be finite")
     if (arcs < 0.0).any():
         raise ValueError("arc durations must be nonnegative")
     n_rows, n_steps = jumps.shape
@@ -285,6 +293,23 @@ def verify_bound(seq: BangSingularSequence) -> BoundCheck:
     return _bound_check(xn, optical_pumping_value(seq.total_time))
 
 
+def _row_sums(lengths: np.ndarray, *padded: np.ndarray):
+    """Each row's own np.add.reduce over its first lengths[i] entries.
+
+    One (N,) array per padded (N, L) array.  A sum over the whole padded row
+    would group the terms differently (numpy sums pairwise from 8 terms) and
+    could change the last bit, so the rows of each length are summed
+    together over that length.
+    """
+    sums = [np.empty(lengths.size) for _ in padded]
+    # bincount rather than np.unique, which imports numpy.ma.
+    for n in np.flatnonzero(np.bincount(lengths)):
+        rows = lengths == n
+        for total, values in zip(sums, padded):
+            total[rows] = np.add.reduce(values[rows, :n], axis=1)
+    return sums
+
+
 def verify_bounds(jumps, arcs) -> BoundCheck:
     """Check x_n >= X1(T') for a batch of boundary-matching sequences.
 
@@ -301,30 +326,27 @@ def verify_bounds(jumps, arcs) -> BoundCheck:
             f"a batch needs at least one row and one arc row per jump row, "
             f"got {len(jumps)} jump rows and {len(arcs)} arc rows"
         )
-    lengths = [len(row) for row in jumps]
-    valid = min(lengths) > 0 and lengths == [len(row) for row in arcs]
+    lengths = np.array([len(row) for row in jumps])
+    valid = (lengths.min() > 0
+             and lengths.tolist() == [len(row) for row in arcs])
     if valid:
-        flat_jumps = np.concatenate(jumps)
-        flat_arcs = np.concatenate(arcs)
-        angles = np.array([np.add.reduce(row) for row in jumps])
-        valid = (np.isfinite(flat_jumps).all() and np.isfinite(flat_arcs).all()
-                 and (flat_arcs >= 0.0).all()
+        filled = np.arange(lengths.max()) < lengths[:, np.newaxis]
+        padded_jumps = np.zeros(filled.shape)
+        padded_arcs = np.zeros(filled.shape)
+        padded_jumps[filled] = np.concatenate(jumps)
+        padded_arcs[filled] = np.concatenate(arcs)
+        angles, totals = _row_sums(lengths, padded_jumps, padded_arcs)
+        valid = (np.isfinite(padded_jumps).all()
+                 and np.isfinite(padded_arcs).all()
+                 and (padded_arcs >= 0.0).all()
                  and (np.abs(angles - HALF_PI) <= _SEQUENCE_TOL).all())
     if not valid:
         for row_jumps, row_arcs in zip(jumps, arcs):
             _check_boundary(BangSingularSequence(jumps=row_jumps, arcs=row_arcs))
 
-    lengths = np.array(lengths)
-    filled = np.arange(lengths.max()) < lengths[:, np.newaxis]
-    padded_jumps = np.zeros(filled.shape)
-    padded_arcs = np.zeros(filled.shape)
-    padded_jumps[filled] = flat_jumps
-    padded_arcs[filled] = flat_arcs
     xn, _ = propagate_batch(padded_jumps, padded_arcs)
-    # Each row's own sum: a sum over the padded rows would add in another
-    # order and could change the last bit of T'.
-    totals = [float(np.add.reduce(row)) for row in arcs]
-    x1 = np.fromiter(map(optical_pumping_value, totals), float, len(totals))
+    x1 = np.fromiter(map(optical_pumping_value, totals.tolist()), float,
+                     totals.size)
     return _bound_check(xn, x1)
 
 
@@ -357,6 +379,39 @@ def random_draw(rng: np.random.Generator, n: int, tprime: float):
     jumps = rng.dirichlet(alpha) * HALF_PI
     arcs = rng.dirichlet(alpha) * tprime
     return jumps, arcs
+
+
+def random_batch(rng: np.random.Generator, count: int, tprime: float):
+    """count random_draw sequences of random length, as zero-padded arrays.
+
+    Returns (lengths, jumps, arcs): lengths is (count,) and jumps and arcs
+    are (count, RANDOM_MAX_N).  Row i equals, bit for bit,
+
+        n = int(rng.integers(1, RANDOM_MAX_N + 1))
+        random_draw(rng, n, tprime)
+
+    drawn in row order, followed by zeros, and the generator ends in the same
+    state.  numpy's Dirichlet(1, ..., 1) draws n standard exponentials (the
+    same ziggurat draws as standard_exponential) and multiplies each by
+    1 / acc, acc their sum added in order.  A cumulative sum along the row
+    adds in that order, and the zero padding adds +0.0, which leaves acc
+    unchanged.  The length draw stays in the loop: integers draws buffered
+    32-bit halves of the stream, so drawing all lengths first would change
+    it.
+    """
+    lengths, draws = [], []
+    for _ in range(count):
+        n = int(rng.integers(1, RANDOM_MAX_N + 1))
+        lengths.append(n)
+        # The n jump draws, then the n arc draws.
+        draws.append(rng.standard_exponential(2 * n))
+    lengths = np.array(lengths, dtype=np.intp)
+    # Rows 2i and 2i + 1 are the jump and the arc draws of sequence i.
+    padded = np.zeros((2 * count, RANDOM_MAX_N))
+    padded[np.arange(RANDOM_MAX_N) < np.repeat(lengths, 2)[:, np.newaxis]] = (
+        np.concatenate(draws) if draws else 0.0)
+    padded *= (1.0 / np.cumsum(padded, axis=1)[:, -1])[:, np.newaxis]
+    return lengths, padded[0::2] * HALF_PI, padded[1::2] * tprime
 
 
 def random_sequence(rng: np.random.Generator, n: int,

@@ -373,19 +373,19 @@ VERIFY_CHUNK = 1000
 def _verify_chunk(rng, pump, tprime: float, start: int, stop: int):
     """Records of sequences start..stop-1 and whether each meets the bound.
 
-    Sequence 0 is the pumping schedule; every other sequence has 1-10
-    entries.  The draws are made one sequence at a time, so the random
-    stream, and with it the output, does not depend on VERIFY_CHUNK.
+    Sequence 0 is the pumping schedule; the others are drawn with one
+    analytic.random_batch call per chunk.  That takes the same draws from
+    the stream as one random_draw per sequence, so the output does not
+    depend on VERIFY_CHUNK.
     """
-    jumps, arcs = [], []
-    for index in range(start, stop):
-        if index == 0:
-            row_jumps, row_arcs = pump.jumps, pump.arcs
-        else:
-            row_jumps, row_arcs = analytic.random_draw(
-                rng, int(rng.integers(1, 11)), tprime)
-        jumps.append(row_jumps)
-        arcs.append(row_arcs)
+    lengths, batch_jumps, batch_arcs = analytic.random_batch(
+        rng, stop - max(start, 1), tprime)
+    rows = list(enumerate(lengths.tolist()))
+    jumps = [batch_jumps[i, :n] for i, n in rows]
+    arcs = [batch_arcs[i, :n] for i, n in rows]
+    if start == 0:
+        jumps.insert(0, pump.jumps)
+        arcs.insert(0, pump.arcs)
     check = analytic.verify_bounds(jumps, arcs)
     records = [
         {"n": row_jumps.size, "thetas": row_jumps.tolist(),

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from lambda_control.analytic import (
     BOUND_TOL,
     EQUALITY_TOL,
+    RANDOM_MAX_N,
     BangSingularSequence,
     apply_bang,
     apply_singular,
@@ -17,6 +18,8 @@ from lambda_control.analytic import (
     propagate_batch,
     propagate_sequence,
     pumping_efficiency,
+    random_batch,
+    random_draw,
     random_sequence,
     verify_bound,
     verify_bounds,
@@ -356,6 +359,13 @@ class TestBatch:
                               [good[1], bad[1], good[1]])
         with pytest.raises(ValueError, match="nonnegative"):
             propagate_batch([[HALF_PI]], [[-1.0]])
+        for jumps, arcs in [([[HALF_PI]], [[np.nan]]),
+                            ([[np.inf]], [[1.0]]),
+                            ([[np.nan]], [[1.0]]),
+                            ([[HALF_PI]], [[np.inf]])]:
+            with pytest.raises(ValueError,
+                               match="^jumps and arcs must be finite$"):
+                propagate_batch(jumps, arcs)
 
 
 class TestPumpingEquivalence:
@@ -374,6 +384,32 @@ class TestPumpingEquivalence:
 
 
 class TestRandomSequence:
+    @pytest.mark.parametrize("seed", [0, 1, 2024])
+    @pytest.mark.parametrize("tprime", [0.0, 1e-3, 5.0, 1e3])
+    def test_batch_equals_draw_loop(self, seed, tprime):
+        # Bit equality rests on how numpy's Dirichlet(1, ..., 1) sums and
+        # scales its exponential draws; a numpy that changes it fails here.
+        for count in (0, 1, 400):
+            batch_rng = np.random.default_rng(seed)
+            loop_rng = np.random.default_rng(seed)
+            lengths, jumps, arcs = random_batch(batch_rng, count, tprime)
+            assert jumps.shape == arcs.shape == (count, RANDOM_MAX_N)
+            expected = np.zeros((2, count, RANDOM_MAX_N))
+            expected_lengths = []
+            for i in range(count):
+                n = int(loop_rng.integers(1, RANDOM_MAX_N + 1))
+                expected_lengths.append(n)
+                expected[0, i, :n], expected[1, i, :n] = random_draw(
+                    loop_rng, n, tprime)
+            assert lengths.tolist() == expected_lengths
+            if count == 400:
+                # Including 8-10, where numpy sums a row pairwise.
+                assert set(expected_lengths) == set(range(1, RANDOM_MAX_N + 1))
+            assert jumps.tobytes() == expected[0].tobytes()
+            assert arcs.tobytes() == expected[1].tobytes()
+            assert batch_rng.bit_generator.state == \
+                loop_rng.bit_generator.state
+
     def test_simplex_sums(self):
         rng = np.random.default_rng(6)
         for _ in range(50):

@@ -342,6 +342,23 @@ class TestVerify:
         assert (tmp_path / "verify_sequences.jsonl").read_bytes() == \
             "".join(expected).encode("utf-8")
 
+    def test_imports_stay_lean(self, tmp_path):
+        # numpy.ma (imported lazily by np.unique) and scipy would add to
+        # every verify run's start-up time and memory.
+        script = (
+            "import sys\n"
+            "from lambda_control import cli\n"
+            "code = cli.main(['verify', '--n', '20', '--seed', '2',"
+            f" '--out', {str(tmp_path)!r}])\n"
+            "heavy = [m for m in ('numpy.ma', 'scipy') if m in sys.modules]\n"
+            "sys.exit(code + 10 * bool(heavy))\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+
     @pytest.mark.parametrize("tprime, message", [
         ("-1", "arc durations must be nonnegative"),
         ("nan", "jumps and arcs must be finite"),
