@@ -17,19 +17,19 @@ computes switching-function residuals of the maximum principle along
 bang-singular schedules.
 
 One fold and one bound check serve a single sequence, on Python floats
-(propagate_sequence, verify_bound), and a batch of sequences, on numpy
-columns with one entry per sequence (propagate_batch, verify_bounds).
-Batch rows of different length are zero-padded at the end: a zero jump
-(cos 0 = 1, sin 0 = 0) followed by a zero arc (e^0 = 1, expm1(-0) = -0)
-maps every finite (x, y) to itself bit for bit (only a coordinate equal to
--0.0 may come back as +0.0), so padding does not change the result.  The
-factors cos 2theta, sin 2theta, e^-t and expm1(-t) are taken from `math`
-one element at a time and only the multiply-add recursion runs on numpy
-columns: numpy's vectorised cos, sin and exp may differ from the C library
-in the last bit, and a batch must equal the scalar maps apply_bang /
-apply_singular bit for bit, so that `verify` output stays byte-identical.
-random_batch draws such a zero-padded batch of random sequences, equal bit
-for bit to one random_draw per row.
+(propagate_sequence, verify_bound), and a batch (propagate_batch,
+verify_bounds), laid out as random_batch draws it: (N,) lengths and (N, L)
+jumps and arcs, zero past each row's length (verify_bounds raises
+ValueError on any other layout).  A zero jump (cos 0 = 1, sin 0 = 0)
+followed by a zero arc (e^0 = 1, expm1(-0) = -0) maps every finite (x, y)
+to itself bit for bit (only a coordinate equal to -0.0 may come back as
++0.0), so padding does not change the result.  The factors cos 2theta,
+sin 2theta, e^-t and expm1(-t) are taken from `math` one step at a time
+(padding takes math's values for +0.0 without a call) and only the
+multiply-add recursion runs on numpy columns: numpy's vectorised cos, sin
+and exp may differ from the C library in the last bit, and a batch must
+equal the scalar maps apply_bang / apply_singular bit for bit, so that
+`verify` output stays byte-identical.
 """
 
 from __future__ import annotations
@@ -76,6 +76,9 @@ _PMP_SAMPLES_PER_ARC = 256
 
 # random_batch draws sequences of 1..RANDOM_MAX_N entries.
 RANDOM_MAX_N = 10
+
+# _step_factors of a +0.0 jump and a +0.0 arc, the padding of a batch.
+_ZERO_STEP = (1.0, 0.0, 1.0, -0.0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -207,9 +210,14 @@ def propagate_batch(jumps, arcs):
         raise ValueError("arc durations must be nonnegative")
     n_rows, n_steps = jumps.shape
     # Step-major, so that step k reads one contiguous row of each factor.
-    factors = [np.array(f).reshape(n_steps, n_rows)
-               for f in _step_factors(jumps.T, arcs.T)]
-    return _fold(zip(*factors), np.full(n_rows, -1.0), np.zeros(n_rows))
+    jumps, arcs = jumps.T.ravel(), arcs.T.ravel()
+    # Steps whose jump and arc both have the bits of +0.0 take _ZERO_STEP;
+    # a -0.0 must reach math (sin 2theta = -0.0, expm1(-t) = +0.0).
+    live = (jumps.view(np.uint64) | arcs.view(np.uint64)) != 0
+    factors = np.repeat(np.array(_ZERO_STEP)[:, np.newaxis], live.size, 1)
+    factors[:, live] = _step_factors(jumps[live], arcs[live])
+    return _fold(zip(*factors.reshape(4, n_steps, n_rows)),
+                 np.full(n_rows, -1.0), np.zeros(n_rows))
 
 
 def closed_form_sequence(seq: BangSingularSequence):
@@ -277,13 +285,9 @@ def _check_boundary(seq: BangSingularSequence):
 def _bound_check(xn, x1) -> BoundCheck:
     """Compare final populations xn with X1; floats or (N,) arrays."""
     margin = xn - x1
-    return BoundCheck(
-        xn=xn,
-        x1=x1,
-        margin=margin,
-        satisfied=margin >= -BOUND_TOL,
-        at_equality=abs(margin) <= EQUALITY_TOL,
-    )
+    return BoundCheck(xn=xn, x1=x1, margin=margin,
+                      satisfied=margin >= -BOUND_TOL,
+                      at_equality=abs(margin) <= EQUALITY_TOL)
 
 
 def verify_bound(seq: BangSingularSequence) -> BoundCheck:
@@ -310,41 +314,37 @@ def _row_sums(lengths: np.ndarray, *padded: np.ndarray):
     return sums
 
 
-def verify_bounds(jumps, arcs) -> BoundCheck:
+def verify_bounds(lengths, jumps, arcs) -> BoundCheck:
     """Check x_n >= X1(T') for a batch of boundary-matching sequences.
 
-    Row i is the sequence (jumps[i], arcs[i]), two 1-D arrays of one length;
-    the length may differ between rows.  Every row must pass the checks of
-    BangSingularSequence and have jumps summing to pi/2 within 1e-9; if one
-    does not, the first such row raises the ValueError that verify_bound
-    raises for it.  The fields of the result are (N,) arrays, equal bit for
-    bit to calling verify_bound row by row: the fold is propagate_batch on
-    the zero-padded rows, and X1 uses each row's own sum of arcs.
+    Row i of the (N, L) jumps and arcs holds the sequence (jumps[i, :n],
+    arcs[i, :n]), n = lengths[i], then zeros: the layout of random_batch.
+    A malformed layout raises ValueError (no rows, shapes that differ, a
+    length outside 1..L, a nonzero entry past a row's end), and so does the
+    first row that fails verify_bound, with its error.  The result's fields
+    are (N,) arrays, equal bit for bit to verify_bound row by row.
     """
-    if len(jumps) != len(arcs) or len(jumps) == 0:
+    lengths = np.asarray(lengths)
+    jumps, arcs = np.asarray(jumps, float), np.asarray(arcs, float)
+    if (jumps.ndim != 2 or jumps.size == 0 or arcs.shape != jumps.shape
+            or lengths.shape != jumps.shape[:1]
+            or lengths.dtype.kind not in "iu"
+            or lengths.min() < 1 or lengths.max() > jumps.shape[1]):
         raise ValueError(
-            f"a batch needs at least one row and one arc row per jump row, "
-            f"got {len(jumps)} jump rows and {len(arcs)} arc rows"
-        )
-    lengths = np.array([len(row) for row in jumps])
-    valid = (lengths.min() > 0
-             and lengths.tolist() == [len(row) for row in arcs])
-    if valid:
-        filled = np.arange(lengths.max()) < lengths[:, np.newaxis]
-        padded_jumps = np.zeros(filled.shape)
-        padded_arcs = np.zeros(filled.shape)
-        padded_jumps[filled] = np.concatenate(jumps)
-        padded_arcs[filled] = np.concatenate(arcs)
-        angles, totals = _row_sums(lengths, padded_jumps, padded_arcs)
-        valid = (np.isfinite(padded_jumps).all()
-                 and np.isfinite(padded_arcs).all()
-                 and (padded_arcs >= 0.0).all()
-                 and (np.abs(angles - HALF_PI) <= _SEQUENCE_TOL).all())
-    if not valid:
-        for row_jumps, row_arcs in zip(jumps, arcs):
-            _check_boundary(BangSingularSequence(jumps=row_jumps, arcs=row_arcs))
+            f"a batch needs (N, L) jumps and arcs and (N,) integer lengths "
+            f"in 1..L, got {jumps.shape}, {arcs.shape} and {lengths.shape}")
+    past_end = np.arange(jumps.shape[1]) >= lengths[:, np.newaxis]
+    if jumps[past_end].any() or arcs[past_end].any():
+        raise ValueError("jumps and arcs must be zero past each row's length")
+    angles, totals = _row_sums(lengths, jumps, arcs)
+    if not (np.isfinite(jumps).all() and np.isfinite(arcs).all()
+            and (arcs >= 0.0).all()
+            and (np.abs(angles - HALF_PI) <= _SEQUENCE_TOL).all()):
+        for n, row_jumps, row_arcs in zip(lengths.tolist(), jumps, arcs):
+            _check_boundary(BangSingularSequence(jumps=row_jumps[:n],
+                                                 arcs=row_arcs[:n]))
 
-    xn, _ = propagate_batch(padded_jumps, padded_arcs)
+    xn, _ = propagate_batch(jumps, arcs)
     x1 = np.fromiter(map(optical_pumping_value, totals.tolist()), float,
                      totals.size)
     return _bound_check(xn, x1)

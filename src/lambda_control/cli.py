@@ -365,36 +365,27 @@ def cmd_optimize(args) -> int:
 # verify
 # ---------------------------------------------------------------------------
 
-# Sequences drawn and checked as one batch by `verify`; each batch's records
-# are written out before the next batch is drawn.
+# Random sequences drawn and checked as one batch by `verify`; each batch's
+# records are written out before the next batch is drawn.
 VERIFY_CHUNK = 1000
 
 
-def _verify_chunk(rng, pump, tprime: float, start: int, stop: int):
-    """Records of sequences start..stop-1 and whether each meets the bound.
+def _verify_chunk(fh, lengths, jumps, arcs):
+    """Check one analytic.verify_bounds batch and write its JSONL records.
 
-    Sequence 0 is the pumping schedule; the others are drawn with one
-    analytic.random_batch call per chunk.  That takes the same draws from
-    the stream as one random_draw per sequence, so the output does not
-    depend on VERIFY_CHUNK.
+    Returns the records of the sequences that violate the bound.
     """
-    lengths, batch_jumps, batch_arcs = analytic.random_batch(
-        rng, stop - max(start, 1), tprime)
-    rows = list(enumerate(lengths.tolist()))
-    jumps = [batch_jumps[i, :n] for i, n in rows]
-    arcs = [batch_arcs[i, :n] for i, n in rows]
-    if start == 0:
-        jumps.insert(0, pump.jumps)
-        arcs.insert(0, pump.arcs)
-    check = analytic.verify_bounds(jumps, arcs)
+    check = analytic.verify_bounds(lengths, jumps, arcs)
     records = [
-        {"n": row_jumps.size, "thetas": row_jumps.tolist(),
-         "arcs": row_arcs.tolist(), "xn": xn, "x1": x1, "margin": margin}
-        for row_jumps, row_arcs, xn, x1, margin in zip(
-            jumps, arcs, check.xn.tolist(), check.x1.tolist(),
-            check.margin.tolist())
+        {"n": n, "thetas": row_jumps[:n], "arcs": row_arcs[:n],
+         "xn": xn, "x1": x1, "margin": margin}
+        for n, row_jumps, row_arcs, xn, x1, margin in zip(
+            lengths.tolist(), jumps.tolist(), arcs.tolist(),
+            check.xn.tolist(), check.x1.tolist(), check.margin.tolist())
     ]
-    return records, check.satisfied
+    encode = json.JSONEncoder(sort_keys=True).encode
+    fh.write("".join(encode(record) + "\n" for record in records))
+    return [record for record, ok in zip(records, check.satisfied) if not ok]
 
 
 def cmd_verify(args) -> int:
@@ -410,17 +401,18 @@ def cmd_verify(args) -> int:
               and report.max_lambda_y <= PMP_RESIDUAL_GATE)
 
     rng = np.random.default_rng(seed)
-    encode = json.JSONEncoder(sort_keys=True).encode
-    violations = []
     out = _out_dir(args)
     with open(out / "verify_sequences.jsonl", "w", encoding="utf-8") as fh:
-        for start in range(0, count, VERIFY_CHUNK):
-            records, satisfied = _verify_chunk(
-                rng, pump, tprime, start, min(count, start + VERIFY_CHUNK))
-            fh.write("".join(encode(record) + "\n"
-                             for record in records))
-            violations.extend(record for record, ok in zip(records, satisfied)
-                              if not ok)
+        # Sequence 0, pumping, is a one-row batch.  The random sequences
+        # follow in chunks, each drawn with one analytic.random_batch call,
+        # which takes the same draws from the stream as one random_draw per
+        # sequence, so the output does not depend on VERIFY_CHUNK.
+        violations = _verify_chunk(fh, np.ones(1, dtype=np.intp),
+                                   pump.jumps[np.newaxis],
+                                   pump.arcs[np.newaxis])
+        for start in range(1, count, VERIFY_CHUNK):
+            violations += _verify_chunk(fh, *analytic.random_batch(
+                rng, min(VERIFY_CHUNK, count - start), tprime))
 
     summary = {
         "command": "verify",

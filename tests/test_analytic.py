@@ -5,11 +5,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from lambda_control import analytic
 from lambda_control.analytic import (
     BOUND_TOL,
     EQUALITY_TOL,
     RANDOM_MAX_N,
+    _ZERO_STEP,
     BangSingularSequence,
+    _step_factors,
     apply_bang,
     apply_singular,
     closed_form_sequence,
@@ -301,10 +304,11 @@ def _bits(value) -> bytes:
 
 
 def _boundary_row(n):
-    # n - 1 free jumps (zero, negative or positive), the last one closing
-    # the sum to pi/2, and n arcs (zero or positive).
-    angle = st.one_of(st.just(0.0), st.floats(-math.pi, math.pi))
-    arc = st.one_of(st.just(0.0), st.floats(0.0, 20.0))
+    # n - 1 free jumps (signed zeros, negative or positive), the last one
+    # closing the sum to pi/2, and n arcs (signed zeros or positive).
+    zero = st.sampled_from([0.0, -0.0])
+    angle = st.one_of(zero, st.floats(-math.pi, math.pi))
+    arc = st.one_of(zero, st.floats(0.0, 20.0))
     return st.tuples(st.lists(angle, min_size=n - 1, max_size=n - 1),
                      st.lists(arc, min_size=n, max_size=n))
 
@@ -313,22 +317,31 @@ ragged_batches = st.lists(st.integers(1, 10).flatmap(_boundary_row),
                           min_size=1, max_size=8)
 
 
+def _padded(rows, width=RANDOM_MAX_N):
+    """(lengths, jumps, arcs) of (jumps, arcs) rows, zero-padded to width."""
+    lengths = np.array([len(row_jumps) for row_jumps, _ in rows])
+    jumps, arcs = np.zeros((2, len(rows), width))
+    for i, (row_jumps, row_arcs) in enumerate(rows):
+        jumps[i, :lengths[i]] = row_jumps
+        arcs[i, :lengths[i]] = row_arcs
+    return lengths, jumps, arcs
+
+
 class TestBatch:
     @settings(deadline=None, max_examples=200)
     @given(ragged_batches)
     @example([([], [5.0])])
     @example([([0.0, 0.0], [0.0, 0.0, 0.0]), ([0.7], [0.0, 3.0])])
+    @example([([-0.0, 0.0], [-0.0, 0.0, 2.0]), ([-0.0], [1.0, -0.0])])
     # Seven arcs of 0.1 padded to ten sum to 0.7000000000000001, not 0.7.
     @example([([0.0] * 6, [0.1] * 7), ([0.0] * 9, [0.0] * 10)])
     def test_equals_scalar_folds(self, rows):
-        jumps = [np.array(free + [HALF_PI - sum(free)]) for free, _ in rows]
-        arcs = [np.array(arc) for _, arc in rows]
-        check = verify_bounds(jumps, arcs)
-        width = max(row.size for row in jumps)
-        x, y = propagate_batch(
-            np.array([np.pad(row, (0, width - row.size)) for row in jumps]),
-            np.array([np.pad(row, (0, width - row.size)) for row in arcs]))
-        for i, (row_jumps, row_arcs) in enumerate(zip(jumps, arcs)):
+        lengths, jumps, arcs = _padded(
+            [(free + [HALF_PI - sum(free)], arc) for free, arc in rows])
+        check = verify_bounds(lengths, jumps, arcs)
+        x, y = propagate_batch(jumps, arcs)
+        for i, n in enumerate(lengths):
+            row_jumps, row_arcs = jumps[i, :n], arcs[i, :n]
             xs, ys = _scalar_fold(row_jumps, row_arcs)
             x1 = optical_pumping_value(float(row_arcs.sum()))
             margin = xs - x1
@@ -344,19 +357,42 @@ class TestBatch:
             assert abs(x[i] - xc) <= 1e-12
             assert abs(y[i] - yc) <= 1e-12
 
+    def test_padding_factors_are_the_math_values(self):
+        # A padding step (+0.0 jump and arc) skips math and takes these.
+        factors = _step_factors(np.zeros(1), np.zeros(1))
+        assert np.array(factors).tobytes() == \
+            np.array(_ZERO_STEP)[:, np.newaxis].tobytes()
+
+    def test_only_plus_zero_steps_skip_math(self, monkeypatch):
+        # sin(-0.0) = -0.0 and expm1(+0.0) = +0.0 differ from _ZERO_STEP in
+        # sign, so a step with a -0.0 jump or arc must still reach math.
+        calls = []
+
+        def recording(jumps, arcs):
+            calls.append((jumps.tolist(), arcs.tolist()))
+            return _step_factors(jumps, arcs)
+
+        monkeypatch.setattr(analytic, "_step_factors", recording)
+        propagate_batch([[HALF_PI, -0.0, 0.0, 0.0]], [[1.0, 0.0, -0.0, 0.0]])
+        [(jumps, arcs)] = calls
+        assert [_bits(v) for v in jumps] == [_bits(v)
+                                             for v in (HALF_PI, -0.0, 0.0)]
+        assert [_bits(v) for v in arcs] == [_bits(v) for v in (1.0, 0.0, -0.0)]
+
     def test_first_bad_row_raises_its_sequence_error(self):
-        good = (np.array([HALF_PI]), np.array([1.0]))
+        good = ([HALF_PI, 0.0], [1.0, 2.0])
         cases = [
-            ((np.array([HALF_PI]), np.array([-1.0])),
-             "arc durations must be nonnegative"),
-            ((np.array([HALF_PI, 0.0]), np.array([1.0])), "equal length"),
-            ((np.array([HALF_PI]), np.array([np.inf])), "finite"),
-            ((np.array([0.3]), np.array([1.0])), "pi/2, got 0.3"),
+            (([HALF_PI], [-1.0]), "arc durations must be nonnegative"),
+            (([HALF_PI], [np.inf]), "finite"),
+            (([0.3], [1.0]), "pi/2, got 0.3"),
         ]
         for bad, message in cases:
             with pytest.raises(ValueError, match=message):
-                verify_bounds([good[0], bad[0], good[0]],
-                              [good[1], bad[1], good[1]])
+                verify_bounds(*_padded([good, bad, good]))
+        # Of two bad rows, the first one's error is raised.
+        with pytest.raises(ValueError, match="pi/2, got 0.3"):
+            verify_bounds(*_padded([good, ([0.3], [1.0]),
+                                    ([HALF_PI], [-1.0])]))
         with pytest.raises(ValueError, match="nonnegative"):
             propagate_batch([[HALF_PI]], [[-1.0]])
         for jumps, arcs in [([[HALF_PI]], [[np.nan]]),
@@ -366,6 +402,37 @@ class TestBatch:
             with pytest.raises(ValueError,
                                match="^jumps and arcs must be finite$"):
                 propagate_batch(jumps, arcs)
+
+    def test_malformed_layout_raises(self):
+        lengths, jumps, arcs = _padded([([HALF_PI], [1.0]),
+                                        ([1.0, HALF_PI - 1.0], [0.5, 0.5])],
+                                       width=3)
+        verify_bounds(lengths, jumps, arcs)
+        layout = "a batch needs"
+        past_end = "zero past each row's length"
+        cases = [
+            # Shapes that differ.
+            ((lengths, jumps, arcs[:, :2]), layout),
+            ((lengths, jumps[:1], arcs[:1]), layout),
+            ((lengths[:, np.newaxis], jumps, arcs), layout),
+            ((np.zeros(0, dtype=int), np.zeros((0, 3)), np.zeros((0, 3))),
+             layout),
+            # Lengths outside 1..L, or not integers.
+            ((np.array([0, 2]), jumps, arcs), layout),
+            ((np.array([1, 4]), jumps, arcs), layout),
+            ((lengths.astype(float), jumps, arcs), layout),
+            # A nonzero entry past a row's end.
+            ((np.array([1, 1]), jumps, arcs), past_end),
+        ]
+        for bad in (jumps, arcs):
+            for value in (1e-300, -1.0, np.nan):
+                padded = bad.copy()
+                padded[0, 2] = value
+                cases.append(((lengths, padded, arcs) if bad is jumps
+                              else (lengths, jumps, padded), past_end))
+        for args, message in cases:
+            with pytest.raises(ValueError, match=message):
+                verify_bounds(*args)
 
 
 class TestPumpingEquivalence:

@@ -293,8 +293,8 @@ class TestVerify:
 
     def test_violation_exits_3_and_echoes_offender(self, tmp_path,
                                                    monkeypatch, capsys):
-        def fake_verify(jumps, arcs, **kwargs):
-            rows = len(jumps)
+        def fake_verify(lengths, jumps, arcs):
+            rows = len(lengths)
             return BoundCheck(xn=np.full(rows, -1.0), x1=np.zeros(rows),
                               margin=np.full(rows, -1.0),
                               satisfied=np.zeros(rows, dtype=bool),
@@ -341,6 +341,21 @@ class TestVerify:
             expected.append(json.dumps(record, sort_keys=True) + "\n")
         assert (tmp_path / "verify_sequences.jsonl").read_bytes() == \
             "".join(expected).encode("utf-8")
+
+    def test_output_does_not_depend_on_chunk_size(self, tmp_path,
+                                                  monkeypatch):
+        got = []
+        for chunk in (1, 7, 999, 1000):
+            monkeypatch.setattr(cli, "VERIFY_CHUNK", chunk)
+            out = tmp_path / str(chunk)
+            assert run_cli(["verify", "--n", "2500", "--seed", "3",
+                            "--out", str(out)]) == 0
+            got.append([(out / name).read_bytes() for name in
+                        ("verify_sequences.jsonl", "verify_summary.json")])
+        assert all(files == got[0] for files in got[1:])
+        lines = got[0][0].decode("utf-8").splitlines()
+        assert len(lines) == 2500
+        assert json.loads(lines[0])["thetas"] == [math.pi / 2]
 
     def test_imports_stay_lean(self, tmp_path):
         # numpy.ma (imported lazily by np.unique) and scipy would add to

@@ -2,7 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from lambda_control.analytic import (
+    BangSingularSequence,
+    closed_form_sequence,
+    random_draw,
+)
 from lambda_control.model import (
     HALF_PI,
     ControlSignal,
@@ -224,6 +231,30 @@ class TestConsistency:
             gaps.append(abs(rho33_full - rho33_reduced))
         assert all(gap <= 0.02 for gap in gaps)
         assert gaps[0] > gaps[1] > gaps[2]
+
+    @settings(deadline=None, max_examples=6)
+    @given(n=st.integers(1, 5), tprime=st.floats(0.5, 5.0),
+           seed=st.integers(0, 2**32 - 1))
+    @example(n=5, tprime=5.0, seed=0)
+    def test_full_model_approaches_closed_form(self, n, tprime, seed):
+        # A random bang-singular sequence on a full-model grid: theta_k is
+        # the cumulative jump and interval k lasts arc_k in normalized time.
+        # The dark/bright (x, y) of the {|1>, |3>} block approaches the
+        # closed form as Gamma grows (measured: about as (omega0/Gamma)^2).
+        jumps, arcs = random_draw(np.random.default_rng(seed), n, tprime)
+        thetas = np.clip(np.cumsum(jumps), 0.0, HALF_PI)
+        xc, yc = closed_form_sequence(BangSingularSequence(jumps, arcs))
+        errors = []
+        for gamma in (10.0, 30.0, 100.0):
+            p = SystemParams(gamma_total=gamma)
+            grid = np.cumsum([0.0] + [denormalize_time(a, p) for a in arcs])
+            final = integrate_full(ControlSignal(grid, thetas), p).final_state
+            x, y = dark_bright_transform(final[0], final[5] + 1j * final[8],
+                                         final[2], thetas[-1])
+            errors.append(max(abs(x - xc), abs(y - yc)))
+        assert errors[2] < 1e-3
+        assert errors[0] >= 4.0 * errors[1]
+        assert errors[1] >= 4.0 * errors[2]
 
     def test_reduced_matches_full_state_fraction(self):
         # Sanity anchor: at theta = pi/2 the dark population is rho33.
