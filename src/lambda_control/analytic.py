@@ -500,10 +500,13 @@ def pmp_residual(schedule: BangSingularSequence,
         post_jump[i] = (x, y)
         x, y = apply_singular(x, y, schedule.arcs[i])
 
-    # Backward pass: costate right after each jump, i.e. at each arc start.
+    # Backward pass: costate at each arc end and right after each jump,
+    # i.e. at each arc start.
     lam = np.array([-1.0, 0.0])
+    lam_at_arc_end = np.empty((n, 2))
     lam_at_arc_start = np.empty((n, 2))
     for i in range(n - 1, -1, -1):
+        lam_at_arc_end[i] = lam
         lam_at_arc_start[i] = lam * math.exp(-schedule.arcs[i])
         lam = _bang_matrix(schedule.jumps[i]).T @ lam_at_arc_start[i]
 
@@ -519,11 +522,13 @@ def pmp_residual(schedule: BangSingularSequence,
     def arc_samples(i: int):
         tau = np.linspace(0.0, schedule.arcs[i], _PMP_SAMPLES_PER_ARC)
         decay = np.exp(-tau)
-        grow = np.exp(tau)
+        # The costate grows along the arc; taken back from its arc-end
+        # value it stays finite where exp(tau) would overflow.
+        grow = np.exp(tau - schedule.arcs[i])
         xs = decay * (post_jump[i, 0] + 1.0) - 1.0
         ys = decay * post_jump[i, 1]
-        lxs = grow * lam_at_arc_start[i, 0]
-        lys = grow * lam_at_arc_start[i, 1]
+        lxs = grow * lam_at_arc_end[i, 0]
+        lys = grow * lam_at_arc_end[i, 1]
         return arc_starts[i] + tau, xs, ys, lxs, lys
 
     # Pin mu by phi = 0 at the start of the first positive singular arc.

@@ -480,70 +480,33 @@ def rk4_step_matrix(A: np.ndarray, h) -> np.ndarray:
     shape S + (d, d).  For a linear autonomous system the RK4 update is
     exactly the degree-4 Taylor polynomial of the matrix exponential, so
     repeated application of this matrix reproduces stepwise RK4 in exact
-    arithmetic.
+    arithmetic.  The sum is taken as ((B + B^2/2) + B^3/6) + B^4/24 with
+    B = h A, and then the identity is added.
     """
     B = np.asarray(h, dtype=float)[..., None, None] * A
-    return _rk4_polynomial(B, np.empty((3,) + B.shape))
+    B2 = B @ B
+    B3 = B2 @ B
+    B4 = B3 @ B
+    M = B + B2 / 2.0 + B3 / 6.0 + B4 / 24.0
+    idx = np.arange(M.shape[-1])
+    M[..., idx, idx] += 1.0
+    return M
 
 
-def _rk4_polynomial(B: np.ndarray, work: np.ndarray) -> np.ndarray:
-    """Overwrite B = h A with I + B + B^2/2 + B^3/6 + B^4/24 and return it.
+def _matrix_powers(M: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """M[k] ** counts[k] over the leading axis of a (n, d, d) stack.
 
-    ``work`` holds three arrays of B's shape for the powers.  The sum is
-    taken in the order ((B + B^2/2) + B^3/6) + B^4/24, so this is
-    ``rk4_step_matrix`` bit for bit; callers that keep B and ``work``
-    across calls allocate nothing.
+    One ``np.linalg.matrix_power`` per distinct count, which multiplies
+    each matrix as a call on it alone would; a count of 0 gives the
+    identity.
     """
-    B2, B3, B4 = work
-    np.matmul(B, B, out=B2)
-    np.matmul(B2, B, out=B3)
-    np.matmul(B3, B, out=B4)
-    B2 *= 0.5  # x * 0.5 is x / 2 exactly, and faster
-    B += B2
-    B3 /= 6.0
-    B += B3
-    B4 /= 24.0
-    B += B4
-    idx = np.arange(B.shape[-1])
-    B[..., idx, idx] += 1.0
-    return B
-
-
-def _matrix_power_into(a: np.ndarray, n: int, spare) -> np.ndarray:
-    """a ** n (n >= 1) in the arrays ``a`` and ``spare`` (two of a's shape).
-
-    The products and their order are those of ``np.linalg.matrix_power``:
-    a @ a for n = 2, (a @ a) @ a for n = 3, and otherwise the binary
-    decomposition of n from its lowest bit, multiplying result @ z and
-    squaring z.  The three arrays take turns as outputs, so ``a`` may be
-    overwritten; the return value is one of them (``a`` itself for n = 1).
-    """
-    x, y = spare
-    if n == 1:
-        return a
-    if n == 2:
-        return np.matmul(a, a, out=x)
-    if n == 3:
-        return np.matmul(np.matmul(a, a, out=x), a, out=y)
-    free = [x, y]  # the arrays that hold neither z nor result
-    z, result = a, None
-    while True:
-        n, bit = divmod(n, 2)
-        if bit:
-            if result is None:
-                result = z
-            else:
-                out = free.pop()
-                np.matmul(result, z, out=out)
-                free.append(result)
-                result = out
-        if n == 0:
-            return result
-        out = free.pop()
-        np.matmul(z, z, out=out)
-        if z is not result:
-            free.append(z)
-        z = out
+    if counts.min() == counts.max():
+        return np.linalg.matrix_power(M, int(counts[0]))
+    powered = np.empty_like(M)
+    for m in np.unique(counts):
+        sel = counts == m
+        powered[sel] = np.linalg.matrix_power(M[sel], int(m))
+    return powered
 
 
 def _rk4_march(f, state: np.ndarray, h: float, n: int):
@@ -666,8 +629,7 @@ def _step_matrices(thetas: np.ndarray, h: np.ndarray, rem: np.ndarray,
     its rounding over the steps.  Built in batches of _BATCH intervals, so
     memory stays bounded for schedules with many intervals.  Within a batch
     the RK4 remainder powers take one ``matrix_power`` per distinct
-    remainder, which multiplies each matrix as a call on it alone would;
-    entries with rem = 0 are unset (the identity when ``exact``).
+    remainder (``_matrix_powers``); entries with rem = 0 are the identity.
     """
     if exact:
         from scipy.linalg import expm
@@ -679,12 +641,8 @@ def _step_matrices(thetas: np.ndarray, h: np.ndarray, rem: np.ndarray,
                            expm((rem[lo:hi] * h[lo:hi])[:, None, None] * A))
             continue
         M = rk4_step_matrix(A, h[lo:hi])
-        batch_rem = rem[lo:hi]
-        M_rem = np.empty_like(M)
-        for r in np.unique(batch_rem[batch_rem > 0]):
-            sel = batch_rem == r
-            M_rem[sel] = np.linalg.matrix_power(M[sel], int(r))
-        yield from zip(np.linalg.matrix_power(M, stride), M_rem)
+        yield from zip(np.linalg.matrix_power(M, stride),
+                       _matrix_powers(M, rem[lo:hi]))
 
 
 def _integrate_piecewise(control: ControlSignal, params: SystemParams,

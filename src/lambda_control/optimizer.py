@@ -12,15 +12,16 @@ parameterization, so no penalty terms appear.
 
 The dynamics are those of ``integrate_full``: the generator
 (``system_matrix``), the dark/bright frame rotation (``FRAME_GENERATOR`` K,
-``frame_rotation`` R), the RK4 step matrix (``rk4_step_matrix`` and its
-in-place form) and the step rule (``interval_steps``) all come from
-``lambda_control.model``; dA/dtheta is ``system_matrix_dtheta``'s
-K A - A K + gamma E_51, taken on the x block.  Because the state equation
-is linear, a control interval integrated with fixed-step RK4 is a matrix
-power of the one-step transition matrix.  Only the 6-variable x block
-enters: the y block is decoupled and identically zero from the standard
-initial condition.  The interval propagators P_k and their derivatives
-take one of two paths, chosen by ``params.is_symmetric``:
+``frame_rotation`` R), the RK4 step matrix (``rk4_step_matrix``), the
+batched matrix powers (``_matrix_powers``) and the step rule
+(``interval_steps``) all come from ``lambda_control.model``; dA/dtheta is
+``system_matrix_dtheta``'s K A - A K + gamma E_51, taken on the x block.
+Because the state equation is linear, a control interval integrated with
+fixed-step RK4 is a matrix power of the one-step transition matrix.  Only
+the 6-variable x block enters: the y block is decoupled and identically
+zero from the standard initial condition.  The interval propagators P_k
+and their derivatives take one of two paths, chosen by
+``params.is_symmetric``:
 
 * Symmetric decay: A(theta) = R(theta) A(0) R(-theta), and a polynomial of
   a conjugated matrix is the conjugated polynomial, so
@@ -32,13 +33,16 @@ take one of two paths, chosen by ``params.is_symmetric``:
   depends only on the grid and the parameters, so it is cached per grid
   and built once per ascent.
 * Asymmetric decay: the feeding term breaks the identity, so each interval
-  gets its own RK4 step.  A function of the block generator
-  [[A, dA], [0, A]] (dA = dA/dtheta_k) carries the derivative of the same
-  function of A in its top-right block, so the RK4 step of the block and
-  its m-th power are
+  gets its own RK4 step, and the derivative is carried alongside as a pair
+  (M, dM) of 6x6 matrices under the product rule
 
-      [[M, dM],          [[M^m,  d(M^m)],
-       [0,  M]]   and     [0,    M^m   ]].
+      (P, dP)(Q, dQ) = (P Q, P dQ + dP Q).
+
+  With (B, dB) = h (A, dA) and dA = dA/dtheta_k, the RK4 polynomial takes
+  d(B^j) = B^(j-1) dB + d(B^(j-1)) B, and the step count m is applied by a
+  binary power of the pair.  The first component takes the products of
+  ``rk4_step_matrix`` and ``np.linalg.matrix_power`` in the same order, so
+  P_k is the objective-only P_k bit for bit.
 
 Both paths are the same discretized dynamics (they agree to roundoff), and
 the gradient is exact for it: it matches finite differences of the same
@@ -54,22 +58,6 @@ adjoint_k^T (dP_k/dtheta_k) state_k over all k.
 The line search evaluates its first trial with the gradient and later
 backtracks with the objective alone (``_final_rho33``); the two give the
 same objective bit for bit, so this choice leaves the ascent path unchanged.
-
-Scratch arrays.  An asymmetric-decay evaluation at N = 100 works on
-(N, 12, 12) arrays of 115 KB.  Made fresh and freed on every call, such
-temporaries are handed back to the OS by glibc and faulted in again on the
-next call.  On a 2-vCPU Xeon host, one RK4 step of the (100, 12, 12) block
-took 360-460 us that way, 125-175 us with glibc's trim and mmap thresholds
-raised, and 130 us in arrays kept across calls; its three batched matmuls
-take 14-26 us each.  So the block, the RK4 polynomial, the matrix powers and
-the prefix scan write into arrays from ``_scratch``: a pool of at most
-``_SCRATCH_ENTRIES`` arrays, least recently used dropped first, keyed by
-(thread, role, shape), so every grid with the same N shares one set and no
-two threads share one.  The arithmetic is the allocating expressions'
-(``out=`` products and in-place sums in the same order), so every output
-bit is unchanged.  P_k, dP_k/dtheta_k and the gradient are copied out: no
-returned array is a view of a scratch array.  The symmetric conjugation
-allocates, since scratch arrays measured no faster there.
 """
 
 from __future__ import annotations
@@ -77,8 +65,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import threading
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,11 +77,9 @@ from .model import (
     FRAME_GENERATOR,
     IntegrationError,
     SystemParams,
-    _matrix_power_into,
-    _rk4_polynomial,
+    _matrix_powers,
     default_max_step,
     frame_rotation,
-    integrate_full,
     interval_steps,
     optical_pumping_control,
     rk4_step_matrix,
@@ -159,92 +144,68 @@ class OptimizationResult:
 
 
 # ---------------------------------------------------------------------------
-# Scratch arrays
-# ---------------------------------------------------------------------------
-
-# Scratch arrays kept, least recently used dropped first.  An ascent uses
-# five keys per thread.
-_SCRATCH_ENTRIES = 16
-_scratch_arrays: OrderedDict = OrderedDict()
-_scratch_lock = threading.Lock()
-
-
-def _scratch(role: str, shape: tuple[int, ...]) -> np.ndarray:
-    """A float64 work array that persists across calls, zero when made.
-
-    Keyed by (thread, role, shape): every grid with the same number of
-    intervals shares one set, and no two threads share one.  Contents
-    persist until the key's next use, so a caller writes every entry it
-    reads (or relies on one never written), and no array it returns may
-    be a view of a scratch array.
-    """
-    key = (threading.get_ident(), role, shape)
-    with _scratch_lock:
-        array = _scratch_arrays.pop(key, None)
-        if array is None:
-            array = np.zeros(shape)
-        _scratch_arrays[key] = array
-        if len(_scratch_arrays) > _SCRATCH_ENTRIES:
-            _scratch_arrays.popitem(last=False)
-    return array
-
-
-# ---------------------------------------------------------------------------
 # Interval propagators (x block only)
 # ---------------------------------------------------------------------------
 
-def _matrix_powers(one_step: np.ndarray, steps: np.ndarray,
-                   spare: np.ndarray) -> np.ndarray:
-    """one_step[k] ** steps[k], one batched power per distinct count.
+def _pair_product(P, dP, Q, dQ):
+    """(P, dP)(Q, dQ) = (P Q, P dQ + dP Q), the product rule."""
+    d = P @ dQ
+    d += dP @ Q
+    return P @ Q, d
 
-    With a single count (a uniform grid) the power is taken in one_step and
-    the two ``spare`` arrays of its shape, and the result is one of them.
+
+def _pair_power(M: np.ndarray, dM: np.ndarray, n: int):
+    """The pair (M^n, d(M^n)) for n >= 1, by ``_pair_product``.
+
+    M^n is multiplied as ``np.linalg.matrix_power`` multiplies it: (M M) M
+    for n = 3, and otherwise the binary decomposition of n from its lowest
+    bit, multiplying result @ z and squaring z.
     """
-    if steps.min() == steps.max():
-        return _matrix_power_into(one_step, int(steps[0]), spare)
-    powered = np.empty_like(one_step)
-    for m in np.unique(steps):
-        sel = steps == m
-        group = one_step[sel]
-        powered[sel] = _matrix_power_into(group, int(m),
-                                          np.empty((2,) + group.shape))
-    return powered
+    if n == 3:
+        return _pair_product(*_pair_product(M, dM, M, dM), M, dM)
+    z = result = None
+    while n > 0:
+        z = (M, dM) if z is None else _pair_product(*z, *z)
+        n, bit = divmod(n, 2)
+        if bit:
+            result = z if result is None else _pair_product(*result, *z)
+    return result
 
 
 def _rk4_pair_propagators(thetas: np.ndarray, durations: np.ndarray,
                           params: SystemParams, with_grad: bool):
     """P_k and dP_k/dtheta_k from per-interval RK4 steps of A(theta_k).
 
-    dP_k comes from the 12x12 block generator of the module docstring,
-    stepped and powered like the 6x6 generator.  Valid for any decay.  The
-    block, the RK4 polynomial and the powers live in scratch arrays; P_k
-    and dP_k are copied out of them.
+    Valid for any decay.  (P_k, dP_k) is the pair (M, dM) of the module
+    docstring raised to the interval's step count; P_k takes the products
+    of ``rk4_step_matrix`` and ``np.linalg.matrix_power``, so it is the
+    with_grad=False P_k bit for bit.
     """
     steps, h = interval_steps(durations, default_max_step(params))
     # The generator is block diagonal, so the x block evolves on its own.
     A = system_matrix(thetas, params)[:, :_XDIM, :_XDIM]
-    d = 2 * _XDIM if with_grad else _XDIM
-    work = _scratch("rk4", (4, thetas.size, d, d))
-    B = work[0]
-    if with_grad:
-        # [[A, dA], [0, A]] with dA = K A - A K + gamma E_51 (see
-        # system_matrix_dtheta).  The zero block is never written.  dA is
-        # formed in contiguous arrays: arithmetic on the strided block
-        # views is several times slower than one copy into them.
-        block = _scratch("block", (thetas.size, d, d))
-        block[:, :_XDIM, :_XDIM] = block[:, _XDIM:, _XDIM:] = A
-        dA, AK = _scratch("dA", (2, thetas.size, _XDIM, _XDIM))
-        np.matmul(_K, A, out=dA)
-        dA -= np.matmul(A, _K, out=AK)
-        dA[:, 5, 1] += params.gamma_diff
-        block[:, :_XDIM, _XDIM:] = dA
-        A = block
-    np.multiply(h[:, None, None], A, out=B)
-    powered = _matrix_powers(_rk4_polynomial(B, work[1:]), steps, work[1:3])
     if not with_grad:
-        return powered.copy(), None
-    return (powered[:, :_XDIM, :_XDIM].copy(),
-            powered[:, :_XDIM, _XDIM:].copy())
+        return _matrix_powers(rk4_step_matrix(A, h), steps), None
+    # dA = K A - A K + gamma E_51 (see system_matrix_dtheta).
+    dA = _K @ A - A @ _K
+    dA[:, 5, 1] += params.gamma_diff
+    # The RK4 polynomial of (B, dB) = h (A, dA), with
+    # d(B^j) = B^(j-1) dB + d(B^(j-1)) B.
+    B, dB = h[:, None, None] * A, h[:, None, None] * dA
+    B2, dB2 = _pair_product(B, dB, B, dB)
+    B3, dB3 = _pair_product(B2, dB2, B, dB)
+    B4, dB4 = _pair_product(B3, dB3, B, dB)
+    M = B + B2 / 2.0 + B3 / 6.0 + B4 / 24.0
+    idx = np.arange(_XDIM)
+    M[:, idx, idx] += 1.0
+    dM = dB + dB2 / 2.0 + dB3 / 6.0 + dB4 / 24.0
+    if steps.min() == steps.max():  # a uniform grid: no masked copies
+        return _pair_power(M, dM, int(steps[0]))
+    P, dP = np.empty_like(M), np.empty_like(dM)
+    for m in np.unique(steps):
+        sel = steps == m
+        P[sel], dP[sel] = _pair_power(M[sel], dM[sel], int(m))
+    return P, dP
 
 
 # The x block of the frame generator K (K is block diagonal, like A).
@@ -265,9 +226,7 @@ def _theta0_propagators(durations_key: bytes,
     unique, inverse = np.unique(durations, return_inverse=True)
     steps, h = interval_steps(unique, default_max_step(params))
     A0 = system_matrix(0.0, params)[:_XDIM, :_XDIM]
-    one_step = rk4_step_matrix(A0, h)
-    P0 = _matrix_powers(one_step, steps,
-                        np.empty((2,) + one_step.shape))[inverse]
+    P0 = _matrix_powers(rk4_step_matrix(A0, h), steps)[inverse]
     P0.flags.writeable = False
     return P0
 
@@ -295,11 +254,10 @@ def _interval_propagators(thetas: np.ndarray, durations: np.ndarray,
     """Per-interval RK4 propagators P_k (and dP_k/dtheta_k when requested).
 
     Symmetric decay rotates one theta = 0 propagator per distinct duration
-    into each interval's frame (``_conjugated_propagators``: no dA/dtheta,
-    no 12x12 block).  Asymmetric decay breaks that identity and keeps the
-    per-interval RK4 step and power of the 12x12 block generator
-    (``_rk4_pair_propagators``).  Both give the same fixed-step dynamics to
-    roundoff.
+    into each interval's frame (``_conjugated_propagators``: no dA/dtheta).
+    Asymmetric decay breaks that identity and keeps the per-interval RK4
+    step and power of the (A, dA/dtheta) pair (``_rk4_pair_propagators``).
+    Both give the same fixed-step dynamics to roundoff.
     """
     if params.is_symmetric:
         return _conjugated_propagators(thetas, durations, params, with_grad)
@@ -319,16 +277,17 @@ def _check_grid(control: ControlSignal, T: float | None) -> float:
     return T
 
 
-def _prefix_products(C: np.ndarray, spare: np.ndarray) -> np.ndarray:
+def _prefix_products(C: np.ndarray) -> np.ndarray:
     """Inclusive products C[k] @ ... @ C[0] along axis -3.
 
     A Hillis-Steele scan: after the step with shift s every entry holds the
     product of the last 2s factors up to it, so ceil(log2 N) batched matmuls
     replace N sequential ones.  Leading axes are independent batches.  Each
-    step writes into the other of C and ``spare`` (same shape); the result
-    is whichever of the two holds it.
+    step writes into the other of C and one spare array of its shape, so C
+    may be overwritten; the result is whichever of the two holds it.
     """
     n = C.shape[-3]
+    spare = np.empty_like(C)
     shift = 1
     while shift < n:
         np.matmul(C[..., shift:, :, :], C[..., :n - shift, :, :],
@@ -375,10 +334,8 @@ def objective_and_gradient(control: ControlSignal, params: SystemParams,
     n = control.n_intervals
     # Row 0: prefix products P_k ... P_0.  Row 1: prefix products of the
     # reversed, transposed stack, (P_{N-1} ... P_{N-1-j})^T.
-    scan, spare = _scratch("scan", (2, 2, n, _XDIM, _XDIM))
-    scan[0] = P
-    scan[1] = P[::-1].transpose(0, 2, 1)
-    forward, backward = _prefix_products(scan, spare)
+    forward, backward = _prefix_products(
+        np.stack([P, P[::-1].transpose(0, 2, 1)]))
     # states[k] is the state before interval k, e1 before the first;
     # adjoints[k] is row 2 of P_{N-1} ... P_{k+1}, e3 after the last.
     unit = np.eye(_XDIM)
@@ -617,18 +574,9 @@ def optimize(config: OptimizationConfig, params: SystemParams, T: float, *,
     )
 
 
-def pumping_baseline(params: SystemParams, T: float, *,
-                     oracle: bool = False) -> float:
-    """rho33(T) under pure pumping (theta = pi/2 for the whole window).
-
-    With oracle=True the value comes from the exact dynamics
-    (``integrate_full(method="adaptive")``, a product of matrix
-    exponentials) instead of the fixed-step RK4 objective.
-    """
-    control = optical_pumping_control(T)
-    if oracle:
-        return integrate_full(control, params, method="adaptive").final_rho33
-    return objective(control, params, T)
+def pumping_baseline(params: SystemParams, T: float) -> float:
+    """rho33(T) under pure pumping (theta = pi/2 for the whole window)."""
+    return objective(optical_pumping_control(T), params, T)
 
 
 # ---------------------------------------------------------------------------

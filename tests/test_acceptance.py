@@ -217,7 +217,8 @@ def test_criterion_6_small_decay_deviation():
     T = 5.0
     result = optimize(OptimizationConfig(), params, T)
 
-    baseline_oracle = pumping_baseline(params, T, oracle=True)
+    baseline_oracle = integrate_full(optical_pumping_control(T), params,
+                                     method="adaptive").final_rho33
     winner_oracle = integrate_full(result.control, params,
                                    method="adaptive").final_rho33
     margin = winner_oracle - baseline_oracle

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -279,6 +280,16 @@ class TestVerify:
         assert len(lines) == 200
         first = json.loads(lines[0])
         assert first["margin"] == 0.0  # sequence 0 is always pumping
+
+    def test_long_horizon_passes(self, tmp_path):
+        # Past T' ~ 709.8 exp(T') overflows; the PMP costate must not.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(["verify", "--tprime", "710", "--n", "10",
+                            "--out", str(tmp_path)])
+        assert code == 0
+        pmp = read_json(tmp_path / "verify_summary.json")["pmp"]
+        assert math.isfinite(pmp["max_phi"]) and pmp["passed"] is True
 
     def test_single_sequence_is_pumping(self, tmp_path):
         code = run_cli(["verify", "--n", "1", "--tprime", "3",

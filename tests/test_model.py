@@ -731,8 +731,8 @@ class TestPiecewiseSampler:
 
 
 class TestInPlaceKernels:
-    """The RK4 polynomial and matrix power in preallocated arrays equal the
-    allocating expressions, byte for byte, whatever the arrays held."""
+    """The RK4 step matrix and the batched matrix powers equal the
+    allocating expressions and per-matrix powers, byte for byte."""
 
     @settings(deadline=None, max_examples=60)
     @given(st.sampled_from([6, 9, 12]), st.integers(1, 40),
@@ -748,28 +748,19 @@ class TestInPlaceKernels:
         assert rk4_step_matrix(A, h).tobytes() == want.tobytes()
         assert (rk4_step_matrix(A[0], h[0]).tobytes()
                 == _reference_rk4_step_matrix(A[0], h[0]).tobytes())
-        B = np.empty_like(A)
-        work = np.full((3,) + A.shape, np.nan)
-        for _ in range(2):
-            np.multiply(h[:, None, None], A, out=B)
-            assert model._rk4_polynomial(B, work) is B
-            assert B.tobytes() == want.tobytes()
 
     @settings(deadline=None, max_examples=60)
-    @given(st.integers(1, 300), st.integers(1, 20), st.integers(0, 2**32 - 1))
-    @example(1, 3, 0)
-    @example(2, 3, 0)
-    @example(3, 3, 0)
-    @example(4, 3, 0)
-    @example(7, 3, 0)
-    def test_matrix_power_into_is_matrix_power(self, power, n, seed):
+    @given(st.lists(st.integers(0, 300), min_size=1, max_size=20),
+           st.integers(0, 2**32 - 1))
+    @example([1, 2, 3, 4, 7, 0], 0)
+    @example([5], 0)
+    def test_matrix_powers_is_matrix_power(self, counts, seed):
         rng = np.random.default_rng(seed)
-        a = np.eye(6) + 0.01 * rng.standard_normal((n, 6, 6))
-        want = np.linalg.matrix_power(a, power)
-        arrays = (a.copy(), np.full_like(a, np.nan), np.full_like(a, np.nan))
-        got = model._matrix_power_into(arrays[0], power, arrays[1:])
-        assert any(got is b for b in arrays)
-        assert got.tobytes() == want.tobytes()
+        a = np.eye(6) + 0.01 * rng.standard_normal((len(counts), 6, 6))
+        got = model._matrix_powers(a, np.array(counts))
+        for k, m in enumerate(counts):
+            want = np.linalg.matrix_power(a[k], m)
+            assert got[k].tobytes() == want.tobytes()
 
 
 def _reference_csv(traj, omega0, comment):

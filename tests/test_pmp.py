@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -109,6 +110,20 @@ class TestPumpingSchedule:
                        abs(adjoint.mu)) > 0.0
         terminal = report.terminal_adjoint
         assert (terminal.lambda_x, terminal.lambda_y) == (-1.0, 0.0)
+
+    @pytest.mark.parametrize("tprime", [710.0, 800.0, 1000.0])
+    def test_long_horizons_stay_finite(self, tprime):
+        # exp(T') overflows past T' ~ 709.8, and exp(-T') reaches 0.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = pmp_residual(
+                BangSingularSequence.optical_pumping(tprime), tprime)
+        assert report.max_phi <= 1e-10
+        assert report.max_lambda_y <= 1e-10
+        assert np.all(np.isfinite(report.lambda_x))
+        assert report.lambda_x[-1] == -1.0
+        expected = -np.exp(report.times - tprime)
+        assert np.max(np.abs(report.lambda_x - expected)) <= 1e-12
 
     def test_tprime_consistency_check(self):
         seq = BangSingularSequence.optical_pumping(5.0)
