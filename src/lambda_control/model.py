@@ -64,15 +64,16 @@ STATE_DIM = 9
 # Slack used when validating user-provided angles/grids against exact bounds.
 _EDGE_TOL = 1e-12
 
-# Intervals whose step matrices integrate_full builds in one batched call.
+# Intervals whose step matrices integrate_full builds in one batched call;
+# for the callable oracle (method="adaptive"), model steps.
 _BATCH = 64
 
 # Rows that Trajectory.write_csv formats per write.
 _CSV_BLOCK = 256
 
-# Tolerances of the DOP853 oracle for callable controls.
-_DOP853_RTOL = 1e-10
-_DOP853_ATOL = 1e-12
+# Taylor degree of _expm, on matrices scaled to 1-norm <= 1/2: the
+# truncation error there is below 0.5**17 / 17! ~ 2e-20.
+_EXPM_DEGREE = 16
 
 
 class IntegrationError(RuntimeError):
@@ -467,9 +468,23 @@ def interval_steps(durations, h_max: float):
     Each interval of length d takes m = max(1, ceil(d / h_max)) equal steps
     of size h = d / m.  Returns integer ``steps`` and float ``h`` arrays of
     the shape of ``durations``.
+
+    Raises ValueError if a count is not finite, or if the counts or their
+    sum reach 2**63, where int64 would no longer hold them exactly.
     """
     durations = np.asarray(durations, dtype=float)
-    steps = np.maximum(1, np.ceil(durations / h_max - 1e-12).astype(int))
+    with np.errstate(over="ignore", invalid="ignore"):
+        counts = np.maximum(1.0, np.ceil(durations / h_max - 1e-12))
+    # A float sum below 2**62 is below 2**63 whatever its rounding; past
+    # that, sum exactly.
+    if not (counts.sum() < 2.0**62 or (
+            np.isfinite(counts).all()
+            and sum(int(c) for c in counts.flat) < 2**63)):
+        raise ValueError(
+            f"step counts must be finite and sum below 2**63; durations up "
+            f"to {float(np.max(durations))!r} at max_step {h_max!r} need "
+            f"{float(np.sum(counts))!r} steps in all")
+    steps = counts.astype(int)
     return steps, durations / steps
 
 
@@ -507,6 +522,39 @@ def _matrix_powers(M: np.ndarray, counts: np.ndarray) -> np.ndarray:
         sel = counts == m
         powered[sel] = np.linalg.matrix_power(M[sel], int(m))
     return powered
+
+
+def _expm(X: np.ndarray) -> np.ndarray:
+    """exp(X[k]) over the leading axis of an (n, d, d) stack.
+
+    Scaling and squaring (Moler and Van Loan, SIAM Rev. 45, 3 (2003)):
+    each matrix is scaled by 2**-s to 1-norm <= 1/2, its Taylor polynomial
+    of degree _EXPM_DEGREE is summed by Horner's rule, and the result is
+    squared s times.  Matrices with equal s are squared as one batch, as
+    ``_matrix_powers`` groups by count.  Only products and sums are taken,
+    so entries that are zero in every power of X (the off-diagonal blocks
+    of a block-diagonal X) stay exactly zero.  A non-finite X gives a
+    non-finite result.
+    """
+    norms = np.abs(X).sum(axis=-2).max(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.ceil(np.log2(norms / 0.5))
+    # A zero matrix has log2(0) = -inf; a non-finite one is left unscaled.
+    s = np.where(np.isfinite(s) & (s > 0.0), s, 0.0).astype(int)
+    Y = np.ldexp(X, -s[:, None, None])
+    idx = np.arange(X.shape[-1])
+    E = Y / _EXPM_DEGREE
+    E[:, idx, idx] += 1.0
+    for j in range(_EXPM_DEGREE - 1, 0, -1):
+        E = (Y @ E) / j
+        E[:, idx, idx] += 1.0
+    for m in np.unique(s[s > 0]).tolist():
+        sel = s == m
+        Es = E[sel]
+        for _ in range(m):
+            Es = Es @ Es
+        E[sel] = Es
+    return E
 
 
 def _rk4_march(f, state: np.ndarray, h: float, n: int):
@@ -612,6 +660,16 @@ def _check_finite(state: np.ndarray, t: float, last_good: float):
         )
 
 
+def _check_rows(states: np.ndarray, times: np.ndarray, lo: int, hi: int):
+    """Raise IntegrationError at the first non-finite row of states[lo:hi]."""
+    finite = np.isfinite(states[lo:hi])
+    if not finite.all():
+        bad = lo + int(np.argmin(finite.all(axis=1)))
+        raise IntegrationError(
+            f"non-finite state encountered at t={times[bad]:.6g}",
+            last_time=times[bad - 1])
+
+
 def _interval_edges(control: ControlSignal, T: float):
     """Start time, end time and angle of every control interval inside [0, T]."""
     starts = control.grid[control.grid < T - _EDGE_TOL * max(1.0, T)]
@@ -625,20 +683,18 @@ def _step_matrices(thetas: np.ndarray, h: np.ndarray, rem: np.ndarray,
 
     M is the RK4 step matrix.  With ``exact`` the two are expm(stride h A)
     and expm(rem h A), the exact propagators over those steps, from one
-    batched ``scipy.linalg.expm`` each; powers of expm(h A) would compound
-    its rounding over the steps.  Built in batches of _BATCH intervals, so
+    batched ``_expm`` each; powers of expm(h A) would compound its
+    rounding over the steps.  Built in batches of _BATCH intervals, so
     memory stays bounded for schedules with many intervals.  Within a batch
     the RK4 remainder powers take one ``matrix_power`` per distinct
     remainder (``_matrix_powers``); entries with rem = 0 are the identity.
     """
-    if exact:
-        from scipy.linalg import expm
     for lo in range(0, thetas.size, _BATCH):
         hi = lo + _BATCH
         A = system_matrix(thetas[lo:hi], params)
         if exact:
-            yield from zip(expm((stride * h[lo:hi])[:, None, None] * A),
-                           expm((rem[lo:hi] * h[lo:hi])[:, None, None] * A))
+            yield from zip(_expm((stride * h[lo:hi])[:, None, None] * A),
+                           _expm((rem[lo:hi] * h[lo:hi])[:, None, None] * A))
             continue
         M = rk4_step_matrix(A, h[lo:hi])
         yield from zip(np.linalg.matrix_power(M, stride),
@@ -685,12 +741,7 @@ def _integrate_piecewise(control: ControlSignal, params: SystemParams,
             if k_rem:
                 states[hi] = Mk_rem @ states[hi - 1]
                 hi += 1
-            finite = np.isfinite(states[lo:hi])
-            if not finite.all():
-                bad = lo + int(np.argmin(finite.all(axis=1)))
-                raise IntegrationError(
-                    f"non-finite state encountered at t={times[bad]:.6g}",
-                    last_time=times[bad - 1])
+            _check_rows(states, times, lo, hi)
             lo = hi
 
     return Trajectory(times, states, np.concatenate((thetas[:1],
@@ -726,20 +777,115 @@ def _integrate_callable_rk4(theta_fn, params: SystemParams, T: float,
                       np.asarray(sample_theta))
 
 
-def _integrate_callable_dop853(theta_fn, params: SystemParams, T: float,
-                               x0: np.ndarray, max_samples: int) -> Trajectory:
-    from scipy.integrate import solve_ivp
+def _rk4_transitions(A0: np.ndarray, Am: np.ndarray, A1: np.ndarray,
+                     k: float) -> np.ndarray:
+    """RK4 transition matrices of xdot = A(t) x over steps of size k.
 
-    def fun(t, s):
-        return rhs_full(s, float(theta_fn(t)), params)
+    A0, Am and A1 hold the generator at each step's start, middle and end;
+    the matrix is I + (k/6)(K1 + 2 K2 + 2 K3 + K4) with K1 = A0,
+    K2 = Am (I + k/2 K1), K3 = Am (I + k/2 K2) and K4 = A1 (I + k K3).
+    """
+    K2 = Am @ A0
+    K2 *= 0.5 * k
+    K2 += Am
+    K3 = Am @ K2
+    K3 *= 0.5 * k
+    K3 += Am
+    K4 = A1 @ K3
+    K4 *= k
+    K4 += A1
+    M = K2
+    M += K3
+    M *= 2.0
+    M += A0
+    M += K4
+    M *= k / 6.0
+    idx = np.arange(M.shape[-1])
+    M[:, idx, idx] += 1.0
+    return M
 
-    t_eval = np.linspace(0.0, T, min(max_samples, 512))
-    sol = solve_ivp(fun, (0.0, T), x0, method="DOP853",
-                    rtol=_DOP853_RTOL, atol=_DOP853_ATOL, t_eval=t_eval)
-    if not sol.success:
-        raise IntegrationError(sol.message, last_time=float(sol.t[-1]))
-    thetas = np.array([float(theta_fn(t)) for t in sol.t])
-    return Trajectory(sol.t.copy(), sol.y.T.copy(), thetas)
+
+def _oracle_transitions(theta_fn, params: SystemParams, h: float,
+                        first: int, count: int) -> np.ndarray:
+    """The callable oracle's transition matrices of ``count`` model steps
+    of size h from step ``first``, in time order.
+
+    Each is (16 F2 F1 - C) / 15, with C one RK4 step over h and F1, F2 two
+    over h/2: Richardson extrapolation cancels the h**5 term of the RK4
+    local error.  theta is evaluated at the quarters of every step, and
+    neighbouring steps share their ends.
+    """
+    q = 0.25 * h
+    stages = (4 * first + np.arange(4 * count + 1)) * q
+    A = system_matrix([float(theta_fn(t)) for t in stages.tolist()], params)
+    F = _rk4_transitions(A[:-1:2], A[1::2], A[2::2], 2.0 * q)
+    C = _rk4_transitions(A[:-1:4], A[2::4], A[4::4], 4.0 * q)
+    E = F[1::2] @ F[0::2]
+    E *= 16.0
+    E -= C
+    E /= 15.0
+    return E
+
+
+def _chain_products(M: np.ndarray) -> np.ndarray:
+    """M[:, L-1] @ ... @ M[:, 0] of an (n, L, d, d) stack, as a pairwise tree."""
+    while M.shape[1] > 1:
+        paired = M[:, 1::2] @ M[:, 0:-1:2]
+        M = (np.concatenate((paired, M[:, -1:]), axis=1) if M.shape[1] % 2
+             else paired)
+    return M[:, 0]
+
+
+def _oracle_advances(theta_fn, params: SystemParams, h: float, n: int,
+                     stride: int):
+    """The oracle's transition matrix over each sample's model steps, as
+    (g, 9, 9) batches in sample order.
+
+    Samples end every ``stride`` steps and at step n.  A batch builds the
+    matrices of at most _BATCH model steps and multiplies each sample's by
+    ``_chain_products``; a sample longer than a batch multiplies the
+    products of its batches.  So memory stays bounded whatever n and
+    stride.
+    """
+    full, tail = divmod(n, stride)
+    first = 0
+    for length, count in [(stride, full)] + [(tail, 1)] * (tail > 0):
+        per = max(1, _BATCH // length)
+        for lo in range(0, count, per):
+            g = min(per, count - lo)
+            P = None
+            for a in range(0, length, _BATCH):
+                b = min(length, a + _BATCH)
+                M = _oracle_transitions(theta_fn, params, h, first + a,
+                                        (g - 1) * length + b - a)
+                Q = _chain_products(M.reshape(g, -1, STATE_DIM, STATE_DIM))
+                P = Q if P is None else Q @ P
+            yield P
+            first += g * length
+
+
+def _integrate_callable_oracle(theta_fn, params: SystemParams, T: float,
+                               x0: np.ndarray, h_max: float,
+                               max_samples: int) -> Trajectory:
+    """Sample a callable control at the times of ``_integrate_callable_rk4``,
+    advancing between samples by the products of ``_oracle_advances``."""
+    n, h = interval_steps(T, h_max)
+    n, h = int(n), float(h)
+    stride = math.ceil(n / (max_samples - 1))
+    times = np.append(np.arange(0, n, stride) * h, T)
+    states = np.empty((times.size, STATE_DIM))
+    states[0] = x0
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        lo = 1
+        for P in _oracle_advances(theta_fn, params, h, n, stride):
+            for i, Pi in enumerate(P, lo):
+                np.dot(Pi, states[i - 1], out=states[i])
+            _check_rows(states, times, lo, lo + len(P))
+            lo += len(P)
+
+    thetas = np.array([float(theta_fn(t)) for t in times.tolist()])
+    return Trajectory(times, states, thetas)
 
 
 def integrate_full(control, params: SystemParams, T: float | None = None, *,
@@ -759,20 +905,20 @@ def integrate_full(control, params: SystemParams, T: float | None = None, *,
         Defaults to all population in |1>.
     max_step : float, optional
         Override of the default step bound (omega0*h <= 0.01, Gamma*h <= 0.1);
-        must be finite and positive.  It sets the steps of the RK4 paths and
-        the sample spacing of the exact path.
+        must be finite and positive.  It sets the model steps, and so the
+        sample times, of every path.
     max_samples : int
         Sample budget, an integer >= 2: samples are taken every
         ceil(steps / (max_samples - 1)) steps, and at the end of every
-        control interval.  DOP853 takes min(max_samples, 512) evenly spaced
-        samples.
+        control interval.
     method : {"rk4", "adaptive"}
-        Fixed-step RK4 (default), or an oracle-grade method.  For a
-        ControlSignal, "adaptive" is exact: each advance between two
-        samples applies expm(t A) over its length t, in place of a power of
-        the RK4 step matrix, so the trajectory has the sample times and
-        angles of "rk4".  For a callable it is scipy's DOP853 at a relative
-        tolerance of 1e-10 and an absolute one of 1e-12.
+        Fixed-step RK4 (default), or an oracle-grade method with the sample
+        times and angles of "rk4".  For a ControlSignal, "adaptive" is
+        exact: each advance between two samples applies expm(t A) over its
+        length t, in place of a power of the RK4 step matrix.  For a
+        callable each model step is one RK4 step and two half steps of
+        theta(t), Richardson-extrapolated to a local error of O(h**6), and
+        each advance applies the product of its steps' transition matrices.
 
     The returned trajectory always contains the final sample at exactly t = T.
     """
@@ -797,7 +943,7 @@ def integrate_full(control, params: SystemParams, T: float | None = None, *,
         if T <= 0.0:
             raise ValueError(f"T must be positive, got {T!r}")
         if method == "adaptive":
-            return _integrate_callable_dop853(control, params, T, x0,
+            return _integrate_callable_oracle(control, params, T, x0, h_max,
                                               max_samples)
         return _integrate_callable_rk4(control, params, T, x0, h_max,
                                        max_samples)

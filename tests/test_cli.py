@@ -185,6 +185,20 @@ class TestSimulate:
                         "--out", str(tmp_path)])
         assert code == 2
 
+    @pytest.mark.parametrize("duration", ["1e18", "1e300"])
+    def test_step_count_past_int64_exits_usage(self, tmp_path, capsys,
+                                                duration):
+        # 1e20 steps once wrapped to INT64_MIN and ran one step of 1e18.
+        out = tmp_path / "out"
+        code = run_cli(["simulate", "--gamma", "10", "--duration", duration,
+                        "--out", str(out)])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["exit_code"] == 1
+        assert err["error"].startswith("step counts must be finite and sum "
+                                       "below 2**63")
+        assert not out.exists()
+
     def test_config_file_and_flag_precedence(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("gamma = 10\nduration = 100\ncontrol = theta0\n"
@@ -385,6 +399,35 @@ class TestVerify:
                               capture_output=True, timeout=120)
         assert done.returncode == 0, done.stderr
 
+    def test_runs_without_scipy(self, tmp_path):
+        # scipy is a test dependency only: with it unimportable, the CLI
+        # commands and both oracle paths of integrate_full still run.
+        script = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from lambda_control import cli, model\n"
+            f"out = {str(tmp_path)!r}\n"
+            "codes = [cli.main(argv + ['--out', f'{out}/{argv[0]}']) for argv"
+            " in (['simulate', '--gamma', '2', '--duration', '5'],"
+            " ['optimize', '--gamma', '2', '--duration', '5',"
+            " '--intervals', '8', '--starts', '2', '--max-iters', '5'],"
+            " ['verify', '--n', '20', '--seed', '2'])]\n"
+            "p = model.SystemParams(gamma_total=2.0)\n"
+            "for control in (lambda t: 0.3 * t,"
+            " model.ControlSignal.linear_ramp(0.0, 0.6, 2.0, 5)):\n"
+            "    traj = model.integrate_full(control, p, 2.0,"
+            " method='adaptive')\n"
+            "    assert traj.max_y() == 0.0 and traj.final_rho33 > 0.0\n"
+            "sys.exit(max(codes))\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        for name in ("simulate", "optimize", "verify"):
+            assert any((tmp_path / name).iterdir())
+
     @pytest.mark.parametrize("tprime, message", [
         ("-1", "arc durations must be nonnegative"),
         ("nan", "jumps and arcs must be finite"),
@@ -433,6 +476,17 @@ class TestOptimizeCommand:
                                    "total_variation"}
             assert record["nfev"] >= record["iterations"] + 1
             assert record["objective"] >= record["initial_objective"]
+
+    def test_step_count_past_int64_exits_usage(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = run_cli(["optimize", "--gamma", "10", "--duration", "1e18",
+                        "--intervals", "4", "--starts", "1",
+                        "--max-iters", "2", "--out", str(out)])
+        assert code == 1
+        err = json.loads(capsys.readouterr().err)
+        assert err["exit_code"] == 1
+        assert "step counts" in err["error"]
+        assert not out.exists()
 
     def test_linalg_error_exits_numerical(self, tmp_path, monkeypatch,
                                           capsys):

@@ -1,16 +1,20 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from lambda_control import model, reduced
 from lambda_control.model import (
     FRAME_GENERATOR,
     HALF_PI,
+    STATE_DIM,
     ControlSignal,
     FullState,
     IntegrationError,
@@ -837,3 +841,184 @@ class TestFullState:
     def test_bad_length_rejected(self):
         with pytest.raises(ValueError):
             FullState.from_array([1.0, 2.0])
+
+
+class TestIntervalSteps:
+    @pytest.mark.parametrize("durations, h_max", [
+        (1e18, 0.01),           # 1e20 steps: past int64
+        (1e300, 0.01),
+        (1e308, 1e-3),          # the ratio itself overflows
+        (math.inf, 0.01),
+        (math.nan, 0.01),
+        ([6e18, 6e18], 1.0),    # each count fits, their sum does not
+        ([2.0**62, 2.0**62], 1.0),  # the sum is exactly 2**63
+        ([1.0, math.nan], 0.1),
+    ])
+    def test_counts_past_int64_rejected(self, durations, h_max):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="step counts"):
+                model.interval_steps(durations, h_max)
+
+    def test_large_counts_stay_exact(self):
+        # Past 2**62 the sum is taken exactly: 2**63 - 1024 still fits.
+        steps, h = model.interval_steps([2.0**62, 2.0**62 - 1024.0], 1.0)
+        assert steps.tolist() == [2**62, 2**62 - 1024]
+        assert h.tolist() == [1.0, 1.0]
+
+    @pytest.mark.parametrize("method", ["rk4", "adaptive"])
+    @pytest.mark.parametrize("control", [optical_pumping_control(1e18),
+                                         lambda t: HALF_PI],
+                             ids=["piecewise", "callable"])
+    def test_integrate_full_rejects_before_work(self, control, method):
+        # Under -W error: the ValueError comes first, not a cast warning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="step counts"):
+                integrate_full(control, SystemParams(gamma_total=10.0), 1e18,
+                               method=method)
+
+
+def _expm_cases():
+    """Batches t_k A(theta_k) for one (Gamma, gamma), with theta at both
+    bounds and inside, and t from 1e-4 to 100."""
+    angle = st.one_of(st.just(0.0), st.just(HALF_PI),
+                      st.floats(min_value=0.0, max_value=HALF_PI))
+    span = st.floats(min_value=-4.0, max_value=2.0).map(lambda e: 10.0**e)
+    return st.tuples(st.floats(min_value=1e-3, max_value=60.0),
+                     st.floats(min_value=-1.0, max_value=1.0),
+                     st.lists(st.tuples(angle, span), min_size=1,
+                              max_size=64))
+
+
+class TestExpm:
+    @settings(deadline=None, max_examples=60)
+    @given(_expm_cases())
+    def test_matches_scipy(self, case):
+        gamma, asymmetry, draws = case
+        p = SystemParams(gamma_total=gamma, gamma_diff=asymmetry * gamma)
+        thetas, spans = (np.array(v) for v in zip(*draws))
+        X = spans[:, None, None] * system_matrix(thetas, p)
+        got = model._expm(X)
+        want = np.array([expm(x) for x in X])
+        assert np.abs(got - want).max() <= 1e-10
+        # The x and y blocks never couple, so these entries are exactly 0.
+        assert not got[:, :6, 6:].any() and not got[:, 6:, :6].any()
+
+    def test_zero_matrix_is_identity(self):
+        # A zero 1-norm (log2(0) = -inf) takes no squaring, alongside a
+        # matrix that takes some.
+        X = np.zeros((3, STATE_DIM, STATE_DIM))
+        X[1] = 50.0 * system_matrix(0.7, SystemParams(gamma_total=2.0))
+        got = model._expm(X)
+        assert np.array_equal(got[0], np.eye(STATE_DIM))
+        assert np.array_equal(got[2], np.eye(STATE_DIM))
+        assert np.abs(got[1] - expm(X[1])).max() <= 1e-10
+
+    def test_non_finite_input_gives_non_finite_output(self):
+        X = np.full((1, STATE_DIM, STATE_DIM), math.inf)
+        with np.errstate(invalid="ignore"):
+            assert not np.isfinite(model._expm(X)).any()
+
+
+def _dop853_final_state(theta_fn, params, T):
+    """The callable control on scipy's DOP853: the state at T."""
+    sol = solve_ivp(lambda t, s: rhs_full(s, float(theta_fn(t)), params),
+                    (0.0, T), FullState.ground().as_array(), method="DOP853",
+                    rtol=1e-10, atol=1e-12)
+    assert sol.success and sol.t[-1] == T
+    return sol.y[:, -1]
+
+
+class TestCallableOracle:
+    """method="adaptive" on a callable: extrapolated RK4 matrix products."""
+
+    @pytest.mark.parametrize("gamma, T", [
+        (0.1, 5.0), (0.1, 8.0), (2.0, 5.0), (2.0, 8.0),
+        (10.0, 4.0), (10.0, 6.0), (10.0, 8.0)])
+    def test_agrees_with_dop853_on_ramps(self, gamma, T):
+        p = SystemParams(gamma_total=gamma)
+
+        def ramp(t):
+            return HALF_PI * t / T
+
+        traj = integrate_full(ramp, p, T, method="adaptive")
+        assert np.abs(traj.final_state - _dop853_final_state(ramp, p, T)
+                      ).max() <= 1e-10
+        assert traj.max_y() == 0.0
+        assert traj.trace_drift() <= 1e-13
+
+    @settings(deadline=None, max_examples=15)
+    @given(st.floats(min_value=0.1, max_value=10.0),
+           st.floats(min_value=-1.0, max_value=1.0),
+           st.floats(min_value=0.5, max_value=6.0),
+           st.floats(min_value=0.0, max_value=3.0),
+           st.floats(min_value=0.0, max_value=2.0 * math.pi))
+    def test_agrees_with_dop853_on_smooth_controls(self, gamma, asymmetry,
+                                                  T, rate, phase):
+        p = SystemParams(gamma_total=gamma, gamma_diff=asymmetry * gamma)
+
+        def theta_fn(t):
+            return 0.25 * math.pi * (1.0 + math.sin(rate * t + phase))
+
+        traj = integrate_full(theta_fn, p, T, method="adaptive",
+                              max_samples=40)
+        assert np.abs(traj.final_state - _dop853_final_state(theta_fn, p, T)
+                      ).max() <= 1e-10
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.floats(min_value=0.1, max_value=20.0),
+           st.floats(min_value=0.05, max_value=6.0),
+           st.sampled_from([0.003, 0.01, 0.05, 0.4]),
+           st.sampled_from([2, 3, 7, 40, 2048]))
+    def test_samples_like_rk4(self, gamma, T, h_max, max_samples):
+        p = SystemParams(gamma_total=gamma)
+
+        def theta_fn(t):
+            return HALF_PI * math.sin(t) ** 2
+
+        oracle, rk4 = (integrate_full(theta_fn, p, T, max_step=h_max,
+                                      max_samples=max_samples, method=method)
+                       for method in ("adaptive", "rk4"))
+        assert oracle.times.tobytes() == rk4.times.tobytes()
+        assert oracle.thetas.tobytes() == rk4.thetas.tobytes()
+        assert oracle.max_y() == 0.0
+
+    @pytest.mark.parametrize("max_samples", [2048, 3])
+    @pytest.mark.parametrize("method", ["adaptive", "rk4"])
+    def test_nan_control_raises_at_first_bad_sample(self, method,
+                                                    max_samples):
+        # h = 0.03: theta is first NaN inside step 33, [0.99, 1.02].  With
+        # a sample per step the state is first non-finite at 1.02; with a
+        # sample every 50 steps, at 1.5.
+        def theta_fn(t):
+            return math.nan if t > 1.0 else 0.7
+
+        with pytest.raises(IntegrationError) as excinfo:
+            integrate_full(theta_fn, SystemParams(gamma_total=2.0), 3.0,
+                           max_step=0.03, max_samples=max_samples,
+                           method=method)
+        if max_samples == 2048:
+            assert str(excinfo.value) == \
+                "non-finite state encountered at t=1.02"
+            assert excinfo.value.last_time == 33 * 0.03
+        else:
+            assert str(excinfo.value) == \
+                "non-finite state encountered at t=1.5"
+            assert excinfo.value.last_time == 0.0
+
+    def test_long_horizon_memory_stays_bounded(self):
+        # 40000 steps in samples of 20: the matrices of all steps would
+        # take 26 MB, a batch of 64 steps well under 1 MB.
+        p = SystemParams(gamma_total=10.0)
+        tracemalloc.start()
+        try:
+            traj = integrate_full(lambda t: HALF_PI * t / 2000.0, p, 2000.0,
+                                  max_step=0.05, method="adaptive")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert traj.times.size == 2001
+        assert peak < 2_000_000
+        assert traj.max_y() == 0.0
+        assert traj.trace_drift() <= 1e-12

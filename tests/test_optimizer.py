@@ -3,6 +3,7 @@ import math
 import re
 import sys
 import threading
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
 
@@ -774,6 +775,17 @@ class TestOptimize:
             objective(control, p, T)
         with pytest.raises(ValueError, match="horizon"):
             objective_and_gradient(control, p, T)
+
+    @pytest.mark.parametrize("asymmetry", [0.0, 0.5])
+    def test_step_count_past_int64_rejected(self, asymmetry):
+        # 1e20 RK4 steps per horizon: a ValueError before any work, not a
+        # cast warning and a garbage optimum.
+        p = SystemParams(gamma_total=10.0, gamma_diff=10.0 * asymmetry)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="step counts"):
+                optimize(OptimizationConfig(n_intervals=4, n_starts=1,
+                                            max_iters=2), p, 1e18)
 
     def test_bad_start_shape_rejected(self):
         config = OptimizationConfig(n_intervals=10)
