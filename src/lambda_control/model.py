@@ -71,9 +71,19 @@ _BATCH = 64
 # Rows that Trajectory.write_csv formats per write.
 _CSV_BLOCK = 256
 
-# Taylor degree of _expm, on matrices scaled to 1-norm <= 1/2: the
-# truncation error there is below 0.5**17 / 17! ~ 2e-20.
-_EXPM_DEGREE = 16
+# _expm: coefficients b_0..b_13 of the [13/13] Pade approximant of exp
+# (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)), over b_0 so that a
+# zero matrix gives exactly the identity; the scale theta_13 below which it
+# is accurate to double precision, and |c_13|^-1 of its backward-error
+# series, both from Al-Mohy and Higham, SIAM J. Matrix Anal. Appl. 31, 970
+# (2009).
+_PADE13 = tuple(c / 64764752532480000.0 for c in (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0,
+    670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+    16380.0, 182.0, 1.0))
+_THETA13 = 4.25
+_ELL13 = 113250775606021113483283660800000000.0
 
 
 class IntegrationError(RuntimeError):
@@ -524,36 +534,76 @@ def _matrix_powers(M: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return powered
 
 
+def _onenorm(X: np.ndarray) -> np.ndarray:
+    """1-norm (largest absolute column sum) of each matrix of a stack."""
+    return (np.ones(X.shape[-2]) @ np.abs(X)).max(axis=-1)
+
+
 def _expm(X: np.ndarray) -> np.ndarray:
     """exp(X[k]) over the leading axis of an (n, d, d) stack.
 
-    Scaling and squaring (Moler and Van Loan, SIAM Rev. 45, 3 (2003)):
-    each matrix is scaled by 2**-s to 1-norm <= 1/2, its Taylor polynomial
-    of degree _EXPM_DEGREE is summed by Horner's rule, and the result is
-    squared s times.  Matrices with equal s are squared as one batch, as
-    ``_matrix_powers`` groups by count.  Only products and sums are taken,
-    so entries that are zero in every power of X (the off-diagonal blocks
-    of a block-diagonal X) stay exactly zero.  A non-finite X gives a
-    non-finite result.
+    Scaling and squaring (Moler and Van Loan, SIAM Rev. 45, 3 (2003)) with
+    the [13/13] Pade approximant and the choice of s of Al-Mohy and Higham
+    (2009): s is the least with 2**-s max(d_8, min(d_6, d_10)) <= theta_13,
+    d_k = ||X**k||_1**(1/k), raised while the approximant's backward-error
+    bound on |X| exceeds the unit roundoff.  The powers are taken once, on
+    X pre-scaled by its 1-norm, and moved to 2**-s X exactly by powers of
+    two.  Matrices with equal s are squared as one batch, as
+    ``_matrix_powers`` groups by count.  Only products, sums and an LU
+    solve are taken, so entries that are zero in every power of X (the
+    off-diagonal blocks of a block-diagonal X) stay exactly zero.  A
+    non-finite X gives NaN.
     """
-    norms = np.abs(X).sum(axis=-2).max(axis=-1)
+    norm = _onenorm(X)
+    finite = np.isfinite(norm)
+    if not finite.all():
+        X = np.where(finite[:, None, None], X, 0.0)
+        norm = np.where(finite, norm, 0.0)
+    # Zero norms give log2(0) = -inf; np.maximum takes them to s = 0.
     with np.errstate(divide="ignore", invalid="ignore"):
-        s = np.ceil(np.log2(norms / 0.5))
-    # A zero matrix has log2(0) = -inf; a non-finite one is left unscaled.
-    s = np.where(np.isfinite(s) & (s > 0.0), s, 0.0).astype(int)
-    Y = np.ldexp(X, -s[:, None, None])
+        s0 = np.maximum(np.ceil(np.log2(norm / _THETA13)), 0.0)
+        A = X * np.exp2(-s0)[:, None, None]
+        A2 = A @ A
+        A4 = A2 @ A2
+        A6 = A2 @ A4
+        d6, d8, d10 = (_onenorm(P) ** (1 / k) for k, P in
+                       ((6, A6), (8, A4 @ A4), (10, A4 @ A6)))
+        s = np.maximum(
+            np.ceil(np.log2(np.maximum(d8, np.minimum(d6, d10)) / _THETA13))
+            + s0, 0.0)
+        # ell(2**-s X, 13) needs ||B**27||_1, B = 2**-s |X|: B**16 B**8 B**2 B.
+        B = np.abs(A) * np.exp2(s0 - s)[:, None, None]
+        B2 = B @ B
+        B8 = (B2 @ B2) @ (B2 @ B2)
+        v = np.ones((1, B.shape[-1])) @ (B8 @ B8) @ B8 @ B2 @ B
+        norm_b = _onenorm(B)
+        alpha = np.where(norm_b > 0.0,
+                         v.max(axis=(-2, -1)) / (norm_b * _ELL13), 0.0)
+        s += np.maximum(np.ceil(np.log2(alpha * 2.0**53) / 26), 0.0)
+    f = np.exp2(s0 - s)[:, None, None]
+    A = A * f
+    f2 = f * f
+    A2 = A2 * f2
+    A4 = A4 * (f2 * f2)
+    A6 = A6 * (f2 * f2 * f2)
+    b = _PADE13
     idx = np.arange(X.shape[-1])
-    E = Y / _EXPM_DEGREE
-    E[:, idx, idx] += 1.0
-    for j in range(_EXPM_DEGREE - 1, 0, -1):
-        E = (Y @ E) / j
-        E[:, idx, idx] += 1.0
+    W = (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
+         + b[7] * A6 + b[5] * A4 + b[3] * A2)
+    W[:, idx, idx] += b[1]
+    U = A @ W
+    V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
+         + b[6] * A6 + b[4] * A4 + b[2] * A2)
+    V[:, idx, idx] += b[0]
+    E = np.linalg.solve(V - U, V + U)
+    s = s.astype(int)
     for m in np.unique(s[s > 0]).tolist():
         sel = s == m
         Es = E[sel]
         for _ in range(m):
             Es = Es @ Es
         E[sel] = Es
+    E[~finite] = np.nan
     return E
 
 
