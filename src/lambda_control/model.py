@@ -479,19 +479,16 @@ def interval_steps(durations, h_max: float):
     of size h = d / m.  Returns integer ``steps`` and float ``h`` arrays of
     the shape of ``durations``.
 
-    Raises ValueError if a count is not finite, or if the counts or their
-    sum reach 2**63, where int64 would no longer hold them exactly.
+    Raises ValueError if a count is not finite, or if the counts sum to
+    2**62 or more: well inside int64 whatever the rounding of the sum.
     """
     durations = np.asarray(durations, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         counts = np.maximum(1.0, np.ceil(durations / h_max - 1e-12))
-    # A float sum below 2**62 is below 2**63 whatever its rounding; past
-    # that, sum exactly.
-    if not (counts.sum() < 2.0**62 or (
-            np.isfinite(counts).all()
-            and sum(int(c) for c in counts.flat) < 2**63)):
+    # NaN and inf fail the comparison too.
+    if not counts.sum() < 2.0**62:
         raise ValueError(
-            f"step counts must be finite and sum below 2**63; durations up "
+            f"step counts must be finite and sum below 2**62; durations up "
             f"to {float(np.max(durations))!r} at max_step {h_max!r} need "
             f"{float(np.sum(counts))!r} steps in all")
     steps = counts.astype(int)
@@ -548,8 +545,8 @@ def _expm(X: np.ndarray) -> np.ndarray:
     d_k = ||X**k||_1**(1/k), raised while the approximant's backward-error
     bound on |X| exceeds the unit roundoff.  The powers are taken once, on
     X pre-scaled by its 1-norm, and moved to 2**-s X exactly by powers of
-    two.  Matrices with equal s are squared as one batch, as
-    ``_matrix_powers`` groups by count.  Only products, sums and an LU
+    two.  ``_matrix_powers`` then raises the approximant to 2**s, one
+    batch per distinct s.  Only products, sums and an LU
     solve are taken, so entries that are zero in every power of X (the
     off-diagonal blocks of a block-diagonal X) stay exactly zero.  A
     non-finite X gives NaN.
@@ -596,13 +593,9 @@ def _expm(X: np.ndarray) -> np.ndarray:
          + b[6] * A6 + b[4] * A4 + b[2] * A2)
     V[:, idx, idx] += b[0]
     E = np.linalg.solve(V - U, V + U)
-    s = s.astype(int)
-    for m in np.unique(s[s > 0]).tolist():
-        sel = s == m
-        Es = E[sel]
-        for _ in range(m):
-            Es = Es @ Es
-        E[sel] = Es
+    # Python ints: 2**s outgrows int64 once a 1-norm passes ~2e19.
+    E = _matrix_powers(E, np.array([2**m for m in s.astype(int).tolist()],
+                                   dtype=object))
     E[~finite] = np.nan
     return E
 
@@ -877,62 +870,35 @@ def _oracle_transitions(theta_fn, params: SystemParams, h: float,
     return E
 
 
-def _chain_products(M: np.ndarray) -> np.ndarray:
-    """M[:, L-1] @ ... @ M[:, 0] of an (n, L, d, d) stack, as a pairwise tree."""
-    while M.shape[1] > 1:
-        paired = M[:, 1::2] @ M[:, 0:-1:2]
-        M = (np.concatenate((paired, M[:, -1:]), axis=1) if M.shape[1] % 2
-             else paired)
-    return M[:, 0]
-
-
-def _oracle_advances(theta_fn, params: SystemParams, h: float, n: int,
-                     stride: int):
-    """The oracle's transition matrix over each sample's model steps, as
-    (g, 9, 9) batches in sample order.
-
-    Samples end every ``stride`` steps and at step n.  A batch builds the
-    matrices of at most _BATCH model steps and multiplies each sample's by
-    ``_chain_products``; a sample longer than a batch multiplies the
-    products of its batches.  So memory stays bounded whatever n and
-    stride.
-    """
-    full, tail = divmod(n, stride)
-    first = 0
-    for length, count in [(stride, full)] + [(tail, 1)] * (tail > 0):
-        per = max(1, _BATCH // length)
-        for lo in range(0, count, per):
-            g = min(per, count - lo)
-            P = None
-            for a in range(0, length, _BATCH):
-                b = min(length, a + _BATCH)
-                M = _oracle_transitions(theta_fn, params, h, first + a,
-                                        (g - 1) * length + b - a)
-                Q = _chain_products(M.reshape(g, -1, STATE_DIM, STATE_DIM))
-                P = Q if P is None else Q @ P
-            yield P
-            first += g * length
-
-
 def _integrate_callable_oracle(theta_fn, params: SystemParams, T: float,
                                x0: np.ndarray, h_max: float,
                                max_samples: int) -> Trajectory:
     """Sample a callable control at the times of ``_integrate_callable_rk4``,
-    advancing between samples by the products of ``_oracle_advances``."""
+    applying the matrices of ``_oracle_transitions`` step by step.
+
+    The matrices are built _BATCH model steps at a time, so memory stays
+    bounded whatever n and stride.
+    """
     n, h = interval_steps(T, h_max)
     n, h = int(n), float(h)
     stride = math.ceil(n / (max_samples - 1))
     times = np.append(np.arange(0, n, stride) * h, T)
     states = np.empty((times.size, STATE_DIM))
     states[0] = x0
+    state = x0
+    row = 0
 
     with np.errstate(over="ignore", invalid="ignore"):
-        lo = 1
-        for P in _oracle_advances(theta_fn, params, h, n, stride):
-            for i, Pi in enumerate(P, lo):
-                np.dot(Pi, states[i - 1], out=states[i])
-            _check_rows(states, times, lo, lo + len(P))
-            lo += len(P)
+        for first in range(0, n, _BATCH):
+            lo = row + 1
+            E = _oracle_transitions(theta_fn, params, h, first,
+                                    min(_BATCH, n - first))
+            for i, Ei in enumerate(E, first + 1):
+                state = np.dot(Ei, state)
+                if i % stride == 0 or i == n:
+                    row += 1
+                    states[row] = state
+            _check_rows(states, times, lo, row + 1)
 
     thetas = np.array([float(theta_fn(t)) for t in times.tolist()])
     return Trajectory(times, states, thetas)

@@ -196,7 +196,7 @@ class TestSimulate:
         err = json.loads(capsys.readouterr().err)
         assert err["exit_code"] == 1
         assert err["error"].startswith("step counts must be finite and sum "
-                                       "below 2**63")
+                                       "below 2**62")
         assert not out.exists()
 
     def test_config_file_and_flag_precedence(self, tmp_path):
