@@ -61,6 +61,9 @@ HALF_PI = math.pi / 2.0
 
 STATE_DIM = 9
 
+# The x block: indices 0..5, which the y block (6..8) never couples to.
+_XDIM = 6
+
 # Slack used when validating user-provided angles/grids against exact bounds.
 _EDGE_TOL = 1e-12
 
@@ -201,6 +204,22 @@ def _state_array(state) -> np.ndarray:
     return arr
 
 
+def _checked_theta(theta: np.ndarray, n_intervals: int) -> np.ndarray:
+    """Angles of a ``ControlSignal``: checked, clipped and read-only."""
+    if theta.shape != (n_intervals,):
+        raise ValueError(
+            f"theta must have one value per interval "
+            f"({n_intervals}), got shape {theta.shape}"
+        )
+    if not np.all(np.isfinite(theta)):
+        raise ValueError("theta values must be finite")
+    if theta.min() < -_EDGE_TOL or theta.max() > HALF_PI + _EDGE_TOL:
+        raise ValueError("theta values must lie in [0, pi/2]")
+    theta = np.clip(theta, 0.0, HALF_PI)
+    theta.setflags(write=False)
+    return theta
+
+
 class ControlSignal:
     """Piecewise-constant mixing-angle schedule theta(t) on [grid[0], grid[-1]].
 
@@ -219,18 +238,8 @@ class ControlSignal:
             raise ValueError("grid times must be finite")
         if np.any(np.diff(grid) <= 0.0):
             raise ValueError("grid times must be strictly increasing")
-        if theta.shape != (grid.size - 1,):
-            raise ValueError(
-                f"theta must have one value per interval "
-                f"({grid.size - 1}), got shape {theta.shape}"
-            )
-        if not np.all(np.isfinite(theta)):
-            raise ValueError("theta values must be finite")
-        if theta.min() < -_EDGE_TOL or theta.max() > HALF_PI + _EDGE_TOL:
-            raise ValueError("theta values must lie in [0, pi/2]")
-        theta = np.clip(theta, 0.0, HALF_PI)
+        theta = _checked_theta(theta, grid.size - 1)
         grid.setflags(write=False)
-        theta.setflags(write=False)
         self.grid = grid
         self.theta = theta
 
@@ -291,7 +300,17 @@ class ControlSignal:
         return np.diff(self.grid)
 
     def with_theta(self, theta) -> "ControlSignal":
-        return ControlSignal(self.grid, theta)
+        """The same grid with new angles, checked as the constructor does.
+
+        Only the angles are checked (shape, finite values, [0, pi/2] up to
+        ``_EDGE_TOL``), then clipped and made read-only: the grid was
+        validated when this signal was built, is read-only, and is shared.
+        """
+        theta = np.atleast_1d(np.asarray(theta, dtype=float))
+        new = object.__new__(ControlSignal)
+        new.grid = self.grid
+        new.theta = _checked_theta(theta, self.grid.size - 1)
+        return new
 
     def interval_index(self, t) -> np.ndarray:
         idx = np.searchsorted(self.grid, np.asarray(t, dtype=float), side="right") - 1
@@ -437,6 +456,30 @@ def system_matrix_dtheta(theta, params: SystemParams) -> np.ndarray:
     return dA
 
 
+def _frame_rotation_x(theta):
+    """The x block (indices 0..5) of ``frame_rotation``: R(theta), R(-theta).
+
+    Shapes follow ``system_matrix``: S + (6, 6) each.  This is the only
+    place the rotation's entries are written.
+    """
+    theta = np.asarray(theta, dtype=float)
+    c, s = np.cos(theta), np.sin(theta)
+    c2, s2 = np.cos(2.0 * theta), np.sin(2.0 * theta)
+    R = np.zeros(theta.shape + (_XDIM, _XDIM))
+    R[..., 0, 0] = R[..., 2, 2] = c * c
+    R[..., 0, 2] = R[..., 2, 0] = s * s
+    R[..., 0, 5] = s2
+    R[..., 2, 5] = -s2
+    R[..., 5, 0] = -0.5 * s2
+    R[..., 5, 2] = 0.5 * s2
+    R[..., 5, 5] = c2
+    R[..., 1, 1] = 1.0
+    R[..., 3, 3] = R[..., 4, 4] = c
+    R[..., 3, 4] = -s
+    R[..., 4, 3] = s
+    return R, R * _FRAME_SIGNS[:_XDIM, :_XDIM]
+
+
 def frame_rotation(theta):
     """R(theta) = exp(theta K) and its inverse R(-theta), batched over theta.
 
@@ -450,21 +493,13 @@ def frame_rotation(theta):
     invariant; ``system_matrix_dtheta`` adds their correction.  Shapes
     follow ``system_matrix``: S + (9, 9) each.
     """
-    theta = np.asarray(theta, dtype=float)
-    c, s = np.cos(theta), np.sin(theta)
-    c2, s2 = np.cos(2.0 * theta), np.sin(2.0 * theta)
-    R = np.zeros(theta.shape + (STATE_DIM, STATE_DIM))
-    R[..., 0, 0] = R[..., 2, 2] = c * c
-    R[..., 0, 2] = R[..., 2, 0] = s * s
-    R[..., 0, 5] = s2
-    R[..., 2, 5] = -s2
-    R[..., 5, 0] = -0.5 * s2
-    R[..., 5, 2] = 0.5 * s2
-    R[..., 5, 5] = c2
-    R[..., 1, 1] = R[..., 8, 8] = 1.0
-    R[..., 3, 3] = R[..., 4, 4] = R[..., 6, 6] = R[..., 7, 7] = c
-    R[..., 3, 4] = R[..., 7, 6] = -s
-    R[..., 4, 3] = R[..., 6, 7] = s
+    R_x, R_x_inv = _frame_rotation_x(theta)
+    R = np.zeros(R_x.shape[:-2] + (STATE_DIM, STATE_DIM))
+    R[..., :_XDIM, :_XDIM] = R_x
+    # K on (y1, y2) is minus K on (x4, x5), so (y1, y2) turn as (x4, x5)
+    # do at -theta.
+    R[..., 6:8, 6:8] = R_x_inv[..., 3:5, 3:5]
+    R[..., 8, 8] = 1.0
     return R, R * _FRAME_SIGNS
 
 

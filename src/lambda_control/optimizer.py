@@ -12,16 +12,16 @@ parameterization, so no penalty terms appear.
 
 The dynamics are those of ``integrate_full``: the generator
 (``system_matrix``), the dark/bright frame rotation (``FRAME_GENERATOR`` K,
-``frame_rotation`` R), the RK4 step matrix (``rk4_step_matrix``), the
-batched matrix powers (``_matrix_powers``) and the step rule
-(``interval_steps``) all come from ``lambda_control.model``; dA/dtheta is
-``system_matrix_dtheta``'s K A - A K + gamma E_51, taken on the x block.
-Because the state equation is linear, a control interval integrated with
-fixed-step RK4 is a matrix power of the one-step transition matrix.  Only
-the 6-variable x block enters: the y block is decoupled and identically
-zero from the standard initial condition.  The interval propagators P_k
-and their derivatives take one of two paths, chosen by
-``params.is_symmetric``:
+the x block of ``frame_rotation`` R), the RK4 step matrix
+(``rk4_step_matrix``), the batched matrix powers (``_matrix_powers``) and
+the step rule (``interval_steps``) all come from ``lambda_control.model``;
+dA/dtheta is ``system_matrix_dtheta``'s K A - A K + gamma E_51, taken on
+the x block.  Because the state equation is linear, a control interval
+integrated with fixed-step RK4 is a matrix power of the one-step
+transition matrix.  Only the 6-variable x block enters: the y block is
+decoupled and identically zero from the standard initial condition.  The
+interval propagators P_k and their derivatives take one of two paths,
+chosen by ``params.is_symmetric``:
 
 * Symmetric decay: A(theta) = R(theta) A(0) R(-theta), and a polynomial of
   a conjugated matrix is the conjugated polynomial, so
@@ -31,7 +31,8 @@ and their derivatives take one of two paths, chosen by
   where P0, the RK4 propagator at theta = 0, is built once per distinct
   interval duration with that interval's step count and step size.  P0
   depends only on the grid and the parameters, so it is cached per grid
-  and built once per ascent.
+  and built once per ascent.  dP_k is never formed (see the gradient
+  below).
 * Asymmetric decay: the feeding term breaks the identity, so each interval
   gets its own RK4 step, and the derivative is carried alongside as a pair
   (M, dM) of 6x6 matrices under the product rule
@@ -42,18 +43,28 @@ and their derivatives take one of two paths, chosen by
   d(B^j) = B^(j-1) dB + d(B^(j-1)) B, and the step count m is applied by a
   binary power of the pair.  The first component takes the products of
   ``rk4_step_matrix`` and ``np.linalg.matrix_power`` in the same order, so
-  P_k is the objective-only P_k bit for bit.
+  P_k is the objective-only P_k bit for bit.  The step counts and sizes
+  are cached per grid, like P0.
 
 Both paths are the same discretized dynamics (they agree to roundoff), and
 the gradient is exact for it: it matches finite differences of the same
 objective to roundoff.
 
 With e1 the initial state and e3 the target, rho33(T) = e3^T P_{N-1} ... P_0
-e1.  The state before interval k is a prefix product applied to e1 and the
-adjoint after it is row 2 of the suffix product P_{N-1} ... P_{k+1}; both
-come from one doubling scan (``_prefix_products``) in ceil(log2 N) batched
-matmuls, and the gradient is the single contraction
-adjoint_k^T (dP_k/dtheta_k) state_k over all k.
+e1.  The state x_j before interval j is a prefix product applied to e1
+(x_N is the final state), and the adjoint lambda_j is row 2 of the suffix
+product P_{N-1} ... P_j (lambda_N = e3); both come from one doubling scan
+(``_prefix_products``) in ceil(log2 N) batched matmuls.  The gradient is
+g_k = lambda_{k+1}^T (dP_k/dtheta_k) x_k.  For asymmetric decay that is
+one contraction over all intervals.  For symmetric decay, dP_k = K P_k -
+P_k K turns it into increments of the switching function
+
+    Phi_j = lambda_j^T K x_j,   g_k = Phi_{k+1} - Phi_k,
+
+since lambda_{k+1}^T P_k = lambda_k^T and P_k x_k = x_{k+1}.  Phi_j is the
+first-order change of rho33(T) when the state at the boundary before
+interval j is turned by exp(eps K).  It vanishes along pumping (theta =
+pi/2), where the state and the adjoint are both zero on (x5, x6).
 
 The line search evaluates its first trial with the gradient and later
 backtracks with the objective alone (``_final_rho33``); the two give the
@@ -73,13 +84,14 @@ import numpy as np
 from .model import (
     HALF_PI,
     _EDGE_TOL,
+    _XDIM,
     ControlSignal,
     FRAME_GENERATOR,
     IntegrationError,
     SystemParams,
     _matrix_powers,
+    _frame_rotation_x,
     default_max_step,
-    frame_rotation,
     interval_steps,
     optical_pumping_control,
     rk4_step_matrix,
@@ -101,8 +113,6 @@ __all__ = [
     "grid_cells",
     "sweep",
 ]
-
-_XDIM = 6
 
 
 @dataclass(frozen=True)
@@ -181,7 +191,8 @@ def _rk4_pair_propagators(thetas: np.ndarray, durations: np.ndarray,
     of ``rk4_step_matrix`` and ``np.linalg.matrix_power``, so it is the
     with_grad=False P_k bit for bit.
     """
-    steps, h = interval_steps(durations, default_max_step(params))
+    steps, h = _grid_steps(np.asarray(durations, dtype=float).tobytes(),
+                           params)
     # The generator is block diagonal, so the x block evolves on its own.
     A = system_matrix(thetas, params)[:, :_XDIM, :_XDIM]
     if not with_grad:
@@ -213,6 +224,20 @@ _K = FRAME_GENERATOR[:_XDIM, :_XDIM]
 
 
 @functools.lru_cache(maxsize=8)
+def _grid_steps(durations_key: bytes, params: SystemParams):
+    """``interval_steps`` of a grid, keyed by its float64 duration bytes.
+
+    The grid and the parameters stay fixed over a whole ascent, so each
+    ascent applies the step rule once.  The cached arrays are shared by
+    every caller, so they are read-only.
+    """
+    steps, h = interval_steps(np.frombuffer(durations_key),
+                              default_max_step(params))
+    steps.flags.writeable = h.flags.writeable = False
+    return steps, h
+
+
+@functools.lru_cache(maxsize=8)
 def _theta0_propagators(durations_key: bytes,
                         params: SystemParams) -> np.ndarray:
     """P0 of every interval of a grid, keyed by its float64 duration bytes.
@@ -232,8 +257,8 @@ def _theta0_propagators(durations_key: bytes,
 
 
 def _conjugated_propagators(thetas: np.ndarray, durations: np.ndarray,
-                            params: SystemParams, with_grad: bool):
-    """P_k = R(theta_k) P0 R(-theta_k) and dP_k/dtheta_k = K P_k - P_k K.
+                            params: SystemParams) -> np.ndarray:
+    """P_k = R(theta_k) P0 R(-theta_k), the x block of each propagator.
 
     Symmetric decay only.  A polynomial of a conjugated matrix is the
     conjugated polynomial, so the RK4 propagator of an interval is its
@@ -242,25 +267,24 @@ def _conjugated_propagators(thetas: np.ndarray, durations: np.ndarray,
     """
     P0 = _theta0_propagators(
         np.asarray(durations, dtype=float).tobytes(), params)
-    R, R_inv = frame_rotation(thetas)
-    P = R[:, :_XDIM, :_XDIM] @ P0 @ R_inv[:, :_XDIM, :_XDIM]
-    if not with_grad:
-        return P, None
-    return P, _K @ P - P @ _K
+    R, R_inv = _frame_rotation_x(thetas)
+    return R @ P0 @ R_inv
 
 
 def _interval_propagators(thetas: np.ndarray, durations: np.ndarray,
                           params: SystemParams, with_grad: bool):
-    """Per-interval RK4 propagators P_k (and dP_k/dtheta_k when requested).
+    """Per-interval RK4 propagators P_k, and dP_k/dtheta_k when requested.
 
     Symmetric decay rotates one theta = 0 propagator per distinct duration
-    into each interval's frame (``_conjugated_propagators``: no dA/dtheta).
-    Asymmetric decay breaks that identity and keeps the per-interval RK4
-    step and power of the (A, dA/dtheta) pair (``_rk4_pair_propagators``).
-    Both give the same fixed-step dynamics to roundoff.
+    into each interval's frame (``_conjugated_propagators``) and returns no
+    dP_k: its gradient is taken from the switching function instead (see
+    ``objective_and_gradient``).  Asymmetric decay breaks that identity and
+    keeps the per-interval RK4 step and power of the (A, dA/dtheta) pair
+    (``_rk4_pair_propagators``).  Both give the same fixed-step dynamics to
+    roundoff.
     """
     if params.is_symmetric:
-        return _conjugated_propagators(thetas, durations, params, with_grad)
+        return _conjugated_propagators(thetas, durations, params), None
     return _rk4_pair_propagators(thetas, durations, params, with_grad)
 
 
@@ -329,19 +353,23 @@ def objective_and_gradient(control: ControlSignal, params: SystemParams,
     agrees with central finite differences of ``objective`` to roundoff.
     """
     _check_grid(control, T)
-    P, G = _interval_propagators(control.theta, control.durations, params,
-                                 with_grad=True)
-    n = control.n_intervals
+    P, dP = _interval_propagators(control.theta, control.durations, params,
+                                  with_grad=True)
     # Row 0: prefix products P_k ... P_0.  Row 1: prefix products of the
     # reversed, transposed stack, (P_{N-1} ... P_{N-1-j})^T.
     forward, backward = _prefix_products(
         np.stack([P, P[::-1].transpose(0, 2, 1)]))
-    # states[k] is the state before interval k, e1 before the first;
-    # adjoints[k] is row 2 of P_{N-1} ... P_{k+1}, e3 after the last.
+    # states[j] = x_j is the state before interval j (x_N the final state)
+    # and adjoints[j] = lambda_j is row 2 of P_{N-1} ... P_j (lambda_N = e3).
     unit = np.eye(_XDIM)
-    states = np.concatenate([unit[:1], forward[:-1, :, 0]])
-    adjoints = np.concatenate([backward[:n - 1][::-1, :, 2], unit[2:3]])
-    grad = np.einsum("ki,kij,kj->k", adjoints, G, states)
+    states = np.concatenate([unit[:1], forward[:, :, 0]])
+    adjoints = np.concatenate([backward[::-1, :, 2], unit[2:3]])
+    if dP is None:
+        # Symmetric decay: dP_k/dtheta_k = K P_k - P_k K, so the gradient
+        # is g_k = Phi_{k+1} - Phi_k with Phi_j = lambda_j^T K x_j.
+        grad = np.diff(np.einsum("ki,ki->k", adjoints @ _K, states))
+    else:
+        grad = np.einsum("ki,kij,kj->k", adjoints[1:], dP, states[:-1])
     return float(forward[-1, 2, 0]), grad
 
 
@@ -414,13 +442,13 @@ def _ascend(theta0: np.ndarray, grid: np.ndarray, params: SystemParams,
     evaluated point, two at an accepted backtrack.
     """
     durations = np.diff(grid)
+    theta = np.clip(theta0, 0.0, HALF_PI)
+    control = ControlSignal(grid, theta)
 
     def f_and_g(th):
-        ctl = ControlSignal(grid, th)
-        return objective_and_gradient(ctl, params)
+        return objective_and_gradient(control.with_theta(th), params)
 
-    theta = np.clip(theta0, 0.0, HALF_PI)
-    value, grad = f_and_g(theta)
+    value, grad = objective_and_gradient(control, params)
     nfev = 1
     history = [value]
     pairs = deque(maxlen=_LBFGS_MEMORY)

@@ -240,6 +240,17 @@ class TestFrameRotation:
             assert np.allclose(Kx @ Ax - Ax @ Kx, dA[:6, :6], rtol=0.0,
                                atol=1e-15)
 
+    @settings(deadline=None, max_examples=50)
+    @given(hnp.arrays(np.float64, hnp.array_shapes(max_dims=2, max_side=8),
+                      elements=st.floats(-10.0, 10.0)))
+    def test_x_block_is_the_full_rotation_block(self, thetas):
+        # The optimizer conjugates with the x block alone; it must be the
+        # same numbers as frame_rotation's, byte for byte.
+        for x_block, full in zip(model._frame_rotation_x(thetas),
+                                 frame_rotation(thetas)):
+            assert x_block.shape == thetas.shape + (6, 6)
+            assert x_block.tobytes() == full[..., :6, :6].copy().tobytes()
+
     def test_asymmetric_decay_breaks_the_identity(self):
         # The feeding terms gamma1 != gamma3 are not rotation invariant, so
         # the optimizer keeps the RK4 pair path for asymmetric decay.
@@ -278,6 +289,37 @@ class TestControlSignal:
     def test_validation(self, grid, theta):
         with pytest.raises(ValueError):
             ControlSignal(grid, theta)
+
+    @pytest.mark.parametrize("theta", [
+        [0.1, 0.2, 0.3],
+        [0.0, HALF_PI, 1.0],
+        [-1e-13, HALF_PI + 1e-13, -0.0],   # inside _EDGE_TOL: clipped
+        [-1e-11, 0.2, 0.3],                # outside it
+        [0.1, HALF_PI + 1e-11, 0.3],
+        [0.1, 2.0, 0.3],
+        [float("nan"), 0.2, 0.3],
+        [0.1, float("inf"), 0.3],
+        [0.1, 0.2, float("-inf")],
+        [0.1, 0.2],                        # wrong shapes
+        [[0.1, 0.2, 0.3]],
+        0.2,
+        [],
+        ["a", 0.2, 0.3],
+    ])
+    def test_with_theta_checks_like_the_constructor(self, theta):
+        control = ControlSignal(np.linspace(0.0, 3.0, 4), [0.5, 0.6, 0.7])
+        try:
+            expected = ControlSignal(control.grid, theta)
+        except Exception as exc:  # the contract is the same exception type
+            with pytest.raises(type(exc)):
+                control.with_theta(theta)
+            return
+        new = control.with_theta(theta)
+        assert new.theta.tobytes() == expected.theta.tobytes()
+        assert new.grid is control.grid
+        assert not new.grid.flags.writeable
+        assert not new.theta.flags.writeable
+        assert control.theta.tobytes() == np.array([0.5, 0.6, 0.7]).tobytes()
 
     def test_optical_pumping_control(self):
         c = optical_pumping_control(1.0)
