@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -370,22 +371,43 @@ def cmd_optimize(args) -> int:
 VERIFY_CHUNK = 1000
 
 
+# A `verify` JSONL record with its keys in sort_keys order.  For finite
+# floats, %r (repr) and a list's repr are what the json encoder writes.
+_VERIFY_RECORD = ('{"arcs": %r, "margin": %r, "n": %d, "thetas": %r, '
+                  '"x1": %r, "xn": %r}\n')
+
+
 def _verify_chunk(fh, lengths, jumps, arcs):
     """Check one analytic.verify_bounds batch and write its JSONL records.
 
-    Returns the records of the sequences that violate the bound.
+    Returns the records of the sequences that violate the bound.  A row
+    with a non-finite value is written by the json encoder, which spells
+    those values NaN and Infinity.
     """
     check = analytic.verify_bounds(lengths, jumps, arcs)
-    records = [
-        {"n": n, "thetas": row_jumps[:n], "arcs": row_arcs[:n],
-         "xn": xn, "x1": x1, "margin": margin}
-        for n, row_jumps, row_arcs, xn, x1, margin in zip(
-            lengths.tolist(), jumps.tolist(), arcs.tolist(),
-            check.xn.tolist(), check.x1.tolist(), check.margin.tolist())
-    ]
+    finite = (np.isfinite(jumps).all(axis=1) & np.isfinite(arcs).all(axis=1)
+              & np.isfinite(check.xn) & np.isfinite(check.x1)
+              & np.isfinite(check.margin))
     encode = json.JSONEncoder(sort_keys=True).encode
-    fh.write("".join(encode(record) + "\n" for record in records))
-    return [record for record, ok in zip(records, check.satisfied) if not ok]
+    lines, violations = [], []
+    for n, row_jumps, row_arcs, xn, x1, margin, row_finite, ok in zip(
+            lengths.tolist(), jumps.tolist(), arcs.tolist(),
+            check.xn.tolist(), check.x1.tolist(), check.margin.tolist(),
+            finite.tolist(), check.satisfied.tolist()):
+        thetas, row_arcs = row_jumps[:n], row_arcs[:n]
+        if row_finite:
+            lines.append(_VERIFY_RECORD
+                         % (row_arcs, margin, n, thetas, x1, xn))
+        if ok and row_finite:
+            continue
+        record = {"n": n, "thetas": thetas, "arcs": row_arcs,
+                  "xn": xn, "x1": x1, "margin": margin}
+        if not row_finite:
+            lines.append(encode(record) + "\n")
+        if not ok:
+            violations.append(record)
+    fh.write("".join(lines))
+    return violations
 
 
 def cmd_verify(args) -> int:
@@ -652,6 +674,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _main_parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses: built on the first call, then reused (a
+    parse leaves no state on the parser)."""
+    return build_parser()
+
+
 def _fail(message: str, code: int, extra: dict | None = None) -> int:
     payload = {"error": message, "exit_code": code}
     if extra:
@@ -662,7 +691,7 @@ def _fail(message: str, code: int, extra: dict | None = None) -> int:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
+    parser = _main_parser()
     try:
         args = parser.parse_args(argv)
         if args.config is not None:

@@ -74,6 +74,13 @@ _BATCH = 64
 # Rows that Trajectory.write_csv formats per write.
 _CSV_BLOCK = 256
 
+# The exact path's bound on |u^T E - u^T|, u = (1, 1, 1, 0, ..., 0), for a
+# propagator E: the trace moves by at most this much per advance.  Advances
+# of t <= 100 at Gamma <= 60 stay below 1e-12; squarings of a huge advance
+# (t ~ 1e10 and up) compound their rounding past it.
+_TRACE_TOL = 1e-9
+_TRACE_ROW = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+
 # _expm: coefficients b_0..b_13 of the [13/13] Pade approximant of exp
 # (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)), over b_0 so that a
 # zero matrix gives exactly the identity; the scale theta_13 below which it
@@ -699,36 +706,60 @@ class Trajectory:
         """Largest |y| component over all samples (zero from the standard start)."""
         return float(np.max(np.abs(self.states[:, 6:9])))
 
+    def _control_runs(self, omega0: float):
+        """Runs of bit-equal angles: their lengths, and per run (theta,
+        omega0 * sin(theta), omega0 * cos(theta)) by ``math.sin``/``math.cos``.
+
+        Angles are compared as bits, so -0.0 and +0.0 start different runs.
+        """
+        bits = np.ascontiguousarray(self.thetas, dtype=float).view(np.uint64)
+        starts = np.empty(bits.size, dtype=bool)
+        starts[:1] = True
+        np.not_equal(bits[1:], bits[:-1], out=starts[1:])
+        starts = np.flatnonzero(starts)
+        controls = [(th, omega0 * math.sin(th), omega0 * math.cos(th))
+                    for th in self.thetas[starts].tolist()]
+        return np.diff(starts, append=bits.size), controls
+
     def columns(self, omega0: float = 1.0) -> np.ndarray:
         """Exported columns as an (n, 10) array, in ``COLUMNS`` order.
 
         omega_p and omega_s are omega0 * sin(theta) and omega0 * cos(theta),
-        evaluated per sample with ``math.sin``/``math.cos``.
+        evaluated once per run of equal angles (``_control_runs``).
         """
+        lengths, controls = self._control_runs(omega0)
         cols = np.empty((self.times.size, len(self.COLUMNS)))
         cols[:, 0] = self.times
         cols[:, 1:7] = self.states[:, :6]
-        cols[:, 7] = self.thetas
-        thetas = self.thetas.tolist()
-        cols[:, 8] = [omega0 * math.sin(th) for th in thetas]
-        cols[:, 9] = [omega0 * math.cos(th) for th in thetas]
+        cols[:, 7:] = np.repeat(np.reshape(controls, (-1, 3)), lengths, axis=0)
         return cols
 
     def write_csv(self, path, omega0: float = 1.0, comment: str | None = None):
         """Plot-ready export; times are in units of 1/omega0.
 
-        Every value is written as ``format(v, ".17g")``; rows are formatted
-        and written in blocks of ``_CSV_BLOCK``.
+        Every value is written as ``format(v, ".17g")``, in the values of
+        ``columns``.  The three control columns are formatted once per run
+        of equal angles (``_control_runs``) and fill every row of the run;
+        the other seven are formatted and written in blocks of
+        ``_CSV_BLOCK`` rows.
         """
-        cols = self.columns(omega0)
-        row = ",".join(["%.17g"] * cols.shape[1]) + "\n"
+        lengths, controls = self._control_runs(omega0)
+        # A formatted float holds no '%', so each row stays a template of
+        # its seven leading values.
+        rows = np.repeat(np.array(
+            ["%.17g," * 7 + "%.17g,%.17g,%.17g\n" % c for c in controls],
+            dtype=object), lengths).tolist()
+        lead = np.empty((self.times.size, 7))
+        lead[:, 0] = self.times
+        lead[:, 1:] = self.states[:, :6]
         with open(path, "w", encoding="utf-8") as fh:
             if comment:
                 fh.write(f"# {comment}\n")
             fh.write(",".join(self.COLUMNS) + "\n")
-            for lo in range(0, cols.shape[0], _CSV_BLOCK):
-                block = cols[lo:lo + _CSV_BLOCK]
-                fh.write((row * block.shape[0]) % tuple(block.ravel().tolist()))
+            for lo in range(0, lead.shape[0], _CSV_BLOCK):
+                hi = lo + _CSV_BLOCK
+                fh.write("".join(rows[lo:hi])
+                         % tuple(lead[lo:hi].ravel().tolist()))
 
 
 def _check_finite(state: np.ndarray, t: float, last_good: float):
@@ -757,33 +788,55 @@ def _interval_edges(control: ControlSignal, T: float):
 
 def _step_matrices(thetas: np.ndarray, h: np.ndarray, rem: np.ndarray,
                    params: SystemParams, stride: int, exact: bool):
-    """Per interval, M**stride and M**rem of its step matrix M.
+    """Per batch of _BATCH intervals: its slice of the intervals, and the
+    (b, 9, 9) stacks of M**stride and M**rem of each interval's step
+    matrix M.
 
     M is the RK4 step matrix.  With ``exact`` the two are expm(stride h A)
     and expm(rem h A), the exact propagators over those steps, from one
     batched ``_expm`` each; powers of expm(h A) would compound its
-    rounding over the steps.  Built in batches of _BATCH intervals, so
-    memory stays bounded for schedules with many intervals.  Within a batch
-    the RK4 remainder powers take one ``matrix_power`` per distinct
-    remainder (``_matrix_powers``); entries with rem = 0 are the identity.
+    rounding over the steps.  Batches keep memory bounded for schedules
+    with many intervals.  Within a batch the RK4 remainder powers take one
+    ``matrix_power`` per distinct remainder (``_matrix_powers``); entries
+    with rem = 0 are the identity.
     """
     for lo in range(0, thetas.size, _BATCH):
-        hi = lo + _BATCH
-        A = system_matrix(thetas[lo:hi], params)
+        batch = slice(lo, lo + _BATCH)
+        A = system_matrix(thetas[batch], params)
         if exact:
-            yield from zip(_expm((stride * h[lo:hi])[:, None, None] * A),
-                           _expm((rem[lo:hi] * h[lo:hi])[:, None, None] * A))
+            yield (batch, _expm((stride * h[batch])[:, None, None] * A),
+                   _expm((rem[batch] * h[batch])[:, None, None] * A))
             continue
-        M = rk4_step_matrix(A, h[lo:hi])
-        yield from zip(np.linalg.matrix_power(M, stride),
-                       _matrix_powers(M, rem[lo:hi]))
+        M = rk4_step_matrix(A, h[batch])
+        yield (batch, np.linalg.matrix_power(M, stride),
+               _matrix_powers(M, rem[batch]))
+
+
+def _check_trace(starts: np.ndarray, *propagators: np.ndarray):
+    """Raise IntegrationError at the first interval of a batch whose
+    propagators (one (b, 9, 9) stack per argument) move the trace:
+    |u^T E - u^T| > _TRACE_TOL, u = (1, 1, 1, 0, ..., 0).  A non-finite E
+    passes; the finiteness check reports it."""
+    drift = np.max([np.abs(E[:, :3].sum(axis=1) - _TRACE_ROW).max(axis=1)
+                    for E in propagators], axis=0)
+    bad = drift > _TRACE_TOL
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise IntegrationError(
+            f"propagator from t={starts[k]:.6g} breaks trace conservation "
+            f"by {drift[k]:.3g}", last_time=starts[k])
 
 
 def _integrate_piecewise(control: ControlSignal, params: SystemParams,
                          T: float, x0: np.ndarray, h_max: float,
                          max_samples: int, exact: bool) -> Trajectory:
     """Sample a piecewise schedule on the steps of ``interval_steps``;
-    ``exact`` swaps RK4 for the exact propagator, not the times or angles."""
+    ``exact`` swaps RK4 for the exact propagator, not the times or angles.
+
+    Each row is written in place, as M @ (previous row).  Finiteness is
+    checked once per batch of _BATCH intervals; ``_check_rows`` raises at
+    the first non-finite row, as a check after every row would.
+    """
     starts, ends, thetas = _interval_edges(control, T)
     steps, h = interval_steps(ends - starts, h_max)
     total = int(steps.sum())
@@ -809,18 +862,24 @@ def _integrate_piecewise(control: ControlSignal, params: SystemParams,
     # Divergence is detected via the finite check; silence the transient
     # overflow warnings it rides in on.
     with np.errstate(over="ignore", invalid="ignore"):
-        matrices = _step_matrices(thetas, h, rem, params, stride, exact)
-        lo = 1
-        for k_chunks, k_rem, (Mk_stride, Mk_rem) in zip(
-                n_chunks.tolist(), rem.tolist(), matrices):
-            hi = lo + k_chunks
-            for i in range(lo, hi):
-                states[i] = Mk_stride @ states[i - 1]
-            if k_rem:
-                states[hi] = Mk_rem @ states[hi - 1]
-                hi += 1
-            _check_rows(states, times, lo, hi)
-            lo = hi
+        row = 1
+        for batch, M_stride, M_rem in _step_matrices(thetas, h, rem, params,
+                                                     stride, exact):
+            if exact:
+                _check_trace(starts[batch], M_stride, M_rem)
+            first = row
+            # np.dot's matrix-vector product gives the bits of `@`, with
+            # less call overhead.
+            for k_chunks, k_rem, Mk_stride, Mk_rem in zip(
+                    n_chunks[batch].tolist(), rem[batch].tolist(), M_stride,
+                    M_rem):
+                for i in range(row, row + k_chunks):
+                    np.dot(Mk_stride, states[i - 1], out=states[i])
+                row += k_chunks
+                if k_rem:
+                    np.dot(Mk_rem, states[row - 1], out=states[row])
+                    row += 1
+            _check_rows(states, times, first, row)
 
     return Trajectory(times, states, np.concatenate((thetas[:1],
                                                      np.repeat(thetas, rows))))

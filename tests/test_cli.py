@@ -1,3 +1,4 @@
+import io
 import json
 import math
 import os
@@ -11,6 +12,7 @@ import pytest
 
 from lambda_control import cli
 from lambda_control.analytic import (
+    RANDOM_MAX_N,
     BangSingularSequence,
     BoundCheck,
     apply_bang,
@@ -399,6 +401,41 @@ class TestVerify:
                               capture_output=True, timeout=120)
         assert done.returncode == 0, done.stderr
 
+    def test_records_are_the_json_encoding(self, monkeypatch):
+        # The lines equal the encoder's output for the record dicts, also
+        # for -0.0, NaN and +-inf, which the encoder spells its own way.
+        special = [-0.0, math.nan, math.inf, -math.inf, 0.25]
+        rows = len(special) ** 2
+        xn = np.array([a for a in special for _ in special])
+        x1 = np.array([b for _ in special for b in special])
+        margin = np.roll(xn, 3)
+        satisfied = np.arange(rows) % 3 != 0
+        lengths = np.where(np.arange(rows) % 2 == 0, 1, RANDOM_MAX_N)
+        rng = np.random.default_rng(4)
+        jumps = np.zeros((rows, RANDOM_MAX_N))
+        arcs = np.zeros((rows, RANDOM_MAX_N))
+        for i, n in enumerate(lengths):
+            jumps[i, :n] = rng.uniform(0.0, 1.0, n)
+            arcs[i, :n] = rng.uniform(0.0, 1.0, n)
+        jumps[1, 2] = -0.0
+
+        def fake_verify(got_lengths, got_jumps, got_arcs):
+            return BoundCheck(xn=xn, x1=x1, margin=margin,
+                              satisfied=satisfied,
+                              at_equality=np.zeros(rows, dtype=bool))
+
+        monkeypatch.setattr(cli.analytic, "verify_bounds", fake_verify)
+        fh = io.StringIO()
+        violations = cli._verify_chunk(fh, lengths, jumps, arcs)
+        records = [{"n": int(n), "thetas": jumps[i, :n].tolist(),
+                    "arcs": arcs[i, :n].tolist(), "xn": float(xn[i]),
+                    "x1": float(x1[i]), "margin": float(margin[i])}
+                   for i, n in enumerate(lengths)]
+        encode = json.JSONEncoder(sort_keys=True).encode
+        assert fh.getvalue() == "".join(encode(r) + "\n" for r in records)
+        assert encode(violations) == encode(
+            [r for r, ok in zip(records, satisfied) if not ok])
+
     def test_runs_without_scipy(self, tmp_path):
         # scipy is a test dependency only: with it unimportable, the CLI
         # commands and both oracle paths of integrate_full still run.
@@ -696,6 +733,57 @@ class TestParserPlumbing:
         assert run_cli(argv + ["--out", str(out)]) == 1
         assert "empty" in json.loads(capsys.readouterr().err)["error"]
         assert not out.exists()
+
+    def test_one_process_matches_fresh_processes(self, tmp_path):
+        # main builds its parser once per process: a run of calls in one
+        # process gives the exit codes, output and files of one process per
+        # call.
+        (tmp_path / "control.csv").write_text(
+            "t,theta\n0,0.3\n1,0.3\n2,-0\n3,0\n4,1.2\n")
+        (tmp_path / "run.cfg").write_text(
+            "gamma = 2\nduration = 5\ncontrol = ramp_up\nformat = json\n")
+        simulate = ["simulate", "--gamma", "2", "--duration", "6",
+                    "--control-file", str(tmp_path / "control.csv")]
+        calls = [
+            simulate + ["--control", "pumping"],
+            ["simulate", "--config", str(tmp_path / "run.cfg")],
+            ["verify", "--n", "30", "--seed", "5"],
+            simulate,
+            simulate,
+        ]
+        script = (
+            "import contextlib, io, json, sys\n"
+            "from lambda_control import cli\n"
+            "done = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    out, err = io.StringIO(), io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out), "
+            "contextlib.redirect_stderr(err):\n"
+            "        code = cli.main(argv)\n"
+            "    done.append([code, out.getvalue(), err.getvalue()])\n"
+            "print(json.dumps(done))\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+
+        def run(argvs):
+            done = subprocess.run(
+                [sys.executable, "-c", script, json.dumps(argvs)], env=env,
+                capture_output=True, text=True, timeout=120, check=True)
+            return json.loads(done.stdout)
+
+        shared = run([argv + ["--out", str(tmp_path / "shared" / str(k))]
+                      for k, argv in enumerate(calls)])
+        fresh = [run([argv + ["--out", str(tmp_path / "fresh" / str(k))]])[0]
+                 for k, argv in enumerate(calls)]
+        assert [code for code, _, _ in shared] == [1, 0, 0, 0, 0]
+        assert shared == fresh
+        assert "not allowed with argument" in json.loads(shared[0][2])["error"]
+        for k in range(len(calls)):
+            got = TestConfigFile.files(tmp_path / "shared" / str(k))
+            assert got == TestConfigFile.files(tmp_path / "fresh" / str(k))
+        assert TestConfigFile.files(tmp_path / "shared" / "3") == \
+            TestConfigFile.files(tmp_path / "shared" / "4")
 
     def test_stdout_summary_is_json(self, tmp_path, capsys):
         run_cli(["simulate", "--gamma", "2", "--duration", "5",

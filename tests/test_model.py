@@ -775,6 +775,60 @@ class TestPiecewiseSampler:
             control, p, 400.0, x0, 5.0, 7))
         assert got[0].startswith("non-finite state encountered at t=")
 
+    @pytest.mark.parametrize("first_bad", [model._BATCH - 1, model._BATCH,
+                                           model._BATCH + 17])
+    def test_batched_check_raises_at_the_first_bad_row(self, first_bad):
+        # Short stable intervals around one that diverges (Gamma h = 50):
+        # finiteness is checked once per batch of intervals, so divergence
+        # in a batch's last, first or a middle interval must give the
+        # message and last_time of the check after every row.
+        n = 3 * model._BATCH
+        lengths = np.full(n, 0.03)
+        lengths[first_bad] = 400.0
+        control = ControlSignal(np.concatenate([[0.0], np.cumsum(lengths)]),
+                                np.linspace(0.1, 1.4, n))
+        p = SystemParams(gamma_total=10.0)
+        x0 = FullState.ground().as_array()
+        got = _outcome(lambda: model._integrate_piecewise(
+            control, p, control.duration, x0, 5.0, 10**6, exact=False))
+        assert got == _outcome(lambda: _reference_piecewise_rk4(
+            control, p, control.duration, x0, 5.0, 10**6))
+        message, last_time = got
+        assert message.startswith("non-finite state encountered at t=")
+        assert (control.grid[first_bad] <= last_time
+                < control.grid[first_bad + 1])
+
+
+class TestExactTrace:
+    """The exact path rejects a propagator that moves the trace."""
+
+    @staticmethod
+    def _constant(T):
+        return integrate_full(ControlSignal.constant(0.3, T),
+                              SystemParams(gamma_total=1.0), T, max_step=T,
+                              method="adaptive")
+
+    @pytest.mark.parametrize("T", [1e3, 1e6])
+    def test_long_advance_keeps_the_trace(self, T):
+        assert self._constant(T).trace_drift() <= 1e-11
+
+    @pytest.mark.parametrize("T", [1e10, 1e14, 1e20])
+    def test_huge_advance_raises(self, T):
+        with pytest.raises(IntegrationError,
+                           match="breaks trace conservation") as excinfo:
+            self._constant(T)
+        assert excinfo.value.last_time == 0.0
+
+    def test_reports_the_first_bad_interval(self):
+        # The third interval spans 1e12 units; the first two are ordinary.
+        control = ControlSignal([0.0, 1.0, 2.0, 2.0 + 1e12], [0.3, 0.9, 1.2])
+        with pytest.raises(IntegrationError) as excinfo:
+            integrate_full(control, SystemParams(gamma_total=1.0),
+                           max_step=1e12, method="adaptive")
+        assert str(excinfo.value).startswith(
+            "propagator from t=2 breaks trace conservation by ")
+        assert excinfo.value.last_time == 2.0
+
 
 class TestInPlaceKernels:
     """The RK4 step matrix and the batched matrix powers equal the
@@ -822,6 +876,15 @@ def _reference_csv(traj, omega0, comment):
     return "\n".join(lines) + "\n"
 
 
+def _csv_of_columns(traj, omega0, comment):
+    """Trajectory.write_csv as the rows of ``columns``, one '%.17g' each."""
+    lines = [f"# {comment}"] if comment else []
+    lines.append(",".join(Trajectory.COLUMNS))
+    for row in traj.columns(omega0).tolist():
+        lines.append(",".join("%.17g" % v for v in row))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
 _SPECIAL = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, math.nan, 0.1, 1.0]
 _CSV_VALUES = st.one_of(st.sampled_from(_SPECIAL + [math.inf, -math.inf]),
                         st.floats())
@@ -854,6 +917,40 @@ class TestTrajectoryExport:
         traj.write_csv(path, omega0=omega0, comment=comment)
         assert path.read_bytes() == \
             _reference_csv(traj, omega0, comment).encode("utf-8")
+
+    @pytest.mark.parametrize("comment", [None, "config: {}"])
+    @pytest.mark.parametrize("thetas", [
+        # Equal adjacent angles, in runs that cross block edges.
+        np.repeat([0.3, 1.1, 0.3, HALF_PI, 0.0],
+                  [3, model._CSV_BLOCK, 1, model._CSV_BLOCK - 3, 7]),
+        # -0.0 and +0.0 are equal but start different runs.
+        np.array([0.0, -0.0, -0.0, 0.0, 0.7, 0.7]),
+        np.array([0.4]),
+        np.full(model._CSV_BLOCK, 0.9),
+        np.full(model._CSV_BLOCK + 1, -0.0),
+        np.array([math.nan, math.nan, 0.2]),
+    ], ids=["runs", "signed_zeros", "n1", "block", "block_plus_1", "nan"])
+    def test_csv_is_columns_row_by_row(self, tmp_path, thetas, comment):
+        rng = np.random.default_rng(thetas.size)
+        traj = Trajectory(np.linspace(0.0, 3.0, thetas.size),
+                          rng.standard_normal((thetas.size, STATE_DIM)),
+                          thetas)
+        path = tmp_path / "traj.csv"
+        traj.write_csv(path, omega0=2.5, comment=comment)
+        assert path.read_bytes() == _csv_of_columns(traj, 2.5, comment)
+        # The same bytes as sin and cos per sample: runs keep -0.0 apart.
+        assert path.read_bytes() == \
+            _reference_csv(traj, 2.5, comment).encode("utf-8")
+
+    def test_callable_csv_is_columns_row_by_row(self, tmp_path):
+        # A callable control gives every sample its own angle: runs of one.
+        traj = integrate_full(lambda t: HALF_PI * math.sin(t) ** 2,
+                              SystemParams(gamma_total=2.0), 3.0,
+                              max_samples=model._CSV_BLOCK + 40)
+        assert np.unique(traj.thetas).size == traj.thetas.size
+        path = tmp_path / "traj.csv"
+        traj.write_csv(path)
+        assert path.read_bytes() == _csv_of_columns(traj, 1.0, None)
 
     def test_csv_format(self, tmp_path):
         p = SystemParams(gamma_total=10.0)
