@@ -68,7 +68,7 @@ _XDIM = 6
 _EDGE_TOL = 1e-12
 
 # Intervals whose step matrices integrate_full builds in one batched call;
-# for the callable oracle (method="adaptive"), model steps.
+# for a callable control (either method), model steps.
 _BATCH = 64
 
 # Rows that Trajectory.write_csv formats per write.
@@ -97,12 +97,14 @@ _ELL13 = 113250775606021113483283660800000000.0
 
 
 class IntegrationError(RuntimeError):
-    """Integration failed (non-finite state or step-size underflow).
+    """Integration failed: the state became non-finite, or an exact
+    propagator broke trace conservation.
 
     Attributes
     ----------
     last_time : float
-        Last time at which the state was still finite.
+        Last sample time at which the state was still finite, or the start
+        of the propagator that breaks the trace.
     """
 
     def __init__(self, message: str, last_time: float):
@@ -642,21 +644,6 @@ def _expm(X: np.ndarray) -> np.ndarray:
     return E
 
 
-def _rk4_march(f, state: np.ndarray, h: float, n: int):
-    """Classical RK4 for ds/dt = f(t, s): yields the state after each step.
-
-    Step i (0 <= i < n) starts at t = i * h.
-    """
-    for i in range(n):
-        t = i * h
-        k1 = f(t, state)
-        k2 = f(t + 0.5 * h, state + 0.5 * h * k1)
-        k3 = f(t + 0.5 * h, state + 0.5 * h * k2)
-        k4 = f(t + h, state + h * k3)
-        state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        yield state
-
-
 def default_max_step(params: SystemParams) -> float:
     """Step bound: omega0*h <= 0.01 and Gamma*h <= 0.1."""
     return min(0.01 / params.omega0, 0.1 / params.gamma_total)
@@ -760,13 +747,6 @@ class Trajectory:
                 hi = lo + _CSV_BLOCK
                 fh.write("".join(rows[lo:hi])
                          % tuple(lead[lo:hi].ravel().tolist()))
-
-
-def _check_finite(state: np.ndarray, t: float, last_good: float):
-    if not np.all(np.isfinite(state)):
-        raise IntegrationError(
-            f"non-finite state encountered at t={t:.6g}", last_time=last_good
-        )
 
 
 def _check_rows(states: np.ndarray, times: np.ndarray, lo: int, hi: int):
@@ -885,35 +865,6 @@ def _integrate_piecewise(control: ControlSignal, params: SystemParams,
                                                      np.repeat(thetas, rows))))
 
 
-def _integrate_callable_rk4(theta_fn, params: SystemParams, T: float,
-                            x0: np.ndarray, h_max: float,
-                            max_samples: int) -> Trajectory:
-    n, h = interval_steps(T, h_max)
-    n, h = int(n), float(h)
-    stride = math.ceil(n / (max_samples - 1))
-
-    times = [0.0]
-    samples = [x0.copy()]
-    sample_theta = [float(theta_fn(0.0))]
-    last_good = 0.0
-
-    def f(t, s):
-        return rhs_full(s, float(theta_fn(t)), params)
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        for i, state in enumerate(_rk4_march(f, x0, h, n), 1):
-            if i % stride == 0 or i == n:
-                t_next = T if i == n else i * h
-                _check_finite(state, t_next, last_good)
-                last_good = t_next
-                times.append(t_next)
-                samples.append(state)
-                sample_theta.append(float(theta_fn(t_next)))
-
-    return Trajectory(np.asarray(times), np.asarray(samples),
-                      np.asarray(sample_theta))
-
-
 def _rk4_transitions(A0: np.ndarray, Am: np.ndarray, A1: np.ndarray,
                      k: float) -> np.ndarray:
     """RK4 transition matrices of xdot = A(t) x over steps of size k.
@@ -942,21 +893,24 @@ def _rk4_transitions(A0: np.ndarray, Am: np.ndarray, A1: np.ndarray,
     return M
 
 
-def _oracle_transitions(theta_fn, params: SystemParams, h: float,
-                        first: int, count: int) -> np.ndarray:
-    """The callable oracle's transition matrices of ``count`` model steps
-    of size h from step ``first``, in time order.
+def _callable_transitions(theta_fn, params: SystemParams, h: float,
+                          first: int, count: int, exact: bool) -> np.ndarray:
+    """Transition matrices of ``count`` model steps of size h from step
+    ``first``, in time order.
 
-    Each is (16 F2 F1 - C) / 15, with C one RK4 step over h and F1, F2 two
-    over h/2: Richardson extrapolation cancels the h**5 term of the RK4
-    local error.  theta is evaluated at the quarters of every step, and
-    neighbouring steps share their ends.
+    Each is one RK4 step over h, with theta at the step's start, middle and
+    end.  With ``exact`` each is (16 F2 F1 - C) / 15 instead, with C that
+    step and F1, F2 two RK4 steps over h/2, theta at the quarters of the
+    step: Richardson extrapolation cancels the h**5 term of the RK4 local
+    error.  Neighbouring steps share their ends.
     """
-    q = 0.25 * h
-    stages = (4 * first + np.arange(4 * count + 1)) * q
+    sub = 4 if exact else 2
+    stages = (sub * first + np.arange(sub * count + 1)) * (h / sub)
     A = system_matrix([float(theta_fn(t)) for t in stages.tolist()], params)
-    F = _rk4_transitions(A[:-1:2], A[1::2], A[2::2], 2.0 * q)
-    C = _rk4_transitions(A[:-1:4], A[2::4], A[4::4], 4.0 * q)
+    if not exact:
+        return _rk4_transitions(A[:-1:2], A[1::2], A[2::2], h)
+    F = _rk4_transitions(A[:-1:2], A[1::2], A[2::2], 0.5 * h)
+    C = _rk4_transitions(A[:-1:4], A[2::4], A[4::4], h)
     E = F[1::2] @ F[0::2]
     E *= 16.0
     E -= C
@@ -964,14 +918,16 @@ def _oracle_transitions(theta_fn, params: SystemParams, h: float,
     return E
 
 
-def _integrate_callable_oracle(theta_fn, params: SystemParams, T: float,
-                               x0: np.ndarray, h_max: float,
-                               max_samples: int) -> Trajectory:
-    """Sample a callable control at the times of ``_integrate_callable_rk4``,
-    applying the matrices of ``_oracle_transitions`` step by step.
+def _integrate_callable(theta_fn, params: SystemParams, T: float,
+                        x0: np.ndarray, h_max: float, max_samples: int,
+                        exact: bool) -> Trajectory:
+    """Sample a callable control every ceil(n / (max_samples - 1)) of its n
+    model steps and at T, applying the matrices of
+    ``_callable_transitions`` step by step.
 
     The matrices are built _BATCH model steps at a time, so memory stays
-    bounded whatever n and stride.
+    bounded whatever n and stride.  Finiteness is checked once per batch;
+    ``_check_rows`` raises at the first non-finite sample.
     """
     n, h = interval_steps(T, h_max)
     n, h = int(n), float(h)
@@ -985,8 +941,8 @@ def _integrate_callable_oracle(theta_fn, params: SystemParams, T: float,
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(0, n, _BATCH):
             lo = row + 1
-            E = _oracle_transitions(theta_fn, params, h, first,
-                                    min(_BATCH, n - first))
+            E = _callable_transitions(theta_fn, params, h, first,
+                                      min(_BATCH, n - first), exact)
             for i, Ei in enumerate(E, first + 1):
                 state = np.dot(Ei, state)
                 if i % stride == 0 or i == n:
@@ -1026,9 +982,11 @@ def integrate_full(control, params: SystemParams, T: float | None = None, *,
         times and angles of "rk4".  For a ControlSignal, "adaptive" is
         exact: each advance between two samples applies expm(t A) over its
         length t, in place of a power of the RK4 step matrix.  For a
-        callable each model step is one RK4 step and two half steps of
-        theta(t), Richardson-extrapolated to a local error of O(h**6), and
-        each advance applies the product of its steps' transition matrices.
+        callable, "rk4" applies each model step's RK4 transition matrix,
+        with theta at the step's start, middle and end; "adaptive" makes
+        each model step one RK4 step and two half steps of theta(t),
+        Richardson-extrapolated to a local error of O(h**6).  Either way
+        the matrices are applied to the state one step at a time.
 
     The returned trajectory always contains the final sample at exactly t = T.
     """
@@ -1052,11 +1010,8 @@ def integrate_full(control, params: SystemParams, T: float | None = None, *,
         T = float(T)
         if T <= 0.0:
             raise ValueError(f"T must be positive, got {T!r}")
-        if method == "adaptive":
-            return _integrate_callable_oracle(control, params, T, x0, h_max,
-                                              max_samples)
-        return _integrate_callable_rk4(control, params, T, x0, h_max,
-                                       max_samples)
+        return _integrate_callable(control, params, T, x0, h_max,
+                                   max_samples, exact=method == "adaptive")
 
     if not isinstance(control, ControlSignal):
         raise TypeError("control must be a ControlSignal or a callable")

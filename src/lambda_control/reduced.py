@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SystemParams, _rk4_march
+from .model import SystemParams
 
 __all__ = [
     "ReducedState",
@@ -75,6 +75,21 @@ def _require_steps(n_steps):
     if (isinstance(n_steps, bool) or not isinstance(n_steps, numbers.Integral)
             or n_steps < 1):
         raise ValueError(f"n_steps must be an integer >= 1, got {n_steps!r}")
+
+
+def _rk4_march(f, state: np.ndarray, h: float, n: int):
+    """Classical RK4 for ds/dt = f(t, s): yields the state after each step.
+
+    Step i (0 <= i < n) starts at t = i * h.
+    """
+    for i in range(n):
+        t = i * h
+        k1 = f(t, state)
+        k2 = f(t + 0.5 * h, state + 0.5 * h * k1)
+        k3 = f(t + 0.5 * h, state + 0.5 * h * k2)
+        k4 = f(t + h, state + h * k3)
+        state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        yield state
 
 
 def eliminated_coherences(rho11: float, rho33: float, rho13_real: float,

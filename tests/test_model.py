@@ -568,10 +568,36 @@ def _textbook_rk4(f, s, h, n):
     return np.array(states)
 
 
+def _transition_rk4(theta_fn, params, h, n):
+    """States of n RK4 steps of xdot = A(theta(t)) x from the ground state,
+    each the transition matrix I + (h/6)(K1 + 2 K2 + 2 K3 + K4) with
+    K1 = A0, K2 = Am (I + h/2 K1), K3 = Am (I + h/2 K2), K4 = A1 (I + h K3)
+    and A0, Am, A1 the generator at the step's start, middle and end.  Each
+    K is formed as A + c (A K), the grouping whose rounding the sampler
+    shares."""
+    s = FullState.ground().as_array()
+    states = [s]
+    idx = np.arange(STATE_DIM)
+    for i in range(n):
+        A0, Am, A1 = system_matrix(
+            [float(theta_fn(j * (0.5 * h))) for j in (2 * i, 2 * i + 1,
+                                                      2 * i + 2)], params)
+        K2 = Am + (0.5 * h) * (Am @ A0)
+        K3 = Am + (0.5 * h) * (Am @ K2)
+        K4 = A1 + h * (A1 @ K3)
+        M = (h / 6.0) * (2.0 * (K2 + K3) + A0 + K4)
+        M[idx, idx] += 1.0
+        s = M @ s
+        states.append(s)
+    return np.array(states)
+
+
 class TestRk4Loops:
     """The stepwise integrators are classical RK4, bit for bit."""
 
     def test_callable_integrate_full(self):
+        # A callable control applies one RK4 transition matrix per step,
+        # with theta at the step's start, middle and end.
         p = SystemParams(gamma_total=3.0, gamma_diff=1.0)
         T, n = 2.0, 160
 
@@ -579,11 +605,36 @@ class TestRk4Loops:
             return HALF_PI * math.sin(t) ** 2
 
         traj = integrate_full(ramp, p, T, max_step=T / n)
-        ref = _textbook_rk4(lambda t, s: rhs_full(s, ramp(t), p),
-                            FullState.ground().as_array(), T / n, n)
+        ref = _transition_rk4(ramp, p, T / n, n)
         assert traj.states.tobytes() == ref.tobytes()
         assert traj.times[-1] == T
         assert traj.times[:-1].tobytes() == (np.arange(n) * (T / n)).tobytes()
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.floats(min_value=0.1, max_value=10.0),
+           st.floats(min_value=-1.0, max_value=1.0),
+           st.floats(min_value=0.05, max_value=6.0),
+           st.sampled_from([0.003, 0.01, 0.05, 0.2]),
+           st.sampled_from([2, 3, 7, 40, 2048]),
+           st.floats(min_value=0.0, max_value=3.0),
+           st.floats(min_value=0.0, max_value=2.0 * math.pi))
+    def test_callable_matches_stage_form(self, gamma, asymmetry, T, h_max,
+                                         max_samples, rate, phase):
+        # The transition matrices are the stage form's arithmetic regrouped:
+        # the two agree to rounding at every sample.
+        p = SystemParams(gamma_total=gamma, gamma_diff=asymmetry * gamma)
+
+        def theta_fn(t):
+            return 0.25 * math.pi * (1.0 + math.sin(rate * t + phase))
+
+        traj = integrate_full(theta_fn, p, T, max_step=h_max,
+                              max_samples=max_samples)
+        n = int(model.interval_steps(T, h_max)[0])
+        stride = math.ceil(n / (max_samples - 1))
+        ref = _textbook_rk4(lambda t, s: rhs_full(s, theta_fn(t), p),
+                            FullState.ground().as_array(), T / n, n)
+        rows = np.append(np.arange(0, n, stride), n)
+        assert np.abs(traj.states - ref[rows]).max() <= 1e-13
 
     def test_integrate_adiabatic(self):
         p = SystemParams(gamma_total=20.0)
@@ -1064,7 +1115,8 @@ def _dop853_final_state(theta_fn, params, T):
 
 
 class TestCallableOracle:
-    """method="adaptive" on a callable: extrapolated RK4 matrix products."""
+    """method="adaptive" on a callable: extrapolated RK4 matrix products;
+    and the errors of both callable methods."""
 
     @pytest.mark.parametrize("gamma, T", [
         (0.1, 5.0), (0.1, 8.0), (2.0, 5.0), (2.0, 8.0),
@@ -1139,6 +1191,26 @@ class TestCallableOracle:
             assert str(excinfo.value) == \
                 "non-finite state encountered at t=1.5"
             assert excinfo.value.last_time == 0.0
+
+    @pytest.mark.parametrize("method, max_samples, message, last_time", [
+        ("rk4", 2048, "non-finite state encountered at t=290", 285.0),
+        ("rk4", 7, "non-finite state encountered at t=335", 0.0),
+        ("adaptive", 2048, "non-finite state encountered at t=190", 185.0),
+        ("adaptive", 7, "non-finite state encountered at t=335", 0.0),
+    ], ids=["rk4-2048", "rk4-7", "adaptive-2048", "adaptive-7"])
+    def test_divergence_raises_at_first_bad_sample(self, method, max_samples,
+                                                   message, last_time):
+        # Gamma * h = 50 is far outside the stability region of either
+        # method's step.  With 2048 samples every one of the 400 steps is a
+        # sample; with 7, every 67th step is, so the first sample at t=335
+        # is already non-finite and the last finite one is the start.
+        with pytest.raises(IntegrationError) as excinfo:
+            integrate_full(lambda t: 0.3, SystemParams(gamma_total=10.0),
+                           2000.0, initial_state=[0, 1, 0, 0, 0, 0, 0, 0, 0],
+                           max_step=5.0, max_samples=max_samples,
+                           method=method)
+        assert str(excinfo.value) == message
+        assert excinfo.value.last_time == last_time
 
     def test_long_horizon_memory_stays_bounded(self):
         # 40000 steps in samples of 20: the matrices of all steps would
