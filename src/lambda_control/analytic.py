@@ -44,7 +44,6 @@ from .reduced import normalize_time
 
 __all__ = [
     "BangSingularSequence",
-    "AdjointState",
     "BoundCheck",
     "PmpReport",
     "apply_bang",
@@ -130,15 +129,6 @@ class BangSingularSequence:
 
     def matches_boundary(self) -> bool:
         return abs(self.total_angle - HALF_PI) <= _SEQUENCE_TOL
-
-
-@dataclass(frozen=True)
-class AdjointState:
-    """Costates of the reduced problem; mu is constant (theta is cyclic)."""
-
-    lambda_x: float
-    lambda_y: float
-    mu: float
 
 
 def apply_bang(x: float, y: float, theta_jump: float):
@@ -451,17 +441,6 @@ class PmpReport:
     @property
     def no_transfer(self) -> bool:
         return "no transfer" in self.flags
-
-    @property
-    def terminal_adjoint(self) -> AdjointState:
-        """Transversality point seeding the backward pass (up to scale)."""
-        return AdjointState(lambda_x=-1.0, lambda_y=0.0, mu=self.mu)
-
-    def adjoint_at(self, index: int) -> AdjointState:
-        """Costate at the index-th singular-arc sample."""
-        return AdjointState(lambda_x=float(self.lambda_x[index]),
-                            lambda_y=float(self.lambda_y[index]),
-                            mu=self.mu)
 
 
 def _bang_matrix(theta_jump: float) -> np.ndarray:

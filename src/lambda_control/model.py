@@ -68,7 +68,7 @@ _XDIM = 6
 _EDGE_TOL = 1e-12
 
 # Intervals whose step matrices integrate_full builds in one batched call;
-# for a callable control (either method), model steps.
+# for _sample_transitions (callable controls, the reduced layer), steps.
 _BATCH = 64
 
 # Rows that Trajectory.write_csv formats per write.
@@ -893,63 +893,63 @@ def _rk4_transitions(A0: np.ndarray, Am: np.ndarray, A1: np.ndarray,
     return M
 
 
-def _callable_transitions(theta_fn, params: SystemParams, h: float,
-                          first: int, count: int, exact: bool) -> np.ndarray:
-    """Transition matrices of ``count`` model steps of size h from step
-    ``first``, in time order.
+def _sample_transitions(generator, control, T: float, n: int, stride: int,
+                        x0: np.ndarray, exact: bool = False):
+    """Sample xdot = generator(control(t)) x from x0 over n steps of size
+    h = T / n, every ``stride`` steps and at T; returns (times, states).
 
-    Each is one RK4 step over h, with theta at the step's start, middle and
-    end.  With ``exact`` each is (16 F2 F1 - C) / 15 instead, with C that
-    step and F1, F2 two RK4 steps over h/2, theta at the quarters of the
-    step: Richardson extrapolation cancels the h**5 term of the RK4 local
-    error.  Neighbouring steps share their ends.
+    ``generator`` maps a sequence of control values to their (m, d, d)
+    generators, and x0 sets d.  Each step applies one RK4 transition matrix,
+    with the control at the step's start, middle and end.  With ``exact``
+    it applies (16 F2 F1 - C) / 15 instead, with C that step and F1, F2 two
+    RK4 steps over h/2, the control at the quarters of the step: Richardson
+    extrapolation cancels the h**5 term of the RK4 local error.
+
+    The matrices are built _BATCH steps at a time, so memory stays bounded
+    whatever n and stride; neighbouring steps share their ends.  Finiteness
+    is checked once per batch; ``_check_rows`` raises at the first
+    non-finite sample.
     """
+    h = T / n
     sub = 4 if exact else 2
-    stages = (sub * first + np.arange(sub * count + 1)) * (h / sub)
-    A = system_matrix([float(theta_fn(t)) for t in stages.tolist()], params)
-    if not exact:
-        return _rk4_transitions(A[:-1:2], A[1::2], A[2::2], h)
-    F = _rk4_transitions(A[:-1:2], A[1::2], A[2::2], 0.5 * h)
-    C = _rk4_transitions(A[:-1:4], A[2::4], A[4::4], h)
-    E = F[1::2] @ F[0::2]
-    E *= 16.0
-    E -= C
-    E /= 15.0
-    return E
-
-
-def _integrate_callable(theta_fn, params: SystemParams, T: float,
-                        x0: np.ndarray, h_max: float, max_samples: int,
-                        exact: bool) -> Trajectory:
-    """Sample a callable control every ceil(n / (max_samples - 1)) of its n
-    model steps and at T, applying the matrices of
-    ``_callable_transitions`` step by step.
-
-    The matrices are built _BATCH model steps at a time, so memory stays
-    bounded whatever n and stride.  Finiteness is checked once per batch;
-    ``_check_rows`` raises at the first non-finite sample.
-    """
-    n, h = interval_steps(T, h_max)
-    n, h = int(n), float(h)
-    stride = math.ceil(n / (max_samples - 1))
     times = np.append(np.arange(0, n, stride) * h, T)
-    states = np.empty((times.size, STATE_DIM))
+    states = np.empty((times.size, x0.size))
     states[0] = x0
     state = x0
     row = 0
 
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(0, n, _BATCH):
+            count = min(_BATCH, n - first)
+            stages = (sub * first + np.arange(sub * count + 1)) * (h / sub)
+            A = generator([float(control(t)) for t in stages.tolist()])
+            if exact:
+                F = _rk4_transitions(A[:-1:2], A[1::2], A[2::2], 0.5 * h)
+                E = F[1::2] @ F[0::2]
+                E *= 16.0
+                E -= _rk4_transitions(A[:-1:4], A[2::4], A[4::4], h)
+                E /= 15.0
+            else:
+                E = _rk4_transitions(A[:-1:2], A[1::2], A[2::2], h)
             lo = row + 1
-            E = _callable_transitions(theta_fn, params, h, first,
-                                      min(_BATCH, n - first), exact)
             for i, Ei in enumerate(E, first + 1):
                 state = np.dot(Ei, state)
                 if i % stride == 0 or i == n:
                     row += 1
                     states[row] = state
             _check_rows(states, times, lo, row + 1)
+    return times, states
 
+
+def _integrate_callable(theta_fn, params: SystemParams, T: float,
+                        x0: np.ndarray, h_max: float, max_samples: int,
+                        exact: bool) -> Trajectory:
+    """Sample a callable control every ceil(n / (max_samples - 1)) of its n
+    model steps and at T, through ``_sample_transitions``."""
+    n = int(interval_steps(T, h_max)[0])
+    times, states = _sample_transitions(
+        lambda thetas: system_matrix(thetas, params), theta_fn, T, n,
+        math.ceil(n / (max_samples - 1)), x0, exact)
     thetas = np.array([float(theta_fn(t)) for t in times.tolist()])
     return Trajectory(times, states, thetas)
 

@@ -17,6 +17,11 @@ t' = omega0**2 * t / (2 * Gamma), the natural clock of the slow dynamics:
     dy/dt' = -2 u x - y
     dtheta/dt' = u
 
+Both systems are linear, (x, y, theta) in (x, y, theta, 1), so their
+integrators step a batched generator of each through the full model's RK4
+transition-matrix sampler.  They reject a duration that is not finite and
+positive, and raise IntegrationError at the first non-finite sample.
+
 This reduction is valid for symmetric decay only (gamma_diff = 0); the
 asymmetric system is handled exclusively by the full model.  Validity
 improves with Gamma/omega0 (use >= 10 as a practical guide); nothing is
@@ -31,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SystemParams
+from .model import SystemParams, _sample_transitions
 
 __all__ = [
     "ReducedState",
@@ -71,25 +76,14 @@ def _require_symmetric(params: SystemParams):
         )
 
 
-def _require_steps(n_steps):
+def _require_grid(n_steps, name: str, T) -> float:
+    """Check a step count and a duration; returns the duration as a float."""
     if (isinstance(n_steps, bool) or not isinstance(n_steps, numbers.Integral)
             or n_steps < 1):
         raise ValueError(f"n_steps must be an integer >= 1, got {n_steps!r}")
-
-
-def _rk4_march(f, state: np.ndarray, h: float, n: int):
-    """Classical RK4 for ds/dt = f(t, s): yields the state after each step.
-
-    Step i (0 <= i < n) starts at t = i * h.
-    """
-    for i in range(n):
-        t = i * h
-        k1 = f(t, state)
-        k2 = f(t + 0.5 * h, state + 0.5 * h * k1)
-        k3 = f(t + 0.5 * h, state + 0.5 * h * k2)
-        k4 = f(t + h, state + h * k3)
-        state = state + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        yield state
+    if not (math.isfinite(T) and T > 0.0):
+        raise ValueError(f"{name} must be finite and positive, got {T!r}")
+    return float(T)
 
 
 def eliminated_coherences(rho11: float, rho33: float, rho13_real: float,
@@ -129,6 +123,21 @@ def rhs_adiabatic(rho11, rho33, rho13, theta: float, params: SystemParams):
     d33 = -d11
     d13 = -nu * (rho13 + sc * (rho11 + rho33))
     return d11, d33, d13
+
+
+def _adiabatic_generator(theta, params: SystemParams) -> np.ndarray:
+    """G(theta) with G @ (rho11, rho33, rho13) == rhs_adiabatic, batched
+    over theta like ``model.system_matrix``: shape S + (3, 3)."""
+    theta = np.asarray(theta, dtype=float)
+    nu = params.omega0 ** 2 / (2.0 * params.gamma_total)
+    sin, cos = np.sin(theta), np.cos(theta)
+    G = np.zeros(theta.shape + (3, 3))
+    G[..., 0, 0] = -nu * sin * sin
+    G[..., 0, 1] = nu * cos * cos
+    G[..., 1, :2] = -G[..., 0, :2]
+    G[..., 2, 0] = G[..., 2, 1] = -nu * sin * cos
+    G[..., 2, 2] = -nu
+    return G
 
 
 def _rotation(theta: float) -> np.ndarray:
@@ -185,6 +194,19 @@ def rhs_reduced(state, u: float) -> np.ndarray:
     ])
 
 
+def _reduced_generator(u) -> np.ndarray:
+    """Generator of (x, y, theta, 1) for angle velocity u, batched over u:
+    its first three rows applied to (x, y, theta, 1) give rhs_reduced, and
+    its last row is zero, so the homogeneous coordinate stays 1."""
+    u = np.asarray(u, dtype=float)
+    G = np.zeros(u.shape + (4, 4))
+    G[..., 0, 0] = G[..., 0, 3] = G[..., 1, 1] = -1.0
+    G[..., 0, 1] = 2.0 * u
+    G[..., 1, 0] = -2.0 * u
+    G[..., 2, 3] = u
+    return G
+
+
 def normalize_time(t: float, params: SystemParams) -> float:
     """Physical time -> normalized time t' = omega0**2 t / (2 Gamma)."""
     return params.omega0 ** 2 * t / (2.0 * params.gamma_total)
@@ -200,41 +222,37 @@ def integrate_adiabatic(theta_fn, params: SystemParams, T: float,
     """RK4 integration of the eliminated (rho11, rho33, Re rho13) system.
 
     Starts with all population in |1>; theta_fn maps physical time to the
-    mixing angle.  Returns (times, states) with states of shape
-    (n_steps + 1, 3) ordered (rho11, rho33, rho13).
+    mixing angle.  Each of the n_steps steps of size T / n_steps applies
+    the RK4 transition matrix of ``_adiabatic_generator``, with theta at
+    the step's start, middle and end.  Returns (times, states): times equal
+    np.linspace(0, T, n_steps + 1), and states of shape (n_steps + 1, 3)
+    are ordered (rho11, rho33, rho13).
+
+    Raises ValueError unless T is finite and positive, and IntegrationError
+    at the first non-finite state.
     """
-    _require_steps(n_steps)
+    T = _require_grid(n_steps, "T", T)
     _require_symmetric(params)
-
-    def f(t, s):
-        return np.array(rhs_adiabatic(s[0], s[1], s[2], float(theta_fn(t)),
-                                      params))
-
-    times = np.linspace(0.0, T, n_steps + 1)
-    states = np.empty((n_steps + 1, 3))
-    states[0] = (1.0, 0.0, 0.0)
-    march = _rk4_march(f, states[0], T / n_steps, n_steps)
-    for i, s in enumerate(march, 1):
-        states[i] = s
-    return times, states
+    return _sample_transitions(
+        lambda thetas: _adiabatic_generator(thetas, params), theta_fn, T,
+        int(n_steps), 1, np.array([1.0, 0.0, 0.0]))
 
 
 def integrate_reduced(u_fn, tprime: float, n_steps: int,
                       state0=(-1.0, 0.0, 0.0)):
     """RK4 integration of the (x, y, theta) system in normalized time.
 
-    u_fn maps normalized time to the angle velocity u.  Returns
-    (times, states) with states of shape (n_steps + 1, 3).
+    u_fn maps normalized time to the angle velocity u.  Each of the n_steps
+    steps applies the RK4 transition matrix of ``_reduced_generator`` to
+    (x, y, theta, 1), with u at the step's start, middle and end.  Returns
+    (times, states): times equal np.linspace(0, tprime, n_steps + 1), and
+    states have shape (n_steps + 1, 3).
+
+    Raises ValueError unless tprime is finite and positive, and
+    IntegrationError at the first non-finite state.
     """
-    _require_steps(n_steps)
-
-    def f(t, s):
-        return rhs_reduced(s, float(u_fn(t)))
-
-    times = np.linspace(0.0, tprime, n_steps + 1)
-    states = np.empty((n_steps + 1, 3))
-    states[0] = state0
-    march = _rk4_march(f, states[0], tprime / n_steps, n_steps)
-    for i, s in enumerate(march, 1):
-        states[i] = s
-    return times, states
+    tprime = _require_grid(n_steps, "tprime", tprime)
+    times, states = _sample_transitions(_reduced_generator, u_fn, tprime,
+                                        int(n_steps), 1,
+                                        np.append(state0, 1.0))
+    return times, states[:, :3].copy()

@@ -568,20 +568,24 @@ def _textbook_rk4(f, s, h, n):
     return np.array(states)
 
 
-def _transition_rk4(theta_fn, params, h, n):
-    """States of n RK4 steps of xdot = A(theta(t)) x from the ground state,
-    each the transition matrix I + (h/6)(K1 + 2 K2 + 2 K3 + K4) with
-    K1 = A0, K2 = Am (I + h/2 K1), K3 = Am (I + h/2 K2), K4 = A1 (I + h K3)
-    and A0, Am, A1 the generator at the step's start, middle and end.  Each
-    K is formed as A + c (A K), the grouping whose rounding the sampler
-    shares."""
-    s = FullState.ground().as_array()
+def _transition_rk4(control, params, h, n, *, generator=None, x0=None):
+    """States of n RK4 steps of xdot = A(control(t)) x from x0, each the
+    transition matrix I + (h/6)(K1 + 2 K2 + 2 K3 + K4) with K1 = A0,
+    K2 = Am (I + h/2 K1), K3 = Am (I + h/2 K2), K4 = A1 (I + h K3) and
+    A0, Am, A1 the generator at the step's start, middle and end.  Each K
+    is formed as A + c (A K), the grouping whose rounding the sampler
+    shares.  The generator defaults to the full model's system_matrix at
+    params, and x0 to its ground state."""
+    if generator is None:
+        def generator(thetas):
+            return system_matrix(thetas, params)
+    s = FullState.ground().as_array() if x0 is None else x0
     states = [s]
-    idx = np.arange(STATE_DIM)
+    idx = np.arange(s.size)
     for i in range(n):
-        A0, Am, A1 = system_matrix(
-            [float(theta_fn(j * (0.5 * h))) for j in (2 * i, 2 * i + 1,
-                                                      2 * i + 2)], params)
+        A0, Am, A1 = generator(
+            [float(control(j * (0.5 * h))) for j in (2 * i, 2 * i + 1,
+                                                     2 * i + 2)])
         K2 = Am + (0.5 * h) * (Am @ A0)
         K3 = Am + (0.5 * h) * (Am @ K2)
         K4 = A1 + h * (A1 @ K3)
@@ -637,6 +641,8 @@ class TestRk4Loops:
         assert np.abs(traj.states - ref[rows]).max() <= 1e-13
 
     def test_integrate_adiabatic(self):
+        # One RK4 transition matrix of the 3x3 generator per step, through
+        # the sampler callable controls use.
         p = SystemParams(gamma_total=20.0)
         T, n = 30.0, 157
 
@@ -644,22 +650,66 @@ class TestRk4Loops:
             return HALF_PI * min(1.0, t / 25.0)
 
         times, states = reduced.integrate_adiabatic(ramp, p, T, n)
-        ref = _textbook_rk4(
-            lambda t, s: np.array(reduced.rhs_adiabatic(*s, ramp(t), p)),
-            np.array([1.0, 0.0, 0.0]), T / n, n)
+        ref = _transition_rk4(
+            ramp, p, T / n, n,
+            generator=lambda thetas: reduced._adiabatic_generator(thetas, p),
+            x0=np.array([1.0, 0.0, 0.0]))
         assert states.tobytes() == ref.tobytes()
         assert times.tobytes() == np.linspace(0.0, T, n + 1).tobytes()
 
     def test_integrate_reduced(self):
+        # The same for the 4x4 generator of (x, y, theta, 1).
         tprime, n = 4.0, 211
 
         def u(t):
             return 0.3 * math.cos(t)
 
         times, states = reduced.integrate_reduced(u, tprime, n)
+        ref = _transition_rk4(u, None, tprime / n, n,
+                              generator=reduced._reduced_generator,
+                              x0=np.array([-1.0, 0.0, 0.0, 1.0]))
+        assert ref[:, 3].tobytes() == np.ones(n + 1).tobytes()
+        assert states.tobytes() == ref[:, :3].tobytes()
+        assert times.tobytes() == np.linspace(0.0, tprime, n + 1).tobytes()
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.floats(min_value=0.5, max_value=100.0),
+           st.floats(min_value=0.1, max_value=5.0),
+           st.integers(min_value=10, max_value=400),
+           st.floats(min_value=0.0, max_value=3.0),
+           st.floats(min_value=0.0, max_value=2.0 * math.pi))
+    def test_adiabatic_matches_stage_form(self, gamma, tprime, n, rate,
+                                          phase):
+        # At most tprime / n <= 0.5 per step in normalized time.
+        p = SystemParams(gamma_total=gamma)
+        T = reduced.denormalize_time(tprime, p)
+
+        def theta_fn(t):
+            tp = reduced.normalize_time(t, p)
+            return 0.25 * math.pi * (1.0 + math.sin(rate * tp + phase))
+
+        times, states = reduced.integrate_adiabatic(theta_fn, p, T, n)
+        ref = _textbook_rk4(
+            lambda t, s: np.array(reduced.rhs_adiabatic(*s, theta_fn(t), p)),
+            np.array([1.0, 0.0, 0.0]), T / n, n)
+        assert np.abs(states - ref).max() <= 1e-13
+        assert times.tobytes() == np.linspace(0.0, T, n + 1).tobytes()
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.floats(min_value=0.1, max_value=5.0),
+           st.integers(min_value=10, max_value=400),
+           st.floats(min_value=-1.5, max_value=1.5),
+           st.floats(min_value=0.0, max_value=3.0),
+           st.floats(min_value=0.0, max_value=2.0 * math.pi))
+    def test_reduced_matches_stage_form(self, tprime, n, amplitude, rate,
+                                        phase):
+        def u(t):
+            return amplitude * math.cos(rate * t + phase)
+
+        times, states = reduced.integrate_reduced(u, tprime, n)
         ref = _textbook_rk4(lambda t, s: reduced.rhs_reduced(s, u(t)),
                             np.array([-1.0, 0.0, 0.0]), tprime / n, n)
-        assert states.tobytes() == ref.tobytes()
+        assert np.abs(states - ref).max() <= 1e-13
         assert times.tobytes() == np.linspace(0.0, tprime, n + 1).tobytes()
 
 

@@ -10,9 +10,11 @@ from lambda_control.analytic import (
     closed_form_sequence,
     random_draw,
 )
+from lambda_control import model, reduced
 from lambda_control.model import (
     HALF_PI,
     ControlSignal,
+    IntegrationError,
     SystemParams,
     integrate_full,
     rhs_full,
@@ -101,6 +103,37 @@ class TestRhsAdiabatic:
         sums = states[:, 0] + states[:, 1]
         assert np.max(np.abs(sums - sums[0])) <= 1e-10
 
+    @settings(deadline=None, max_examples=100)
+    @given(st.floats(1.0, 100.0), st.floats(-4.0, 4.0),
+           st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3))
+    def test_generator_matches_rhs(self, gamma, theta, state):
+        p = SystemParams(gamma_total=gamma)
+        G = reduced._adiabatic_generator(theta, p)
+        assert G.shape == (3, 3)
+        assert np.abs(G @ np.array(state)
+                      - np.array(rhs_adiabatic(*state, theta, p))).max() \
+            <= 1e-15
+        thetas = np.array([[theta, 0.3], [1.2, -0.5]])
+        assert np.array_equal(
+            reduced._adiabatic_generator(thetas, p),
+            np.stack([[reduced._adiabatic_generator(t, p) for t in row]
+                      for row in thetas]))
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.floats(1.0, 100.0),
+           st.lists(st.floats(0.0, HALF_PI), min_size=3, max_size=3),
+           st.floats(0.0, 1.0))
+    def test_transition_matrices_keep_population_sum(self, gamma, thetas,
+                                                     step):
+        # uE = u with u = (1, 1, 0): rho11 + rho33 is kept by every step of
+        # up to one unit of normalized time.
+        p = SystemParams(gamma_total=gamma)
+        G = reduced._adiabatic_generator(thetas, p)
+        E = model._rk4_transitions(G[None, 0], G[None, 1], G[None, 2],
+                                   denormalize_time(step, p))[0]
+        u = np.array([1.0, 1.0, 0.0])
+        assert np.abs(u @ E - u).max() <= 1e-15
+
 
 class TestDarkBrightTransform:
     def test_ground_state_is_dark_at_zero_angle(self):
@@ -154,6 +187,21 @@ class TestRhsReduced:
         state = ReducedState.initial()
         assert np.array_equal(rhs_reduced(state, 0.0), [0.0, 0.0, 0.0])
         assert np.array_equal(state.as_array(), [-1.0, 0.0, 0.0])
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.floats(-1.0, 1.0),
+           st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3))
+    def test_generator_matches_rhs(self, u, state):
+        # The generator of (x, y, theta, 1): rhs_reduced, then a zero row.
+        G = reduced._reduced_generator(u)
+        assert G.shape == (4, 4)
+        d = G @ np.append(state, 1.0)
+        assert np.abs(d[:3] - rhs_reduced(state, u)).max() <= 1e-15
+        assert not G[3].any()
+        us = np.array([u, 0.25, -3.0])
+        assert np.array_equal(reduced._reduced_generator(us),
+                              np.stack([reduced._reduced_generator(v)
+                                        for v in us]))
 
 
 class TestTimeNormalization:
@@ -288,3 +336,46 @@ class TestStepCountValidation:
     def test_numpy_integer_accepted(self):
         _, states = integrate_reduced(lambda tp: 0.0, 1.0, np.int64(4))
         assert states.shape == (5, 3)
+
+
+class TestDurationValidation:
+    @pytest.mark.parametrize("T", [-1.0, 0.0, math.nan, math.inf])
+    def test_integrate_adiabatic_rejects(self, T):
+        def theta_fn(t):
+            raise AssertionError("no work before the check")
+
+        with pytest.raises(ValueError, match="T must be finite and positive"):
+            integrate_adiabatic(theta_fn, SystemParams(gamma_total=10.0),
+                                T, 5)
+
+    @pytest.mark.parametrize("tprime", [-1.0, 0.0, math.nan, math.inf])
+    def test_integrate_reduced_rejects(self, tprime):
+        def u_fn(t):
+            raise AssertionError("no work before the check")
+
+        with pytest.raises(ValueError,
+                           match="tprime must be finite and positive"):
+            integrate_reduced(u_fn, tprime, 5)
+
+
+class TestNonFiniteState:
+    # h = 0.03: the control is first NaN inside step 33, [0.99, 1.02], so
+    # the state is first non-finite at 1.02 and last finite at 0.99.
+    def test_integrate_adiabatic_raises_at_first_bad_sample(self):
+        def theta_fn(t):
+            return math.nan if t > 1.0 else 0.7
+
+        with pytest.raises(IntegrationError) as excinfo:
+            integrate_adiabatic(theta_fn, SystemParams(gamma_total=10.0),
+                                3.0, 100)
+        assert str(excinfo.value) == "non-finite state encountered at t=1.02"
+        assert excinfo.value.last_time == 33 * 0.03
+
+    def test_integrate_reduced_raises_at_first_bad_sample(self):
+        def u_fn(t):
+            return math.nan if t > 1.0 else 0.4
+
+        with pytest.raises(IntegrationError) as excinfo:
+            integrate_reduced(u_fn, 3.0, 100)
+        assert str(excinfo.value) == "non-finite state encountered at t=1.02"
+        assert excinfo.value.last_time == 33 * 0.03
