@@ -335,8 +335,10 @@ def verify_bounds(lengths, jumps, arcs) -> BoundCheck:
                                                  arcs=row_arcs[:n]))
 
     xn, _ = propagate_batch(jumps, arcs)
-    x1 = np.fromiter(map(optical_pumping_value, totals.tolist()), float,
-                     totals.size)
+    # optical_pumping_value of each total (>= 0 here), without a call per
+    # row: math.exp, not np.exp, whose last bit can differ.
+    x1 = 2.0 * np.fromiter(map(math.exp, (-totals).tolist()), float,
+                           totals.size) - 1.0
     return _bound_check(xn, x1)
 
 

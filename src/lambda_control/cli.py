@@ -371,42 +371,52 @@ def cmd_optimize(args) -> int:
 VERIFY_CHUNK = 1000
 
 
-# A `verify` JSONL record with its keys in sort_keys order.  For finite
-# floats, %r (repr) and a list's repr are what the json encoder writes.
-_VERIFY_RECORD = ('{"arcs": %r, "margin": %r, "n": %d, "thetas": %r, '
-                  '"x1": %r, "xn": %r}\n')
+@functools.cache
+def _verify_template(n):
+    """The `verify` JSONL record of an n-entry sequence, as a % template.
+
+    Keys are in sort_keys order, and the fields take the values of one row
+    of _verify_chunk's table: n arcs, margin, n, n thetas, x1, xn.  For
+    finite floats %r (repr) is what the json encoder writes.
+    """
+    entries = ", ".join(["%r"] * n)
+    return (f'{{"arcs": [{entries}], "margin": %r, "n": %d, '
+            f'"thetas": [{entries}], "x1": %r, "xn": %r}}\n')
 
 
 def _verify_chunk(fh, lengths, jumps, arcs):
     """Check one analytic.verify_bounds batch and write its JSONL records.
 
-    Returns the records of the sequences that violate the bound.  A row
-    with a non-finite value is written by the json encoder, which spells
-    those values NaN and Infinity.
+    Returns the records of the sequences that violate the bound.  The rows
+    are written with one % over the joined per-length templates, filled
+    from one flat list of the finite rows' values.  A row with a non-finite
+    value is written by the json encoder, which spells those values NaN and
+    Infinity; its line joins the template with any % doubled.
     """
     check = analytic.verify_bounds(lengths, jumps, arcs)
-    finite = (np.isfinite(jumps).all(axis=1) & np.isfinite(arcs).all(axis=1)
-              & np.isfinite(check.xn) & np.isfinite(check.x1)
-              & np.isfinite(check.margin))
+    table = np.column_stack([arcs, check.margin, lengths, jumps, check.x1,
+                             check.xn])
+    finite = np.isfinite(table).all(axis=1)
+    # Each column's index within its list, -1 for the scalar fields: a row
+    # of length n keeps the list entries below n and every scalar.
+    entry = np.arange(jumps.shape[1])
+    column = np.concatenate([entry, [-1, -1], entry, [-1, -1]])
+    keep = (column < lengths[:, np.newaxis]) & finite[:, np.newaxis]
+    values = table[keep].tolist()
+    del table, keep  # freed before the chunk's text is built
+    templates = list(map(_verify_template, lengths.tolist()))
     encode = json.JSONEncoder(sort_keys=True).encode
-    lines, violations = [], []
-    for n, row_jumps, row_arcs, xn, x1, margin, row_finite, ok in zip(
-            lengths.tolist(), jumps.tolist(), arcs.tolist(),
-            check.xn.tolist(), check.x1.tolist(), check.margin.tolist(),
-            finite.tolist(), check.satisfied.tolist()):
-        thetas, row_arcs = row_jumps[:n], row_arcs[:n]
-        if row_finite:
-            lines.append(_VERIFY_RECORD
-                         % (row_arcs, margin, n, thetas, x1, xn))
-        if ok and row_finite:
-            continue
-        record = {"n": n, "thetas": thetas, "arcs": row_arcs,
-                  "xn": xn, "x1": x1, "margin": margin}
-        if not row_finite:
-            lines.append(encode(record) + "\n")
-        if not ok:
+    violations = []
+    for i in np.flatnonzero(~(finite & check.satisfied)).tolist():
+        n = int(lengths[i])
+        record = {"n": n, "thetas": jumps[i, :n].tolist(),
+                  "arcs": arcs[i, :n].tolist(), "xn": float(check.xn[i]),
+                  "x1": float(check.x1[i]), "margin": float(check.margin[i])}
+        if not finite[i]:
+            templates[i] = (encode(record) + "\n").replace("%", "%%")
+        if not check.satisfied[i]:
             violations.append(record)
-    fh.write("".join(lines))
+    fh.write("".join(templates) % tuple(values))
     return violations
 
 
@@ -428,7 +438,9 @@ def cmd_verify(args) -> int:
         # Sequence 0, pumping, is a one-row batch.  The random sequences
         # follow in chunks, each drawn with one analytic.random_batch call,
         # which takes the same draws from the stream as one random_draw per
-        # sequence, so the output does not depend on VERIFY_CHUNK.
+        # sequence, so the output does not depend on VERIFY_CHUNK.  Each
+        # chunk's records are written with one % over per-length templates
+        # (_verify_chunk).
         violations = _verify_chunk(fh, np.ones(1, dtype=np.intp),
                                    pump.jumps[np.newaxis],
                                    pump.arcs[np.newaxis])

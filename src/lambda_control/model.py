@@ -236,7 +236,7 @@ class ControlSignal:
     final time belongs to the last interval.  Angles must lie in [0, pi/2].
     """
 
-    __slots__ = ("grid", "theta")
+    __slots__ = ("grid", "theta", "durations")
 
     def __init__(self, grid, theta):
         grid = np.atleast_1d(np.asarray(grid, dtype=float))
@@ -245,12 +245,17 @@ class ControlSignal:
             raise ValueError("grid must contain at least two time stamps")
         if not np.all(np.isfinite(grid)):
             raise ValueError("grid times must be finite")
-        if np.any(np.diff(grid) <= 0.0):
+        durations = np.diff(grid)
+        if np.any(durations <= 0.0):
             raise ValueError("grid times must be strictly increasing")
         theta = _checked_theta(theta, grid.size - 1)
         grid.setflags(write=False)
+        durations.setflags(write=False)
         self.grid = grid
         self.theta = theta
+        # Interval lengths, read-only and shared by with_theta, so an
+        # ascent over one grid takes them once.
+        self.durations = durations
 
     # -- constructors ------------------------------------------------------
 
@@ -304,20 +309,18 @@ class ControlSignal:
     def n_intervals(self) -> int:
         return self.theta.size
 
-    @property
-    def durations(self) -> np.ndarray:
-        return np.diff(self.grid)
-
     def with_theta(self, theta) -> "ControlSignal":
         """The same grid with new angles, checked as the constructor does.
 
         Only the angles are checked (shape, finite values, [0, pi/2] up to
         ``_EDGE_TOL``), then clipped and made read-only: the grid was
-        validated when this signal was built, is read-only, and is shared.
+        validated when this signal was built, is read-only, and is shared,
+        as are its durations.
         """
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
         new = object.__new__(ControlSignal)
         new.grid = self.grid
+        new.durations = self.durations
         new.theta = _checked_theta(theta, self.grid.size - 1)
         return new
 
@@ -760,8 +763,13 @@ def _check_rows(states: np.ndarray, times: np.ndarray, lo: int, hi: int):
 
 
 def _interval_edges(control: ControlSignal, T: float):
-    """Start time, end time and angle of every control interval inside [0, T]."""
-    starts = control.grid[control.grid < T - _EDGE_TOL * max(1.0, T)]
+    """Start time, end time and angle of every control interval inside [0, T].
+
+    The first interval, which starts at 0 < T, is always kept: below
+    T = 1e-12 the edge slack would cut it too.
+    """
+    inside = np.count_nonzero(control.grid < T - _EDGE_TOL * max(1.0, T))
+    starts = control.grid[:max(1, inside)]
     ends = np.append(starts[1:], T)
     return starts, ends, control.theta[: starts.size]
 

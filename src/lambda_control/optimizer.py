@@ -356,9 +356,12 @@ def objective_and_gradient(control: ControlSignal, params: SystemParams,
     P, dP = _interval_propagators(control.theta, control.durations, params,
                                   with_grad=True)
     # Row 0: prefix products P_k ... P_0.  Row 1: prefix products of the
-    # reversed, transposed stack, (P_{N-1} ... P_{N-1-j})^T.
-    forward, backward = _prefix_products(
-        np.stack([P, P[::-1].transpose(0, 2, 1)]))
+    # reversed, transposed stack, (P_{N-1} ... P_{N-1-j})^T.  The transpose
+    # is copied: a matmul on the transposed view changes the last bits.
+    scan = np.empty((2,) + P.shape)
+    scan[0] = P
+    scan[1] = P[::-1].transpose(0, 2, 1)
+    forward, backward = _prefix_products(scan)
     # states[j] = x_j is the state before interval j (x_N the final state)
     # and adjoints[j] = lambda_j is row 2 of P_{N-1} ... P_j (lambda_N = e3).
     unit = np.eye(_XDIM)

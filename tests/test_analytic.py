@@ -357,6 +357,17 @@ class TestBatch:
             assert abs(x[i] - xc) <= 1e-12
             assert abs(y[i] - yc) <= 1e-12
 
+    def test_x1_is_optical_pumping_value_bit_for_bit(self):
+        # Totals of one arc each: zero, subnormal, around exp's underflow
+        # (709.78, 745.13) and past it, and a spread of ordinary values.
+        totals = [0.0, 5e-324, 2.2e-308, 1e-17, 0.5, 1.0, 709.0, 709.8,
+                  710.0, 745.0, 746.0, 1e300]
+        totals += np.random.default_rng(8).uniform(0.0, 40.0, 500).tolist()
+        lengths, jumps, arcs = _padded([([HALF_PI], [t]) for t in totals])
+        check = verify_bounds(lengths, jumps, arcs)
+        assert check.x1.tobytes() == np.array(
+            [optical_pumping_value(t) for t in totals]).tobytes()
+
     def test_padding_factors_are_the_math_values(self):
         # A padding step (+0.0 jump and arc) skips math and takes these.
         factors = _step_factors(np.zeros(1), np.zeros(1))

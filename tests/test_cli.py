@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lambda_control import cli
 from lambda_control.analytic import (
@@ -172,6 +174,15 @@ class TestSimulate:
         err = json.loads(capsys.readouterr().err)
         assert "gamma" in err["error"]
         assert err["exit_code"] == 1
+
+    @pytest.mark.parametrize("control", ["pumping", "ramp_up"])
+    def test_tiny_duration_is_one_step(self, tmp_path, control):
+        # Below T = 1e-12 the edge slack exceeds T; the one interval stays.
+        code = run_cli(["simulate", "--gamma", "2", "--duration", "1e-13",
+                        "--control", control, "--out", str(tmp_path)])
+        assert code == 0
+        _, rows = read_csv_rows(tmp_path / "trajectory.csv")
+        assert [float(row[0]) for row in rows] == [0.0, 1e-13]
 
     def test_invalid_params_exit_usage(self, tmp_path):
         code = run_cli(["simulate", "--gamma", "2", "--gamma-diff", "5",
@@ -435,6 +446,53 @@ class TestVerify:
         assert fh.getvalue() == "".join(encode(r) + "\n" for r in records)
         assert encode(violations) == encode(
             [r for r, ok in zip(records, satisfied) if not ok])
+
+    @settings(deadline=None, max_examples=60)
+    @given(data=st.data())
+    def test_chunk_is_the_json_encoding_property(self, data):
+        # Every length 1..RANDOM_MAX_N in one chunk, in a drawn order, with
+        # floats whose repr has an exponent, subnormals and -0.0; NaN or
+        # +-inf in xn, x1 or margin at the first, a middle and the last row.
+        lengths = np.array(data.draw(st.permutations(
+            list(range(1, RANDOM_MAX_N + 1)) + data.draw(st.lists(
+                st.integers(1, RANDOM_MAX_N), max_size=6)))))
+        rows = lengths.size
+        values = st.one_of(
+            st.floats(allow_nan=False, allow_infinity=False),
+            st.sampled_from([-0.0, 0.0, 5e-324, 1e-310, 1e-7, 1.5e-5, 1e16,
+                             1.2345e22, -3e-300]))
+        jumps = np.zeros((rows, RANDOM_MAX_N))
+        arcs = np.zeros((rows, RANDOM_MAX_N))
+        for i, n in enumerate(lengths.tolist()):
+            jumps[i, :n] = data.draw(st.lists(values, min_size=n, max_size=n))
+            arcs[i, :n] = data.draw(st.lists(values, min_size=n, max_size=n))
+        fields = {name: np.array(data.draw(st.lists(
+            values, min_size=rows, max_size=rows)))
+            for name in ("xn", "x1", "margin")}
+        for i in (0, rows // 2, rows - 1):
+            name = data.draw(st.sampled_from(sorted(fields)))
+            fields[name][i] = data.draw(st.sampled_from(
+                [math.nan, math.inf, -math.inf]))
+        satisfied = np.array(data.draw(st.lists(st.booleans(), min_size=rows,
+                                                max_size=rows)))
+        check = BoundCheck(satisfied=satisfied,
+                           at_equality=np.zeros(rows, dtype=bool), **fields)
+
+        fh = io.StringIO()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli.analytic, "verify_bounds",
+                          lambda *args: check)
+            violations = cli._verify_chunk(fh, lengths, jumps, arcs)
+        records = [{"n": n, "thetas": jumps[i, :n].tolist(),
+                    "arcs": arcs[i, :n].tolist(),
+                    "xn": float(fields["xn"][i]),
+                    "x1": float(fields["x1"][i]),
+                    "margin": float(fields["margin"][i])}
+                   for i, n in enumerate(lengths.tolist())]
+        encode = json.JSONEncoder(sort_keys=True).encode
+        assert fh.getvalue() == "".join(encode(r) + "\n" for r in records)
+        assert encode(violations) == encode(
+            [r for r, ok in zip(records, satisfied.tolist()) if not ok])
 
     def test_runs_without_scipy(self, tmp_path):
         # scipy is a test dependency only: with it unimportable, the CLI

@@ -317,7 +317,10 @@ class TestControlSignal:
         new = control.with_theta(theta)
         assert new.theta.tobytes() == expected.theta.tobytes()
         assert new.grid is control.grid
+        assert new.durations is control.durations
+        assert new.durations.tobytes() == np.diff(control.grid).tobytes()
         assert not new.grid.flags.writeable
+        assert not new.durations.flags.writeable
         assert not new.theta.flags.writeable
         assert control.theta.tobytes() == np.array([0.5, 0.6, 0.7]).tobytes()
 
@@ -524,6 +527,16 @@ class TestIntegrateFull:
         traj = integrate_full(control, SystemParams(gamma_total=3.0), 2.0,
                               max_samples=2, method=method)
         assert traj.times.tolist() == [0.0, 2.0]
+
+    @pytest.mark.parametrize("method", ["rk4", "adaptive"])
+    @pytest.mark.parametrize("T", [1e-300, 1e-13, 1e-12])
+    def test_tiny_horizon_keeps_its_one_interval(self, T, method):
+        # The edge slack, 1e-12 below T = 1, is at least T itself here.
+        traj = integrate_full(optical_pumping_control(T),
+                              SystemParams(gamma_total=2.0), method=method)
+        assert traj.times.tolist() == [0.0, T]
+        assert traj.thetas.tolist() == [HALF_PI, HALF_PI]
+        assert np.isfinite(traj.states).all()
 
     @settings(deadline=None, max_examples=60)
     @given(st.floats(min_value=0.1, max_value=50.0),
