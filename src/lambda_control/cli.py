@@ -158,6 +158,32 @@ def write_json(path: Path, payload: dict):
                     encoding="utf-8")
 
 
+# Lists two levels deep as json.dumps(..., indent=2) lays them out, from
+# json's C encoder: with an indent the json module encodes in pure Python.
+_INDENTED_LIST = json.JSONEncoder(separators=(",\n    ", ": "))
+
+
+def _dumps_float_columns(payload: dict) -> str:
+    """``json.dumps(payload, sort_keys=True, indent=2)`` for a non-empty
+    dict whose list values hold only floats (the ``simulate --format json``
+    payload).
+
+    Each non-empty list is encoded by the C encoder, whose item separator
+    carries the newline and indentation, and spliced between its brackets;
+    the other values are encoded with the indent and shifted one level.
+    """
+    items = []
+    for key in sorted(payload):
+        value = payload[key]
+        if isinstance(value, list) and value:
+            text = "[\n    " + _INDENTED_LIST.encode(value)[1:-1] + "\n  ]"
+        else:
+            text = json.dumps(value, sort_keys=True, indent=2)
+            text = text.replace("\n", "\n  ")
+        items.append(f"{json.dumps(key)}: {text}")
+    return "{\n  " + ",\n  ".join(items) + "\n}"
+
+
 def _emit(payload: dict):
     print(json.dumps(payload, sort_keys=True))
 
@@ -232,7 +258,8 @@ def cmd_simulate(args) -> int:
     if args.format == "json":
         columns = trajectory.columns(params.omega0).T.tolist()
         payload = {"config": cfg, **dict(zip(Trajectory.COLUMNS, columns))}
-        write_json(out / "trajectory.json", payload)
+        (out / "trajectory.json").write_text(
+            _dumps_float_columns(payload) + "\n", encoding="utf-8")
         outputs["trajectory"] = "trajectory.json"
     else:
         trajectory.write_csv(out / "trajectory.csv", omega0=params.omega0,

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from lambda_control import cli
 from lambda_control.analytic import (
@@ -25,8 +26,25 @@ from lambda_control.analytic import (
 from lambda_control.model import (
     IntegrationError,
     SystemParams,
+    Trajectory,
     integrate_full,
 )
+
+
+_JSON_VALUES = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324]),
+    st.floats())
+# math.sin and math.cos reject infinite angles.
+_JSON_ANGLES = st.one_of(st.sampled_from([math.nan, -0.0, 0.0]),
+                         st.floats(allow_infinity=False))
+
+
+@st.composite
+def _json_trajectories(draw):
+    n = draw(st.integers(1, 40))
+    return Trajectory(draw(hnp.arrays(float, n, elements=_JSON_VALUES)),
+                      draw(hnp.arrays(float, (n, 9), elements=_JSON_VALUES)),
+                      draw(hnp.arrays(float, n, elements=_JSON_ANGLES)))
 
 
 def run_cli(args):
@@ -168,6 +186,18 @@ class TestSimulate:
         assert (tmp_path / "trajectory.json").read_bytes() == \
             want.encode("utf-8")
 
+    @settings(deadline=None, max_examples=60)
+    @given(_json_trajectories(), st.one_of(st.just(1.0), st.floats(1e-3, 1e3)),
+           st.dictionaries(st.text(max_size=8),
+                           st.one_of(st.none(), st.floats(), st.text(),
+                                     st.integers()), max_size=4))
+    def test_json_columns_equal_indented_dumps(self, traj, omega0, cfg):
+        # The simulate payload: config plus the ten exported columns.
+        columns = traj.columns(omega0).T.tolist()
+        payload = {"config": cfg, **dict(zip(Trajectory.COLUMNS, columns))}
+        assert cli._dumps_float_columns(payload) == \
+            json.dumps(payload, sort_keys=True, indent=2)
+
     def test_missing_required_flag(self, tmp_path, capsys):
         code = run_cli(["simulate", "--duration", "10", "--out", str(tmp_path)])
         assert code == 1
@@ -175,14 +205,25 @@ class TestSimulate:
         assert "gamma" in err["error"]
         assert err["exit_code"] == 1
 
-    @pytest.mark.parametrize("control", ["pumping", "ramp_up"])
+    @pytest.mark.parametrize("control", ["pumping"])
     def test_tiny_duration_is_one_step(self, tmp_path, control):
-        # Below T = 1e-12 the edge slack exceeds T; the one interval stays.
         code = run_cli(["simulate", "--gamma", "2", "--duration", "1e-13",
                         "--control", control, "--out", str(tmp_path)])
         assert code == 0
         _, rows = read_csv_rows(tmp_path / "trajectory.csv")
         assert [float(row[0]) for row in rows] == [0.0, 1e-13]
+
+    def test_tiny_duration_keeps_every_ramp_interval(self, tmp_path):
+        # The edge slack is relative to T: the 100 intervals of a ramp over
+        # T = 1e-13 are each one step, not merged into the first.
+        code = run_cli(["simulate", "--gamma", "2", "--duration", "1e-13",
+                        "--control", "ramp_up", "--out", str(tmp_path)])
+        assert code == 0
+        _, rows = read_csv_rows(tmp_path / "trajectory.csv")
+        control = cli.NAMED_CONTROLS["ramp_up"](1e-13, 100)
+        assert [float(row[0]) for row in rows] == control.grid.tolist()
+        assert [float(row[7]) for row in rows] == \
+            [control.theta[0], *control.theta]
 
     def test_invalid_params_exit_usage(self, tmp_path):
         code = run_cli(["simulate", "--gamma", "2", "--gamma-diff", "5",

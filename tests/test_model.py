@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -531,12 +532,47 @@ class TestIntegrateFull:
     @pytest.mark.parametrize("method", ["rk4", "adaptive"])
     @pytest.mark.parametrize("T", [1e-300, 1e-13, 1e-12])
     def test_tiny_horizon_keeps_its_one_interval(self, T, method):
-        # The edge slack, 1e-12 below T = 1, is at least T itself here.
+        # The edge slack is relative, so it never reaches the first start.
         traj = integrate_full(optical_pumping_control(T),
                               SystemParams(gamma_total=2.0), method=method)
         assert traj.times.tolist() == [0.0, T]
         assert traj.thetas.tolist() == [HALF_PI, HALF_PI]
         assert np.isfinite(traj.states).all()
+
+    @pytest.mark.parametrize("method", ["rk4", "adaptive"])
+    def test_short_horizon_keeps_its_last_breakpoint(self, method):
+        # 5e-13 before T = 1e-11 is 5% of the window, not edge rounding:
+        # an absolute 1e-12 slack integrated it as theta = 0.
+        control = ControlSignal([0.0, 9.5e-12, 1e-11], [0.0, HALF_PI])
+        traj = integrate_full(control, SystemParams(gamma_total=2.0),
+                              method=method)
+        assert traj.times.tolist() == [0.0, 9.5e-12, 1e-11]
+        assert traj.thetas.tolist() == [0.0, 0.0, HALF_PI]
+
+    @pytest.mark.parametrize("method", ["rk4", "adaptive"])
+    def test_grid_end_short_of_horizon_starts_no_interval(self, method):
+        # integrate_full accepts a grid ending up to 1e-12 short of T < 1;
+        # its last interval runs on to T.
+        control = ControlSignal([0.0, 9.5e-12], [0.3])
+        traj = integrate_full(control, SystemParams(gamma_total=2.0), 1e-11,
+                              method=method)
+        assert traj.times.tolist() == [0.0, 1e-11]
+        assert traj.thetas.tolist() == [0.3, 0.3]
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.floats(min_value=1.0, max_value=1e6),
+           st.lists(st.floats(min_value=0.0, max_value=1e-9), min_size=1,
+                    max_size=6, unique=True))
+    def test_edges_from_horizon_one_up_are_unchanged(self, T, gaps):
+        # Breakpoints from 1e-9 * T below T up to T itself, across the
+        # slack: for T >= 1 the cut is the earlier T - 1e-12 * max(1, T).
+        inner = sorted({T * (1.0 - g) for g in gaps} - {T})
+        grid = np.array([0.0, *[t for t in inner if t > 0.0], T, 2.0 * T])
+        control = ControlSignal(grid, np.full(grid.size - 1, 0.4))
+        starts, ends, _ = model._interval_edges(control, T)
+        assert starts.tolist() == \
+            grid[grid < T - 1e-12 * max(1.0, T)].tolist()
+        assert ends[-1] == T
 
     @settings(deadline=None, max_examples=60)
     @given(st.floats(min_value=0.1, max_value=50.0),
@@ -1081,6 +1117,90 @@ class TestTrajectoryExport:
         assert last[7] == pytest.approx(HALF_PI)
         assert last[8] == pytest.approx(1.0)
         assert last[9] == pytest.approx(0.0, abs=1e-12)
+
+
+def _g17(values):
+    """format(v, ".17g") per value, as ``model._g17_cells`` writes them."""
+    cells, args = model._g17_cells(np.asarray(values, dtype=float))
+    return ("".join(cells.ravel().tolist()) % tuple(args)).split(",")[:-1]
+
+
+def _tie_distance(x):
+    """Exact distance from one half of the fraction of |x| scaled to 17
+    significant digits."""
+    exact = Fraction(abs(x))
+    X = math.floor(math.log10(abs(x)))
+    # log10 may be off by one next to a power of ten.
+    while exact >= Fraction(10) ** (X + 1):
+        X += 1
+    while exact < Fraction(10) ** X:
+        X -= 1
+    scaled = exact * Fraction(10) ** (16 - X)
+    return abs(scaled - math.floor(scaled) - Fraction(1, 2))
+
+
+def _powers_of_ten():
+    powers = np.array([float(f"1e{k}") for k in range(-300, 301)])
+    return np.concatenate((powers, np.nextafter(powers, 0.0),
+                           np.nextafter(powers, np.inf)))
+
+
+_G17_EDGES = np.concatenate((_powers_of_ten(), [
+    # Exact ties at the 17th digit: 2**-25 has 18 significant digits.
+    2.0 ** -25, 3 * 2.0 ** -25, 7 * 2.0 ** -25,
+    # Within 1e-7 of a tie (values of a benchmark-like ramp).
+    2.1627770264465145e-09, 0.41445605735320939,
+    # Exponent switches and a rounding carry into the next power of ten.
+    1e16, 1e17, 99999999999999999.0, 9.9999999999999995e-5, 1e-4, 1e-5,
+    123456789012345678.0, 0.5, 1.5, 100.0, 120.0,
+    # Subnormals, signed zeros, non-finite values.
+    5e-324, 1e-310, 2.2250738585072009e-308, 2.2250738585072014e-308,
+    0.0, -0.0, math.inf, -math.inf, math.nan,
+]))
+
+
+class TestG17Formatter:
+    """``model._g17_cells``: the digits Trajectory.write_csv writes."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(hnp.arrays(np.uint64, st.integers(1, 300)))
+    def test_bit_patterns_match_format(self, bits):
+        values = bits.view(np.float64)
+        assert _g17(values) == [format(v, ".17g") for v in values.tolist()]
+
+    @settings(deadline=None, max_examples=200)
+    @given(hnp.arrays(float, st.integers(1, 300), elements=st.floats()))
+    def test_floats_match_format(self, values):
+        assert _g17(values) == [format(v, ".17g") for v in values.tolist()]
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_edge_values_match_format(self, sign):
+        values = sign * _G17_EDGES
+        assert _g17(values) == [format(v, ".17g") for v in values.tolist()]
+
+    @pytest.mark.parametrize("gamma, duration", [(10.0, 20.0), (2.0, 50.0)])
+    def test_ramp_takes_the_fallback_only_at_near_ties(self, monkeypatch,
+                                                       tmp_path, gamma,
+                                                       duration):
+        # Guards the speed: Python formats only the values within 1e-6 of
+        # a tie at the 17th digit, about one value in 500000.
+        traj = integrate_full(lambda t: HALF_PI * t / duration,
+                              SystemParams(gamma_total=gamma), duration)
+        assert traj.times.size > 1600
+        fallback = []
+
+        def counting_format(value, spec):
+            fallback.append(value)
+            return format(value, spec)
+
+        monkeypatch.setattr(model, "format", counting_format, raising=False)
+        traj.write_csv(tmp_path / "ramp.csv")
+        lead = np.column_stack((traj.times, traj.states[:, :6])).ravel()
+        near = [v for v in lead[lead != 0.0].tolist()
+                if _tie_distance(v) < Fraction(1, 10 ** 6)]
+        assert fallback == near
+        if gamma == 10.0:
+            assert fallback == []
 
 
 class TestFullState:
