@@ -28,6 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from . import analytic, optimizer
+from ._decimal import _repr_cells
 from .model import (
     HALF_PI,
     ControlSignal,
@@ -397,53 +398,80 @@ def cmd_optimize(args) -> int:
 # records are written out before the next batch is drawn.
 VERIFY_CHUNK = 1000
 
+# Rows of a chunk that `verify` writes with one %.  The digit pass holds
+# ~30 numpy temporaries of a value each and the block's int arguments are
+# Python ints, so smaller blocks keep the peak memory of a chunk down.
+_VERIFY_BLOCK = 250
+
 
 @functools.cache
-def _verify_template(n):
-    """The `verify` JSONL record of an n-entry sequence, as a % template.
+def _verify_templates(width):
+    """The `verify` JSONL record of every sequence length n <= width as the
+    literal text around its values, one row per n: entry k precedes value
+    k of a row of _verify_chunk's table (width arcs, margin, width thetas,
+    x1, xn) and the last entry ends the line.  Keys are in sort_keys order
+    and the length is written in; entries of list items past n are empty.
 
-    Keys are in sort_keys order, and the fields take the values of one row
-    of _verify_chunk's table: n arcs, margin, n, n thetas, x1, xn.  For
-    finite floats %r (repr) is what the json encoder writes.
+    Read-only, as every call shares it.
     """
-    entries = ", ".join(["%r"] * n)
-    return (f'{{"arcs": [{entries}], "margin": %r, "n": %d, '
-            f'"thetas": [{entries}], "x1": %r, "xn": %r}}\n')
+    rows = np.full((width + 1, 2 * width + 4), "", dtype=object)
+    for n in range(1, width + 1):
+        rows[n, :n] = ", "
+        rows[n, width + 1:width + 1 + n] = ", "
+        rows[n, [0, width, width + 1, 2 * width + 1, 2 * width + 2,
+                 2 * width + 3]] = [
+            '{"arcs": [', '], "margin": ', f', "n": {n}, "thetas": [',
+            '], "x1": ', ', "xn": ', "}\n"]
+    rows.flags.writeable = False
+    return rows
 
 
 def _verify_chunk(fh, lengths, jumps, arcs):
     """Check one analytic.verify_bounds batch and write its JSONL records.
 
     Returns the records of the sequences that violate the bound.  The rows
-    are written with one % over the joined per-length templates, filled
-    from one flat list of the finite rows' values.  A row with a non-finite
-    value is written by the json encoder, which spells those values NaN and
-    Infinity; its line joins the template with any % doubled.
+    are written in blocks of _VERIFY_BLOCK, with one % per block.  A row's
+    text is its row of _verify_templates with its values between the
+    entries: its list entries below its length and every scalar.
+    ``_decimal._repr_cells`` turns the block's values into '%'-templates
+    and int arguments that write each as repr, which is what the json
+    encoder writes for a finite float.  A row with a non-finite value is
+    written by the json encoder, which spells those values NaN and
+    Infinity; its line, with any % doubled, is the row's text.
     """
     check = analytic.verify_bounds(lengths, jumps, arcs)
-    table = np.column_stack([arcs, check.margin, lengths, jumps, check.x1,
-                             check.xn])
+    table = np.column_stack([arcs, check.margin, jumps, check.x1, check.xn])
     finite = np.isfinite(table).all(axis=1)
     # Each column's index within its list, -1 for the scalar fields: a row
     # of length n keeps the list entries below n and every scalar.
     entry = np.arange(jumps.shape[1])
-    column = np.concatenate([entry, [-1, -1], entry, [-1, -1]])
+    column = np.concatenate([entry, [-1], entry, [-1, -1]])
     keep = (column < lengths[:, np.newaxis]) & finite[:, np.newaxis]
-    values = table[keep].tolist()
-    del table, keep  # freed before the chunk's text is built
-    templates = list(map(_verify_template, lengths.tolist()))
     encode = json.JSONEncoder(sort_keys=True).encode
-    violations = []
+    violations, lines = [], {}
     for i in np.flatnonzero(~(finite & check.satisfied)).tolist():
         n = int(lengths[i])
         record = {"n": n, "thetas": jumps[i, :n].tolist(),
                   "arcs": arcs[i, :n].tolist(), "xn": float(check.xn[i]),
                   "x1": float(check.x1[i]), "margin": float(check.margin[i])}
         if not finite[i]:
-            templates[i] = (encode(record) + "\n").replace("%", "%%")
+            lines[i] = (encode(record) + "\n").replace("%", "%%")
         if not check.satisfied[i]:
             violations.append(record)
-    fh.write("".join(templates) % tuple(values))
+    templates = _verify_templates(jumps.shape[1])
+    # Template row 0, all empty, leaves a json line alone.
+    template_rows = np.where(finite, lengths, 0)
+    for lo in range(0, lengths.size, _VERIFY_BLOCK):
+        rows = slice(lo, lo + _VERIFY_BLOCK)
+        cells, args = _repr_cells(table[rows][keep[rows]])
+        # Entries and values alternate along each row of text.
+        text = np.full((template_rows[rows].size, 2 * column.size + 1), "",
+                       dtype=object)
+        text[:, 0::2] = templates[template_rows[rows]]
+        text[:, 1::2][keep[rows]] = cells
+        for i in np.flatnonzero(~finite[rows]).tolist():
+            text[i, 0] = lines[lo + i]
+        fh.write("".join(text.ravel().tolist()) % tuple(args))
     return violations
 
 

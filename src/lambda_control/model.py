@@ -37,6 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._decimal import _g17_cells
+
 __all__ = [
     "STATE_DIM",
     "SystemParams",
@@ -98,191 +100,6 @@ _PADE13 = tuple(c / 64764752532480000.0 for c in (
     16380.0, 182.0, 1.0))
 _THETA13 = 4.25
 _ELL13 = 113250775606021113483283660800000000.0
-
-
-# ---------------------------------------------------------------------------
-# '%.17g' from numpy-rounded digits (Trajectory.write_csv)
-# ---------------------------------------------------------------------------
-
-# Magnitudes whose digits numpy computes; the scaled products and the
-# splits below stay normal and finite inside this range.
-_G17_MIN, _G17_MAX = 1e-290, 1e290
-# Values whose scaled fraction lies this close to one half go to Python's
-# formatter: the double-double product is within ~1e-14 of a unit in the
-# 17th digit, so every other value rounds as the exact one does.
-_G17_TIE_MARGIN = 1e-6
-# Exponents k of the 10**k table: 16 - X for the decimal exponents X of
-# _G17_MIN..._G17_MAX, and one more either way for a first guess of X
-# that is off by one.
-_P10_MIN, _P10_MAX = -275, 308
-# 10**0 ... 10**17; D < 10**17 fits an int64.
-_POW10_INT = 10 ** np.arange(18, dtype=np.int64)
-# The widest fraction of a fixed-notation '%.17g' (16 - X at X = -4).
-_G17_MAX_FRAC = 20
-
-
-def _veltkamp_split(x: float) -> tuple[float, float]:
-    """x = head + tail, each of at most 26 significant bits (Veltkamp),
-    computed on x's mantissa so that 10**308 does not overflow."""
-    m, e = math.frexp(x)
-    c = 134217729.0 * m
-    head = c - (c - m)
-    return math.ldexp(head, e), math.ldexp(m - head, e)
-
-
-def _pow10_table() -> np.ndarray:
-    """Rows hi, lo, head, tail by column k - _P10_MIN: 10**k = hi + lo to
-    ~2**-106 relative, hi = head + tail its Veltkamp split.
-
-    hi and lo are correctly rounded int/int true divisions (or int to
-    float conversions), so no decimal string or Fraction is involved.
-    """
-    rows = []
-    for k in range(_P10_MIN, _P10_MAX + 1):
-        if k >= 0:
-            exact = 10 ** k
-            hi = float(exact)
-            lo = float(exact - int(hi))
-        else:
-            scale = 10 ** -k
-            hi = 1 / scale
-            num, den = hi.as_integer_ratio()
-            lo = (den - num * scale) / (den * scale)
-        rows.append((hi, lo, *_veltkamp_split(hi)))
-    return np.array(rows).T.copy()
-
-
-_P10 = _pow10_table()
-
-
-def _scaled(a: np.ndarray, X: np.ndarray):
-    """a * 10**(16 - X) as a double-double (p, r): p = fl(a * hi) and the
-    exact Dekker product error plus a * lo in r."""
-    hi, lo, head, tail = np.take(_P10, (16 - _P10_MIN) - X, axis=1)
-    p = a * hi
-    c = 134217729.0 * a
-    a_head = c - (c - a)
-    a_tail = a - a_head
-    err = a_tail * tail - (((p - a_head * head) - a_tail * head)
-                           - a_head * tail)
-    return p, err + a * lo
-
-
-def _g17_digits(a: np.ndarray):
-    """17 correctly rounded significant digits of each a in
-    [_G17_MIN, _G17_MAX]: ints D in [10**16, 10**17) and decimal exponents
-    X with a = D * 10**(X - 16) after round-half-even, and a mask of the
-    values within _G17_TIE_MARGIN of a tie, whose D is not trusted (None
-    when there are none).
-
-    X starts as floor(log10(a)), which is off by at most one next to a
-    power of ten; those values are scaled again.
-    """
-    X = np.floor(np.log10(a)).astype(np.int64)
-    p, r = _scaled(a, X)
-    edge = np.flatnonzero((p <= 1e16) | (p >= 1e17))
-    if edge.size:
-        pe, re = p[edge], r[edge]
-        step = ((pe > 1e17) | ((pe == 1e17) & (re >= 0.0))).view(np.int8) \
-            - ((pe < 1e16) | ((pe == 1e16) & (re < 0.0))).view(np.int8)
-        X[edge] += step
-        p[edge], r[edge] = _scaled(a[edge], X[edge])
-    # p lies in [1e16, 1e17], where doubles are integers: the fraction of
-    # the scaled value is r's.
-    nearest = np.rint(r)
-    off = np.abs(r - nearest)
-    tie = None
-    if off.max(initial=0.0) > 0.5 - _G17_TIE_MARGIN:
-        tie = off > 0.5 - _G17_TIE_MARGIN
-    D = p.astype(np.int64)
-    D += nearest.astype(np.int64)
-    carry = np.flatnonzero(D == _POW10_INT[17])
-    D[carry] = _POW10_INT[16]
-    X[carry] += 1
-    return D, X, tie
-
-
-# '%'-templates of a value's text and separator by (sign, lead, fraction
-# code).  Lead 0..9 is written as that digit and lead 10 as '%d' of the
-# integer part.  Fraction code 0 writes no fraction; code c > 0 writes '.',
-# then c - 1 zeros and '%d' of the kept fraction digits, so no int is
-# zero-padded ('%0Nd' takes twice as long).  Exponential notation ends in
-# its entry of _G17_EXPONENT, by decimal exponent, before the ','.
-_G17_LEADS = 11
-_G17_TEMPLATES = np.array(
-    [[[sign + ("%d" if lead == 10 else str(lead))
-       + ("." + "0" * (code - 1) + "%d" if code else "") + ","
-       for code in range(_G17_MAX_FRAC + 2)]
-      for lead in range(_G17_LEADS)] for sign in ("", "-")], dtype=object)
-_G17_EXP_MIN = -330
-_G17_EXPONENT = np.array(
-    [f"e{X:+03d}," for X in range(_G17_EXP_MIN, -_G17_EXP_MIN + 1)],
-    dtype=object)
-_G17_ZERO = np.array(["0,", "-0,"], dtype=object)
-
-
-def _g17_cells(values: np.ndarray):
-    """Write each value of ``values`` as ``format(v, ".17g") + ","``: a
-    '%'-template per value (object array of ``values.shape``) and the int
-    arguments of all the templates in C order (none, one or two per
-    value).
-
-    Digits come from ``_g17_digits``.  Trailing zeros are stripped and the
-    leading zeros of the fraction counted arithmetically; the integer part
-    (or leading digit) and the kept fraction fill a template chosen by
-    sign, lead digit and fraction code.  Zeros are written as '0' or '-0';
-    non-finite values, magnitudes outside [_G17_MIN, _G17_MAX] and
-    near-ties are written by ``format`` one at a time.
-    """
-    v = values.ravel()
-    a = np.abs(v)
-    # NaN fails both bounds.
-    all_fast = a.size == 0 or (a.min() >= _G17_MIN and a.max() <= _G17_MAX)
-    if not all_fast:
-        fast = (a >= _G17_MIN) & (a <= _G17_MAX)
-        a = np.where(fast, a, 1.0)
-    D, X, tie = _g17_digits(a)
-    # Fixed notation: -4 <= X < 17.
-    fixed = (X + 4).view(np.uint64) < 21
-    # Digits after the point before stripping; 10**17 > D stands in for
-    # the larger powers of fixed notation below 1.
-    shift = np.where(fixed, 16 - X, 16)
-    whole, frac = np.divmod(D, _POW10_INT[np.minimum(shift, 17)])
-    # Strip trailing zeros (at most 16) where D has any.
-    width = shift
-    some = np.flatnonzero(D % 10 == 0)
-    if some.size:
-        zeros = (D[some, None] % _POW10_INT[1:17] == 0).sum(axis=1)
-        np.minimum(zeros, shift[some], out=zeros)
-        frac[some] //= _POW10_INT[zeros]
-        width = shift.copy()
-        width[some] -= zeros
-    # Fraction code: 0 without a fraction, else 1 + its leading zeros.
-    has_frac = width > 0
-    code = np.where(has_frac,
-                    width + 1 - np.searchsorted(_POW10_INT, frac, "right"), 0)
-    lead = np.minimum(whole, _G17_LEADS - 1)
-
-    cells = _G17_TEMPLATES[np.signbit(v).view(np.int8), lead, code]
-    exponential = np.flatnonzero(~fixed)
-    if exponential.size:
-        cells[exponential] = [
-            text[:-1] + suffix for text, suffix in zip(
-                cells[exponential].tolist(),
-                _G17_EXPONENT[X[exponential] - _G17_EXP_MIN].tolist())]
-    take = np.stack((lead == _G17_LEADS - 1, has_frac), axis=1)
-    slow = tie
-    if not all_fast:
-        slow = ~fast if tie is None else ~fast | tie
-    if slow is not None:
-        slow = np.flatnonzero(slow)
-        take[slow] = False
-        zero = v[slow] == 0.0
-        cells[slow[zero]] = _G17_ZERO[np.signbit(v[slow[zero]]).view(np.int8)]
-        slow = slow[~zero]
-        cells[slow] = [format(x, ".17g") + "," for x in v[slow].tolist()]
-    args = np.stack((whole, frac), axis=1)[take]
-    return cells.reshape(values.shape), args.tolist()
 
 
 class IntegrationError(RuntimeError):
@@ -1173,7 +990,7 @@ def integrate_full(control, params: SystemParams, T: float | None = None, *,
         controls (a callable requires T).
     T : float, optional
         Final time; defaults to the control duration.  The control must
-        cover [0, T].
+        cover [0, T]; its grid may end short of T by at most 1e-12 * T.
     initial_state : optional
         Defaults to all population in |1>.
     max_step : float, optional
@@ -1225,7 +1042,7 @@ def integrate_full(control, params: SystemParams, T: float | None = None, *,
     T = control.duration if T is None else float(T)
     if T <= 0.0:
         raise ValueError(f"T must be positive, got {T!r}")
-    if control.grid[0] != 0.0 or control.duration < T - _EDGE_TOL * max(1.0, T):
+    if control.grid[0] != 0.0 or control.duration < T - _EDGE_TOL * T:
         raise ValueError(
             f"control grid [{control.grid[0]!r}, {control.duration!r}] "
             f"does not cover [0, {T!r}]"

@@ -290,9 +290,9 @@ def _interval_propagators(thetas: np.ndarray, durations: np.ndarray,
 
 def _check_grid(control: ControlSignal, T: float | None) -> float:
     T = control.duration if T is None else float(T)
-    # The model's tolerance: integrate_full rejects a grid that ends short
-    # of T by more than this, so the objective must too.
-    tol = _EDGE_TOL * max(1.0, abs(T))
+    # The model's tolerance, relative at any T: integrate_full rejects a
+    # grid that ends short of T by more than this, so the objective must too.
+    tol = _EDGE_TOL * abs(T)
     if control.grid[0] != 0.0 or abs(control.duration - T) > tol:
         raise ValueError(
             f"control grid [{control.grid[0]!r}, {control.duration!r}] "

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -45,6 +45,58 @@ def _json_trajectories(draw):
     return Trajectory(draw(hnp.arrays(float, n, elements=_JSON_VALUES)),
                       draw(hnp.arrays(float, (n, 9), elements=_JSON_VALUES)),
                       draw(hnp.arrays(float, n, elements=_JSON_ANGLES)))
+
+
+_CHUNK_VALUES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, 1e-310, 1e-7, 1.5e-5, 1e16,
+                     1.2345e22, -3e-300]))
+
+
+@st.composite
+def _verify_chunks(draw):
+    """(lengths, jumps, arcs, fields, satisfied) of one verify chunk: every
+    length 1..RANDOM_MAX_N, in a drawn order, with floats whose repr has an
+    exponent, subnormals and -0.0; NaN or +-inf in xn, x1 or margin at the
+    first, a middle and the last row."""
+    lengths = np.array(draw(st.permutations(
+        list(range(1, RANDOM_MAX_N + 1)) + draw(st.lists(
+            st.integers(1, RANDOM_MAX_N), max_size=6)))))
+    rows = lengths.size
+    jumps = np.zeros((rows, RANDOM_MAX_N))
+    arcs = np.zeros((rows, RANDOM_MAX_N))
+    for i, n in enumerate(lengths.tolist()):
+        jumps[i, :n] = draw(st.lists(_CHUNK_VALUES, min_size=n, max_size=n))
+        arcs[i, :n] = draw(st.lists(_CHUNK_VALUES, min_size=n, max_size=n))
+    fields = {name: np.array(draw(st.lists(
+        _CHUNK_VALUES, min_size=rows, max_size=rows)))
+        for name in ("xn", "x1", "margin")}
+    for i in (0, rows // 2, rows - 1):
+        name = draw(st.sampled_from(sorted(fields)))
+        fields[name][i] = draw(st.sampled_from(
+            [math.nan, math.inf, -math.inf]))
+    satisfied = np.array(draw(st.lists(st.booleans(), min_size=rows,
+                                       max_size=rows)))
+    return lengths, jumps, arcs, fields, satisfied
+
+
+def _fallback_chunk():
+    """A chunk of _verify_chunks' form whose finite values all go to repr
+    one at a time: zeros, magnitudes outside [1e-290, 1e290], and values
+    with a shorter candidate on an end of their rounding interval."""
+    fallback = [0.0, -0.0, 5e-324, -1e-300, 3e300, -1.7976931348623157e308,
+                1.314724290863874e+17, -3.083522607985312e+18,
+                2.9410800681327763e+17, 3.9693469960734e+17]
+    lengths = np.arange(1, RANDOM_MAX_N + 1)
+    rows = lengths.size
+    cycle = np.resize(fallback, (2 * rows + 3, RANDOM_MAX_N))
+    keep = np.arange(RANDOM_MAX_N) < lengths[:, np.newaxis]
+    jumps = np.where(keep, cycle[:rows], 0.0)
+    arcs = np.where(keep, cycle[rows:2 * rows], 0.0)
+    fields = {name: cycle[2 * rows + k, :rows].copy()
+              for k, name in enumerate(("xn", "x1", "margin"))}
+    fields["margin"][rows // 2] = math.inf
+    return lengths, jumps, arcs, fields, np.arange(rows) % 3 != 0
 
 
 def run_cli(args):
@@ -489,33 +541,11 @@ class TestVerify:
             [r for r, ok in zip(records, satisfied) if not ok])
 
     @settings(deadline=None, max_examples=60)
-    @given(data=st.data())
-    def test_chunk_is_the_json_encoding_property(self, data):
-        # Every length 1..RANDOM_MAX_N in one chunk, in a drawn order, with
-        # floats whose repr has an exponent, subnormals and -0.0; NaN or
-        # +-inf in xn, x1 or margin at the first, a middle and the last row.
-        lengths = np.array(data.draw(st.permutations(
-            list(range(1, RANDOM_MAX_N + 1)) + data.draw(st.lists(
-                st.integers(1, RANDOM_MAX_N), max_size=6)))))
+    @given(chunk=_verify_chunks())
+    @example(chunk=_fallback_chunk())
+    def test_chunk_is_the_json_encoding_property(self, chunk):
+        lengths, jumps, arcs, fields, satisfied = chunk
         rows = lengths.size
-        values = st.one_of(
-            st.floats(allow_nan=False, allow_infinity=False),
-            st.sampled_from([-0.0, 0.0, 5e-324, 1e-310, 1e-7, 1.5e-5, 1e16,
-                             1.2345e22, -3e-300]))
-        jumps = np.zeros((rows, RANDOM_MAX_N))
-        arcs = np.zeros((rows, RANDOM_MAX_N))
-        for i, n in enumerate(lengths.tolist()):
-            jumps[i, :n] = data.draw(st.lists(values, min_size=n, max_size=n))
-            arcs[i, :n] = data.draw(st.lists(values, min_size=n, max_size=n))
-        fields = {name: np.array(data.draw(st.lists(
-            values, min_size=rows, max_size=rows)))
-            for name in ("xn", "x1", "margin")}
-        for i in (0, rows // 2, rows - 1):
-            name = data.draw(st.sampled_from(sorted(fields)))
-            fields[name][i] = data.draw(st.sampled_from(
-                [math.nan, math.inf, -math.inf]))
-        satisfied = np.array(data.draw(st.lists(st.booleans(), min_size=rows,
-                                                max_size=rows)))
         check = BoundCheck(satisfied=satisfied,
                            at_equality=np.zeros(rows, dtype=bool), **fields)
 
@@ -534,6 +564,32 @@ class TestVerify:
         assert fh.getvalue() == "".join(encode(r) + "\n" for r in records)
         assert encode(violations) == encode(
             [r for r, ok in zip(records, satisfied.tolist()) if not ok])
+
+    def test_output_does_not_depend_on_block_size(self, monkeypatch):
+        # Each block of rows is written with its own %; NaN rows fall in
+        # the first, a middle and the last block at every size below 300.
+        rng = np.random.default_rng(8)
+        lengths = np.tile(np.arange(1, RANDOM_MAX_N + 1), 30)
+        rows = lengths.size
+        keep = np.arange(RANDOM_MAX_N) < lengths[:, np.newaxis]
+        jumps, arcs = (np.where(keep, rng.standard_normal(keep.shape), 0.0)
+                       for _ in range(2))
+        fields = {name: rng.standard_normal(rows)
+                  for name in ("xn", "x1", "margin")}
+        fields["x1"][[0, rows // 2, rows - 1]] = math.nan
+        check = BoundCheck(satisfied=fields["margin"] > -1.0,
+                           at_equality=np.zeros(rows, dtype=bool), **fields)
+        monkeypatch.setattr(cli.analytic, "verify_bounds",
+                            lambda *args: check)
+        encode = json.JSONEncoder(sort_keys=True).encode
+        got = []
+        for block in (1, 7, cli._VERIFY_BLOCK, rows):
+            monkeypatch.setattr(cli, "_VERIFY_BLOCK", block)
+            fh = io.StringIO()
+            violations = cli._verify_chunk(fh, lengths, jumps, arcs)
+            got.append((fh.getvalue(), encode(violations)))
+        assert all(output == got[0] for output in got[1:])
+        assert got[0][0].count("\n") == rows
 
     def test_runs_without_scipy(self, tmp_path):
         # scipy is a test dependency only: with it unimportable, the CLI

@@ -11,7 +11,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from lambda_control import model, reduced
+from lambda_control import _decimal, model, reduced
 from lambda_control.model import (
     FRAME_GENERATOR,
     HALF_PI,
@@ -551,13 +551,24 @@ class TestIntegrateFull:
 
     @pytest.mark.parametrize("method", ["rk4", "adaptive"])
     def test_grid_end_short_of_horizon_starts_no_interval(self, method):
-        # integrate_full accepts a grid ending up to 1e-12 short of T < 1;
+        # integrate_full accepts a grid ending up to 1e-12 * T short of T;
         # its last interval runs on to T.
-        control = ControlSignal([0.0, 9.5e-12], [0.3])
-        traj = integrate_full(control, SystemParams(gamma_total=2.0), 1e-11,
+        T = 1e-11
+        control = ControlSignal([0.0, T * (1.0 - 5e-13)], [0.3])
+        traj = integrate_full(control, SystemParams(gamma_total=2.0), T,
                               method=method)
-        assert traj.times.tolist() == [0.0, 1e-11]
+        assert traj.times.tolist() == [0.0, T]
         assert traj.thetas.tolist() == [0.3, 0.3]
+
+    @pytest.mark.parametrize("T", [1e-11, 0.5])
+    def test_grid_short_of_short_horizon_rejected(self, T):
+        # 5% of a 1e-11 window is not edge rounding: an absolute 1e-12
+        # slack below T = 1 stretched the last interval over it.  The slack
+        # is 1e-12 * T at any T.
+        p = SystemParams(gamma_total=2.0)
+        for end in (0.95 * T, T * (1.0 - 2e-12)):
+            with pytest.raises(ValueError, match="cover"):
+                integrate_full(ControlSignal([0.0, end], [0.3]), p, T)
 
     @settings(deadline=None, max_examples=100)
     @given(st.floats(min_value=1.0, max_value=1e6),
@@ -1120,8 +1131,8 @@ class TestTrajectoryExport:
 
 
 def _g17(values):
-    """format(v, ".17g") per value, as ``model._g17_cells`` writes them."""
-    cells, args = model._g17_cells(np.asarray(values, dtype=float))
+    """format(v, ".17g") per value, as ``_decimal._g17_cells`` writes them."""
+    cells, args = _decimal._g17_cells(np.asarray(values, dtype=float))
     return ("".join(cells.ravel().tolist()) % tuple(args)).split(",")[:-1]
 
 
@@ -1160,7 +1171,7 @@ _G17_EDGES = np.concatenate((_powers_of_ten(), [
 
 
 class TestG17Formatter:
-    """``model._g17_cells``: the digits Trajectory.write_csv writes."""
+    """``_decimal._g17_cells``: the digits Trajectory.write_csv writes."""
 
     @settings(deadline=None, max_examples=200)
     @given(hnp.arrays(np.uint64, st.integers(1, 300)))
@@ -1193,7 +1204,8 @@ class TestG17Formatter:
             fallback.append(value)
             return format(value, spec)
 
-        monkeypatch.setattr(model, "format", counting_format, raising=False)
+        monkeypatch.setattr(_decimal, "format", counting_format,
+                            raising=False)
         traj.write_csv(tmp_path / "ramp.csv")
         lead = np.column_stack((traj.times, traj.states[:, :6])).ravel()
         near = [v for v in lead[lead != 0.0].tolist()

@@ -832,6 +832,20 @@ class TestOptimize:
         with pytest.raises(ValueError, match="horizon"):
             objective_and_gradient(control, p, T)
 
+    @pytest.mark.parametrize("T", [1e-11, 0.5])
+    def test_grid_short_of_short_horizon_rejected(self, T):
+        # The slack is 1e-12 * T below T = 1 too, as in integrate_full: an
+        # absolute 1e-12 accepted a grid 5% short of a 1e-11 window.
+        p = SystemParams(gamma_total=2.0)
+        for end in (0.95 * T, T * (1.0 - 2e-12)):
+            control = ControlSignal([0.0, end], [0.3])
+            with pytest.raises(ValueError, match="horizon"):
+                objective(control, p, T)
+            with pytest.raises(ValueError, match="horizon"):
+                objective_and_gradient(control, p, T)
+        control = ControlSignal([0.0, T * (1.0 - 5e-13)], [0.3])
+        assert objective(control, p, T) == objective(control, p)
+
     @pytest.mark.parametrize("asymmetry", [0.0, 0.5])
     def test_step_count_past_int64_rejected(self, asymmetry):
         # 1e20 RK4 steps per horizon: a ValueError before any work, not a
