@@ -1,38 +1,46 @@
 """Decimal text of float arrays from numpy-computed digits.
 
-Two writers share one digit kernel: ``_g17_cells`` writes what
+One writer serves two formats: ``_g17_cells`` writes what
 ``format(v, ".17g")`` writes (``Trajectory.write_csv``) and ``_repr_cells``
-what ``repr(v)`` writes (the JSONL of ``cli verify``).  Each returns a
-'%'-template per value and the int arguments that fill them, so a caller
-writes a whole block with one '%'.
+what ``repr(v)`` writes (the JSONL of ``cli verify``).  Each format has its
+digit kernel, ``_g17_digits`` (17 correctly rounded digits) or
+``_shortest_digits`` (the fewest that read back), and ``_cells`` turns
+either's digits into a '%'-template per value and the int arguments that
+fill them, so a caller writes a whole block with one '%'.  The formats
+differ only in what ``_cells`` is given: the kernel, the decimal exponent
+where exponential notation starts, a template table from ``_templates``
+and the function that writes the values the kernel does not decide.
 
-The kernel scales each |v| to 17 significant digits as a double-double, an
-exact Dekker product with a table of powers of ten.  Values the kernel
+The kernels scale each |v| to 17 significant digits as a double-double, an
+exact Dekker product with a table of powers of ten.  Values a kernel
 cannot decide with a wide margin go to Python's formatter one at a time.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
 
 # Magnitudes whose digits numpy computes; the scaled products and the
 # splits below stay normal and finite inside this range.
-_G17_MIN, _G17_MAX = 1e-290, 1e290
-# Values whose scaled fraction lies this close to one half go to Python's
-# formatter: the double-double product is within ~1e-14 of a unit in the
-# 17th digit, so every other value rounds as the exact one does.
-_G17_TIE_MARGIN = 1e-6
+_FAST_MIN, _FAST_MAX = 1e-290, 1e290
+# Values whose scaled fraction lies this close to a rounding boundary go
+# to Python's formatter: the double-double product is within ~1e-14 of a
+# unit in the 17th digit, so every other value rounds as the exact one
+# does.
+_TIE_MARGIN = 1e-6
 # Exponents k of the 10**k table: 16 - X for the decimal exponents X of
-# _G17_MIN..._G17_MAX, and one more either way for a first guess of X
+# _FAST_MIN..._FAST_MAX, and one more either way for a first guess of X
 # that is off by one.
 _P10_MIN, _P10_MAX = -275, 308
-# 10**0 ... 10**17; D < 10**17 fits an int64.
+# 10**0 ... 10**17; C < 10**17 fits an int64.
 _POW10_INT = 10 ** np.arange(18, dtype=np.int64)
-# The widest fraction of a fixed-notation '%.17g' (16 - X at X = -4).
-_G17_MAX_FRAC = 20
+# The widest fraction of a fixed-notation value (16 - X at X = -4).
+_MAX_FRAC = 20
+# Leading digits 0..9 of a template; lead 10 writes the integer part,
+# 10 or more, as '%d'.
+_LEADS = 11
 
 
 def _veltkamp_split(x: float) -> tuple[float, float]:
@@ -83,7 +91,7 @@ def _scaled(a: np.ndarray, X: np.ndarray):
 
 
 def _normalized(a: np.ndarray):
-    """Each a in [_G17_MIN, _G17_MAX] as a double-double (p, r) =
+    """Each a in [_FAST_MIN, _FAST_MAX] as a double-double (p, r) =
     a * 10**(16 - X) in [10**16, 10**17), with its decimal exponent X.
 
     X starts as floor(log10(a)), which is off by at most one next to a
@@ -104,148 +112,31 @@ def _normalized(a: np.ndarray):
 
 def _g17_digits(a: np.ndarray):
     """17 correctly rounded significant digits of each a in
-    [_G17_MIN, _G17_MAX]: ints D in [10**16, 10**17) and decimal exponents
-    X with a = D * 10**(X - 16) after round-half-even, and a mask of the
-    values within _G17_TIE_MARGIN of a tie, whose D is not trusted (None
-    when there are none).
+    [_FAST_MIN, _FAST_MAX]: ints C in [10**16, 10**17), the number j of
+    C's trailing zeros and decimal exponents X with a = C * 10**(X - 16)
+    after round-half-even, and a mask of the values within _TIE_MARGIN of
+    a tie, whose C is not trusted.
     """
     p, r, X = _normalized(a)
     nearest = np.rint(r)
-    off = np.abs(r - nearest)
-    tie = None
-    if off.max(initial=0.0) > 0.5 - _G17_TIE_MARGIN:
-        tie = off > 0.5 - _G17_TIE_MARGIN
-    D = p.astype(np.int64)
-    D += nearest.astype(np.int64)
-    carry = np.flatnonzero(D == _POW10_INT[17])
-    D[carry] = _POW10_INT[16]
+    tie = np.abs(r - nearest) > 0.5 - _TIE_MARGIN
+    C = p.astype(np.int64)
+    C += nearest.astype(np.int64)
+    carry = np.flatnonzero(C == _POW10_INT[17])
+    C[carry] = _POW10_INT[16]
     X[carry] += 1
-    return D, X, tie
+    j = np.zeros(C.shape, dtype=np.int8)
+    some = np.flatnonzero(C % 10 == 0)
+    j[some] = (C[some, None] % _POW10_INT[1:17] == 0).sum(axis=1)
+    return C, j, X, tie
 
-
-# '%'-templates of a value's text and separator by (sign, lead, fraction
-# code).  Lead 0..9 is written as that digit and lead 10 as '%d' of the
-# integer part.  Fraction code 0 writes no fraction; code c > 0 writes '.',
-# then c - 1 zeros and '%d' of the kept fraction digits, so no int is
-# zero-padded ('%0Nd' takes twice as long).  Exponential notation ends in
-# its entry of _G17_EXPONENT, by decimal exponent, before the ','.
-_G17_LEADS = 11
-_G17_TEMPLATES = np.array(
-    [[[sign + ("%d" if lead == 10 else str(lead))
-       + ("." + "0" * (code - 1) + "%d" if code else "") + ","
-       for code in range(_G17_MAX_FRAC + 2)]
-      for lead in range(_G17_LEADS)] for sign in ("", "-")], dtype=object)
-_G17_EXP_MIN = -330
-_G17_EXPONENT = np.array(
-    [f"e{X:+03d}," for X in range(_G17_EXP_MIN, -_G17_EXP_MIN + 1)],
-    dtype=object)
-_G17_ZERO = np.array(["0,", "-0,"], dtype=object)
-
-
-def _g17_cells(values: np.ndarray):
-    """Write each value of ``values`` as ``format(v, ".17g") + ","``: a
-    '%'-template per value (object array of ``values.shape``) and the int
-    arguments of all the templates in C order (none, one or two per
-    value).
-
-    Digits come from ``_g17_digits``.  Trailing zeros are stripped and the
-    leading zeros of the fraction counted arithmetically; the integer part
-    (or leading digit) and the kept fraction fill a template chosen by
-    sign, lead digit and fraction code.  Zeros are written as '0' or '-0';
-    non-finite values, magnitudes outside [_G17_MIN, _G17_MAX] and
-    near-ties are written by ``format`` one at a time.
-    """
-    v = values.ravel()
-    a = np.abs(v)
-    # NaN fails both bounds.
-    all_fast = a.size == 0 or (a.min() >= _G17_MIN and a.max() <= _G17_MAX)
-    if not all_fast:
-        fast = (a >= _G17_MIN) & (a <= _G17_MAX)
-        a = np.where(fast, a, 1.0)
-    D, X, tie = _g17_digits(a)
-    # Fixed notation: -4 <= X < 17.
-    fixed = (X + 4).view(np.uint64) < 21
-    # Digits after the point before stripping; 10**17 > D stands in for
-    # the larger powers of fixed notation below 1.
-    shift = np.where(fixed, 16 - X, 16)
-    whole, frac = np.divmod(D, _POW10_INT[np.minimum(shift, 17)])
-    # Strip trailing zeros (at most 16) where D has any.
-    width = shift
-    some = np.flatnonzero(D % 10 == 0)
-    if some.size:
-        zeros = (D[some, None] % _POW10_INT[1:17] == 0).sum(axis=1)
-        np.minimum(zeros, shift[some], out=zeros)
-        frac[some] //= _POW10_INT[zeros]
-        width = shift.copy()
-        width[some] -= zeros
-    # Fraction code: 0 without a fraction, else 1 + its leading zeros.
-    has_frac = width > 0
-    code = np.where(has_frac,
-                    width + 1 - np.searchsorted(_POW10_INT, frac, "right"), 0)
-    lead = np.minimum(whole, _G17_LEADS - 1)
-
-    cells = _G17_TEMPLATES[np.signbit(v).view(np.int8), lead, code]
-    exponential = np.flatnonzero(~fixed)
-    if exponential.size:
-        cells[exponential] = [
-            text[:-1] + suffix for text, suffix in zip(
-                cells[exponential].tolist(),
-                _G17_EXPONENT[X[exponential] - _G17_EXP_MIN].tolist())]
-    take = np.stack((lead == _G17_LEADS - 1, has_frac), axis=1)
-    slow = tie
-    if not all_fast:
-        slow = ~fast if tie is None else ~fast | tie
-    if slow is not None:
-        slow = np.flatnonzero(slow)
-        take[slow] = False
-        zero = v[slow] == 0.0
-        cells[slow[zero]] = _G17_ZERO[np.signbit(v[slow[zero]]).view(np.int8)]
-        slow = slow[~zero]
-        cells[slow] = [format(x, ".17g") + "," for x in v[slow].tolist()]
-    args = np.stack((whole, frac), axis=1)[take]
-    return cells.reshape(values.shape), args.tolist()
-
-
-# ---------------------------------------------------------------------------
-# Shortest round-trip digits: repr (cli verify)
-# ---------------------------------------------------------------------------
 
 # Exponent bits of a double: a with them alone is its leading power of two.
 _EXPONENT_BITS = np.uint64(0x7FF0000000000000)
 
 
-@functools.cache
-def _repr_templates() -> np.ndarray:
-    """'%'-templates of repr's text, built on first use, flat by
-    ((notation * 2 + sign) * _G17_LEADS + lead) * (_G17_MAX_FRAC + 2)
-    + fraction code: the layout of _G17_TEMPLATES without a separator.
-    Fixed notation (0) writes an integral value with '.0'; exponential
-    notation (1) ends in 'e%+03d', as repr writes the exponent ('e-05',
-    'e+16', 'e+290').  Read-only, as every call shares it.
-
-    Only the fraction is left to '%d' of a value's int argument; a
-    template with a whole part of 10 or more (lead 10) or an exponent
-    writes it as '%%d' and takes that number, one value at a time, first.
-    """
-    table = []
-    for exponential in (False, True):
-        for sign in ("", "-"):
-            for lead in range(_G17_LEADS):
-                one = lead == 10 or exponential
-                for code in range(_G17_MAX_FRAC + 2):
-                    frac = "%%d" if one else "%d"
-                    table.append(
-                        sign + ("%d" if lead == 10 else str(lead))
-                        + ("." + "0" * (code - 1) + frac if code else
-                           "" if exponential else ".0")
-                        + ("e%+03d" if exponential else ""))
-    table = np.array(table, dtype=object)
-    table.flags.writeable = False
-    return table
-
-
 def _shortest_digits(a: np.ndarray):
-    """repr's digits of each a in [_G17_MIN, _G17_MAX]: ints C in
+    """repr's digits of each a in [_FAST_MIN, _FAST_MAX]: ints C in
     [10**16, 10**17), the number j of C's trailing zeros that repr drops
     and decimal exponents X with a ~ C * 10**(X - 16), and a mask of the
     values whose digits are not trusted.
@@ -261,7 +152,7 @@ def _shortest_digits(a: np.ndarray):
     such multiple; j and the candidates for j <= 1 are worked out relative
     to the multiple of 100 at or below its top.
 
-    Not trusted: values with an interval end within _G17_TIE_MARGIN of an
+    Not trusted: values with an interval end within _TIE_MARGIN of an
     integer (whether a candidate on an end reads back as a depends on the
     parity of a's mantissa), and values whose two nearest candidates lie
     within the margin of equally far from s.
@@ -276,8 +167,8 @@ def _shortest_digits(a: np.ndarray):
     below = r - np.where(two == a, 0.5 * half, half)
     above = r + half
     low, high = np.ceil(below), np.floor(above)
-    slow = (np.abs(low - below - 0.5) > 0.5 - _G17_TIE_MARGIN) \
-        | (np.abs(above - high - 0.5) > 0.5 - _G17_TIE_MARGIN)
+    slow = (np.abs(low - below - 0.5) > 0.5 - _TIE_MARGIN) \
+        | (np.abs(above - high - 0.5) > 0.5 - _TIE_MARGIN)
     spread = high - low
     top = p.astype(np.int64)
     top += high.astype(np.int64)
@@ -289,7 +180,7 @@ def _shortest_digits(a: np.ndarray):
 
     # j = 0: the correctly rounded 17 digits; round(s) = p + round(r).
     nearest = np.rint(r)
-    tie = np.abs(r - nearest) > 0.5 - _G17_TIE_MARGIN
+    tie = np.abs(r - nearest) > 0.5 - _TIE_MARGIN
     pick = nearest + shift
     # j = 1: the nearer of the multiples of 10 below and above s that lies
     # in the interval [hundred - spread, hundred], if either does.
@@ -301,7 +192,7 @@ def _shortest_digits(a: np.ndarray):
     tens = lower | upper
     up = ((off > 5.0) & upper) | ~lower
     pick = np.where(tens, down + 10.0 * up, pick)
-    tie = np.where(tens, np.abs(off - 5.0) < _G17_TIE_MARGIN, tie)
+    tie = np.where(tens, np.abs(off - 5.0) < _TIE_MARGIN, tie)
     # j >= 2: the one multiple of 100, top - m.
     hundreds = bottom <= 0.0
     pick = np.where(hundreds, 0.0, pick)
@@ -323,31 +214,59 @@ def _shortest_digits(a: np.ndarray):
     return C, j, X, slow
 
 
-def _repr_cells(values: np.ndarray):
-    """Write each value of ``values`` as ``repr(v)``: a '%'-template per
-    value (object array of ``values.shape``) and the int arguments of all
-    the templates in C order (none or one per value).
+def _templates(integral: str, separator: str) -> np.ndarray:
+    """'%'-templates of a value's text, flat by
+    ((notation * 2 + sign) * _LEADS + lead) * (_MAX_FRAC + 2) + fraction
+    code, each ending in ``separator``.
 
-    Digits come from ``_shortest_digits``.  The integer part (or leading
-    digit) and the kept fraction fill a template chosen by notation, sign,
-    lead digit and fraction code, as in ``_g17_cells``.  Zeros, non-finite
-    values, magnitudes outside [_G17_MIN, _G17_MAX] and values whose
-    digits are not trusted are written by ``repr`` one at a time.
+    Lead 0..9 is written as that digit and lead 10 as '%d' of the integer
+    part.  Fraction code 0 writes no fraction, and ``integral`` in fixed
+    notation (0); code c > 0 writes '.', then c - 1 zeros and '%d' of the
+    kept fraction digits, so no int is zero-padded ('%0Nd' takes twice as
+    long).  Exponential notation (1) ends in 'e%+03d' of the decimal
+    exponent ('e-05', 'e+16', 'e+290').  Lead 0 without a fraction in
+    fixed notation is a signed zero.  Read-only, as every call shares it.
+    """
+    table = np.array(
+        [sign + ("%d" if lead == _LEADS - 1 else str(lead))
+         + ("." + "0" * (code - 1) + "%d" if code else
+            "" if exponential else integral)
+         + ("e%+03d" if exponential else "") + separator
+         for exponential in (False, True) for sign in ("", "-")
+         for lead in range(_LEADS) for code in range(_MAX_FRAC + 2)],
+        dtype=object)
+    table.flags.writeable = False
+    return table
+
+
+_G17_TEMPLATES = _templates("", ",")
+_REPR_TEMPLATES = _templates(".0", "")
+
+
+def _cells(values: np.ndarray, digits, exponential_from: int,
+           templates: np.ndarray, fallback):
+    """Each value of ``values`` as a '%'-template of ``templates`` (object
+    array of ``values.shape``) and the int arguments of all the templates
+    in C order: a value's integer part if it is 10 or more, its kept
+    fraction and its exponent, each where its template has one.
+
+    ``digits`` (``_g17_digits`` or ``_shortest_digits``) gives C, j, X and
+    the untrusted mask.  Values with -4 <= X < ``exponential_from`` are
+    written in fixed notation, the others in exponential.  Signed zeros
+    come from the table; non-finite values, magnitudes outside
+    [_FAST_MIN, _FAST_MAX] and untrusted values are written by
+    ``fallback`` one at a time.
     """
     v = values.ravel()
     a = np.abs(v)
     # NaN fails both bounds.
-    all_fast = a.size == 0 or (a.min() >= _G17_MIN and a.max() <= _G17_MAX)
-    if not all_fast:
-        fast = (a >= _G17_MIN) & (a <= _G17_MAX)
-        # 1.5 is not next to a power of ten, so _normalized scales it once.
-        a = np.where(fast, a, 1.5)
-    C, j, X, slow = _shortest_digits(a)
-    # Fixed notation for -4 <= X < 16, like repr.  C holds 16 - X digits
-    # after the point in fixed notation, 16 in exponential, and j of them
-    # are zeros; width is the number kept.  An integral value's whole
-    # part takes every digit.
-    fixed = (X + 4).view(np.uint64) < 20
+    fast = (a >= _FAST_MIN) & (a <= _FAST_MAX)
+    # 1.5 is not next to a power of ten, so _normalized scales it once.
+    C, j, X, slow = digits(np.where(fast, a, 1.5))
+    # C holds 16 - X digits after the point in fixed notation, 16 in
+    # exponential, and j of them are zeros; width is the number kept.  An
+    # integral value's whole part takes every digit.
+    fixed = (X + 4).view(np.uint64) < exponential_from + 4
     shift = np.where(fixed, 16 - X, 16)
     whole, frac = np.divmod(C, _POW10_INT[np.minimum(shift, 17)])
     frac //= _POW10_INT[j]
@@ -359,22 +278,44 @@ def _repr_cells(values: np.ndarray):
     count = np.flatnonzero(has_frac & ((X >= 0) | ~fixed))
     code[count] = width[count] + 1 - np.searchsorted(_POW10_INT, frac[count],
                                                      "right")
-    lead = np.minimum(whole, _G17_LEADS - 1)
-    index = np.where(fixed, 0, 2 * _G17_LEADS)
-    index += np.signbit(v) * _G17_LEADS
+    lead = np.minimum(whole, _LEADS - 1)
+    index = np.where(fixed, 0, 2 * _LEADS)
+    index += np.signbit(v) * _LEADS
     index += lead
-    index *= _G17_MAX_FRAC + 2
+    index *= _MAX_FRAC + 2
     index += code
-    cells = _repr_templates()[index]
+    has_whole = fixed & (lead == _LEADS - 1)
+    has_exponent = ~fixed
 
-    one = np.flatnonzero((lead == _G17_LEADS - 1) | ~fixed)
-    if one.size:
-        cells[one] = [text % number for text, number in zip(
-            cells[one].tolist(), np.where(fixed, whole, X)[one].tolist())]
-    if not all_fast:
-        slow |= ~fast
-    slow = np.flatnonzero(slow)
+    slow = np.flatnonzero(slow | ~fast)
     if slow.size:
-        has_frac[slow] = False
-        cells[slow] = [repr(x) for x in v[slow].tolist()]
-    return cells.reshape(values.shape), frac[has_frac].tolist()
+        # The signed zero of fixed notation, lead 0 and code 0.
+        index[slow] = np.signbit(v[slow]) * (_LEADS * (_MAX_FRAC + 2))
+        has_whole[slow] = has_frac[slow] = has_exponent[slow] = False
+    cells = templates[index]
+    slow = slow[v[slow] != 0.0]
+    cells[slow] = [fallback(x) for x in v[slow].tolist()]
+    if has_whole.any() or has_exponent.any():
+        # np.compress is about twice as fast as a boolean index here.
+        args = np.compress(
+            np.stack((has_whole, has_frac, has_exponent), axis=1).ravel(),
+            np.stack((whole, frac, X), axis=1))
+    else:
+        args = frac[has_frac]
+    return cells.reshape(values.shape), args.tolist()
+
+
+def _g17_cells(values: np.ndarray):
+    """Write each value of ``values`` as ``format(v, ".17g") + ","``: a
+    '%'-template per value and the int arguments of all the templates
+    (``_cells`` on ``_g17_digits``, exponential notation from X = 17)."""
+    return _cells(values, _g17_digits, 17, _G17_TEMPLATES,
+                  lambda x: format(x, ".17g") + ",")
+
+
+def _repr_cells(values: np.ndarray):
+    """Write each value of ``values`` as ``repr(v)``: a '%'-template per
+    value and the int arguments of all the templates (``_cells`` on
+    ``_shortest_digits``, exponential notation from X = 16, '.0' on an
+    integral value in fixed notation)."""
+    return _cells(values, _shortest_digits, 16, _REPR_TEMPLATES, repr)

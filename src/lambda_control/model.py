@@ -210,12 +210,24 @@ class FullState:
         return (self.x1, self.x2, self.x3)
 
 
-def _state_array(state) -> np.ndarray:
+def _state_array(state, name: str = "state",
+                 size: int = STATE_DIM) -> np.ndarray:
     if isinstance(state, FullState):
-        return state.as_array()
-    arr = np.asarray(state, dtype=float).reshape(-1)
-    if arr.size != STATE_DIM:
-        raise ValueError(f"expected {STATE_DIM} state components, got {arr.size}")
+        arr = state.as_array()
+    else:
+        arr = np.asarray(state, dtype=float).reshape(-1)
+    if arr.size != size:
+        raise ValueError(f"{name} must have {size} components, got {arr.size}")
+    return arr
+
+
+def _initial_array(state, name: str, size: int = STATE_DIM) -> np.ndarray:
+    """An integrator's initial state as a new float array; raises
+    ValueError, naming the argument, unless it has ``size`` components and
+    all of them are finite."""
+    arr = _state_array(state, name, size).copy()
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} must be finite, got {arr.tolist()!r}")
     return arr
 
 
@@ -992,7 +1004,8 @@ def integrate_full(control, params: SystemParams, T: float | None = None, *,
         Final time; defaults to the control duration.  The control must
         cover [0, T]; its grid may end short of T by at most 1e-12 * T.
     initial_state : optional
-        Defaults to all population in |1>.
+        Defaults to all population in |1>; otherwise 9 finite components
+        (or a FullState), else ValueError.
     max_step : float, optional
         Override of the default step bound (omega0*h <= 0.01, Gamma*h <= 0.1);
         must be finite and positive.  It sets the model steps, and so the
@@ -1026,7 +1039,7 @@ def integrate_full(control, params: SystemParams, T: float | None = None, *,
     if initial_state is None:
         x0 = FullState.ground().as_array()
     else:
-        x0 = _state_array(initial_state).copy()
+        x0 = _initial_array(initial_state, "initial_state")
 
     if callable(control) and not isinstance(control, ControlSignal):
         if T is None:

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SystemParams, _sample_transitions
+from .model import SystemParams, _initial_array, _sample_transitions
 
 __all__ = [
     "ReducedState",
@@ -248,11 +248,12 @@ def integrate_reduced(u_fn, tprime: float, n_steps: int,
     (times, states): times equal np.linspace(0, tprime, n_steps + 1), and
     states have shape (n_steps + 1, 3).
 
-    Raises ValueError unless tprime is finite and positive, and
-    IntegrationError at the first non-finite state.
+    Raises ValueError unless tprime is finite and positive and state0 has
+    three finite components, and IntegrationError at the first non-finite
+    state.
     """
     tprime = _require_grid(n_steps, "tprime", tprime)
+    x0 = np.append(_initial_array(state0, "state0", 3), 1.0)
     times, states = _sample_transitions(_reduced_generator, u_fn, tprime,
-                                        int(n_steps), 1,
-                                        np.append(state0, 1.0))
+                                        int(n_steps), 1, x0)
     return times, states[:, :3].copy()

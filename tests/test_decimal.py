@@ -1,6 +1,8 @@
+import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from lambda_control import _decimal, analytic
+from lambda_control.model import HALF_PI, SystemParams, integrate_full
 
 
 def _repr(values):
@@ -22,6 +25,85 @@ def _powers_of_ten():
     powers = np.array([float(f"1e{k}") for k in range(-300, 301)])
     return np.concatenate((powers, np.nextafter(powers, 0.0),
                            np.nextafter(powers, np.inf)))
+
+
+def _g17(values):
+    """format(v, ".17g") per value, as ``_decimal._g17_cells`` writes them."""
+    cells, args = _decimal._g17_cells(np.asarray(values, dtype=float))
+    return ("".join(cells.ravel().tolist()) % tuple(args)).split(",")[:-1]
+
+
+def _tie_distance(x):
+    """Exact distance from one half of the fraction of |x| scaled to 17
+    significant digits."""
+    exact = Fraction(abs(x))
+    X = math.floor(math.log10(abs(x)))
+    # log10 may be off by one next to a power of ten.
+    while exact >= Fraction(10) ** (X + 1):
+        X += 1
+    while exact < Fraction(10) ** X:
+        X -= 1
+    scaled = exact * Fraction(10) ** (16 - X)
+    return abs(scaled - math.floor(scaled) - Fraction(1, 2))
+
+
+_G17_EDGES = np.concatenate((_powers_of_ten(), [
+    # Exact ties at the 17th digit: 2**-25 has 18 significant digits.
+    2.0 ** -25, 3 * 2.0 ** -25, 7 * 2.0 ** -25,
+    # Within 1e-7 of a tie (values of a benchmark-like ramp).
+    2.1627770264465145e-09, 0.41445605735320939,
+    # Exponent switches and a rounding carry into the next power of ten.
+    1e16, 1e17, 99999999999999999.0, 9.9999999999999995e-5, 1e-4, 1e-5,
+    123456789012345678.0, 0.5, 1.5, 100.0, 120.0,
+    # Subnormals, signed zeros, non-finite values.
+    5e-324, 1e-310, 2.2250738585072009e-308, 2.2250738585072014e-308,
+    0.0, -0.0, math.inf, -math.inf, math.nan,
+]))
+
+
+class TestG17Formatter:
+    """``_decimal._g17_cells``: the digits Trajectory.write_csv writes."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(hnp.arrays(np.uint64, st.integers(1, 300)))
+    def test_bit_patterns_match_format(self, bits):
+        values = bits.view(np.float64)
+        assert _g17(values) == [format(v, ".17g") for v in values.tolist()]
+
+    @settings(deadline=None, max_examples=200)
+    @given(hnp.arrays(float, st.integers(1, 300), elements=st.floats()))
+    def test_floats_match_format(self, values):
+        assert _g17(values) == [format(v, ".17g") for v in values.tolist()]
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_edge_values_match_format(self, sign):
+        values = sign * _G17_EDGES
+        assert _g17(values) == [format(v, ".17g") for v in values.tolist()]
+
+    @pytest.mark.parametrize("gamma, duration", [(10.0, 20.0), (2.0, 50.0)])
+    def test_ramp_takes_the_fallback_only_at_near_ties(self, monkeypatch,
+                                                       tmp_path, gamma,
+                                                       duration):
+        # Guards the speed: Python formats only the values within 1e-6 of
+        # a tie at the 17th digit, about one value in 500000.
+        traj = integrate_full(lambda t: HALF_PI * t / duration,
+                              SystemParams(gamma_total=gamma), duration)
+        assert traj.times.size > 1600
+        fallback = []
+
+        def counting_format(value, spec):
+            fallback.append(value)
+            return format(value, spec)
+
+        monkeypatch.setattr(_decimal, "format", counting_format,
+                            raising=False)
+        traj.write_csv(tmp_path / "ramp.csv")
+        lead = np.column_stack((traj.times, traj.states[:, :6])).ravel()
+        near = [v for v in lead[lead != 0.0].tolist()
+                if _tie_distance(v) < Fraction(1, 10 ** 6)]
+        assert fallback == near
+        if gamma == 10.0:
+            assert fallback == []
 
 
 # Values whose scaled remainder r (|v| * 10**(16 - X) - p, p the rounded
@@ -78,6 +160,9 @@ class TestReprFormatter:
     def test_edge_values_match_repr(self, sign):
         values = sign * _REPR_EDGES
         assert _repr(values) == [repr(v) for v in values.tolist()]
+        # Both signed zeros in one block: each takes its own table entry.
+        zeros = sign * np.array([-0.0, 0.0])
+        assert _repr(zeros) == [repr(v) for v in zeros.tolist()]
 
     def test_shape_and_empty(self):
         values = np.arange(1.0, 7.0).reshape(2, 3) / 7.0
@@ -102,15 +187,15 @@ class TestReprFormatter:
         assert fallback == values
 
     @pytest.mark.parametrize("tprime", [1.0, 5.0, 10.0])
-    def test_verify_chunk_takes_the_fallback_only_at_zeros(self, monkeypatch,
-                                                           tprime):
-        # Guards the speed: on a chunk of verify values only the zero
-        # margins go to repr.
+    def test_verify_chunk_takes_no_fallback(self, monkeypatch, tprime):
+        # Guards the speed: on a chunk of verify values nothing goes to
+        # repr, the zero margins included.
         lengths, jumps, arcs = analytic.random_batch(
             np.random.default_rng(5), 1000, tprime)
         check = analytic.verify_bounds(lengths, jumps, arcs)
         values = np.concatenate([arcs[jumps != 0.0], jumps[jumps != 0.0],
                                  check.margin, check.x1, check.xn])
+        assert (values == 0.0).any()
         fallback = []
 
         def counting_repr(value):
@@ -119,19 +204,18 @@ class TestReprFormatter:
 
         monkeypatch.setattr(_decimal, "repr", counting_repr, raising=False)
         assert _repr(values) == [repr(v) for v in values.tolist()]
-        assert fallback == [v for v in values.tolist() if v == 0.0]
+        assert fallback == []
 
     def test_no_table_is_built_at_import(self, tmp_path):
-        # The repr templates and the verify record templates are built on
-        # first use: importing the CLI or running simulate builds neither.
+        # The verify record templates are built on first use: importing
+        # the CLI or running simulate does not build them.
         script = (
             "import sys\n"
             "from lambda_control import _decimal, cli\n"
             "code = cli.main(['simulate', '--gamma', '2', '--duration', '3',"
             " '--out', sys.argv[1]])\n"
-            "built = (_decimal._repr_templates.cache_info().currsize,"
-            " cli._verify_templates.cache_info().currsize)\n"
-            "sys.exit(code + 10 * (built != (0, 0)))\n"
+            "built = cli._verify_templates.cache_info().currsize\n"
+            "sys.exit(code + 10 * (built != 0))\n"
         )
         src = str(Path(_decimal.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)

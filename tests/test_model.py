@@ -1,7 +1,6 @@
 import math
 import tracemalloc
 import warnings
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +10,7 @@ from hypothesis.extra import numpy as hnp
 from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
-from lambda_control import _decimal, model, reduced
+from lambda_control import model, reduced
 from lambda_control.model import (
     FRAME_GENERATOR,
     HALF_PI,
@@ -460,6 +459,20 @@ class TestIntegrateFull:
         assert traj.states[0, 1] == 1.0
         assert 0.0 < traj.final_rho33 < 1.0
         assert traj.trace_drift() <= 1e-9
+
+    @pytest.mark.parametrize("control", [ControlSignal.constant(0.3, 2.0),
+                                         lambda t: 0.3],
+                             ids=["piecewise", "callable"])
+    @pytest.mark.parametrize("state, problem", [
+        (np.full(9, np.nan), "must be finite"),
+        ([1, 0, 0, 0, 0, 0, 0, math.inf, 0], "must be finite"),
+        (np.ones(8), "must have 9 components"),
+    ])
+    def test_bad_initial_state_rejected(self, control, state, problem):
+        # Rejected at entry, not as an IntegrationError at the first step.
+        with pytest.raises(ValueError, match=f"^initial_state {problem}"):
+            integrate_full(control, SystemParams(gamma_total=3.0), 2.0,
+                           initial_state=state)
 
     def test_target_state_is_dark_to_pure_pump(self):
         # With the Stokes field off, |3> is fully decoupled and keeps its
@@ -1128,91 +1141,6 @@ class TestTrajectoryExport:
         assert last[7] == pytest.approx(HALF_PI)
         assert last[8] == pytest.approx(1.0)
         assert last[9] == pytest.approx(0.0, abs=1e-12)
-
-
-def _g17(values):
-    """format(v, ".17g") per value, as ``_decimal._g17_cells`` writes them."""
-    cells, args = _decimal._g17_cells(np.asarray(values, dtype=float))
-    return ("".join(cells.ravel().tolist()) % tuple(args)).split(",")[:-1]
-
-
-def _tie_distance(x):
-    """Exact distance from one half of the fraction of |x| scaled to 17
-    significant digits."""
-    exact = Fraction(abs(x))
-    X = math.floor(math.log10(abs(x)))
-    # log10 may be off by one next to a power of ten.
-    while exact >= Fraction(10) ** (X + 1):
-        X += 1
-    while exact < Fraction(10) ** X:
-        X -= 1
-    scaled = exact * Fraction(10) ** (16 - X)
-    return abs(scaled - math.floor(scaled) - Fraction(1, 2))
-
-
-def _powers_of_ten():
-    powers = np.array([float(f"1e{k}") for k in range(-300, 301)])
-    return np.concatenate((powers, np.nextafter(powers, 0.0),
-                           np.nextafter(powers, np.inf)))
-
-
-_G17_EDGES = np.concatenate((_powers_of_ten(), [
-    # Exact ties at the 17th digit: 2**-25 has 18 significant digits.
-    2.0 ** -25, 3 * 2.0 ** -25, 7 * 2.0 ** -25,
-    # Within 1e-7 of a tie (values of a benchmark-like ramp).
-    2.1627770264465145e-09, 0.41445605735320939,
-    # Exponent switches and a rounding carry into the next power of ten.
-    1e16, 1e17, 99999999999999999.0, 9.9999999999999995e-5, 1e-4, 1e-5,
-    123456789012345678.0, 0.5, 1.5, 100.0, 120.0,
-    # Subnormals, signed zeros, non-finite values.
-    5e-324, 1e-310, 2.2250738585072009e-308, 2.2250738585072014e-308,
-    0.0, -0.0, math.inf, -math.inf, math.nan,
-]))
-
-
-class TestG17Formatter:
-    """``_decimal._g17_cells``: the digits Trajectory.write_csv writes."""
-
-    @settings(deadline=None, max_examples=200)
-    @given(hnp.arrays(np.uint64, st.integers(1, 300)))
-    def test_bit_patterns_match_format(self, bits):
-        values = bits.view(np.float64)
-        assert _g17(values) == [format(v, ".17g") for v in values.tolist()]
-
-    @settings(deadline=None, max_examples=200)
-    @given(hnp.arrays(float, st.integers(1, 300), elements=st.floats()))
-    def test_floats_match_format(self, values):
-        assert _g17(values) == [format(v, ".17g") for v in values.tolist()]
-
-    @pytest.mark.parametrize("sign", [1.0, -1.0])
-    def test_edge_values_match_format(self, sign):
-        values = sign * _G17_EDGES
-        assert _g17(values) == [format(v, ".17g") for v in values.tolist()]
-
-    @pytest.mark.parametrize("gamma, duration", [(10.0, 20.0), (2.0, 50.0)])
-    def test_ramp_takes_the_fallback_only_at_near_ties(self, monkeypatch,
-                                                       tmp_path, gamma,
-                                                       duration):
-        # Guards the speed: Python formats only the values within 1e-6 of
-        # a tie at the 17th digit, about one value in 500000.
-        traj = integrate_full(lambda t: HALF_PI * t / duration,
-                              SystemParams(gamma_total=gamma), duration)
-        assert traj.times.size > 1600
-        fallback = []
-
-        def counting_format(value, spec):
-            fallback.append(value)
-            return format(value, spec)
-
-        monkeypatch.setattr(_decimal, "format", counting_format,
-                            raising=False)
-        traj.write_csv(tmp_path / "ramp.csv")
-        lead = np.column_stack((traj.times, traj.states[:, :6])).ravel()
-        near = [v for v in lead[lead != 0.0].tolist()
-                if _tie_distance(v) < Fraction(1, 10 ** 6)]
-        assert fallback == near
-        if gamma == 10.0:
-            assert fallback == []
 
 
 class TestFullState:

@@ -358,6 +358,20 @@ class TestDurationValidation:
             integrate_reduced(u_fn, tprime, 5)
 
 
+class TestInitialStateValidation:
+    @pytest.mark.parametrize("state0, problem", [
+        ((1.0, 2.0), "must have 3 components"),
+        ((-1.0, 0.0, 0.0, 0.0), "must have 3 components"),
+        ((math.nan, 0.0, 0.0), "must be finite"),
+        ((-1.0, math.inf, 0.0), "must be finite"),
+    ])
+    def test_integrate_reduced_rejects(self, state0, problem):
+        # Rejected at entry, not inside the sampler or as an
+        # IntegrationError at the first step.
+        with pytest.raises(ValueError, match=f"^state0 {problem}"):
+            integrate_reduced(lambda tp: 0.5, 1.0, 10, state0=state0)
+
+
 class TestNonFiniteState:
     # h = 0.03: the control is first NaN inside step 33, [0.99, 1.02], so
     # the state is first non-finite at 1.02 and last finite at 0.99.
