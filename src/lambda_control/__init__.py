@@ -1,101 +1,22 @@
 """Simulation, analytic optimal control and pulse optimization for a
 dissipative three-level lambda system under a shared pump/Stokes amplitude
-budget."""
+budget.
 
-from .model import (
-    ControlSignal,
-    FullState,
-    IntegrationError,
-    SystemParams,
-    Trajectory,
-    integrate_full,
-    optical_pumping_control,
-    reconstruct_density,
-    rhs_full,
-    system_matrix,
-)
-from .reduced import (
-    ReducedState,
-    dark_bright_inverse,
-    dark_bright_transform,
-    denormalize_time,
-    eliminated_coherences,
-    normalize_time,
-    rhs_adiabatic,
-    rhs_reduced,
-)
-from .analytic import (
-    BangSingularSequence,
-    BoundCheck,
-    PmpReport,
-    apply_bang,
-    apply_singular,
-    closed_form_sequence,
-    is_pumping_equivalent,
-    optical_pumping_value,
-    pmp_residual,
-    propagate_batch,
-    propagate_sequence,
-    pumping_efficiency,
-    random_sequence,
-    verify_bound,
-    verify_bounds,
-)
-from .optimizer import (
-    OptimizationConfig,
-    OptimizationResult,
-    grid_cells,
-    gradient,
-    objective,
-    objective_and_gradient,
-    optimize,
-    pumping_baseline,
-    sweep,
-)
+The package root re-exports the names of the README's library example;
+everything else is imported from its module (model, reduced, analytic,
+optimizer, cli)."""
+
+from .analytic import pumping_efficiency
+from .model import SystemParams, integrate_full, optical_pumping_control
+from .optimizer import OptimizationConfig, optimize
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BangSingularSequence",
-    "BoundCheck",
-    "ControlSignal",
-    "FullState",
-    "IntegrationError",
     "OptimizationConfig",
-    "OptimizationResult",
-    "PmpReport",
-    "ReducedState",
     "SystemParams",
-    "Trajectory",
-    "apply_bang",
-    "apply_singular",
-    "closed_form_sequence",
-    "dark_bright_inverse",
-    "dark_bright_transform",
-    "denormalize_time",
-    "eliminated_coherences",
-    "gradient",
-    "grid_cells",
     "integrate_full",
-    "is_pumping_equivalent",
-    "normalize_time",
-    "objective",
-    "objective_and_gradient",
     "optical_pumping_control",
-    "optical_pumping_value",
     "optimize",
-    "pmp_residual",
-    "propagate_batch",
-    "propagate_sequence",
-    "pumping_baseline",
     "pumping_efficiency",
-    "random_sequence",
-    "reconstruct_density",
-    "rhs_adiabatic",
-    "rhs_full",
-    "rhs_reduced",
-    "sweep",
-    "system_matrix",
-    "verify_bound",
-    "verify_bounds",
 ]

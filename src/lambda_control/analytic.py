@@ -16,19 +16,19 @@ exponential-trigonometric sums, checks candidates against the X1 bound, and
 computes switching-function residuals of the maximum principle along
 bang-singular schedules.
 
-One fold and one bound check serve a single sequence, on Python floats
-(propagate_sequence, verify_bound), and a batch (propagate_batch,
-verify_bounds), laid out as random_batch draws it: (N,) lengths and (N, L)
-jumps and arcs, zero past each row's length (verify_bounds raises
-ValueError on any other layout).  A zero jump (cos 0 = 1, sin 0 = 0)
-followed by a zero arc (e^0 = 1, expm1(-0) = -0) maps every finite (x, y)
-to itself bit for bit (only a coordinate equal to -0.0 may come back as
-+0.0), so padding does not change the result.  The factors cos 2theta,
-sin 2theta, e^-t and expm1(-t) are taken from `math` one step at a time
-(padding takes math's values for +0.0 without a call) and only the
-multiply-add recursion runs on numpy columns: numpy's vectorised cos, sin
-and exp may differ from the C library in the last bit, and a batch must
-equal the scalar maps apply_bang / apply_singular bit for bit, so that
+propagate_batch and verify_bounds fold and check a batch, laid out as
+random_batch draws it: (N,) lengths and (N, L) jumps and arcs, zero past
+each row's length (verify_bounds raises ValueError on any other layout).
+propagate_sequence and verify_bound are their one-row calls on a
+BangSingularSequence, returning Python scalars.  A zero jump (cos 0 = 1,
+sin 0 = 0) followed by a zero arc (e^0 = 1, expm1(-0) = -0) maps every
+finite (x, y) to itself bit for bit (only a coordinate equal to -0.0 may
+come back as +0.0), so padding does not change the result.  The factors
+cos 2theta, sin 2theta, e^-t and expm1(-t) are taken from `math` one step
+at a time (padding takes math's values for +0.0 without a call) and only
+the multiply-add recursion runs on numpy columns: numpy's vectorised cos,
+sin and exp may differ from the C library in the last bit, and each row
+must equal the scalar maps apply_bang / apply_singular bit for bit, so that
 `verify` output stays byte-identical.
 """
 
@@ -56,7 +56,6 @@ __all__ = [
     "verify_bound",
     "verify_bounds",
     "is_pumping_equivalent",
-    "random_draw",
     "random_batch",
     "random_sequence",
     "pmp_residual",
@@ -165,9 +164,8 @@ def _step_factors(jumps: np.ndarray, arcs: np.ndarray):
 def _fold(steps, x, y):
     """Jump then arc for each step (cos 2theta, sin 2theta, e^-t, expm1(-t)).
 
-    x, y and the factors are floats for one sequence and (N,) arrays, one
-    entry per row, for a batch; either way each step makes the products and
-    sums of apply_bang followed by apply_singular.
+    x, y and the factors are (N,) arrays, one entry per row; each step makes
+    the products and sums of apply_bang followed by apply_singular.
     """
     for c, s, e, m in steps:
         x, y = c * x + s * y, -s * x + c * y
@@ -176,8 +174,12 @@ def _fold(steps, x, y):
 
 
 def propagate_sequence(seq: BangSingularSequence):
-    """Fold jump-then-arc over the sequence from (-1, 0); the final (x, y)."""
-    return _fold(zip(*_step_factors(seq.jumps, seq.arcs)), -1.0, 0.0)
+    """Fold jump-then-arc over the sequence from (-1, 0); the final (x, y).
+
+    The one-row call of propagate_batch.
+    """
+    x, y = propagate_batch(seq.jumps[np.newaxis], seq.arcs[np.newaxis])
+    return float(x[0]), float(y[0])
 
 
 def propagate_batch(jumps, arcs):
@@ -185,7 +187,7 @@ def propagate_batch(jumps, arcs):
 
     Row i is one sequence, started at (-1, 0); shorter rows end in zero
     jumps and zero arcs.  Returns the final (x, y) as two (N,) arrays, equal
-    bit for bit to propagate_sequence on each row.
+    bit for bit to folding apply_bang and apply_singular over each row.
     """
     jumps = np.asarray(jumps, dtype=float)
     arcs = np.asarray(arcs, dtype=float)
@@ -233,8 +235,9 @@ def closed_form_sequence(seq: BangSingularSequence):
 
 def optical_pumping_value(tprime: float) -> float:
     """Final population difference of the single-jump schedule: 2 e^-T' - 1."""
-    if tprime < 0.0:
-        raise ValueError(f"duration must be nonnegative, got {tprime!r}")
+    if not (math.isfinite(tprime) and tprime >= 0.0):
+        raise ValueError(
+            f"tprime must be finite and nonnegative, got {tprime!r}")
     return 2.0 * math.exp(-tprime) - 1.0
 
 
@@ -243,10 +246,10 @@ def pumping_efficiency(T: float, params: SystemParams) -> float:
 
     rho33(T) = 1 - exp(-omega0**2 T / (2 Gamma)); symmetric decay only.
     """
+    if not (math.isfinite(T) and T >= 0.0):
+        raise ValueError(f"T must be finite and nonnegative, got {T!r}")
     if not params.is_symmetric:
         raise ValueError("the pumping efficiency formula assumes symmetric decay")
-    if T < 0.0:
-        raise ValueError(f"duration must be nonnegative, got {T!r}")
     return 1.0 - math.exp(-normalize_time(T, params))
 
 
@@ -254,8 +257,8 @@ def pumping_efficiency(T: float, params: SystemParams) -> float:
 class BoundCheck:
     """Outcome of testing sequences against the pumping optimum.
 
-    The fields are scalars for one sequence (verify_bound) and (N,) arrays,
-    one entry per row, for a batch (verify_bounds).
+    The fields are (N,) arrays, one entry per row, from verify_bounds, and
+    Python scalars from its one-row call verify_bound.
     """
 
     xn: float
@@ -265,26 +268,15 @@ class BoundCheck:
     at_equality: bool
 
 
-def _check_boundary(seq: BangSingularSequence):
-    if not seq.matches_boundary():
-        raise ValueError(
-            f"sequence jumps must sum to pi/2, got {seq.total_angle!r}"
-        )
-
-
-def _bound_check(xn, x1) -> BoundCheck:
-    """Compare final populations xn with X1; floats or (N,) arrays."""
-    margin = xn - x1
-    return BoundCheck(xn=xn, x1=x1, margin=margin,
-                      satisfied=margin >= -BOUND_TOL,
-                      at_equality=abs(margin) <= EQUALITY_TOL)
-
-
 def verify_bound(seq: BangSingularSequence) -> BoundCheck:
-    """Check x_n >= X1(T') for a boundary-matching sequence."""
-    _check_boundary(seq)
-    xn, _ = propagate_sequence(seq)
-    return _bound_check(xn, optical_pumping_value(seq.total_time))
+    """Check x_n >= X1(T') for a boundary-matching sequence.
+
+    The one-row call of verify_bounds.
+    """
+    check = verify_bounds(np.array([seq.n]), seq.jumps[np.newaxis],
+                          seq.arcs[np.newaxis])
+    return BoundCheck(**{name: value.item()
+                         for name, value in vars(check).items()})
 
 
 def _row_sums(lengths: np.ndarray, *padded: np.ndarray):
@@ -311,8 +303,10 @@ def verify_bounds(lengths, jumps, arcs) -> BoundCheck:
     arcs[i, :n]), n = lengths[i], then zeros: the layout of random_batch.
     A malformed layout raises ValueError (no rows, shapes that differ, a
     length outside 1..L, a nonzero entry past a row's end), and so does the
-    first row that fails verify_bound, with its error.  The result's fields
-    are (N,) arrays, equal bit for bit to verify_bound row by row.
+    first row that is not a BangSingularSequence whose jumps sum to pi/2,
+    with its error.  The result's fields are (N,) arrays; xn and x1 of row
+    i equal, bit for bit, the apply_bang / apply_singular fold of the row
+    and optical_pumping_value of the sum of its arcs.
     """
     lengths = np.asarray(lengths)
     jumps, arcs = np.asarray(jumps, float), np.asarray(arcs, float)
@@ -331,15 +325,20 @@ def verify_bounds(lengths, jumps, arcs) -> BoundCheck:
             and (arcs >= 0.0).all()
             and (np.abs(angles - HALF_PI) <= _SEQUENCE_TOL).all()):
         for n, row_jumps, row_arcs in zip(lengths.tolist(), jumps, arcs):
-            _check_boundary(BangSingularSequence(jumps=row_jumps[:n],
-                                                 arcs=row_arcs[:n]))
+            seq = BangSingularSequence(jumps=row_jumps[:n], arcs=row_arcs[:n])
+            if not seq.matches_boundary():
+                raise ValueError(f"sequence jumps must sum to pi/2, got "
+                                 f"{seq.total_angle!r}")
 
     xn, _ = propagate_batch(jumps, arcs)
     # optical_pumping_value of each total (>= 0 here), without a call per
     # row: math.exp, not np.exp, whose last bit can differ.
     x1 = 2.0 * np.fromiter(map(math.exp, (-totals).tolist()), float,
                            totals.size) - 1.0
-    return _bound_check(xn, x1)
+    margin = xn - x1
+    return BoundCheck(xn=xn, x1=x1, margin=margin,
+                      satisfied=margin >= -BOUND_TOL,
+                      at_equality=np.abs(margin) <= EQUALITY_TOL)
 
 
 def is_pumping_equivalent(seq: BangSingularSequence) -> bool:
@@ -360,27 +359,14 @@ def is_pumping_equivalent(seq: BangSingularSequence) -> bool:
             and abs(rest) <= _SEQUENCE_TOL)
 
 
-def random_draw(rng: np.random.Generator, n: int, tprime: float):
-    """Uniform simplex draw: n jumps summing to pi/2, n arcs summing to T'.
-
-    Returns the (jumps, arcs) arrays.  Dirichlet(1, ..., 1) covers
-    boundary-heavy cases (near-zero jumps and arcs), where the optimality
-    bound is tight.
-    """
-    alpha = np.ones(n)
-    jumps = rng.dirichlet(alpha) * HALF_PI
-    arcs = rng.dirichlet(alpha) * tprime
-    return jumps, arcs
-
-
 def random_batch(rng: np.random.Generator, count: int, tprime: float):
-    """count random_draw sequences of random length, as zero-padded arrays.
+    """count random_sequence draws of random length, as zero-padded arrays.
 
     Returns (lengths, jumps, arcs): lengths is (count,) and jumps and arcs
     are (count, RANDOM_MAX_N).  Row i equals, bit for bit,
 
         n = int(rng.integers(1, RANDOM_MAX_N + 1))
-        random_draw(rng, n, tprime)
+        random_sequence(rng, n, tprime)
 
     drawn in row order, followed by zeros, and the generator ends in the same
     state.  numpy's Dirichlet(1, ..., 1) draws n standard exponentials (the
@@ -408,8 +394,14 @@ def random_batch(rng: np.random.Generator, count: int, tprime: float):
 
 def random_sequence(rng: np.random.Generator, n: int,
                     tprime: float) -> BangSingularSequence:
-    """random_draw as a BangSingularSequence."""
-    jumps, arcs = random_draw(rng, n, tprime)
+    """Uniform simplex draw: n jumps summing to pi/2, n arcs summing to T'.
+
+    Dirichlet(1, ..., 1) covers boundary-heavy cases (near-zero jumps and
+    arcs), where the optimality bound is tight.
+    """
+    alpha = np.ones(n)
+    jumps = rng.dirichlet(alpha) * HALF_PI
+    arcs = rng.dirichlet(alpha) * tprime
     return BangSingularSequence(jumps=jumps, arcs=arcs)
 
 
@@ -445,12 +437,6 @@ class PmpReport:
         return "no transfer" in self.flags
 
 
-def _bang_matrix(theta_jump: float) -> np.ndarray:
-    c = math.cos(2.0 * theta_jump)
-    s = math.sin(2.0 * theta_jump)
-    return np.array([[c, s], [-s, c]])
-
-
 def pmp_residual(schedule: BangSingularSequence,
                  tprime: float | None = None) -> PmpReport:
     """Residuals of the stationarity conditions along a candidate schedule.
@@ -462,7 +448,8 @@ def pmp_residual(schedule: BangSingularSequence,
     (-1, 0) and the costate satisfies ldot = l, while a jump rotates state
     and costate alike.  mu is the constant costate of the cyclic angle.
     """
-    if tprime is not None and abs(schedule.total_time - tprime) > 1e-9:
+    # `not <=` also rejects a nan tprime.
+    if tprime is not None and not abs(schedule.total_time - tprime) <= 1e-9:
         raise ValueError(
             f"schedule covers T'={schedule.total_time!r}, expected {tprime!r}"
         )
@@ -483,13 +470,14 @@ def pmp_residual(schedule: BangSingularSequence,
 
     # Backward pass: costate at each arc end and right after each jump,
     # i.e. at each arc start.
-    lam = np.array([-1.0, 0.0])
+    lam = -1.0, 0.0
     lam_at_arc_end = np.empty((n, 2))
     lam_at_arc_start = np.empty((n, 2))
     for i in range(n - 1, -1, -1):
         lam_at_arc_end[i] = lam
-        lam_at_arc_start[i] = lam * math.exp(-schedule.arcs[i])
-        lam = _bang_matrix(schedule.jumps[i]).T @ lam_at_arc_start[i]
+        lam_at_arc_start[i] = lam_at_arc_end[i] * math.exp(-schedule.arcs[i])
+        # The transpose of the jump's rotation: the rotation by -theta.
+        lam = apply_bang(*lam_at_arc_start[i], -schedule.jumps[i])
 
     arc_starts = np.concatenate(([0.0], np.cumsum(schedule.arcs)[:-1]))
     positive = [i for i in range(n) if schedule.arcs[i] > _ARC_TOL]

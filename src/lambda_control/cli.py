@@ -492,8 +492,8 @@ def cmd_verify(args) -> int:
     with open(out / "verify_sequences.jsonl", "w", encoding="utf-8") as fh:
         # Sequence 0, pumping, is a one-row batch.  The random sequences
         # follow in chunks, each drawn with one analytic.random_batch call,
-        # which takes the same draws from the stream as one random_draw per
-        # sequence, so the output does not depend on VERIFY_CHUNK.  Each
+        # which takes the same draws from the stream as one random_sequence
+        # per sequence, so the output does not depend on VERIFY_CHUNK.  Each
         # chunk's records are written with one % over per-length templates
         # (_verify_chunk).
         violations = _verify_chunk(fh, np.ones(1, dtype=np.intp),

@@ -546,8 +546,8 @@ def optimize(config: OptimizationConfig, params: SystemParams, T: float, *,
     _TIE_TOL resolve to the schedule with smaller total variation).
     The winner's objective is never below any start's initial objective.
     """
-    if T <= 0.0:
-        raise ValueError(f"T must be positive, got {T!r}")
+    if not (math.isfinite(T) and T > 0.0):
+        raise ValueError(f"T must be finite and positive, got {T!r}")
     grid = np.linspace(0.0, float(T), config.n_intervals + 1)
     if starts is None:
         rng = np.random.default_rng(config.seed)

@@ -248,11 +248,14 @@ def integrate_reduced(u_fn, tprime: float, n_steps: int,
     (times, states): times equal np.linspace(0, tprime, n_steps + 1), and
     states have shape (n_steps + 1, 3).
 
+    state0 is a ReducedState or an (x, y, theta) sequence.
     Raises ValueError unless tprime is finite and positive and state0 has
     three finite components, and IntegrationError at the first non-finite
     state.
     """
     tprime = _require_grid(n_steps, "tprime", tprime)
+    if isinstance(state0, ReducedState):
+        state0 = state0.as_array()
     x0 = np.append(_initial_array(state0, "state0", 3), 1.0)
     times, states = _sample_transitions(_reduced_generator, u_fn, tprime,
                                         int(n_steps), 1, x0)

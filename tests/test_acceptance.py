@@ -15,8 +15,10 @@ from lambda_control.analytic import (
     is_pumping_equivalent,
     pmp_residual,
     propagate_sequence,
+    random_batch,
     random_sequence,
     verify_bound,
+    verify_bounds,
 )
 from lambda_control.model import (
     HALF_PI,
@@ -77,17 +79,16 @@ def test_criterion_2_optimality_bound():
     worst_margin = math.inf
     equality_ok = True
     for tprime in (1.0, 5.0, 10.0):
-        for _ in range(10_000):
-            seq = random_sequence(rng, int(rng.integers(1, 11)), tprime)
-            check = verify_bound(seq)
-            checked += 1
-            worst_margin = min(worst_margin, check.margin)
-            if not check.satisfied:
-                equality_ok = False
-                break
-            if check.at_equality and not is_pumping_equivalent(seq):
-                equality_ok = False
-                break
+        # The draws of 10 000 random_sequence calls of random length.
+        lengths, jumps, arcs = random_batch(rng, 10_000, tprime)
+        check = verify_bounds(lengths, jumps, arcs)
+        checked += lengths.size
+        worst_margin = min(worst_margin, float(check.margin.min()))
+        equality_ok &= bool(check.satisfied.all())
+        for i in np.flatnonzero(check.at_equality):
+            n = lengths[i]
+            equality_ok &= is_pumping_equivalent(
+                BangSingularSequence(jumps[i, :n], arcs[i, :n]))
 
     # Equality is attained exactly by pumping-equivalent schedules.
     for seq in (

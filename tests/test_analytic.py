@@ -22,7 +22,6 @@ from lambda_control.analytic import (
     propagate_sequence,
     pumping_efficiency,
     random_batch,
-    random_draw,
     random_sequence,
     verify_bound,
     verify_bounds,
@@ -156,14 +155,17 @@ class TestClosedForm:
                 propagate_sequence(seq), abs=1e-14)
 
     def test_matches_propagation_randomized(self):
+        # Unit-time draws scaled per row to T' in [0, 10): d * 1.0 * T' is
+        # the bits of d * T', so each row is a random_sequence at its T'.
         rng = np.random.default_rng(3)
-        for _ in range(1000):
-            seq = random_sequence(rng, int(rng.integers(1, 11)),
-                                  rng.uniform(0.0, 10.0))
-            xp, yp = propagate_sequence(seq)
-            xc, yc = closed_form_sequence(seq)
-            assert abs(xc - xp) <= 1e-12
-            assert abs(yc - yp) <= 1e-12
+        lengths, jumps, arcs = random_batch(rng, 1000, 1.0)
+        arcs *= rng.uniform(0.0, 10.0, (lengths.size, 1))
+        xp, yp = propagate_batch(jumps, arcs)
+        for i, n in enumerate(lengths):
+            xc, yc = closed_form_sequence(
+                BangSingularSequence(jumps[i, :n], arcs[i, :n]))
+            assert abs(xc - xp[i]) <= 1e-12
+            assert abs(yc - yp[i]) <= 1e-12
 
     def test_single_jump_reduces_to_pumping_formula(self):
         for tprime in (0.0, 0.7, 4.0):
@@ -216,6 +218,11 @@ class TestOpticalPumpingValue:
         with pytest.raises(ValueError):
             optical_pumping_value(-1.0)
 
+    @pytest.mark.parametrize("tprime", [math.nan, math.inf, -math.inf])
+    def test_non_finite_duration_rejected(self, tprime):
+        with pytest.raises(ValueError, match="^tprime must be finite"):
+            optical_pumping_value(tprime)
+
 
 class TestPumpingEfficiency:
     def test_zero_duration(self):
@@ -239,6 +246,11 @@ class TestPumpingEfficiency:
             pumping_efficiency(1.0, SystemParams(gamma_total=10.0,
                                                  gamma_diff=1.0))
 
+    @pytest.mark.parametrize("T", [math.nan, math.inf, -math.inf])
+    def test_non_finite_duration_rejected(self, T):
+        with pytest.raises(ValueError, match="^T must be finite"):
+            pumping_efficiency(T, SystemParams(gamma_total=10.0))
+
 
 class TestVerifyBound:
     def test_pumping_attains_equality(self):
@@ -257,14 +269,32 @@ class TestVerifyBound:
         assert check.margin > 0.2
 
     def test_randomized_bound(self):
+        # random_sequence draws at T' in [0, 12), as in
+        # test_matches_propagation_randomized.
         rng = np.random.default_rng(5)
-        for _ in range(2000):
-            seq = random_sequence(rng, int(rng.integers(1, 11)),
-                                  rng.uniform(0.0, 12.0))
-            check = verify_bound(seq)
-            assert check.satisfied
-            if check.at_equality:
-                assert is_pumping_equivalent(seq)
+        lengths, jumps, arcs = random_batch(rng, 2000, 1.0)
+        arcs *= rng.uniform(0.0, 12.0, (lengths.size, 1))
+        check = verify_bounds(lengths, jumps, arcs)
+        assert check.satisfied.all()
+        for i in np.flatnonzero(check.at_equality):
+            n = lengths[i]
+            assert is_pumping_equivalent(
+                BangSingularSequence(jumps[i, :n], arcs[i, :n]))
+
+    def test_one_row_call_of_verify_bounds(self):
+        seq = BangSingularSequence(jumps=[0.2, -0.0, HALF_PI - 0.2],
+                                   arcs=[1.5, 0.0, 2.25])
+        check = verify_bound(seq)
+        batch = verify_bounds([3], seq.jumps[np.newaxis], seq.arcs[np.newaxis])
+        for name in ("xn", "x1", "margin", "satisfied", "at_equality"):
+            value = getattr(check, name)
+            assert type(value) is (bool if name in ("satisfied", "at_equality")
+                                   else float)
+            assert _bits(value) == _bits(getattr(batch, name)[0])
+        x, y = propagate_sequence(seq)
+        assert (type(x), type(y)) == (float, float)
+        assert (_bits(x), _bits(y)) == tuple(map(_bits, _scalar_fold(
+            seq.jumps, seq.arcs)))
 
     def test_wrong_total_angle_rejected(self):
         with pytest.raises(ValueError, match="pi/2"):
@@ -477,8 +507,8 @@ class TestRandomSequence:
             for i in range(count):
                 n = int(loop_rng.integers(1, RANDOM_MAX_N + 1))
                 expected_lengths.append(n)
-                expected[0, i, :n], expected[1, i, :n] = random_draw(
-                    loop_rng, n, tprime)
+                seq = random_sequence(loop_rng, n, tprime)
+                expected[0, i, :n], expected[1, i, :n] = seq.jumps, seq.arcs
             assert lengths.tolist() == expected_lengths
             if count == 400:
                 # Including 8-10, where numpy sums a row pairwise.

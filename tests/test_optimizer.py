@@ -820,6 +820,15 @@ class TestOptimize:
         with pytest.raises(ValueError):
             optimize(OptimizationConfig(), SystemParams(gamma_total=1.0), 0.0)
 
+    @pytest.mark.parametrize("T", [math.nan, math.inf, -math.inf])
+    def test_non_finite_horizon_rejected(self, T):
+        # Named, and before any numpy RuntimeWarning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^T must be finite"):
+                optimize(OptimizationConfig(), SystemParams(gamma_total=1.0),
+                         T)
+
     def test_grid_short_of_horizon_rejected_like_integrate_full(self):
         T = 10.0
         control = ControlSignal(np.linspace(0.0, T * (1.0 - 5e-10), 11),

@@ -133,6 +133,13 @@ class TestPumpingSchedule:
         with pytest.raises(ValueError):
             pmp_residual(seq, 6.0)
 
+    @pytest.mark.parametrize("tprime", [math.nan, math.inf, -math.inf])
+    def test_non_finite_tprime_rejected(self, tprime):
+        # abs(5 - nan) > 1e-9 is False: a nan must still fail the check.
+        seq = BangSingularSequence.optical_pumping(5.0)
+        with pytest.raises(ValueError, match="expected"):
+            pmp_residual(seq, tprime)
+
 
 class TestPerturbedSchedules:
     def test_extra_bang_leaves_residuals(self):

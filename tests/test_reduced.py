@@ -6,9 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lambda_control.analytic import (
-    BangSingularSequence,
     closed_form_sequence,
-    random_draw,
+    random_sequence,
 )
 from lambda_control import model, reduced
 from lambda_control.model import (
@@ -289,9 +288,10 @@ class TestConsistency:
         # the cumulative jump and interval k lasts arc_k in normalized time.
         # The dark/bright (x, y) of the {|1>, |3>} block approaches the
         # closed form as Gamma grows (measured: about as (omega0/Gamma)^2).
-        jumps, arcs = random_draw(np.random.default_rng(seed), n, tprime)
+        seq = random_sequence(np.random.default_rng(seed), n, tprime)
+        jumps, arcs = seq.jumps, seq.arcs
         thetas = np.clip(np.cumsum(jumps), 0.0, HALF_PI)
-        xc, yc = closed_form_sequence(BangSingularSequence(jumps, arcs))
+        xc, yc = closed_form_sequence(seq)
         errors = []
         for gamma in (10.0, 30.0, 100.0):
             p = SystemParams(gamma_total=gamma)
@@ -364,12 +364,23 @@ class TestInitialStateValidation:
         ((-1.0, 0.0, 0.0, 0.0), "must have 3 components"),
         ((math.nan, 0.0, 0.0), "must be finite"),
         ((-1.0, math.inf, 0.0), "must be finite"),
+        (ReducedState(x=math.nan, y=0.0, theta=0.0), "must be finite"),
     ])
     def test_integrate_reduced_rejects(self, state0, problem):
         # Rejected at entry, not inside the sampler or as an
         # IntegrationError at the first step.
         with pytest.raises(ValueError, match=f"^state0 {problem}"):
             integrate_reduced(lambda tp: 0.5, 1.0, 10, state0=state0)
+
+    def test_reduced_state_accepted(self):
+        # rhs_reduced takes a ReducedState, so integrate_reduced does too.
+        def u_fn(tp):
+            return 1.5 * math.cos(tp)
+
+        got = integrate_reduced(u_fn, 5.0, 200, state0=ReducedState.initial())
+        expected = integrate_reduced(u_fn, 5.0, 200, state0=(-1, 0, 0))
+        assert got[0].tobytes() == expected[0].tobytes()
+        assert got[1].tobytes() == expected[1].tobytes()
 
 
 class TestNonFiniteState:
