@@ -247,6 +247,19 @@ def _checked_theta(theta: np.ndarray, n_intervals: int) -> np.ndarray:
     return theta
 
 
+def _uniform_grid(duration, n_intervals: int,
+                  name: str = "duration") -> np.ndarray:
+    """``n_intervals + 1`` evenly spaced times on [0, duration].
+
+    Raises ValueError, naming the argument ``name``, unless the duration is
+    finite and positive: before ``np.linspace``, which would warn on it.
+    """
+    if not (math.isfinite(duration) and duration > 0.0):
+        raise ValueError(
+            f"{name} must be finite and positive, got {duration!r}")
+    return np.linspace(0.0, float(duration), int(n_intervals) + 1)
+
+
 class ControlSignal:
     """Piecewise-constant mixing-angle schedule theta(t) on [grid[0], grid[-1]].
 
@@ -279,29 +292,23 @@ class ControlSignal:
 
     @classmethod
     def constant(cls, theta: float, duration: float, n_intervals: int = 1):
-        if duration <= 0.0:
-            raise ValueError(f"duration must be positive, got {duration!r}")
-        grid = np.linspace(0.0, float(duration), int(n_intervals) + 1)
+        grid = _uniform_grid(duration, n_intervals)
         return cls(grid, np.full(int(n_intervals), float(theta)))
 
     @classmethod
     def linear_ramp(cls, theta_start: float, theta_end: float,
                     duration: float, n_intervals: int):
         """Midpoint-sampled linear ramp from theta_start to theta_end."""
-        if duration <= 0.0:
-            raise ValueError(f"duration must be positive, got {duration!r}")
         n = int(n_intervals)
-        grid = np.linspace(0.0, float(duration), n + 1)
+        grid = _uniform_grid(duration, n)
         mid = (np.arange(n) + 0.5) / n
         return cls(grid, theta_start + (theta_end - theta_start) * mid)
 
     @classmethod
     def from_function(cls, fn, duration: float, n_intervals: int):
         """Midpoint samples of a callable theta(t), clipped to [0, pi/2]."""
-        if duration <= 0.0:
-            raise ValueError(f"duration must be positive, got {duration!r}")
         n = int(n_intervals)
-        grid = np.linspace(0.0, float(duration), n + 1)
+        grid = _uniform_grid(duration, n)
         mids = 0.5 * (grid[:-1] + grid[1:])
         theta = np.clip([float(fn(t)) for t in mids], 0.0, HALF_PI)
         return cls(grid, theta)
@@ -371,8 +378,6 @@ class ControlSignal:
 
 def optical_pumping_control(duration: float) -> ControlSignal:
     """Pump at full amplitude for the whole window: one interval at theta = pi/2."""
-    if not duration > 0.0:
-        raise ValueError(f"duration must be positive, got {duration!r}")
     return ControlSignal.constant(HALF_PI, duration)
 
 
@@ -480,8 +485,15 @@ def system_matrix_dtheta(theta, params: SystemParams) -> np.ndarray:
     because row 1 of K is zero (F K = 0) and K F = -gamma E_51 (row 5 of K
     is -1 at rho11 and +1 at rho33).  E_51 is the unit entry at (x6, rho22).
     """
-    A = system_matrix(theta, params)
-    dA = FRAME_GENERATOR @ A - A @ FRAME_GENERATOR
+    return _angle_derivative(system_matrix(theta, params), params)
+
+
+def _angle_derivative(A: np.ndarray, params: SystemParams) -> np.ndarray:
+    """dA/dtheta = K A - A K + gamma E_51 from A = ``system_matrix``, or
+    from its x block: K is sliced to A's size.  The only place the angle
+    derivative is written (``system_matrix_dtheta`` derives it)."""
+    K = FRAME_GENERATOR[:A.shape[-1], :A.shape[-1]]
+    dA = K @ A - A @ K
     dA[..., 5, 1] += params.gamma_diff
     return dA
 
@@ -1041,20 +1053,20 @@ def integrate_full(control, params: SystemParams, T: float | None = None, *,
     else:
         x0 = _initial_array(initial_state, "initial_state")
 
-    if callable(control) and not isinstance(control, ControlSignal):
+    is_callable = (callable(control)
+                   and not isinstance(control, ControlSignal))
+    if is_callable:
         if T is None:
             raise ValueError("T is required when the control is a callable")
-        T = float(T)
-        if T <= 0.0:
-            raise ValueError(f"T must be positive, got {T!r}")
-        return _integrate_callable(control, params, T, x0, h_max,
-                                   max_samples, exact=method == "adaptive")
-
-    if not isinstance(control, ControlSignal):
+    elif not isinstance(control, ControlSignal):
         raise TypeError("control must be a ControlSignal or a callable")
     T = control.duration if T is None else float(T)
-    if T <= 0.0:
-        raise ValueError(f"T must be positive, got {T!r}")
+    # Here, not in the step rule, which would blame max_step for it.
+    if not (math.isfinite(T) and T > 0.0):
+        raise ValueError(f"T must be finite and positive, got {T!r}")
+    if is_callable:
+        return _integrate_callable(control, params, T, x0, h_max,
+                                   max_samples, exact=method == "adaptive")
     if control.grid[0] != 0.0 or control.duration < T - _EDGE_TOL * T:
         raise ValueError(
             f"control grid [{control.grid[0]!r}, {control.duration!r}] "

@@ -15,24 +15,26 @@ The dynamics are those of ``integrate_full``: the generator
 the x block of ``frame_rotation`` R), the RK4 step matrix
 (``rk4_step_matrix``), the batched matrix powers (``_matrix_powers``) and
 the step rule (``interval_steps``) all come from ``lambda_control.model``;
-dA/dtheta is ``system_matrix_dtheta``'s K A - A K + gamma E_51, taken on
-the x block.  Because the state equation is linear, a control interval
-integrated with fixed-step RK4 is a matrix power of the one-step
+dA/dtheta is the model's K A - A K + gamma E_51 (``_angle_derivative``),
+taken on the x block.  Because the state equation is linear, a control
+interval integrated with fixed-step RK4 is a matrix power of the one-step
 transition matrix.  Only the 6-variable x block enters: the y block is
-decoupled and identically zero from the standard initial condition.  The
-interval propagators P_k and their derivatives take one of two paths,
-chosen by ``params.is_symmetric``:
+decoupled and identically zero from the standard initial condition.
+
+The step counts and sizes depend only on the grid and the parameters, so
+one cached grid plan (``_grid_plan``) holds them and an ascent makes it
+once.  The interval propagators P_k and their derivatives then take one
+of two paths, chosen by ``params.is_symmetric``:
 
 * Symmetric decay: A(theta) = R(theta) A(0) R(-theta), and a polynomial of
   a conjugated matrix is the conjugated polynomial, so
 
-      P_k = R(theta_k) P0 R(-theta_k),   dP_k/dtheta_k = K P_k - P_k K,
+      P_k = R(theta_k) P0_k R(-theta_k),   dP_k/dtheta_k = K P_k - P_k K,
 
-  where P0, the RK4 propagator at theta = 0, is built once per distinct
-  interval duration with that interval's step count and step size.  P0
-  depends only on the grid and the parameters, so it is cached per grid
-  and built once per ascent.  dP_k is never formed (see the gradient
-  below).
+  where P0_k, the RK4 propagator at theta = 0, is built for every
+  interval with its planned step count and step size.  It too depends
+  only on the grid and the parameters, so the grid plan holds it.  dP_k
+  is never formed (see the gradient below).
 * Asymmetric decay: the feeding term breaks the identity, so each interval
   gets its own RK4 step, and the derivative is carried alongside as a pair
   (M, dM) of 6x6 matrices under the product rule
@@ -43,8 +45,7 @@ chosen by ``params.is_symmetric``:
   d(B^j) = B^(j-1) dB + d(B^(j-1)) B, and the step count m is applied by a
   binary power of the pair.  The first component takes the products of
   ``rk4_step_matrix`` and ``np.linalg.matrix_power`` in the same order, so
-  P_k is the objective-only P_k bit for bit.  The step counts and sizes
-  are cached per grid, like P0.
+  P_k is the objective-only P_k bit for bit.
 
 Both paths are the same discretized dynamics (they agree to roundoff), and
 the gradient is exact for it: it matches finite differences of the same
@@ -85,12 +86,14 @@ from .model import (
     HALF_PI,
     _EDGE_TOL,
     _XDIM,
+    _angle_derivative,
     ControlSignal,
     FRAME_GENERATOR,
     IntegrationError,
     SystemParams,
     _matrix_powers,
     _frame_rotation_x,
+    _uniform_grid,
     default_max_step,
     interval_steps,
     optical_pumping_control,
@@ -105,7 +108,6 @@ __all__ = [
     "SweepCell",
     "SweepRow",
     "objective",
-    "gradient",
     "objective_and_gradient",
     "optimize",
     "pumping_baseline",
@@ -182,27 +184,25 @@ def _pair_power(M: np.ndarray, dM: np.ndarray, n: int):
     return result
 
 
-def _rk4_pair_propagators(thetas: np.ndarray, durations: np.ndarray,
-                          params: SystemParams, with_grad: bool):
+def _rk4_pair_propagators(thetas: np.ndarray, steps: np.ndarray,
+                          h: np.ndarray, params: SystemParams,
+                          with_grad: bool):
     """P_k and dP_k/dtheta_k from per-interval RK4 steps of A(theta_k).
 
-    Valid for any decay.  (P_k, dP_k) is the pair (M, dM) of the module
+    Valid for any decay.  Interval k takes steps[k] RK4 steps of size h[k]
+    (``_grid_plan``).  (P_k, dP_k) is the pair (M, dM) of the module
     docstring raised to the interval's step count; P_k takes the products
     of ``rk4_step_matrix`` and ``np.linalg.matrix_power``, so it is the
     with_grad=False P_k bit for bit.
     """
-    steps, h = _grid_steps(np.asarray(durations, dtype=float).tobytes(),
-                           params)
     # The generator is block diagonal, so the x block evolves on its own.
     A = system_matrix(thetas, params)[:, :_XDIM, :_XDIM]
     if not with_grad:
         return _matrix_powers(rk4_step_matrix(A, h), steps), None
-    # dA = K A - A K + gamma E_51 (see system_matrix_dtheta).
-    dA = _K @ A - A @ _K
-    dA[:, 5, 1] += params.gamma_diff
     # The RK4 polynomial of (B, dB) = h (A, dA), with
     # d(B^j) = B^(j-1) dB + d(B^(j-1)) B.
-    B, dB = h[:, None, None] * A, h[:, None, None] * dA
+    B = h[:, None, None] * A
+    dB = h[:, None, None] * _angle_derivative(A, params)
     B2, dB2 = _pair_product(B, dB, B, dB)
     B3, dB3 = _pair_product(B2, dB2, B, dB)
     B4, dB4 = _pair_product(B3, dB3, B, dB)
@@ -224,68 +224,46 @@ _K = FRAME_GENERATOR[:_XDIM, :_XDIM]
 
 
 @functools.lru_cache(maxsize=8)
-def _grid_steps(durations_key: bytes, params: SystemParams):
-    """``interval_steps`` of a grid, keyed by its float64 duration bytes.
+def _grid_plan(durations_key: bytes, params: SystemParams):
+    """(steps, h, P0) of a grid, keyed by its float64 duration bytes.
 
+    steps and h are the RK4 step counts and sizes of ``interval_steps``.
+    P0 is each interval's RK4 propagator at theta = 0, built with that
+    interval's steps and h, for symmetric decay only (None otherwise).
     The grid and the parameters stay fixed over a whole ascent, so each
-    ascent applies the step rule once.  The cached arrays are shared by
-    every caller, so they are read-only.
+    ascent makes its plan once.  The cached arrays are shared by every
+    caller, so they are read-only.
     """
     steps, h = interval_steps(np.frombuffer(durations_key),
                               default_max_step(params))
+    P0 = None
+    if params.is_symmetric:
+        A0 = system_matrix(0.0, params)[:_XDIM, :_XDIM]
+        P0 = _matrix_powers(rk4_step_matrix(A0, h), steps)
+        P0.flags.writeable = False
     steps.flags.writeable = h.flags.writeable = False
-    return steps, h
-
-
-@functools.lru_cache(maxsize=8)
-def _theta0_propagators(durations_key: bytes,
-                        params: SystemParams) -> np.ndarray:
-    """P0 of every interval of a grid, keyed by its float64 duration bytes.
-
-    The grid and the parameters stay fixed over a whole ascent, so each
-    ascent builds P0 once.  Each distinct duration is built once, with its
-    own step count and step size.  The cached array is shared by every
-    caller, so it is read-only.
-    """
-    durations = np.frombuffer(durations_key)
-    unique, inverse = np.unique(durations, return_inverse=True)
-    steps, h = interval_steps(unique, default_max_step(params))
-    A0 = system_matrix(0.0, params)[:_XDIM, :_XDIM]
-    P0 = _matrix_powers(rk4_step_matrix(A0, h), steps)[inverse]
-    P0.flags.writeable = False
-    return P0
-
-
-def _conjugated_propagators(thetas: np.ndarray, durations: np.ndarray,
-                            params: SystemParams) -> np.ndarray:
-    """P_k = R(theta_k) P0 R(-theta_k), the x block of each propagator.
-
-    Symmetric decay only.  A polynomial of a conjugated matrix is the
-    conjugated polynomial, so the RK4 propagator of an interval is its
-    theta = 0 propagator P0 rotated into the interval's frame.  P0 depends
-    only on the grid and the parameters (``_theta0_propagators``).
-    """
-    P0 = _theta0_propagators(
-        np.asarray(durations, dtype=float).tobytes(), params)
-    R, R_inv = _frame_rotation_x(thetas)
-    return R @ P0 @ R_inv
+    return steps, h, P0
 
 
 def _interval_propagators(thetas: np.ndarray, durations: np.ndarray,
                           params: SystemParams, with_grad: bool):
     """Per-interval RK4 propagators P_k, and dP_k/dtheta_k when requested.
 
-    Symmetric decay rotates one theta = 0 propagator per distinct duration
-    into each interval's frame (``_conjugated_propagators``) and returns no
-    dP_k: its gradient is taken from the switching function instead (see
-    ``objective_and_gradient``).  Asymmetric decay breaks that identity and
-    keeps the per-interval RK4 step and power of the (A, dA/dtheta) pair
-    (``_rk4_pair_propagators``).  Both give the same fixed-step dynamics to
-    roundoff.
+    Symmetric decay rotates each interval's theta = 0 propagator P0
+    (``_grid_plan``) into its frame, P_k = R(theta_k) P0 R(-theta_k): a
+    polynomial of a conjugated matrix is the conjugated polynomial.  It
+    returns no dP_k: its gradient is taken from the switching function
+    instead (see ``objective_and_gradient``).  Asymmetric decay breaks
+    that identity and keeps the per-interval RK4 step and power of the
+    (A, dA/dtheta) pair (``_rk4_pair_propagators``).  Both give the same
+    fixed-step dynamics to roundoff.
     """
-    if params.is_symmetric:
-        return _conjugated_propagators(thetas, durations, params), None
-    return _rk4_pair_propagators(thetas, durations, params, with_grad)
+    steps, h, P0 = _grid_plan(
+        np.asarray(durations, dtype=float).tobytes(), params)
+    if P0 is None:
+        return _rk4_pair_propagators(thetas, steps, h, params, with_grad)
+    R, R_inv = _frame_rotation_x(thetas)
+    return R @ P0 @ R_inv, None
 
 
 def _check_grid(control: ControlSignal, T: float | None) -> float:
@@ -376,12 +354,6 @@ def objective_and_gradient(control: ControlSignal, params: SystemParams,
     return float(forward[-1, 2, 0]), grad
 
 
-def gradient(control: ControlSignal, params: SystemParams,
-             T: float | None = None) -> np.ndarray:
-    """Per-interval partials of rho33(T) with respect to theta_k."""
-    return objective_and_gradient(control, params, T)[1]
-
-
 # ---------------------------------------------------------------------------
 # Projected L-BFGS ascent
 # ---------------------------------------------------------------------------
@@ -437,8 +409,11 @@ def _ascend(theta0: np.ndarray, grid: np.ndarray, params: SystemParams,
     gradient, since most searches accept it; its gradient is then the next
     iterate's.  Later backtracking trials are evaluated without the
     gradient, which a rejected trial would waste, and a backtrack that is
-    accepted is evaluated again with it.  P0 is cached per grid
-    (``_theta0_propagators``), so a symmetric-decay ascent builds it once.
+    accepted is evaluated again with it.  The grid is fixed, so every
+    evaluation reads one grid plan (``_grid_plan``): the step counts and
+    sizes, and for symmetric decay each interval's P0, are made once per
+    ascent.  Gradients go through the public ``objective_and_gradient``,
+    so traced runs count every gradient evaluation.
 
     Returns theta, its objective, the iterations, the converged flag, the
     objective history and nfev, the number of propagator builds: one per
@@ -546,9 +521,7 @@ def optimize(config: OptimizationConfig, params: SystemParams, T: float, *,
     _TIE_TOL resolve to the schedule with smaller total variation).
     The winner's objective is never below any start's initial objective.
     """
-    if not (math.isfinite(T) and T > 0.0):
-        raise ValueError(f"T must be finite and positive, got {T!r}")
-    grid = np.linspace(0.0, float(T), config.n_intervals + 1)
+    grid = _uniform_grid(T, config.n_intervals, "T")
     if starts is None:
         rng = np.random.default_rng(config.seed)
         starts = default_starts(config, rng)

@@ -31,8 +31,8 @@ from lambda_control.model import (
 from lambda_control.optimizer import (
     OptimizationConfig,
     grid_cells,
-    gradient,
     objective,
+    objective_and_gradient,
     optimize,
     pumping_baseline,
     sweep,
@@ -296,7 +296,7 @@ def test_criterion_8_structural_invariants():
         params = SystemParams(gamma_total=2.0, gamma_diff=gamma_diff)
         control = ControlSignal(np.linspace(0.0, 10.0, 21),
                                 rng.uniform(0.1, HALF_PI - 0.1, 20))
-        adj = gradient(control, params)
+        adj = objective_and_gradient(control, params)[1]
         eps = 1e-5
         for k in range(20):
             plus = control.theta.copy()

@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from lambda_control import optimizer
+from lambda_control import model, optimizer
 from lambda_control.model import (
     FRAME_GENERATOR,
     HALF_PI,
@@ -29,11 +29,9 @@ from lambda_control.model import (
 )
 from lambda_control.optimizer import (
     OptimizationConfig,
-    _conjugated_propagators,
     _interval_propagators,
     _rk4_pair_propagators,
     grid_cells,
-    gradient,
     objective,
     objective_and_gradient,
     optimize,
@@ -141,7 +139,7 @@ class TestObjective:
         with pytest.raises(ValueError, match="does not match"):
             objective(control, p, 6.0)
         with pytest.raises(ValueError, match="does not match"):
-            gradient(control, p, 4.0)
+            objective_and_gradient(control, p, 4.0)
 
 
 class TestGradient:
@@ -150,7 +148,7 @@ class TestGradient:
         p = SystemParams(gamma_total=2.0)
         control = ControlSignal(np.linspace(0, 10, 21),
                                 rng.uniform(0.1, HALF_PI - 0.1, 20))
-        grad = gradient(control, p)
+        grad = objective_and_gradient(control, p)[1]
         fd = _central_fd(control, p)
         mask = np.abs(grad) > 1e-8
         assert mask.any()
@@ -162,7 +160,7 @@ class TestGradient:
         p = SystemParams(gamma_total=5.0, gamma_diff=3.0)
         control = ControlSignal(np.linspace(0, 15, 16),
                                 rng.uniform(0.1, HALF_PI - 0.1, 15))
-        grad = gradient(control, p)
+        grad = objective_and_gradient(control, p)[1]
         fd = _central_fd(control, p)
         mask = np.abs(grad) > 1e-8
         rel = np.abs(grad[mask] - fd[mask]) / np.abs(fd[mask])
@@ -174,7 +172,8 @@ class TestGradient:
         # escape from the dark equilibrium is second order.
         p = SystemParams(gamma_total=2.0)
         control = ControlSignal.constant(0.0, 10.0, 20)
-        assert np.allclose(gradient(control, p), 0.0, atol=1e-14)
+        grad = objective_and_gradient(control, p)[1]
+        assert np.allclose(grad, 0.0, atol=1e-14)
         eps = 1e-3
         bump = objective(control.with_theta(np.full(20, eps)), p)
         assert 0.0 < bump < 1e-3  # quadratic, not linear, in eps
@@ -182,7 +181,7 @@ class TestGradient:
     def test_near_dark_gradient_matches_fd(self):
         p = SystemParams(gamma_total=2.0)
         control = ControlSignal.constant(0.05, 10.0, 10)
-        grad = gradient(control, p)
+        grad = objective_and_gradient(control, p)[1]
         fd = _central_fd(control, p, eps=1e-6)
         assert np.all(grad > 0.0)
         mask = np.abs(grad) > 1e-8
@@ -233,7 +232,7 @@ class TestGradient:
         durations, thetas = (np.array(v) for v in zip(*intervals))
         control = ControlSignal(np.concatenate([[0.0], np.cumsum(durations)]),
                                 thetas)
-        grad = gradient(control, p)
+        grad = objective_and_gradient(control, p)[1]
         fd = _central_fd(control, p)
         mask = np.abs(grad) > 1e-8
         rel = np.abs(grad[mask] - fd[mask]) / np.abs(fd[mask])
@@ -249,7 +248,7 @@ class TestGradient:
         # gains from lowering its angle: g_k >= -_GRAD_TOL for every k.
         p = SystemParams(gamma_total=gamma)
         control = ControlSignal.constant(HALF_PI, duration, n)
-        grad = gradient(control, p)
+        grad = objective_and_gradient(control, p)[1]
         assert grad.min() >= -optimizer._GRAD_TOL
 
     def test_objective_and_gradient_consistent(self):
@@ -258,6 +257,13 @@ class TestGradient:
         value, grad = objective_and_gradient(control, p)
         assert value == pytest.approx(objective(control, p), abs=1e-15)
         assert grad.shape == (12,)
+
+
+def _pair_path(thetas, durations, params, with_grad):
+    """``_rk4_pair_propagators`` at any decay, called as
+    ``_interval_propagators`` is, on the steps of ``interval_steps``."""
+    steps, h = interval_steps(durations, default_max_step(params))
+    return _rk4_pair_propagators(thetas, steps, h, params, with_grad)
 
 
 class TestConjugatedPropagators:
@@ -280,16 +286,15 @@ class TestConjugatedPropagators:
         else:
             grid = np.concatenate([[0.0], np.cumsum(lengths)])
         durations = np.diff(grid)
-        P = _conjugated_propagators(thetas, durations, p)
-        P_ref, _ = _rk4_pair_propagators(thetas, durations, p,
-                                         with_grad=False)
+        P, _ = _interval_propagators(thetas, durations, p, with_grad=False)
+        P_ref, _ = _pair_path(thetas, durations, p, with_grad=False)
         assert np.abs(P - P_ref).max() <= 1e-12
 
         # The switching-function gradient against the pair path's dP.
         control = ControlSignal(grid, thetas)
         value, grad = objective_and_gradient(control, p)
         with mock.patch.object(optimizer, "_interval_propagators",
-                               _rk4_pair_propagators):
+                               _pair_path):
             value_ref, grad_ref = objective_and_gradient(control, p)
         assert abs(value - value_ref) <= 1e-12
         assert np.abs(grad - grad_ref).max() <= 1e-12
@@ -300,7 +305,10 @@ class TestConjugatedPropagators:
         durations = np.full(7, 0.3)
         p = SystemParams(gamma_total=2.0)
         P, G = _interval_propagators(thetas, durations, p, with_grad=True)
-        assert np.array_equal(P, _conjugated_propagators(thetas, durations, p))
+        # The conjugation of the grid plan's P0, not the pair path.
+        P0 = optimizer._grid_plan(durations.tobytes(), p)[2]
+        R, R_inv = model._frame_rotation_x(thetas)
+        assert np.array_equal(P, R @ P0 @ R_inv)
         assert G is None  # the symmetric gradient needs no dP
         control = ControlSignal(np.arange(8) * 0.3, thetas)
         grad = objective_and_gradient(control, p)[1]
@@ -309,9 +317,9 @@ class TestConjugatedPropagators:
 
         p = SystemParams(gamma_total=2.0, gamma_diff=0.5)
         P, G = _interval_propagators(thetas, durations, p, with_grad=True)
-        P_path, G_path = _rk4_pair_propagators(thetas, durations, p,
-                                               with_grad=True)
+        P_path, G_path = _pair_path(thetas, durations, p, with_grad=True)
         assert np.array_equal(P, P_path) and np.array_equal(G, G_path)
+        assert optimizer._grid_plan(durations.tobytes(), p)[2] is None
 
     def test_objective_is_bitwise_the_gradient_pass_value(self):
         # The line search uses objective, the ascent objective_and_gradient;
@@ -572,7 +580,8 @@ class TestSwitchingFunction:
         # (~1e-15 / eps) are both far below 1e-7 at eps = 1e-5.
         control, params = case
         fd = _fd_gradient(control, params)
-        assert np.abs(gradient(control, params) - fd).max() <= 1e-7
+        grad = objective_and_gradient(control, params)[1]
+        assert np.abs(grad - fd).max() <= 1e-7
 
     @settings(deadline=None, max_examples=80)
     @given(_propagator_cases(signs=(0.0,)))
@@ -590,7 +599,7 @@ class TestSwitchingFunction:
             adjoint = adjoint @ P_k
         K = FRAME_GENERATOR[:6, :6]
         phi_0, phi_N = adjoint @ K @ e1, e3 @ K @ state
-        grad = gradient(control, params)
+        grad = objective_and_gradient(control, params)[1]
         assert abs(grad.sum() - (phi_N - phi_0)) <= 1e-14
 
     @settings(deadline=None, max_examples=60)
@@ -600,7 +609,8 @@ class TestSwitchingFunction:
         # so Phi vanishes along pumping: a singular extremal.
         control, params = case
         pumping = control.with_theta(np.full(control.n_intervals, HALF_PI))
-        assert np.abs(gradient(pumping, params)).max() <= 1e-15
+        grad = objective_and_gradient(pumping, params)[1]
+        assert np.abs(grad).max() <= 1e-15
 
 
 class TestPairPropagators:
@@ -619,14 +629,15 @@ class TestPairPropagators:
         thetas[:3] = (0.0, HALF_PI, 0.0)
         P_only, _ = _interval_propagators(thetas, durations, p,
                                           with_grad=False)
-        P, dP = _rk4_pair_propagators(thetas, durations, p, with_grad=True)
+        P, dP = _pair_path(thetas, durations, p, with_grad=True)
         assert P_only.tobytes() == P.tobytes()
         want = _ref_propagators(thetas, durations, p, with_grad=True)
         assert np.abs(dP - want[1]).max() <= 1e-12
 
 
 class TestTheta0Cache:
-    """The per-grid P0 cache of the symmetric-decay path."""
+    """The per-grid plan: step counts, step sizes and, for symmetric
+    decay, each interval's P0."""
 
     def test_entries_stay_isolated(self):
         # 16 cases, twice the cache size, visited twice in shuffled order:
@@ -648,24 +659,45 @@ class TestTheta0Cache:
         for i in itertools.chain(rng.permutation(len(cases)),
                                  rng.permutation(len(cases))):
             thetas, durations, p = cases[i]
-            P = _conjugated_propagators(thetas, durations, p)
-            P_ref, _ = _rk4_pair_propagators(thetas, durations, p,
-                                             with_grad=False)
+            P, _ = _interval_propagators(thetas, durations, p,
+                                         with_grad=False)
+            P_ref, _ = _pair_path(thetas, durations, p, with_grad=False)
             assert np.abs(P - P_ref).max() <= 1e-12
             built.setdefault(i, []).append(P)
         for i, (thetas, durations, p) in enumerate(cases):
-            optimizer._theta0_propagators.cache_clear()
-            fresh_P = _conjugated_propagators(thetas, durations, p)
+            optimizer._grid_plan.cache_clear()
+            fresh_P, _ = _interval_propagators(thetas, durations, p,
+                                               with_grad=False)
             for P in built[i]:
                 assert np.array_equal(P, fresh_P)
 
+    @pytest.mark.parametrize("diff_1, diff_2", [
+        (0.0, 0.0), (0.0, 1.5), (1.5, 0.0), (1.5, -1.0)])
+    def test_params_switch_gives_fresh_bits(self, diff_1, diff_2):
+        # One grid under p1, then p2, then p1 again: every evaluation must
+        # be the one a cleared cache gives.
+        rng = np.random.default_rng(14)
+        grid = np.concatenate([[0.0], np.cumsum(rng.uniform(0.1, 1.0, 20))])
+        control = ControlSignal(grid, rng.uniform(0.0, HALF_PI, 20))
+        p1 = SystemParams(gamma_total=3.0, gamma_diff=diff_1)
+        p2 = SystemParams(gamma_total=5.0, gamma_diff=diff_2)
+        runs = [(p, objective(control, p), *objective_and_gradient(control, p))
+                for p in (p1, p2, p1)]
+        for p, value, grad_value, grad in runs:
+            optimizer._grid_plan.cache_clear()
+            fresh_grad_value, fresh_grad = objective_and_gradient(control, p)
+            assert value.hex() == objective(control, p).hex()
+            assert grad_value.hex() == fresh_grad_value.hex()
+            assert grad.tobytes() == fresh_grad.tobytes()
+
     def test_cached_array_is_read_only(self):
         durations = np.full(5, 0.4)
-        P0 = optimizer._theta0_propagators(durations.tobytes(),
-                                           SystemParams(gamma_total=2.0))
-        steps, h = optimizer._grid_steps(
+        steps, h, P0 = optimizer._grid_plan(durations.tobytes(),
+                                            SystemParams(gamma_total=2.0))
+        plan = optimizer._grid_plan(
             durations.tobytes(), SystemParams(gamma_total=2.0, gamma_diff=1.0))
-        for cached in (P0, steps, h):
+        assert plan[2] is None  # asymmetric decay builds no P0
+        for cached in (steps, h, P0, *plan[:2]):
             with pytest.raises(ValueError):
                 cached[0] = 1
 
