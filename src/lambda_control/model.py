@@ -491,7 +491,7 @@ def system_matrix_dtheta(theta, params: SystemParams) -> np.ndarray:
 def _angle_derivative(A: np.ndarray, params: SystemParams) -> np.ndarray:
     """dA/dtheta = K A - A K + gamma E_51 from A = ``system_matrix``, or
     from its x block: K is sliced to A's size.  The only place the angle
-    derivative is written (``system_matrix_dtheta`` derives it)."""
+    derivative is written; ``system_matrix_dtheta`` shows why it holds."""
     K = FRAME_GENERATOR[:A.shape[-1], :A.shape[-1]]
     dA = K @ A - A @ K
     dA[..., 5, 1] += params.gamma_diff
