@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import HALF_PI, SystemParams
+from .model import HALF_PI, SystemParams, _checked_duration
 from .reduced import normalize_time
 
 __all__ = [
@@ -68,6 +68,9 @@ EQUALITY_TOL = 1e-9
 BOUND_TOL = 1e-12
 # Slack on a sequence's total angle and on arcs merged as zero.
 _SEQUENCE_TOL = 1e-9
+# Slack between a schedule's arc total and the T' it is said to cover
+# (pmp_residual, and `reduce --tprime` with --jumps/--arcs).
+TPRIME_TOL = 1e-9
 
 _ARC_TOL = 1e-12
 _PMP_SAMPLES_PER_ARC = 256
@@ -112,7 +115,8 @@ class BangSingularSequence:
 
     @classmethod
     def optical_pumping(cls, tprime: float) -> "BangSingularSequence":
-        return cls(jumps=[HALF_PI], arcs=[float(tprime)])
+        return cls(jumps=[HALF_PI],
+                   arcs=[_checked_duration(tprime, "tprime", allow_zero=True)])
 
     @property
     def n(self) -> int:
@@ -235,9 +239,7 @@ def closed_form_sequence(seq: BangSingularSequence):
 
 def optical_pumping_value(tprime: float) -> float:
     """Final population difference of the single-jump schedule: 2 e^-T' - 1."""
-    if not (math.isfinite(tprime) and tprime >= 0.0):
-        raise ValueError(
-            f"tprime must be finite and nonnegative, got {tprime!r}")
+    tprime = _checked_duration(tprime, "tprime", allow_zero=True)
     return 2.0 * math.exp(-tprime) - 1.0
 
 
@@ -246,8 +248,7 @@ def pumping_efficiency(T: float, params: SystemParams) -> float:
 
     rho33(T) = 1 - exp(-omega0**2 T / (2 Gamma)); symmetric decay only.
     """
-    if not (math.isfinite(T) and T >= 0.0):
-        raise ValueError(f"T must be finite and nonnegative, got {T!r}")
+    T = _checked_duration(T, "T", allow_zero=True)
     if not params.is_symmetric:
         raise ValueError("the pumping efficiency formula assumes symmetric decay")
     return 1.0 - math.exp(-normalize_time(T, params))
@@ -449,7 +450,8 @@ def pmp_residual(schedule: BangSingularSequence,
     and costate alike.  mu is the constant costate of the cyclic angle.
     """
     # `not <=` also rejects a nan tprime.
-    if tprime is not None and not abs(schedule.total_time - tprime) <= 1e-9:
+    if (tprime is not None
+            and not abs(schedule.total_time - tprime) <= TPRIME_TOL):
         raise ValueError(
             f"schedule covers T'={schedule.total_time!r}, expected {tprime!r}"
         )

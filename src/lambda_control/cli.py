@@ -297,8 +297,9 @@ def cmd_reduce(args) -> int:
             arcs=_floats(args.arcs, "--arcs"),
         )
         tprime = seq.total_time
-        # pmp_residual's tolerance for the same check; `not <=` catches nan.
-        if args.tprime is not None and not abs(args.tprime - tprime) <= 1e-9:
+        # `not <=` catches nan.
+        if (args.tprime is not None
+                and not abs(args.tprime - tprime) <= analytic.TPRIME_TOL):
             raise UsageError(f"--tprime {args.tprime!r} disagrees with the "
                              f"arcs, which sum to {tprime!r}")
 

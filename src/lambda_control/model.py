@@ -247,24 +247,48 @@ def _checked_theta(theta: np.ndarray, n_intervals: int) -> np.ndarray:
     return theta
 
 
+def _checked_duration(value, name: str, allow_zero: bool = False) -> float:
+    """``value`` as a float; raises ValueError, naming the argument ``name``,
+    unless it is finite and positive (nonnegative with ``allow_zero``, which
+    keeps a -0.0 as it is)."""
+    if not (math.isfinite(value)
+            and (value > 0.0 or (allow_zero and value == 0.0))):
+        rule = "nonnegative" if allow_zero else "positive"
+        raise ValueError(
+            f"{name} must be finite and {rule}, got {float(value)!r}")
+    return float(value)
+
+
+def _checked_count(value, name: str, least: int) -> int:
+    """``value`` as an int; raises ValueError, naming the argument ``name``,
+    unless it is an integer (not a bool) of at least ``least``."""
+    if isinstance(value, np.generic):  # np.int64(3) -> 3, np.bool_ -> bool
+        value = value.item()
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < least):
+        raise ValueError(
+            f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 def _uniform_grid(duration, n_intervals: int,
                   name: str = "duration") -> np.ndarray:
     """``n_intervals + 1`` evenly spaced times on [0, duration].
 
-    Raises ValueError, naming the argument ``name``, unless the duration is
-    finite and positive: before ``np.linspace``, which would warn on it.
+    The duration, named ``name``, and ``n_intervals`` are checked first:
+    ``np.linspace`` would warn on a non-finite duration.
     """
-    if not (math.isfinite(duration) and duration > 0.0):
-        raise ValueError(
-            f"{name} must be finite and positive, got {duration!r}")
-    return np.linspace(0.0, float(duration), int(n_intervals) + 1)
+    duration = _checked_duration(duration, name)
+    n = _checked_count(n_intervals, "n_intervals", 1)
+    return np.linspace(0.0, duration, n + 1)
 
 
 class ControlSignal:
-    """Piecewise-constant mixing-angle schedule theta(t) on [grid[0], grid[-1]].
+    """Piecewise-constant mixing-angle schedule theta(t) on [0, grid[-1]].
 
     ``theta[k]`` holds on the half-open interval [grid[k], grid[k+1]); the
-    final time belongs to the last interval.  Angles must lie in [0, pi/2].
+    final time belongs to the last interval.  The grid starts at 0 and
+    increases strictly; angles must lie in [0, pi/2].
     """
 
     __slots__ = ("grid", "theta", "durations")
@@ -276,6 +300,8 @@ class ControlSignal:
             raise ValueError("grid must contain at least two time stamps")
         if not np.all(np.isfinite(grid)):
             raise ValueError("grid times must be finite")
+        if grid[0] != 0.0:
+            raise ValueError(f"grid must start at 0, got {float(grid[0])!r}")
         durations = np.diff(grid)
         if np.any(durations <= 0.0):
             raise ValueError("grid times must be strictly increasing")
@@ -293,36 +319,33 @@ class ControlSignal:
     @classmethod
     def constant(cls, theta: float, duration: float, n_intervals: int = 1):
         grid = _uniform_grid(duration, n_intervals)
-        return cls(grid, np.full(int(n_intervals), float(theta)))
+        return cls(grid, np.full(grid.size - 1, float(theta)))
 
     @classmethod
     def linear_ramp(cls, theta_start: float, theta_end: float,
                     duration: float, n_intervals: int):
         """Midpoint-sampled linear ramp from theta_start to theta_end."""
-        n = int(n_intervals)
-        grid = _uniform_grid(duration, n)
+        grid = _uniform_grid(duration, n_intervals)
+        n = grid.size - 1
         mid = (np.arange(n) + 0.5) / n
         return cls(grid, theta_start + (theta_end - theta_start) * mid)
 
     @classmethod
     def from_function(cls, fn, duration: float, n_intervals: int):
         """Midpoint samples of a callable theta(t), clipped to [0, pi/2]."""
-        n = int(n_intervals)
-        grid = _uniform_grid(duration, n)
+        grid = _uniform_grid(duration, n_intervals)
         mids = 0.5 * (grid[:-1] + grid[1:])
         theta = np.clip([float(fn(t)) for t in mids], 0.0, HALF_PI)
         return cls(grid, theta)
 
     @classmethod
     def piecewise(cls, start_times, thetas, duration: float):
-        """Intervals starting at the given times; the last one ends at duration."""
+        """Intervals from the given start times (the first 0) to duration."""
         starts = np.asarray(start_times, dtype=float).reshape(-1)
-        if starts.size == 0 or starts[0] != 0.0:
-            raise ValueError("start times must begin at 0")
-        if starts[-1] >= duration:
+        duration = _checked_duration(duration, "duration")
+        if starts.size and starts[-1] >= duration:
             raise ValueError("last start time must precede the duration")
-        grid = np.append(starts, float(duration))
-        return cls(grid, thetas)
+        return cls(np.append(starts, duration), thetas)
 
     # -- accessors ---------------------------------------------------------
 
@@ -1041,13 +1064,9 @@ def integrate_full(control, params: SystemParams, T: float | None = None, *,
     """
     if method not in ("rk4", "adaptive"):
         raise ValueError(f"unknown method {method!r}")
-    h_max = default_max_step(params) if max_step is None else float(max_step)
-    if not (math.isfinite(h_max) and h_max > 0.0):
-        raise ValueError(
-            f"max_step must be finite and positive, got {max_step!r}")
-    if not isinstance(max_samples, numbers.Integral) or max_samples < 2:
-        raise ValueError(
-            f"max_samples must be an integer >= 2, got {max_samples!r}")
+    h_max = (default_max_step(params) if max_step is None
+             else _checked_duration(max_step, "max_step"))
+    max_samples = _checked_count(max_samples, "max_samples", 2)
     if initial_state is None:
         x0 = FullState.ground().as_array()
     else:
@@ -1060,18 +1079,16 @@ def integrate_full(control, params: SystemParams, T: float | None = None, *,
             raise ValueError("T is required when the control is a callable")
     elif not isinstance(control, ControlSignal):
         raise TypeError("control must be a ControlSignal or a callable")
-    T = control.duration if T is None else float(T)
     # Here, not in the step rule, which would blame max_step for it.
-    if not (math.isfinite(T) and T > 0.0):
-        raise ValueError(f"T must be finite and positive, got {T!r}")
+    T = _checked_duration(control.duration if T is None else T, "T")
     if is_callable:
         return _integrate_callable(control, params, T, x0, h_max,
                                    max_samples, exact=method == "adaptive")
-    if control.grid[0] != 0.0 or control.duration < T - _EDGE_TOL * T:
+    # A ControlSignal grid starts at 0; only its end can fall short.
+    if control.duration < T - _EDGE_TOL * T:
         raise ValueError(
-            f"control grid [{control.grid[0]!r}, {control.duration!r}] "
-            f"does not cover [0, {T!r}]"
-        )
+            f"control grid [0, {control.duration!r}] does not cover "
+            f"[0, {T!r}]")
     return _integrate_piecewise(control, params, T, x0, h_max, max_samples,
                                 exact=method == "adaptive")
 

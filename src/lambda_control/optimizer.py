@@ -8,7 +8,9 @@ backtracking (Armijo) line search and a deterministic multi-start.  It is
 written in numpy: ``scipy.optimize`` would add ~0.45 s of import time and
 ~47 MB of memory to every run.  The amplitude constraint
 omega_p**2 + omega_s**2 = omega0**2 is satisfied identically by the angle
-parameterization, so no penalty terms appear.
+parameterization, so no penalty terms appear.  ``objective`` and
+``objective_and_gradient`` take the horizon T from their control: its grid
+starts at 0 (``ControlSignal`` checks it) and ends at T.
 
 The dynamics are those of ``integrate_full``: the generator
 (``system_matrix``), the dark/bright frame rotation (``FRAME_GENERATOR`` K,
@@ -84,7 +86,6 @@ import numpy as np
 
 from .model import (
     HALF_PI,
-    _EDGE_TOL,
     _XDIM,
     _angle_derivative,
     ControlSignal,
@@ -93,6 +94,7 @@ from .model import (
     SystemParams,
     _matrix_powers,
     _frame_rotation_x,
+    _checked_count,
     _uniform_grid,
     default_max_step,
     interval_steps,
@@ -125,12 +127,9 @@ class OptimizationConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_intervals < 2:
-            raise ValueError("n_intervals must be at least 2")
-        if self.n_starts < 1:
-            raise ValueError("n_starts must be at least 1")
-        if self.max_iters < 0:
-            raise ValueError("max_iters must be nonnegative")
+        for name, least in (("n_intervals", 2), ("max_iters", 0),
+                            ("n_starts", 1)):
+            _checked_count(getattr(self, name), name, least)
 
 
 @dataclass(frozen=True)
@@ -266,19 +265,6 @@ def _interval_propagators(thetas: np.ndarray, durations: np.ndarray,
     return R @ P0 @ R_inv, None
 
 
-def _check_grid(control: ControlSignal, T: float | None) -> float:
-    T = control.duration if T is None else float(T)
-    # The model's tolerance, relative at any T: integrate_full rejects a
-    # grid that ends short of T by more than this, so the objective must too.
-    tol = _EDGE_TOL * abs(T)
-    if control.grid[0] != 0.0 or abs(control.duration - T) > tol:
-        raise ValueError(
-            f"control grid [{control.grid[0]!r}, {control.duration!r}] "
-            f"does not match the horizon [0, {T!r}]"
-        )
-    return T
-
-
 def _prefix_products(C: np.ndarray) -> np.ndarray:
     """Inclusive products C[k] @ ... @ C[0] along axis -3.
 
@@ -316,21 +302,18 @@ def _final_rho33(thetas: np.ndarray, durations: np.ndarray,
     return float(P[0, 2, 0])
 
 
-def objective(control: ControlSignal, params: SystemParams,
-              T: float | None = None) -> float:
-    """Final target population rho33(T) under the fixed-step dynamics."""
-    _check_grid(control, T)
+def objective(control: ControlSignal, params: SystemParams) -> float:
+    """Final target population rho33(T), T = ``control.duration``, under
+    the fixed-step dynamics."""
     return _final_rho33(control.theta, control.durations, params)
 
 
-def objective_and_gradient(control: ControlSignal, params: SystemParams,
-                           T: float | None = None):
+def objective_and_gradient(control: ControlSignal, params: SystemParams):
     """Objective together with its exact per-interval gradient.
 
     The gradient is the derivative of the discretized objective, so it
     agrees with central finite differences of ``objective`` to roundoff.
     """
-    _check_grid(control, T)
     P, dP = _interval_propagators(control.theta, control.durations, params,
                                   with_grad=True)
     # Row 0: prefix products P_k ... P_0.  Row 1: prefix products of the
@@ -580,7 +563,7 @@ def optimize(config: OptimizationConfig, params: SystemParams, T: float, *,
 
 def pumping_baseline(params: SystemParams, T: float) -> float:
     """rho33(T) under pure pumping (theta = pi/2 for the whole window)."""
-    return objective(optical_pumping_control(T), params, T)
+    return objective(optical_pumping_control(T), params)
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,9 @@ t' = omega0**2 * t / (2 * Gamma), the natural clock of the slow dynamics:
 
 Both systems are linear, (x, y, theta) in (x, y, theta, 1), so their
 integrators step a batched generator of each through the full model's RK4
-transition-matrix sampler.  They reject a duration that is not finite and
-positive, and raise IntegrationError at the first non-finite sample.
+transition-matrix sampler.  They check their duration and step count with
+the model's argument checks, which raise a ValueError naming the argument,
+and raise IntegrationError at the first non-finite sample.
 
 This reduction is valid for symmetric decay only (gamma_diff = 0); the
 asymmetric system is handled exclusively by the full model.  Validity
@@ -31,12 +32,12 @@ enforced beyond symmetry.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SystemParams, _initial_array, _sample_transitions
+from .model import (SystemParams, _checked_count, _checked_duration,
+                    _initial_array, _sample_transitions)
 
 __all__ = [
     "ReducedState",
@@ -74,16 +75,6 @@ def _require_symmetric(params: SystemParams):
             "the reduced model is defined for symmetric decay only "
             f"(gamma_diff = 0), got gamma_diff={params.gamma_diff!r}"
         )
-
-
-def _require_grid(n_steps, name: str, T) -> float:
-    """Check a step count and a duration; returns the duration as a float."""
-    if (isinstance(n_steps, bool) or not isinstance(n_steps, numbers.Integral)
-            or n_steps < 1):
-        raise ValueError(f"n_steps must be an integer >= 1, got {n_steps!r}")
-    if not (math.isfinite(T) and T > 0.0):
-        raise ValueError(f"{name} must be finite and positive, got {T!r}")
-    return float(T)
 
 
 def eliminated_coherences(rho11: float, rho33: float, rho13_real: float,
@@ -231,11 +222,12 @@ def integrate_adiabatic(theta_fn, params: SystemParams, T: float,
     Raises ValueError unless T is finite and positive, and IntegrationError
     at the first non-finite state.
     """
-    T = _require_grid(n_steps, "T", T)
+    n_steps = _checked_count(n_steps, "n_steps", 1)
+    T = _checked_duration(T, "T")
     _require_symmetric(params)
     return _sample_transitions(
         lambda thetas: _adiabatic_generator(thetas, params), theta_fn, T,
-        int(n_steps), 1, np.array([1.0, 0.0, 0.0]))
+        n_steps, 1, np.array([1.0, 0.0, 0.0]))
 
 
 def integrate_reduced(u_fn, tprime: float, n_steps: int,
@@ -253,10 +245,11 @@ def integrate_reduced(u_fn, tprime: float, n_steps: int,
     three finite components, and IntegrationError at the first non-finite
     state.
     """
-    tprime = _require_grid(n_steps, "tprime", tprime)
+    n_steps = _checked_count(n_steps, "n_steps", 1)
+    tprime = _checked_duration(tprime, "tprime")
     if isinstance(state0, ReducedState):
         state0 = state0.as_array()
     x0 = np.append(_initial_array(state0, "state0", 3), 1.0)
     times, states = _sample_transitions(_reduced_generator, u_fn, tprime,
-                                        int(n_steps), 1, x0)
+                                        n_steps, 1, x0)
     return times, states[:, :3].copy()

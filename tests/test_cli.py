@@ -21,6 +21,7 @@ from lambda_control.analytic import (
     apply_bang,
     apply_singular,
     optical_pumping_value,
+    pmp_residual,
     random_sequence,
 )
 from lambda_control.model import (
@@ -386,6 +387,26 @@ class TestReduce:
         summary = json.loads(got[0]["reduced_summary.json"])
         assert summary["config"]["tprime"] == (3.0 if schedule else 5.0)
 
+    @pytest.mark.parametrize("offset, accepted", [(1e-10, True),
+                                                  (2e-9, False)])
+    def test_tprime_tolerance_matches_pmp_residual(self, tmp_path, capsys,
+                                                   offset, accepted):
+        # One slack, analytic.TPRIME_TOL = 1e-9, for both checks of a T'
+        # against the arcs (here 1 + 2 = 3).
+        tprime = 3.0 + offset
+        seq = BangSingularSequence(jumps=[0.5, 1.0707963267948966],
+                                   arcs=[1.0, 2.0])
+        code = run_cli(["reduce", "--tprime", repr(tprime), *self.SCHEDULE,
+                        "--out", str(tmp_path)])
+        if accepted:
+            assert code == 0
+            pmp_residual(seq, tprime)
+        else:
+            assert code == 1
+            assert "--tprime" in json.loads(capsys.readouterr().err)["error"]
+            with pytest.raises(ValueError, match="expected"):
+                pmp_residual(seq, tprime)
+
 
 class TestVerify:
     def test_small_run_passes(self, tmp_path):
@@ -621,10 +642,10 @@ class TestVerify:
             assert any((tmp_path / name).iterdir())
 
     @pytest.mark.parametrize("tprime, message", [
-        ("-1", "arc durations must be nonnegative"),
-        ("nan", "jumps and arcs must be finite"),
-        ("inf", "jumps and arcs must be finite"),
-    ])
+        ("-1", "tprime must be finite and nonnegative, got -1.0"),
+        ("nan", "tprime must be finite and nonnegative, got nan"),
+        ("inf", "tprime must be finite and nonnegative, got inf"),
+    ], ids=["-1", "nan", "inf"])
     def test_bad_tprime_is_usage_error(self, tmp_path, capsys, tprime, message):
         out = tmp_path / "out"
         code = run_cli(["verify", "--tprime", tprime, "--n", "5",

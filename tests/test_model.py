@@ -289,6 +289,7 @@ class TestControlSignal:
         ([0.0, 1.0], [-0.1]),
         ([0.0, float("inf")], [0.1]),
         ([0.0], []),
+        ([0.2, 0.5], [0.3]),               # does not start at 0
     ])
     def test_validation(self, grid, theta):
         with pytest.raises(ValueError):

@@ -133,14 +133,6 @@ class TestObjective:
             value = objective(control, p)
             assert -1e-9 <= value <= 1.0 + 1e-9
 
-    def test_grid_mismatch_rejected(self):
-        p = SystemParams(gamma_total=2.0)
-        control = ControlSignal.constant(0.4, 5.0, 4)
-        with pytest.raises(ValueError, match="does not match"):
-            objective(control, p, 6.0)
-        with pytest.raises(ValueError, match="does not match"):
-            objective_and_gradient(control, p, 4.0)
-
 
 class TestGradient:
     def test_matches_central_differences_symmetric(self):
@@ -713,6 +705,31 @@ class TestConfigs:
         with pytest.raises(ValueError):
             OptimizationConfig(**kwargs)
 
+    @pytest.mark.parametrize("field, value, message", [
+        # range() failed on it later.
+        ("max_iters", 2.5, "max_iters must be an integer >= 0, got 2.5"),
+        # Slicing failed inside optimize.
+        ("n_starts", 1.5, "n_starts must be an integer >= 1, got 1.5"),
+        # numpy failed on it.
+        ("n_intervals", 2.5, "n_intervals must be an integer >= 2, got 2.5"),
+        # Ran as one start.
+        ("n_starts", True, "n_starts must be an integer >= 1, got True"),
+        ("n_intervals", np.float64(10.0),
+         "n_intervals must be an integer >= 2, got 10.0"),
+    ])
+    def test_non_integer_field_is_named(self, field, value, message):
+        with pytest.raises(ValueError) as info:
+            OptimizationConfig(**{field: value})
+        assert str(info.value) == message
+
+    def test_numpy_integers_accepted(self):
+        config = OptimizationConfig(n_intervals=np.int64(4),
+                                    max_iters=np.int32(0),
+                                    n_starts=np.uint8(1))
+        result = optimize(config, SystemParams(gamma_total=1.0), 2.0)
+        assert result.control.n_intervals == 4
+        assert result.iterations == 0
+
 
 class TestOptimize:
     def test_moderate_decay_smoke(self):
@@ -868,24 +885,20 @@ class TestOptimize:
         p = SystemParams(gamma_total=2.0)
         with pytest.raises(ValueError, match="cover"):
             integrate_full(control, p, T)
-        with pytest.raises(ValueError, match="horizon"):
-            objective(control, p, T)
-        with pytest.raises(ValueError, match="horizon"):
-            objective_and_gradient(control, p, T)
 
     @pytest.mark.parametrize("T", [1e-11, 0.5])
     def test_grid_short_of_short_horizon_rejected(self, T):
-        # The slack is 1e-12 * T below T = 1 too, as in integrate_full: an
-        # absolute 1e-12 accepted a grid 5% short of a 1e-11 window.
+        # The slack is 1e-12 * T below T = 1 too: an absolute 1e-12
+        # accepted a grid 5% short of a 1e-11 window.  The objective takes
+        # its horizon from its control, so only integrate_full can be given
+        # a short grid.
         p = SystemParams(gamma_total=2.0)
         for end in (0.95 * T, T * (1.0 - 2e-12)):
             control = ControlSignal([0.0, end], [0.3])
-            with pytest.raises(ValueError, match="horizon"):
-                objective(control, p, T)
-            with pytest.raises(ValueError, match="horizon"):
-                objective_and_gradient(control, p, T)
+            with pytest.raises(ValueError, match="cover"):
+                integrate_full(control, p, T)
         control = ControlSignal([0.0, T * (1.0 - 5e-13)], [0.3])
-        assert objective(control, p, T) == objective(control, p)
+        assert integrate_full(control, p, T).times[-1] == T
 
     @pytest.mark.parametrize("asymmetry", [0.0, 0.5])
     def test_step_count_past_int64_rejected(self, asymmetry):
