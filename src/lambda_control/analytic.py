@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import HALF_PI, SystemParams, _checked_duration
+from .model import HALF_PI, SystemParams, _checked_count, _checked_duration
 from .reduced import normalize_time
 
 __all__ = [
@@ -377,7 +377,12 @@ def random_batch(rng: np.random.Generator, count: int, tprime: float):
     unchanged.  The length draw stays in the loop: integers draws buffered
     32-bit halves of the stream, so drawing all lengths first would change
     it.
+
+    ``count`` must be an integer >= 0 and ``tprime`` finite and
+    nonnegative; both are checked before the first draw.
     """
+    count = _checked_count(count, "count", 0)
+    tprime = _checked_duration(tprime, "tprime", allow_zero=True)
     lengths, draws = [], []
     for _ in range(count):
         n = int(rng.integers(1, RANDOM_MAX_N + 1))
@@ -398,8 +403,12 @@ def random_sequence(rng: np.random.Generator, n: int,
     """Uniform simplex draw: n jumps summing to pi/2, n arcs summing to T'.
 
     Dirichlet(1, ..., 1) covers boundary-heavy cases (near-zero jumps and
-    arcs), where the optimality bound is tight.
+    arcs), where the optimality bound is tight.  ``n`` must be an integer
+    >= 1 and ``tprime`` finite and nonnegative; both are checked before
+    the first draw.
     """
+    n = _checked_count(n, "n", 1)
+    tprime = _checked_duration(tprime, "tprime", allow_zero=True)
     alpha = np.ones(n)
     jumps = rng.dirichlet(alpha) * HALF_PI
     arcs = rng.dirichlet(alpha) * tprime
@@ -453,7 +462,8 @@ def pmp_residual(schedule: BangSingularSequence,
     if (tprime is not None
             and not abs(schedule.total_time - tprime) <= TPRIME_TOL):
         raise ValueError(
-            f"schedule covers T'={schedule.total_time!r}, expected {tprime!r}"
+            f"schedule covers T'={schedule.total_time!r}, "
+            f"expected {float(tprime)!r}"
         )
 
     n = schedule.n

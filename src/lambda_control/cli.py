@@ -35,6 +35,7 @@ from .model import (
     IntegrationError,
     SystemParams,
     Trajectory,
+    _checked_count,
     integrate_full,
     optical_pumping_control,
 )
@@ -253,7 +254,7 @@ def cmd_simulate(args) -> int:
            "intervals": args.intervals, "seed": args.seed,
            "control": control_name, "format": args.format}
 
-    trajectory = integrate_full(control, params, T)
+    trajectory = integrate_full(control, params)
     out = _out_dir(args)
     outputs = {}
     if args.format == "json":
@@ -477,9 +478,8 @@ def _verify_chunk(fh, lengths, jumps, arcs):
 
 
 def cmd_verify(args) -> int:
-    tprime, count, seed = args.tprime, args.n, args.seed
-    if count < 1:
-        raise UsageError("--n must be at least 1")
+    tprime, seed = args.tprime, args.seed
+    count = _checked_count(args.n, "n", 1)
     cfg = {"command": "verify", "tprime": tprime, "n": count, "seed": seed}
 
     # Also rejects a negative or non-finite --tprime, before any output.
@@ -608,7 +608,7 @@ def cmd_figures(args) -> int:
                "intervals": config.n_intervals, "seed": config.seed,
                "starts": config.n_starts, "max_iters": config.max_iters}
         result = optimizer.optimize(config, params, T)
-        trajectory = integrate_full(result.control, params, T)
+        trajectory = integrate_full(result.control, params)
         controls_name = f"{selector}_{name}_controls.csv"
         populations_name = f"{selector}_{name}_populations.csv"
         write_csv(out / controls_name, cfg, "t,theta,omega_p,omega_s",

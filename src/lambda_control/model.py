@@ -66,7 +66,7 @@ STATE_DIM = 9
 # The x block: indices 0..5, which the y block (6..8) never couples to.
 _XDIM = 6
 
-# Slack used when validating user-provided angles/grids against exact bounds.
+# Slack used when validating user-provided angles against [0, pi/2].
 _EDGE_TOL = 1e-12
 
 # Intervals whose step matrices integrate_full builds in one batched call;
@@ -144,18 +144,20 @@ class SystemParams:
         for name in ("gamma_total", "gamma_diff", "omega0"):
             value = getattr(self, name)
             if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+                raise ValueError(
+                    f"{name} must be finite, got {float(value)!r}")
         if self.omega0 <= 0.0:
-            raise ValueError(f"omega0 must be positive, got {self.omega0!r}")
+            raise ValueError(
+                f"omega0 must be positive, got {float(self.omega0)!r}")
         if self.gamma_total <= 0.0:
             raise ValueError(
-                f"gamma_total must be positive, got {self.gamma_total!r}"
+                f"gamma_total must be positive, got {float(self.gamma_total)!r}"
             )
         if abs(self.gamma_diff) > self.gamma_total:
             raise ValueError(
                 "need |gamma_diff| <= gamma_total so both decay branches are "
-                f"nonnegative, got gamma_diff={self.gamma_diff!r}, "
-                f"gamma_total={self.gamma_total!r}"
+                f"nonnegative, got gamma_diff={float(self.gamma_diff)!r}, "
+                f"gamma_total={float(self.gamma_total)!r}"
             )
 
     @property
@@ -822,21 +824,6 @@ def _check_rows(states: np.ndarray, times: np.ndarray, lo: int, hi: int):
             last_time=times[bad - 1])
 
 
-def _interval_edges(control: ControlSignal, T: float):
-    """Start time, end time and angle of every control interval inside [0, T].
-
-    A breakpoint within _EDGE_TOL * T of T starts no interval.  The slack
-    is relative at any T, so a short horizon keeps its last breakpoints,
-    and the first interval, which starts at 0 < T, is always kept.  The
-    grid's end starts nothing, even where it falls short of T by the
-    slack integrate_full allows.
-    """
-    starts = control.grid[:-1]
-    starts = starts[starts < T - _EDGE_TOL * T]
-    ends = np.append(starts[1:], T)
-    return starts, ends, control.theta[: starts.size]
-
-
 def _step_matrices(thetas: np.ndarray, h: np.ndarray, rem: np.ndarray,
                    params: SystemParams, stride: int, exact: bool):
     """Per batch of _BATCH intervals: its slice of the intervals, and the
@@ -879,8 +866,8 @@ def _check_trace(starts: np.ndarray, *propagators: np.ndarray):
 
 
 def _integrate_piecewise(control: ControlSignal, params: SystemParams,
-                         T: float, x0: np.ndarray, h_max: float,
-                         max_samples: int, exact: bool) -> Trajectory:
+                         x0: np.ndarray, h_max: float, max_samples: int,
+                         exact: bool) -> Trajectory:
     """Sample a piecewise schedule on the steps of ``interval_steps``;
     ``exact`` swaps RK4 for the exact propagator, not the times or angles.
 
@@ -888,8 +875,8 @@ def _integrate_piecewise(control: ControlSignal, params: SystemParams,
     checked once per batch of _BATCH intervals; ``_check_rows`` raises at
     the first non-finite row, as a check after every row would.
     """
-    starts, ends, thetas = _interval_edges(control, T)
-    steps, h = interval_steps(ends - starts, h_max)
+    starts, ends, thetas = control.grid[:-1], control.grid[1:], control.theta
+    steps, h = interval_steps(control.durations, h_max)
     total = int(steps.sum())
     stride = math.ceil(total / (max_samples - 1))
 
@@ -1036,8 +1023,8 @@ def integrate_full(control, params: SystemParams, T: float | None = None, *,
         Piecewise-constant schedule, or a callable t -> theta for smooth
         controls (a callable requires T).
     T : float, optional
-        Final time; defaults to the control duration.  The control must
-        cover [0, T]; its grid may end short of T by at most 1e-12 * T.
+        Final time.  A ControlSignal runs to its duration, the end of its
+        grid; a T given with one must equal that duration exactly.
     initial_state : optional
         Defaults to all population in |1>; otherwise 9 finite components
         (or a FullState), else ValueError.
@@ -1060,7 +1047,8 @@ def integrate_full(control, params: SystemParams, T: float | None = None, *,
         Richardson-extrapolated to a local error of O(h**6).  Either way
         the matrices are applied to the state one step at a time.
 
-    The returned trajectory always contains the final sample at exactly t = T.
+    The returned trajectory always contains the final sample at exactly t = T
+    (a ControlSignal's duration).
     """
     if method not in ("rk4", "adaptive"):
         raise ValueError(f"unknown method {method!r}")
@@ -1072,25 +1060,22 @@ def integrate_full(control, params: SystemParams, T: float | None = None, *,
     else:
         x0 = _initial_array(initial_state, "initial_state")
 
-    is_callable = (callable(control)
-                   and not isinstance(control, ControlSignal))
-    if is_callable:
-        if T is None:
-            raise ValueError("T is required when the control is a callable")
-    elif not isinstance(control, ControlSignal):
+    exact = method == "adaptive"
+    if isinstance(control, ControlSignal):
+        T = control.duration if T is None else _checked_duration(T, "T")
+        if T != control.duration:
+            raise ValueError(f"T must equal the control's duration "
+                             f"{control.duration!r}, got {T!r}")
+        return _integrate_piecewise(control, params, x0, h_max, max_samples,
+                                    exact)
+    if not callable(control):
         raise TypeError("control must be a ControlSignal or a callable")
+    if T is None:
+        raise ValueError("T is required when the control is a callable")
     # Here, not in the step rule, which would blame max_step for it.
-    T = _checked_duration(control.duration if T is None else T, "T")
-    if is_callable:
-        return _integrate_callable(control, params, T, x0, h_max,
-                                   max_samples, exact=method == "adaptive")
-    # A ControlSignal grid starts at 0; only its end can fall short.
-    if control.duration < T - _EDGE_TOL * T:
-        raise ValueError(
-            f"control grid [0, {control.duration!r}] does not cover "
-            f"[0, {T!r}]")
-    return _integrate_piecewise(control, params, T, x0, h_max, max_samples,
-                                exact=method == "adaptive")
+    T = _checked_duration(T, "T")
+    return _integrate_callable(control, params, T, x0, h_max, max_samples,
+                               exact)
 
 
 def reconstruct_density(state) -> np.ndarray:

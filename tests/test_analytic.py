@@ -214,10 +214,6 @@ class TestOpticalPumpingValue:
         assert optical_pumping_value(5.0) == pytest.approx(
             -0.9865241060018291, abs=1e-15)
 
-    def test_negative_duration_rejected(self):
-        with pytest.raises(ValueError):
-            optical_pumping_value(-1.0)
-
     @pytest.mark.parametrize("tprime", [math.nan, math.inf, -math.inf])
     def test_non_finite_duration_rejected(self, tprime):
         with pytest.raises(ValueError, match="^tprime must be finite"):

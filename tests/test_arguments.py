@@ -16,6 +16,9 @@ from lambda_control.model import ControlSignal, SystemParams
 
 P = SystemParams(gamma_total=1.0)
 CONTROL = ControlSignal.constant(0.3, 1.0, 2)
+# The random draws check their arguments before the first draw, so a
+# rejected call leaves this generator's state alone.
+RNG = np.random.default_rng(5)
 
 
 def _no_work(t):
@@ -59,6 +62,10 @@ DURATIONS = {
                            lambda d: analytic.pumping_efficiency(d, P)),
     "BangSingularSequence.optical_pumping": (
         "tprime", True, analytic.BangSingularSequence.optical_pumping),
+    "random_batch": ("tprime", True,
+                     lambda d: analytic.random_batch(RNG, 3, d)),
+    "random_sequence": ("tprime", True,
+                        lambda d: analytic.random_sequence(RNG, 2, d)),
 }
 
 # name -> (argument name, least valid count, call with the bad value).
@@ -86,6 +93,10 @@ COUNTS = {
     "integrate_reduced": ("n_steps", 1,
                           lambda n: reduced.integrate_reduced(_no_work, 1.0,
                                                               n)),
+    "random_batch": ("count", 0,
+                     lambda n: analytic.random_batch(RNG, n, 1.0)),
+    "random_sequence": ("n", 1,
+                        lambda n: analytic.random_sequence(RNG, n, 1.0)),
 }
 
 BAD_DURATIONS = [math.nan, math.inf, -math.inf, 0.0, -1.0, np.float64(-1.0)]
@@ -93,8 +104,11 @@ BAD_COUNTS = [0, -1, 2.5, True, np.int64(-1)]
 
 
 def _cases(table, values, valid):
+    """One case per entry and value of ``values(entry)`` that is not
+    ``valid`` for it, keyed by the value's repr (so 1 and True differ)."""
     return [pytest.param(name, value, id=f"{name}-{value!r}")
-            for name, entry in table.items() for value in values
+            for name, entry in table.items()
+            for value in {repr(v): v for v in values(entry)}.values()
             if not valid(entry, value)]
 
 
@@ -109,7 +123,7 @@ def _assert_rejected(call, value, prefix):
 
 
 @pytest.mark.parametrize("entry, value", _cases(
-    DURATIONS, BAD_DURATIONS,
+    DURATIONS, lambda entry: BAD_DURATIONS,
     lambda entry, value: entry[1] and value == 0.0))
 def test_bad_duration_is_named(entry, value):
     name, allow_zero, call = DURATIONS[entry]
@@ -124,13 +138,25 @@ def test_zero_duration_accepted_where_nonnegative(entry, zero):
     DURATIONS[entry][2](zero)
 
 
+# Each entry also takes its boundary, least - 1.
 @pytest.mark.parametrize("entry, value", _cases(
-    COUNTS, BAD_COUNTS,
+    COUNTS, lambda entry: [*BAD_COUNTS, entry[1] - 1],
     lambda entry, value: value == entry[1] and not isinstance(value, bool)))
 def test_bad_count_is_named(entry, value):
     name, least, call = COUNTS[entry]
     _assert_rejected(call, value, f"{name} must be an integer >= {least}, "
                                   f"got ")
+
+
+def test_rejected_draw_leaves_the_generator_alone():
+    state = RNG.bit_generator.state
+    for call in (lambda: analytic.random_batch(RNG, -1, 1.0),
+                 lambda: analytic.random_batch(RNG, 3, math.nan),
+                 lambda: analytic.random_sequence(RNG, 0, 1.0),
+                 lambda: analytic.random_sequence(RNG, 2, -1.0)):
+        with pytest.raises(ValueError):
+            call()
+        assert RNG.bit_generator.state == state
 
 
 def test_zero_max_iters_accepted():
@@ -145,6 +171,34 @@ def test_grid_must_start_at_zero():
 
 
 def test_short_grid_message_prints_plain_floats():
+    # A ControlSignal runs to its duration; a T given with it must equal it.
     with pytest.raises(ValueError) as info:
-        model.integrate_full(ControlSignal([0.0, 0.5], [0.3]), P, 1.0)
-    assert str(info.value) == "control grid [0, 0.5] does not cover [0, 1.0]"
+        model.integrate_full(ControlSignal([0.0, 0.5], [0.3]), P,
+                             np.float64(1.0))
+    assert str(info.value) == "T must equal the control's duration 0.5, got 1.0"
+
+
+# Messages that print values other than a duration or count.
+MESSAGES = {
+    "SystemParams-nan": (lambda: SystemParams(np.float64(math.nan)),
+                         "gamma_total must be finite, got nan"),
+    "SystemParams-negative": (lambda: SystemParams(np.float64(-1.0)),
+                              "gamma_total must be positive, got -1.0"),
+    "SystemParams-omega0": (lambda: SystemParams(1.0, omega0=np.float64(0.0)),
+                            "omega0 must be positive, got 0.0"),
+    "SystemParams-gamma_diff": (
+        lambda: SystemParams(np.float64(1.0), np.float64(2.0)),
+        "need |gamma_diff| <= gamma_total so both decay branches are "
+        "nonnegative, got gamma_diff=2.0, gamma_total=1.0"),
+    "pmp_residual": (
+        lambda: analytic.pmp_residual(
+            analytic.BangSingularSequence.optical_pumping(5.0),
+            np.float64(6.0)),
+        "schedule covers T'=5.0, expected 6.0"),
+}
+
+
+@pytest.mark.parametrize("entry", MESSAGES)
+def test_message_prints_plain_floats(entry):
+    call, message = MESSAGES[entry]
+    _assert_rejected(lambda _: call(), None, message)

@@ -655,6 +655,15 @@ class TestVerify:
                                                        "exit_code": 1}
         assert not out.exists()
 
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_bad_n_is_usage_error(self, tmp_path, capsys, n):
+        out = tmp_path / "out"
+        code = run_cli(["verify", "--n", n, "--out", str(out)])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": f"n must be an integer >= 1, got {n}", "exit_code": 1}
+        assert not out.exists()
+
 
 class TestOptimizeCommand:
     def test_small_run(self, tmp_path):

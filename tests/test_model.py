@@ -463,14 +463,24 @@ class TestIntegrateFull:
                                 np.linspace(0, HALF_PI, 7))
         traj = integrate_full(control, p, 7.3)
         assert traj.times[-1] == 7.3
-        shorter = integrate_full(control, p, 2.5)
-        assert shorter.times[-1] == 2.5
+        # A prefix ending inside an interval is its own schedule.
+        shorter = ControlSignal.piecewise(control.grid[:3], control.theta[:3],
+                                          2.5)
+        assert integrate_full(shorter, p).times[-1] == 2.5
 
     def test_control_must_cover_horizon(self):
+        # A ControlSignal runs to its duration: a given T must equal it,
+        # neither longer nor shorter.
         p = SystemParams(gamma_total=3.0)
-        with pytest.raises(ValueError, match="cover"):
-            integrate_full(ControlSignal.constant(0.3, 5.0), p, 6.0)
-        with pytest.raises(ValueError):
+        control = ControlSignal.constant(0.3, 5.0)
+        for T in (6.0, 4.0):
+            with pytest.raises(ValueError) as info:
+                integrate_full(control, p, T)
+            assert str(info.value) == (
+                f"T must equal the control's duration 5.0, got {T!r}")
+        assert (integrate_full(control, p, 5.0).states.tobytes()
+                == integrate_full(control, p).states.tobytes())
+        with pytest.raises(ValueError, match="T is required"):
             integrate_full(lambda t: 0.3, p)  # callable needs T
 
     def test_initial_state_override(self):
@@ -585,17 +595,6 @@ class TestIntegrateFull:
         assert traj.times.tolist() == [0.0, 9.5e-12, 1e-11]
         assert traj.thetas.tolist() == [0.0, 0.0, HALF_PI]
 
-    @pytest.mark.parametrize("method", ["rk4", "adaptive"])
-    def test_grid_end_short_of_horizon_starts_no_interval(self, method):
-        # integrate_full accepts a grid ending up to 1e-12 * T short of T;
-        # its last interval runs on to T.
-        T = 1e-11
-        control = ControlSignal([0.0, T * (1.0 - 5e-13)], [0.3])
-        traj = integrate_full(control, SystemParams(gamma_total=2.0), T,
-                              method=method)
-        assert traj.times.tolist() == [0.0, T]
-        assert traj.thetas.tolist() == [0.3, 0.3]
-
     @pytest.mark.parametrize("T", [math.inf, -math.inf, math.nan])
     @pytest.mark.parametrize("control", [ControlSignal.constant(0.3, 2.0),
                                          lambda t: 0.3],
@@ -610,28 +609,27 @@ class TestIntegrateFull:
 
     @pytest.mark.parametrize("T", [1e-11, 0.5])
     def test_grid_short_of_short_horizon_rejected(self, T):
-        # 5% of a 1e-11 window is not edge rounding: an absolute 1e-12
-        # slack below T = 1 stretched the last interval over it.  The slack
-        # is 1e-12 * T at any T.
+        # No slack at any T: a grid 5% short, or short by a rounding error,
+        # is not a schedule on [0, T].
         p = SystemParams(gamma_total=2.0)
-        for end in (0.95 * T, T * (1.0 - 2e-12)):
-            with pytest.raises(ValueError, match="cover"):
+        for end in (0.95 * T, T * (1.0 - 2e-12), T * (1.0 - 5e-13)):
+            with pytest.raises(ValueError, match="^T must equal the control"):
                 integrate_full(ControlSignal([0.0, end], [0.3]), p, T)
 
     @settings(deadline=None, max_examples=100)
-    @given(st.floats(min_value=1.0, max_value=1e6),
+    @given(st.floats(min_value=1e-11, max_value=1e6),
            st.lists(st.floats(min_value=0.0, max_value=1e-9), min_size=1,
                     max_size=6, unique=True))
-    def test_edges_from_horizon_one_up_are_unchanged(self, T, gaps):
-        # Breakpoints from 1e-9 * T below T up to T itself, across the
-        # slack: for T >= 1 the cut is the earlier T - 1e-12 * max(1, T).
+    def test_breakpoints_near_the_horizon_start_intervals(self, T, gaps):
+        # Every grid edge is a sample, however close to the end: breakpoints
+        # from 1e-9 * T below T each start an interval of their own.
         inner = sorted({T * (1.0 - g) for g in gaps} - {T})
-        grid = np.array([0.0, *[t for t in inner if t > 0.0], T, 2.0 * T])
-        control = ControlSignal(grid, np.full(grid.size - 1, 0.4))
-        starts, ends, _ = model._interval_edges(control, T)
-        assert starts.tolist() == \
-            grid[grid < T - 1e-12 * max(1.0, T)].tolist()
-        assert ends[-1] == T
+        grid = np.array([0.0, *[t for t in inner if t > 0.0], T])
+        theta = np.linspace(0.1, 1.4, grid.size - 1)
+        traj = integrate_full(ControlSignal(grid, theta),
+                              SystemParams(gamma_total=2.0), max_samples=2)
+        assert traj.times.tolist() == grid.tolist()
+        assert traj.thetas[1:].tolist() == theta.tolist()
 
     @settings(deadline=None, max_examples=60)
     @given(st.floats(min_value=0.1, max_value=50.0),
@@ -647,19 +645,26 @@ class TestIntegrateFull:
                                            fraction, max_samples):
         # Both methods run one sampler and differ only in the propagators,
         # so a piecewise schedule gives the same times and angles, also
-        # when T ends inside an interval.
+        # when its end cuts an interval of the drawn grid short.
         p = SystemParams(gamma_total=gamma, gamma_diff=asymmetry * gamma)
         durations, thetas = (np.array(v) for v in zip(*intervals))
-        control = ControlSignal(np.concatenate([[0.0], np.cumsum(durations)]),
-                                thetas)
-        T = control.duration * fraction
-        exact, rk4 = (integrate_full(control, p, T, max_samples=max_samples,
+        control = _prefix(np.concatenate([[0.0], np.cumsum(durations)]),
+                          thetas, fraction)
+        exact, rk4 = (integrate_full(control, p, max_samples=max_samples,
                                      method=method)
                       for method in ("adaptive", "rk4"))
         assert exact.times.tobytes() == rk4.times.tobytes()
         assert exact.thetas.tobytes() == rk4.thetas.tobytes()
         assert exact.max_y() == 0.0
         assert abs(exact.final_rho33 - rk4.final_rho33) <= 1e-8
+
+
+def _prefix(grid, theta, fraction):
+    """The schedule (grid, theta) cut off at fraction * grid[-1]: the
+    starts below that end, and their angles."""
+    end = grid[-1] * fraction
+    starts = grid[:-1][grid[:-1] < end]
+    return ControlSignal.piecewise(starts, theta[:starts.size], end)
 
 
 def _textbook_rk4(f, s, h, n):
@@ -843,10 +848,10 @@ def _reference_step_matrices(thetas, h, params, stride):
         yield from zip(M, np.linalg.matrix_power(M, stride))
 
 
-def _reference_piecewise_rk4(control, params, T, x0, h_max, max_samples):
+def _reference_piecewise_rk4(control, params, x0, h_max, max_samples):
     """The sampler as a per-sample loop: one matvec, finite check and set of
     list appends per sample, and one matrix_power per remainder."""
-    starts, ends, thetas = model._interval_edges(control, T)
+    starts, ends, thetas = control.grid[:-1], control.grid[1:], control.theta
     steps, h = model.interval_steps(ends - starts, h_max)
     total = int(steps.sum())
     stride = max(1, math.ceil(total / max(1, max_samples - 1)))
@@ -883,7 +888,7 @@ def _reference_piecewise_rk4(control, params, T, x0, h_max, max_samples):
                 append(t1, th)
 
     times = np.asarray(times)
-    times[-1] = T
+    times[-1] = control.duration
     return Trajectory(times, np.asarray(samples), np.asarray(sample_theta))
 
 
@@ -907,18 +912,17 @@ def _sampler_cases(draw):
     length = st.floats(50.0, 400.0) if unstable else st.floats(1e-3, 4.0)
     grid = np.cumsum([0.0] + draw(st.lists(length, min_size=n, max_size=n)))
     theta = draw(st.lists(st.floats(0.0, HALF_PI), min_size=n, max_size=n))
-    control = ControlSignal(grid, theta)
+    control = _prefix(grid, np.array(theta),
+                      draw(st.one_of(st.just(1.0), st.floats(0.05, 1.0))))
     gamma = 10.0 if unstable else draw(st.sampled_from([0.1, 2.0, 10.0]))
     params = SystemParams(gamma_total=gamma,
                           gamma_diff=gamma * draw(st.floats(-1.0, 1.0)))
-    T = control.duration * draw(st.one_of(st.just(1.0),
-                                          st.floats(0.05, 1.0)))
     h_max = draw(st.sampled_from([2.0, 5.0] if unstable
                                  else [0.003, 0.05, 0.4]))
     max_samples = draw(st.sampled_from([2, 3, 7, 40, 2048, 10**6]))
     x0 = (np.array([0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0]) if unstable
           else FullState.ground().as_array())
-    return control, params, T, x0, h_max, max_samples
+    return control, params, x0, h_max, max_samples
 
 
 class TestPiecewiseSampler:
@@ -928,21 +932,21 @@ class TestPiecewiseSampler:
     @given(_sampler_cases())
     # One interval, stride 1 (every step a sample).
     @example((ControlSignal.constant(0.7, 1.0), SystemParams(gamma_total=2.0),
-              1.0, FullState.ground().as_array(), 0.01, 10**6))
-    # Intervals shorter than one stride, rem > 0, T inside the last interval.
-    @example((ControlSignal([0.0, 0.013, 0.5, 0.52, 3.0], [0.1, 1.2, 0.4, 1.5]),
-              SystemParams(gamma_total=10.0, gamma_diff=-4.0), 2.9,
+              FullState.ground().as_array(), 0.01, 10**6))
+    # Intervals shorter than one stride, rem > 0, a short last interval.
+    @example((ControlSignal([0.0, 0.013, 0.5, 0.52, 2.9], [0.1, 1.2, 0.4, 1.5]),
+              SystemParams(gamma_total=10.0, gamma_diff=-4.0),
               FullState.ground().as_array(), 0.01, 7))
     # max_samples = 2: one stride spans the whole window.
     @example((ControlSignal([0.0, 1.0, 2.5], [0.3, 1.1]),
-              SystemParams(gamma_total=2.0), 2.5,
+              SystemParams(gamma_total=2.0),
               FullState.ground().as_array(), 0.01, 2))
     def test_equals_per_sample_loop(self, case):
-        control, params, T, x0, h_max, max_samples = case
+        control, params, x0, h_max, max_samples = case
         got = _outcome(lambda: model._integrate_piecewise(
-            control, params, T, x0.copy(), h_max, max_samples, exact=False))
+            control, params, x0.copy(), h_max, max_samples, exact=False))
         want = _outcome(lambda: _reference_piecewise_rk4(
-            control, params, T, x0.copy(), h_max, max_samples))
+            control, params, x0.copy(), h_max, max_samples))
         assert got == want
 
     @settings(deadline=None, max_examples=20)
@@ -965,11 +969,11 @@ class TestPiecewiseSampler:
         _, rem = np.divmod(steps, stride)
         assert np.unique(rem[rem > 0]).size > 1
         got = model._integrate_piecewise(
-            control, params, control.duration, FullState.ground().as_array(),
-            h_max, max_samples, exact=False)
+            control, params, FullState.ground().as_array(), h_max,
+            max_samples, exact=False)
         want = _reference_piecewise_rk4(
-            control, params, control.duration, FullState.ground().as_array(),
-            h_max, max_samples)
+            control, params, FullState.ground().as_array(), h_max,
+            max_samples)
         assert got.times.tobytes() == want.times.tobytes()
         assert got.states.tobytes() == want.states.tobytes()
 
@@ -979,9 +983,9 @@ class TestPiecewiseSampler:
         x0 = np.array([0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
         control = ControlSignal([0.0, 100.0, 400.0], [0.3, 1.0])
         got = _outcome(lambda: model._integrate_piecewise(
-            control, p, 400.0, x0, 5.0, 7, exact=False))
+            control, p, x0, 5.0, 7, exact=False))
         assert got == _outcome(lambda: _reference_piecewise_rk4(
-            control, p, 400.0, x0, 5.0, 7))
+            control, p, x0, 5.0, 7))
         assert got[0].startswith("non-finite state encountered at t=")
 
     @pytest.mark.parametrize("first_bad", [model._BATCH - 1, model._BATCH,
@@ -999,9 +1003,9 @@ class TestPiecewiseSampler:
         p = SystemParams(gamma_total=10.0)
         x0 = FullState.ground().as_array()
         got = _outcome(lambda: model._integrate_piecewise(
-            control, p, control.duration, x0, 5.0, 10**6, exact=False))
+            control, p, x0, 5.0, 10**6, exact=False))
         assert got == _outcome(lambda: _reference_piecewise_rk4(
-            control, p, control.duration, x0, 5.0, 10**6))
+            control, p, x0, 5.0, 10**6))
         message, last_time = got
         assert message.startswith("non-finite state encountered at t=")
         assert (control.grid[first_bad] <= last_time

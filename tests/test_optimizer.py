@@ -865,10 +865,6 @@ class TestOptimize:
                     ControlSignal(grid, np.clip(theta0, 0.0, HALF_PI)), p)
                 assert record.initial_objective.hex() == expected.hex()
 
-    def test_bad_horizon_rejected(self):
-        with pytest.raises(ValueError):
-            optimize(OptimizationConfig(), SystemParams(gamma_total=1.0), 0.0)
-
     @pytest.mark.parametrize("T", [math.nan, math.inf, -math.inf])
     def test_non_finite_horizon_rejected(self, T):
         # Named, and before any numpy RuntimeWarning.
@@ -883,22 +879,22 @@ class TestOptimize:
         control = ControlSignal(np.linspace(0.0, T * (1.0 - 5e-10), 11),
                                 np.full(10, 0.7))
         p = SystemParams(gamma_total=2.0)
-        with pytest.raises(ValueError, match="cover"):
+        with pytest.raises(ValueError, match="^T must equal the control's "):
             integrate_full(control, p, T)
 
     @pytest.mark.parametrize("T", [1e-11, 0.5])
     def test_grid_short_of_short_horizon_rejected(self, T):
-        # The slack is 1e-12 * T below T = 1 too: an absolute 1e-12
-        # accepted a grid 5% short of a 1e-11 window.  The objective takes
-        # its horizon from its control, so only integrate_full can be given
-        # a short grid.
+        # The objective and integrate_full both run a control to its grid's
+        # end: integrate_full rejects any other T, with no slack, and
+        # without one the two agree on the short grid.
         p = SystemParams(gamma_total=2.0)
-        for end in (0.95 * T, T * (1.0 - 2e-12)):
+        for end in (0.95 * T, T * (1.0 - 2e-12), T * (1.0 - 5e-13)):
             control = ControlSignal([0.0, end], [0.3])
-            with pytest.raises(ValueError, match="cover"):
+            with pytest.raises(ValueError,
+                               match="^T must equal the control's "):
                 integrate_full(control, p, T)
-        control = ControlSignal([0.0, T * (1.0 - 5e-13)], [0.3])
-        assert integrate_full(control, p, T).times[-1] == T
+            assert objective(control, p) == pytest.approx(
+                integrate_full(control, p).final_rho33, abs=1e-12)
 
     @pytest.mark.parametrize("asymmetry", [0.0, 0.5])
     def test_step_count_past_int64_rejected(self, asymmetry):
