@@ -240,6 +240,8 @@ NAMED_CONTROLS = {
 
 def cmd_simulate(args) -> int:
     _require(args, "gamma", "duration")
+    # Every schedule records the count, though only the ramps read it.
+    _checked_count(args.intervals, "n_intervals", 1)
     params = _params(args)
     T = args.duration
     if args.control_file:
@@ -478,7 +480,8 @@ def _verify_chunk(fh, lengths, jumps, arcs):
 
 
 def cmd_verify(args) -> int:
-    tprime, seed = args.tprime, args.seed
+    tprime = args.tprime
+    seed = _checked_count(args.seed, "seed", 0)
     count = _checked_count(args.n, "n", 1)
     cfg = {"command": "verify", "tprime": tprime, "n": count, "seed": seed}
 

@@ -128,7 +128,7 @@ class OptimizationConfig:
 
     def __post_init__(self):
         for name, least in (("n_intervals", 2), ("max_iters", 0),
-                            ("n_starts", 1)):
+                            ("n_starts", 1), ("seed", 0)):
             _checked_count(getattr(self, name), name, least)
 
 

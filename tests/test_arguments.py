@@ -83,6 +83,8 @@ COUNTS = {
         "max_iters", 0, lambda n: optimizer.OptimizationConfig(max_iters=n)),
     "OptimizationConfig.n_starts": (
         "n_starts", 1, lambda n: optimizer.OptimizationConfig(n_starts=n)),
+    "OptimizationConfig.seed": (
+        "seed", 0, lambda n: optimizer.OptimizationConfig(seed=n)),
     "integrate_full_max_samples": ("max_samples", 2,
                                    lambda n: model.integrate_full(
                                        CONTROL, P, max_samples=n)),

@@ -306,6 +306,25 @@ class TestSimulate:
                                        "below 2**62")
         assert not out.exists()
 
+    @pytest.mark.parametrize("schedule", [
+        ["--control", "pumping"], ["--control", "theta0"],
+        ["--control-file", "{tmp}/control.csv"]],
+        ids=["pumping", "theta0", "control_file"])
+    def test_bad_intervals_exit_1_for_every_schedule(self, tmp_path, capsys,
+                                                     schedule):
+        # The count is recorded in the config even where the schedule does
+        # not read it.
+        (tmp_path / "control.csv").write_text("t,theta\n0,0.3\n")
+        out = tmp_path / "out"
+        code = run_cli(["simulate", "--gamma", "2", "--duration", "3",
+                        *(arg.format(tmp=tmp_path) for arg in schedule),
+                        "--intervals", "0", "--out", str(out)])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "n_intervals must be an integer >= 1, got 0",
+            "exit_code": 1}
+        assert not out.exists()
+
     def test_config_file_and_flag_precedence(self, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("gamma = 10\nduration = 100\ncontrol = theta0\n"
@@ -723,23 +742,6 @@ class TestOptimizeCommand:
         assert json.loads(capsys.readouterr().err) == {
             "error": "singular", "exit_code": 2}
 
-    def test_does_not_import_scipy_optimize(self, tmp_path):
-        # The ascent is numpy only: scipy.optimize would cost every optimize
-        # run ~0.45 s of import time and ~47 MB of memory.
-        script = (
-            "import sys\n"
-            "from lambda_control import cli\n"
-            "code = cli.main(['optimize', '--gamma', '2', '--duration', '5',"
-            " '--intervals', '8', '--starts', '2', '--max-iters', '5',"
-            f" '--out', {str(tmp_path)!r}])\n"
-            "sys.exit(code + 10 * ('scipy.optimize' in sys.modules))\n"
-        )
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src)
-        done = subprocess.run([sys.executable, "-c", script], env=env,
-                              capture_output=True, timeout=120)
-        assert done.returncode == 0, done.stderr
-
 
 class TestSweepCommand:
     def test_grid_with_failing_cell(self, tmp_path):
@@ -917,6 +919,18 @@ class TestParserPlumbing:
         out = tmp_path / "out"
         assert run_cli(argv + ["--out", str(out)]) == 1
         assert "empty" in json.loads(capsys.readouterr().err)["error"]
+        assert not out.exists()
+
+    # optimize and figures check the seed through OptimizationConfig, as
+    # sweep does; verify checks it itself.
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--gammas", "1", "--durations", "5"], ["verify"]],
+        ids=["sweep", "verify"])
+    def test_bad_seed_exits_1_before_any_output(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert run_cli([*argv, "--seed", "-1", "--out", str(out)]) == 1
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "seed must be an integer >= 0, got -1", "exit_code": 1}
         assert not out.exists()
 
     def test_one_process_matches_fresh_processes(self, tmp_path):

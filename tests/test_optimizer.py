@@ -40,16 +40,16 @@ from lambda_control.optimizer import (
 )
 
 
-def _central_fd(control, params, eps=1e-5):
-    base = control.theta
-    out = np.empty(base.size)
-    for k in range(base.size):
-        plus = base.copy()
-        plus[k] += eps
-        minus = base.copy()
-        minus[k] -= eps
-        out[k] = (objective(control.with_theta(plus), params)
-                  - objective(control.with_theta(minus), params)) / (2 * eps)
+def _fd_gradient(control, params, eps=1e-5):
+    """Central differences of the objective.  The angles may step past the
+    bounds, where the discretized dynamics are still defined, so this calls
+    the objective's product (``_final_rho33``) without the range check."""
+    thetas, durations = control.theta, control.durations
+    out = np.empty(thetas.size)
+    for k, step in enumerate(np.eye(thetas.size) * eps):
+        out[k] = (optimizer._final_rho33(thetas + step, durations, params)
+                  - optimizer._final_rho33(thetas - step, durations, params)
+                  ) / (2 * eps)
     return out
 
 
@@ -141,7 +141,7 @@ class TestGradient:
         control = ControlSignal(np.linspace(0, 10, 21),
                                 rng.uniform(0.1, HALF_PI - 0.1, 20))
         grad = objective_and_gradient(control, p)[1]
-        fd = _central_fd(control, p)
+        fd = _fd_gradient(control, p)
         mask = np.abs(grad) > 1e-8
         assert mask.any()
         rel = np.abs(grad[mask] - fd[mask]) / np.abs(fd[mask])
@@ -153,7 +153,7 @@ class TestGradient:
         control = ControlSignal(np.linspace(0, 15, 16),
                                 rng.uniform(0.1, HALF_PI - 0.1, 15))
         grad = objective_and_gradient(control, p)[1]
-        fd = _central_fd(control, p)
+        fd = _fd_gradient(control, p)
         mask = np.abs(grad) > 1e-8
         rel = np.abs(grad[mask] - fd[mask]) / np.abs(fd[mask])
         assert rel.max() <= 1e-4
@@ -174,7 +174,7 @@ class TestGradient:
         p = SystemParams(gamma_total=2.0)
         control = ControlSignal.constant(0.05, 10.0, 10)
         grad = objective_and_gradient(control, p)[1]
-        fd = _central_fd(control, p, eps=1e-6)
+        fd = _fd_gradient(control, p, eps=1e-6)
         assert np.all(grad > 0.0)
         mask = np.abs(grad) > 1e-8
         rel = np.abs(grad[mask] - fd[mask]) / np.abs(fd[mask])
@@ -225,7 +225,7 @@ class TestGradient:
         control = ControlSignal(np.concatenate([[0.0], np.cumsum(durations)]),
                                 thetas)
         grad = objective_and_gradient(control, p)[1]
-        fd = _central_fd(control, p)
+        fd = _fd_gradient(control, p)
         mask = np.abs(grad) > 1e-8
         rel = np.abs(grad[mask] - fd[mask]) / np.abs(fd[mask])
         assert rel.max(initial=0.0) <= 1e-4
@@ -547,19 +547,6 @@ class TestScratchArrays:
                 assert got_grad.tobytes() == grad.tobytes()
 
 
-def _fd_gradient(control, params, eps=1e-5):
-    """Central differences of the objective.  The angles may step past the
-    bounds, where the discretized dynamics are still defined, so this calls
-    the objective's product (``_final_rho33``) without the range check."""
-    thetas, durations = control.theta, control.durations
-    out = np.empty(thetas.size)
-    for k, step in enumerate(np.eye(thetas.size) * eps):
-        out[k] = (optimizer._final_rho33(thetas + step, durations, params)
-                  - optimizer._final_rho33(thetas - step, durations, params)
-                  ) / (2 * eps)
-    return out
-
-
 class TestSwitchingFunction:
     """Symmetric decay: the gradient is g_k = Phi_{k+1} - Phi_k, with
     Phi_j = lambda_j^T K x_j, on random grids, decay rates and angles that
@@ -695,16 +682,6 @@ class TestTheta0Cache:
 
 
 class TestConfigs:
-    @pytest.mark.parametrize("kwargs", [
-        {"n_intervals": 1},
-        {"n_intervals": 0},
-        {"n_starts": 0},
-        {"max_iters": -1},
-    ])
-    def test_invalid_config(self, kwargs):
-        with pytest.raises(ValueError):
-            OptimizationConfig(**kwargs)
-
     @pytest.mark.parametrize("field, value, message", [
         # range() failed on it later.
         ("max_iters", 2.5, "max_iters must be an integer >= 0, got 2.5"),
@@ -864,15 +841,6 @@ class TestOptimize:
                 expected = objective(
                     ControlSignal(grid, np.clip(theta0, 0.0, HALF_PI)), p)
                 assert record.initial_objective.hex() == expected.hex()
-
-    @pytest.mark.parametrize("T", [math.nan, math.inf, -math.inf])
-    def test_non_finite_horizon_rejected(self, T):
-        # Named, and before any numpy RuntimeWarning.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="^T must be finite"):
-                optimize(OptimizationConfig(), SystemParams(gamma_total=1.0),
-                         T)
 
     def test_grid_short_of_horizon_rejected_like_integrate_full(self):
         T = 10.0

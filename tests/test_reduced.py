@@ -316,46 +316,9 @@ class TestConsistency:
 
 
 class TestStepCountValidation:
-    @pytest.mark.parametrize("n_steps", [0, -2, 2.5])
-    def test_integrate_adiabatic_rejects(self, n_steps):
-        def theta_fn(t):
-            raise AssertionError("no work before the check")
-
-        with pytest.raises(ValueError, match="n_steps must be an integer"):
-            integrate_adiabatic(theta_fn, SystemParams(gamma_total=10.0),
-                                5.0, n_steps)
-
-    @pytest.mark.parametrize("n_steps", [0, -2, 2.5])
-    def test_integrate_reduced_rejects(self, n_steps):
-        def u_fn(t):
-            raise AssertionError("no work before the check")
-
-        with pytest.raises(ValueError, match="n_steps must be an integer"):
-            integrate_reduced(u_fn, 5.0, n_steps)
-
     def test_numpy_integer_accepted(self):
         _, states = integrate_reduced(lambda tp: 0.0, 1.0, np.int64(4))
         assert states.shape == (5, 3)
-
-
-class TestDurationValidation:
-    @pytest.mark.parametrize("T", [-1.0, 0.0, math.nan, math.inf])
-    def test_integrate_adiabatic_rejects(self, T):
-        def theta_fn(t):
-            raise AssertionError("no work before the check")
-
-        with pytest.raises(ValueError, match="T must be finite and positive"):
-            integrate_adiabatic(theta_fn, SystemParams(gamma_total=10.0),
-                                T, 5)
-
-    @pytest.mark.parametrize("tprime", [-1.0, 0.0, math.nan, math.inf])
-    def test_integrate_reduced_rejects(self, tprime):
-        def u_fn(t):
-            raise AssertionError("no work before the check")
-
-        with pytest.raises(ValueError,
-                           match="tprime must be finite and positive"):
-            integrate_reduced(u_fn, tprime, 5)
 
 
 class TestInitialStateValidation:
