@@ -11,10 +11,11 @@ population difference no smaller than the single-jump schedule
 
 i.e. putting the whole pi/2 jump at t' = 0 and relaxing for the entire
 window - plain optical pumping - is optimal.  This module evaluates
-sequences both by folding the two elementary maps and by the explicit
-exponential-trigonometric sums, checks candidates against the X1 bound, and
-computes switching-function residuals of the maximum principle along
-bang-singular schedules.
+sequences by folding the two elementary maps, checks candidates against the
+X1 bound, and computes switching-function residuals of the maximum
+principle along bang-singular schedules.  The explicit
+exponential-trigonometric sums for the final state live with the tests
+(tests/oracles.py), which check the fold against them.
 
 propagate_batch and verify_bounds fold and check a batch, laid out as
 random_batch draws it: (N,) lengths and (N, L) jumps and arcs, zero past
@@ -50,12 +51,10 @@ __all__ = [
     "apply_singular",
     "propagate_sequence",
     "propagate_batch",
-    "closed_form_sequence",
     "optical_pumping_value",
     "pumping_efficiency",
     "verify_bound",
     "verify_bounds",
-    "is_pumping_equivalent",
     "random_batch",
     "random_sequence",
     "pmp_residual",
@@ -216,27 +215,6 @@ def propagate_batch(jumps, arcs):
                  np.full(n_rows, -1.0), np.zeros(n_rows))
 
 
-def closed_form_sequence(seq: BangSingularSequence):
-    """Explicit final (x, y) for a sequence started at (-1, 0).
-
-    With suffix sums S_k = jumps[k] + ... + jumps[n-1] (S_n = 0) and
-    R_k = arcs[k] + ... + arcs[n-1]:
-
-        x = sum_k exp(-R_k) [cos 2 S_{k+1} - cos 2 S_k] - 1
-        y = sum_k exp(-R_k) [sin 2 S_k - sin 2 S_{k+1}]
-
-    Must agree with propagate_sequence to roundoff.
-    """
-    theta_suffix = np.append(np.cumsum(seq.jumps[::-1])[::-1], 0.0)
-    arc_suffix = np.cumsum(seq.arcs[::-1])[::-1]
-    decay = np.exp(-arc_suffix)
-    cos_terms = np.cos(2.0 * theta_suffix)
-    sin_terms = np.sin(2.0 * theta_suffix)
-    x = float(np.dot(decay, cos_terms[1:] - cos_terms[:-1]) - 1.0)
-    y = float(np.dot(decay, sin_terms[:-1] - sin_terms[1:]))
-    return x, y
-
-
 def optical_pumping_value(tprime: float) -> float:
     """Final population difference of the single-jump schedule: 2 e^-T' - 1."""
     tprime = _checked_duration(tprime, "tprime", allow_zero=True)
@@ -342,24 +320,6 @@ def verify_bounds(lengths, jumps, arcs) -> BoundCheck:
                       at_equality=np.abs(margin) <= EQUALITY_TOL)
 
 
-def is_pumping_equivalent(seq: BangSingularSequence) -> bool:
-    """True if the schedule collapses to a single pi/2 jump at t' = 0.
-
-    Jumps separated only by (numerically) zero-duration arcs merge; the
-    merged initial jump must be pi/2 and everything after it zero.
-    """
-    first_block = 0.0
-    i = 0
-    while i < seq.n:
-        first_block += seq.jumps[i]
-        if seq.arcs[i] > _SEQUENCE_TOL:
-            break
-        i += 1
-    rest = seq.total_angle - first_block
-    return (abs(first_block - HALF_PI) <= _SEQUENCE_TOL
-            and abs(rest) <= _SEQUENCE_TOL)
-
-
 def random_batch(rng: np.random.Generator, count: int, tprime: float):
     """count random_sequence draws of random length, as zero-padded arrays.
 
@@ -427,6 +387,8 @@ class PmpReport:
     and the costate ly vanish identically on every singular arc; max_phi and
     max_lambda_y are the largest magnitudes observed over the sampled arcs.
     mu is chosen so phi vanishes at the start of the first positive arc.
+    flags names a degenerate schedule: "no transfer" when every jump is
+    zero, "no singular segment" when no arc is positive.
     """
 
     max_phi: float
@@ -437,14 +399,6 @@ class PmpReport:
     phi: np.ndarray
     lambda_x: np.ndarray
     lambda_y: np.ndarray
-
-    @property
-    def no_singular_segment(self) -> bool:
-        return "no singular segment" in self.flags
-
-    @property
-    def no_transfer(self) -> bool:
-        return "no transfer" in self.flags
 
 
 def pmp_residual(schedule: BangSingularSequence,

@@ -242,6 +242,7 @@ def cmd_simulate(args) -> int:
     _require(args, "gamma", "duration")
     # Every schedule records the count, though only the ramps read it.
     _checked_count(args.intervals, "n_intervals", 1)
+    seed = _checked_count(args.seed, "seed", 0)
     params = _params(args)
     T = args.duration
     if args.control_file:
@@ -253,7 +254,7 @@ def cmd_simulate(args) -> int:
 
     cfg = {"command": "simulate", "gamma": args.gamma,
            "gamma_diff": args.gamma_diff, "duration": T,
-           "intervals": args.intervals, "seed": args.seed,
+           "intervals": args.intervals, "seed": seed,
            "control": control_name, "format": args.format}
 
     trajectory = integrate_full(control, params)
@@ -290,6 +291,7 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_reduce(args) -> int:
+    seed = _checked_count(args.seed, "seed", 0)
     if args.jumps is None and args.arcs is None:
         tprime = 5.0 if args.tprime is None else args.tprime
         seq = analytic.BangSingularSequence.optical_pumping(tprime)
@@ -308,7 +310,7 @@ def cmd_reduce(args) -> int:
 
     cfg = {"command": "reduce", "tprime": tprime,
            "jumps": [float(j) for j in seq.jumps],
-           "arcs": [float(a) for a in seq.arcs], "seed": args.seed}
+           "arcs": [float(a) for a in seq.arcs], "seed": seed}
 
     rows = [(0.0, -1.0, 0.0, 0.0)]
     t = 0.0
@@ -642,8 +644,8 @@ def cmd_figures(args) -> int:
 # ---------------------------------------------------------------------------
 
 # Help for `--seed` on the commands that draw no random numbers.
-SEED_LABEL_HELP = ("label recorded in every output; this command draws no "
-                   "random numbers")
+SEED_LABEL_HELP = ("label recorded in every output, an integer >= 0; this "
+                   "command draws no random numbers")
 
 
 def _add_common(p: argparse.ArgumentParser,

@@ -46,16 +46,12 @@ __all__ = [
     "ControlSignal",
     "Trajectory",
     "IntegrationError",
-    "rhs_full",
     "system_matrix",
-    "system_matrix_dtheta",
     "FRAME_GENERATOR",
-    "frame_rotation",
     "rk4_step_matrix",
     "interval_steps",
     "default_max_step",
     "integrate_full",
-    "reconstruct_density",
     "optical_pumping_control",
 ]
 
@@ -194,40 +190,23 @@ class FullState:
         """All population in |1> (the standard initial condition)."""
         return cls(x1=1.0)
 
-    @classmethod
-    def from_array(cls, values) -> "FullState":
-        arr = np.asarray(values, dtype=float).reshape(-1)
-        if arr.size != STATE_DIM:
-            raise ValueError(f"expected {STATE_DIM} components, got {arr.size}")
-        return cls(*arr.tolist())
-
     def as_array(self) -> np.ndarray:
         return np.array(
             [self.x1, self.x2, self.x3, self.x4, self.x5, self.x6,
              self.y1, self.y2, self.y3]
         )
 
-    @property
-    def populations(self) -> tuple[float, float, float]:
-        return (self.x1, self.x2, self.x3)
 
-
-def _state_array(state, name: str = "state",
-                 size: int = STATE_DIM) -> np.ndarray:
+def _initial_array(state, name: str, size: int = STATE_DIM) -> np.ndarray:
+    """An integrator's initial state, a FullState or a sequence, as a new
+    float array; raises ValueError, naming the argument, unless it has
+    ``size`` components and all of them are finite."""
     if isinstance(state, FullState):
         arr = state.as_array()
     else:
-        arr = np.asarray(state, dtype=float).reshape(-1)
+        arr = np.array(state, dtype=float).reshape(-1)
     if arr.size != size:
         raise ValueError(f"{name} must have {size} components, got {arr.size}")
-    return arr
-
-
-def _initial_array(state, name: str, size: int = STATE_DIM) -> np.ndarray:
-    """An integrator's initial state as a new float array; raises
-    ValueError, naming the argument, unless it has ``size`` components and
-    all of them are finite."""
-    arr = _state_array(state, name, size).copy()
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} must be finite, got {arr.tolist()!r}")
     return arr
@@ -333,14 +312,6 @@ class ControlSignal:
         return cls(grid, theta_start + (theta_end - theta_start) * mid)
 
     @classmethod
-    def from_function(cls, fn, duration: float, n_intervals: int):
-        """Midpoint samples of a callable theta(t), clipped to [0, pi/2]."""
-        grid = _uniform_grid(duration, n_intervals)
-        mids = 0.5 * (grid[:-1] + grid[1:])
-        theta = np.clip([float(fn(t)) for t in mids], 0.0, HALF_PI)
-        return cls(grid, theta)
-
-    @classmethod
     def piecewise(cls, start_times, thetas, duration: float):
         """Intervals from the given start times (the first 0) to duration."""
         starts = np.asarray(start_times, dtype=float).reshape(-1)
@@ -374,18 +345,6 @@ class ControlSignal:
         new.theta = _checked_theta(theta, self.grid.size - 1)
         return new
 
-    def interval_index(self, t) -> np.ndarray:
-        idx = np.searchsorted(self.grid, np.asarray(t, dtype=float), side="right") - 1
-        return np.clip(idx, 0, self.n_intervals - 1)
-
-    def theta_at(self, t):
-        """theta evaluated at time(s) t (right-continuous step function)."""
-        return self.theta[self.interval_index(t)]
-
-    def omega_pair(self, omega0: float = 1.0):
-        """Per-interval (omega_p, omega_s); satisfies the amplitude constraint."""
-        return omega0 * np.sin(self.theta), omega0 * np.cos(self.theta)
-
     def total_variation(self) -> float:
         return float(np.sum(np.abs(np.diff(self.theta))))
 
@@ -410,39 +369,16 @@ def optical_pumping_control(duration: float) -> ControlSignal:
 # Equations of motion
 # ---------------------------------------------------------------------------
 
-def rhs_full(state, theta: float, params: SystemParams) -> np.ndarray:
-    """Time derivative of the 9-component state at mixing angle theta.
-
-    The population derivatives sum to zero for every state, angle and decay
-    asymmetry, so the trace is conserved exactly by the dynamics.
-    """
-    s = _state_array(state)
-    x1, x2, x3, x4, x5, x6, y1, y2, y3 = s
-    op = params.omega0 * math.sin(theta)
-    os_ = params.omega0 * math.cos(theta)
-    g = params.gamma_total
-    g1 = params.gamma1
-    g3 = params.gamma3
-    return np.array([
-        -op * x4 + g1 * x2,
-        op * x4 - os_ * x5 - g * x2,
-        os_ * x5 + g3 * x2,
-        0.5 * op * (x1 - x2) + 0.5 * os_ * x6 - 0.5 * g * x4,
-        0.5 * os_ * (x2 - x3) - 0.5 * op * x6 - 0.5 * g * x5,
-        0.5 * (op * x5 - os_ * x4),
-        -0.5 * os_ * y3 - 0.5 * g * y1,
-        0.5 * op * y3 - 0.5 * g * y2,
-        0.5 * (os_ * y1 - op * y2),
-    ])
-
-
 def system_matrix(theta, params: SystemParams) -> np.ndarray:
-    """Generator A(theta) with rhs_full(state) == A @ state, batched over theta.
+    """Generator A(theta) of the 9-component state, d(state)/dt = A @ state,
+    batched over theta.
 
     An angle array of shape S gives A of shape S + (9, 9), so a scalar angle
     gives one (9, 9) matrix.  Block diagonal: the x block (indices 0..5) and
     the y block (6..8) never couple, which is why the y block stays exactly
-    zero from the standard initial condition.
+    zero from the standard initial condition.  In every column the three
+    population rows sum to zero, for every angle and decay asymmetry, so the
+    dynamics conserve the trace exactly.
     """
     theta = np.asarray(theta, dtype=float)
     op = params.omega0 * np.sin(theta)
@@ -490,33 +426,27 @@ FRAME_GENERATOR[6, 7] = 1.0
 FRAME_GENERATOR[7, 6] = -1.0
 FRAME_GENERATOR.setflags(write=False)
 
-# Entries of R(theta) odd in theta sit where these signs differ, so
-# R(-theta) = D R(theta) D with D = diag(_FRAME_PARITY).
-_FRAME_PARITY = np.array([1.0, 1.0, 1.0, 1.0, -1.0, -1.0, 1.0, -1.0, 1.0])
+# Entries of the x block of R(theta) odd in theta sit where these signs
+# differ, so R(-theta) = D R(theta) D with D = diag(_FRAME_PARITY).
+_FRAME_PARITY = np.array([1.0, 1.0, 1.0, 1.0, -1.0, -1.0])
 _FRAME_SIGNS = np.outer(_FRAME_PARITY, _FRAME_PARITY)
 
 
-def system_matrix_dtheta(theta, params: SystemParams) -> np.ndarray:
-    """Derivative dA/dtheta of the generator, batched like ``system_matrix``.
+def _angle_derivative(A: np.ndarray, params: SystemParams) -> np.ndarray:
+    """dA/dtheta from A = ``system_matrix``, or from its x block: K is
+    sliced to A's size.  The only place the angle derivative is written.
 
     Split A(theta) = A_sym(theta) + F, where F = (gamma/2) (E_01 - E_21)
     holds the feeding asymmetry gamma1 - gamma3 = gamma and does not depend
     on theta.  A_sym is the generator of the symmetric system with the same
     Gamma, which is the dark/bright rotation of its value at theta = 0
-    (``frame_rotation``), so dA_sym/dtheta = K A_sym - A_sym K.  Hence
+    (``_frame_rotation_x``), so dA_sym/dtheta = K A_sym - A_sym K.  Hence
 
         dA/dtheta = K A - A K - (K F - F K) = K A - A K + gamma E_51,
 
     because row 1 of K is zero (F K = 0) and K F = -gamma E_51 (row 5 of K
     is -1 at rho11 and +1 at rho33).  E_51 is the unit entry at (x6, rho22).
     """
-    return _angle_derivative(system_matrix(theta, params), params)
-
-
-def _angle_derivative(A: np.ndarray, params: SystemParams) -> np.ndarray:
-    """dA/dtheta = K A - A K + gamma E_51 from A = ``system_matrix``, or
-    from its x block: K is sliced to A's size.  The only place the angle
-    derivative is written; ``system_matrix_dtheta`` shows why it holds."""
     K = FRAME_GENERATOR[:A.shape[-1], :A.shape[-1]]
     dA = K @ A - A @ K
     dA[..., 5, 1] += params.gamma_diff
@@ -524,10 +454,18 @@ def _angle_derivative(A: np.ndarray, params: SystemParams) -> np.ndarray:
 
 
 def _frame_rotation_x(theta):
-    """The x block (indices 0..5) of ``frame_rotation``: R(theta), R(-theta).
+    """The x block (indices 0..5) of the frame rotation R(theta) =
+    exp(theta K) and of its inverse R(-theta), K = ``FRAME_GENERATOR``.
 
-    Shapes follow ``system_matrix``: S + (6, 6) each.  This is the only
-    place the rotation's entries are written.
+    For symmetric decay the generator is the dark/bright rotation of its
+    value at theta = 0:
+
+        A(theta) = R(theta) A(0) R(-theta),   dA/dtheta = K A - A K.
+
+    Asymmetric decay (gamma_diff != 0) breaks this, since the population
+    feeding terms are not rotation invariant; ``_angle_derivative`` adds
+    their correction.  Shapes follow ``system_matrix``: S + (6, 6) each.
+    This is the only place the rotation's entries are written.
     """
     theta = np.asarray(theta, dtype=float)
     c, s = np.cos(theta), np.sin(theta)
@@ -544,29 +482,6 @@ def _frame_rotation_x(theta):
     R[..., 3, 3] = R[..., 4, 4] = c
     R[..., 3, 4] = -s
     R[..., 4, 3] = s
-    return R, R * _FRAME_SIGNS[:_XDIM, :_XDIM]
-
-
-def frame_rotation(theta):
-    """R(theta) = exp(theta K) and its inverse R(-theta), batched over theta.
-
-    For symmetric decay the generator is the dark/bright rotation of its
-    value at theta = 0:
-
-        A(theta) = R(theta) A(0) R(-theta),   dA/dtheta = K A - A K,
-
-    with K = ``FRAME_GENERATOR``.  Asymmetric decay (gamma_diff != 0)
-    breaks this, since the population feeding terms are not rotation
-    invariant; ``system_matrix_dtheta`` adds their correction.  Shapes
-    follow ``system_matrix``: S + (9, 9) each.
-    """
-    R_x, R_x_inv = _frame_rotation_x(theta)
-    R = np.zeros(R_x.shape[:-2] + (STATE_DIM, STATE_DIM))
-    R[..., :_XDIM, :_XDIM] = R_x
-    # K on (y1, y2) is minus K on (x4, x5), so (y1, y2) turn as (x4, x5)
-    # do at -theta.
-    R[..., 6:8, 6:8] = R_x_inv[..., 3:5, 3:5]
-    R[..., 8, 8] = 1.0
     return R, R * _FRAME_SIGNS
 
 
@@ -1076,16 +991,3 @@ def integrate_full(control, params: SystemParams, T: float | None = None, *,
     T = _checked_duration(T, "T")
     return _integrate_callable(control, params, T, x0, h_max, max_samples,
                                exact)
-
-
-def reconstruct_density(state) -> np.ndarray:
-    """3x3 complex density matrix from the real encoding (Hermitian by construction)."""
-    x1, x2, x3, x4, x5, x6, y1, y2, y3 = _state_array(state)
-    r12 = y1 + 1j * x4
-    r23 = y2 + 1j * x5
-    r13 = x6 + 1j * y3
-    return np.array([
-        [x1, r12, r13],
-        [np.conj(r12), x2, r23],
-        [np.conj(r13), np.conj(r23), x3],
-    ])

@@ -14,9 +14,9 @@ starts at 0 (``ControlSignal`` checks it) and ends at T.
 
 The dynamics are those of ``integrate_full``: the generator
 (``system_matrix``), the dark/bright frame rotation (``FRAME_GENERATOR`` K,
-the x block of ``frame_rotation`` R), the RK4 step matrix
-(``rk4_step_matrix``), the batched matrix powers (``_matrix_powers``) and
-the step rule (``interval_steps``) all come from ``lambda_control.model``;
+and R = exp(theta K) on the x block, ``_frame_rotation_x``), the RK4 step
+matrix (``rk4_step_matrix``), the batched matrix powers (``_matrix_powers``)
+and the step rule (``interval_steps``) all come from ``lambda_control.model``;
 dA/dtheta is the model's K A - A K + gamma E_51 (``_angle_derivative``),
 taken on the x block.  Because the state equation is linear, a control
 interval integrated with fixed-step RK4 is a matrix power of the one-step

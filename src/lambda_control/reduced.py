@@ -19,9 +19,12 @@ t' = omega0**2 * t / (2 * Gamma), the natural clock of the slow dynamics:
 
 Both systems are linear, (x, y, theta) in (x, y, theta, 1), so their
 integrators step a batched generator of each through the full model's RK4
-transition-matrix sampler.  They check their duration and step count with
-the model's argument checks, which raise a ValueError naming the argument,
-and raise IntegrationError at the first non-finite sample.
+transition-matrix sampler.  The dark/bright transform that links the two,
+and stage-form copies of both right-hand sides, live with the tests
+(tests/oracles.py), which check the integrators against them.  The
+integrators check their duration and step count with the model's argument
+checks, which raise a ValueError naming the argument, and raise
+IntegrationError at the first non-finite sample.
 
 This reduction is valid for symmetric decay only (gamma_diff = 0); the
 asymmetric system is handled exclusively by the full model.  Validity
@@ -31,7 +34,6 @@ enforced beyond symmetry.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,13 +43,7 @@ from .model import (SystemParams, _checked_count, _checked_duration,
 
 __all__ = [
     "ReducedState",
-    "eliminated_coherences",
-    "rhs_adiabatic",
-    "dark_bright_transform",
-    "dark_bright_inverse",
-    "rhs_reduced",
     "normalize_time",
-    "denormalize_time",
     "integrate_adiabatic",
     "integrate_reduced",
 ]
@@ -77,48 +73,15 @@ def _require_symmetric(params: SystemParams):
         )
 
 
-def eliminated_coherences(rho11: float, rho33: float, rho13_real: float,
-                          theta: float, params: SystemParams):
-    """Quasi-steady values of the fast matrix elements.
-
-    Returns (rho22, Im rho12, Im rho23) obtained by zeroing the fast
-    derivatives and dropping the small rho22 feedback in the coherences:
-
-        rho22    = [op^2 rho11 + os^2 rho33 + 2 op os Re(rho13)] / Gamma^2
-        Im rho12 = (op rho11 + os Re rho13) / Gamma
-        Im rho23 = -(op Re rho13 + os rho33) / Gamma
-    """
-    _require_symmetric(params)
-    op = params.omega0 * math.sin(theta)
-    os_ = params.omega0 * math.cos(theta)
-    g = params.gamma_total
-    rho22 = (op * op * rho11 + os_ * os_ * rho33
-             + 2.0 * op * os_ * rho13_real) / (g * g)
-    im12 = (op * rho11 + os_ * rho13_real) / g
-    im23 = -(op * rho13_real + os_ * rho33) / g
-    return rho22, im12, im23
-
-
-def rhs_adiabatic(rho11, rho33, rho13, theta: float, params: SystemParams):
-    """Slow derivatives (drho11, drho33, drho13) after eliminating the fast block.
-
-    rho13 may be real or complex; the population sum rho11 + rho33 is
-    conserved exactly.
-    """
-    _require_symmetric(params)
-    nu = params.omega0 ** 2 / (2.0 * params.gamma_total)
-    sin2 = math.sin(theta) ** 2
-    cos2 = math.cos(theta) ** 2
-    sc = math.sin(theta) * math.cos(theta)
-    d11 = nu * (-sin2 * rho11 + cos2 * rho33)
-    d33 = -d11
-    d13 = -nu * (rho13 + sc * (rho11 + rho33))
-    return d11, d33, d13
-
-
 def _adiabatic_generator(theta, params: SystemParams) -> np.ndarray:
-    """G(theta) with G @ (rho11, rho33, rho13) == rhs_adiabatic, batched
-    over theta like ``model.system_matrix``: shape S + (3, 3)."""
+    """Generator G(theta) of (rho11, rho33, rho13), batched over theta like
+    ``model.system_matrix``: shape S + (3, 3).  With nu = omega0**2 / (2
+    Gamma), the slow derivatives after eliminating the fast block are
+
+        drho11/dt = nu (-sin^2 theta rho11 + cos^2 theta rho33) = -drho33/dt
+        drho13/dt = -nu (rho13 + sin theta cos theta (rho11 + rho33))
+
+    so rho11 + rho33 is conserved exactly."""
     theta = np.asarray(theta, dtype=float)
     nu = params.omega0 ** 2 / (2.0 * params.gamma_total)
     sin, cos = np.sin(theta), np.cos(theta)
@@ -131,64 +94,11 @@ def _adiabatic_generator(theta, params: SystemParams) -> np.ndarray:
     return G
 
 
-def _rotation(theta: float) -> np.ndarray:
-    c = math.cos(theta)
-    s = math.sin(theta)
-    return np.array([[c, -s], [s, c]])
-
-
-def dark_bright_transform(rho11, rho13, rho33, theta: float):
-    """Map the {|1>, |3>} block to (x, y) in the dark/bright basis at angle theta.
-
-    The dark and bright states are cos(theta)|1> - sin(theta)|3> and
-    sin(theta)|1> + cos(theta)|3>; the block transforms by conjugation with
-    the corresponding rotation.  Returns (x, y) with x = rho_bb - rho_dd and
-    y = 2 Re(rho_db).
-    """
-    R = _rotation(theta)
-    block = np.array([[rho11, rho13], [np.conj(rho13), rho33]])
-    rotated = R @ block @ R.T
-    x = float(rotated[1, 1].real - rotated[0, 0].real)
-    y = float(2.0 * rotated[0, 1].real)
-    return x, y
-
-
-def dark_bright_inverse(x: float, y: float, theta: float, *,
-                        trace: float = 1.0, im_db: float = 0.0):
-    """Inverse of dark_bright_transform: back to (rho11, rho13, rho33).
-
-    The (x, y) pair does not fix the block alone; the block trace and the
-    imaginary part of the dark-bright coherence (both invariant under the
-    rotation) complete it.  Round-trips with dark_bright_transform are exact
-    up to roundoff.
-    """
-    R = _rotation(theta)
-    rho_dd = 0.5 * (trace - x)
-    rho_bb = 0.5 * (trace + x)
-    rho_db = 0.5 * y + 1j * im_db
-    tilde = np.array([[rho_dd, rho_db], [np.conj(rho_db), rho_bb]])
-    block = R.T @ tilde @ R
-    return block[0, 0].real, block[0, 1], block[1, 1].real
-
-
-def rhs_reduced(state, u: float) -> np.ndarray:
-    """Derivative of (x, y, theta) in normalized time t' for angle velocity u."""
-    if isinstance(state, ReducedState):
-        x, y, theta = state.x, state.y, state.theta
-    else:
-        x, y, theta = (float(v) for v in np.asarray(state, dtype=float))
-    del theta  # cyclic: the derivative does not depend on it
-    return np.array([
-        -(x + 1.0) + 2.0 * u * y,
-        -2.0 * u * x - y,
-        u,
-    ])
-
-
 def _reduced_generator(u) -> np.ndarray:
     """Generator of (x, y, theta, 1) for angle velocity u, batched over u:
-    its first three rows applied to (x, y, theta, 1) give rhs_reduced, and
-    its last row is zero, so the homogeneous coordinate stays 1."""
+    its first three rows applied to (x, y, theta, 1) give the derivatives of
+    the module docstring, and its last row is zero, so the homogeneous
+    coordinate stays 1."""
     u = np.asarray(u, dtype=float)
     G = np.zeros(u.shape + (4, 4))
     G[..., 0, 0] = G[..., 0, 3] = G[..., 1, 1] = -1.0
@@ -201,11 +111,6 @@ def _reduced_generator(u) -> np.ndarray:
 def normalize_time(t: float, params: SystemParams) -> float:
     """Physical time -> normalized time t' = omega0**2 t / (2 Gamma)."""
     return params.omega0 ** 2 * t / (2.0 * params.gamma_total)
-
-
-def denormalize_time(tprime: float, params: SystemParams) -> float:
-    """Normalized time t' -> physical time t = 2 Gamma t' / omega0**2."""
-    return 2.0 * params.gamma_total * tprime / params.omega0 ** 2
 
 
 def integrate_adiabatic(theta_fn, params: SystemParams, T: float,

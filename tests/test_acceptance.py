@@ -11,8 +11,6 @@ import numpy as np
 
 from lambda_control.analytic import (
     BangSingularSequence,
-    closed_form_sequence,
-    is_pumping_equivalent,
     pmp_residual,
     propagate_sequence,
     random_batch,
@@ -26,7 +24,6 @@ from lambda_control.model import (
     SystemParams,
     integrate_full,
     optical_pumping_control,
-    reconstruct_density,
 )
 from lambda_control.optimizer import (
     OptimizationConfig,
@@ -38,6 +35,11 @@ from lambda_control.optimizer import (
     sweep,
 )
 from lambda_control.reduced import integrate_reduced
+from oracles import (
+    closed_form_sequence,
+    is_pumping_equivalent,
+    reconstruct_density,
+)
 
 
 def _report(name: str, passed: bool, detail: str):

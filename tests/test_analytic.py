@@ -15,8 +15,6 @@ from lambda_control.analytic import (
     _step_factors,
     apply_bang,
     apply_singular,
-    closed_form_sequence,
-    is_pumping_equivalent,
     optical_pumping_value,
     propagate_batch,
     propagate_sequence,
@@ -28,6 +26,7 @@ from lambda_control.analytic import (
 )
 from lambda_control.model import HALF_PI, SystemParams
 from lambda_control.reduced import normalize_time
+from oracles import closed_form_sequence, is_pumping_equivalent
 
 finite_xy = st.floats(min_value=-1.0, max_value=1.0)
 

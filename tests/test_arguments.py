@@ -31,8 +31,6 @@ DURATIONS = {
                  lambda d: ControlSignal.constant(0.3, d, 4)),
     "linear_ramp": ("duration", False,
                     lambda d: ControlSignal.linear_ramp(0.0, 1.0, d, 4)),
-    "from_function": ("duration", False,
-                      lambda d: ControlSignal.from_function(_no_work, d, 4)),
     "piecewise": ("duration", False,
                   lambda d: ControlSignal.piecewise([0.0], [0.3], d)),
     "optical_pumping_control": ("duration", False,
@@ -74,9 +72,6 @@ COUNTS = {
                  lambda n: ControlSignal.constant(0.3, 1.0, n)),
     "linear_ramp": ("n_intervals", 1,
                     lambda n: ControlSignal.linear_ramp(0.0, 1.0, 1.0, n)),
-    "from_function": ("n_intervals", 1,
-                      lambda n: ControlSignal.from_function(_no_work, 1.0,
-                                                            n)),
     "OptimizationConfig.n_intervals": (
         "n_intervals", 2, lambda n: optimizer.OptimizationConfig(n_intervals=n)),
     "OptimizationConfig.max_iters": (

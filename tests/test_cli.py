@@ -922,10 +922,11 @@ class TestParserPlumbing:
         assert not out.exists()
 
     # optimize and figures check the seed through OptimizationConfig, as
-    # sweep does; verify checks it itself.
+    # sweep does; verify, simulate and reduce check it themselves.
     @pytest.mark.parametrize("argv", [
-        ["sweep", "--gammas", "1", "--durations", "5"], ["verify"]],
-        ids=["sweep", "verify"])
+        ["sweep", "--gammas", "1", "--durations", "5"], ["verify"],
+        ["simulate", "--gamma", "1", "--duration", "1"], ["reduce"]],
+        ids=["sweep", "verify", "simulate", "reduce"])
     def test_bad_seed_exits_1_before_any_output(self, tmp_path, capsys, argv):
         out = tmp_path / "out"
         assert run_cli([*argv, "--seed", "-1", "--out", str(out)]) == 1

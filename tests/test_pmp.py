@@ -184,11 +184,10 @@ class TestDegenerateSchedules:
     def test_no_singular_segment(self):
         report = pmp_residual(BangSingularSequence(jumps=[HALF_PI],
                                                    arcs=[0.0]))
-        assert report.no_singular_segment
+        assert report.flags == ("no singular segment",)
         assert report.max_phi == 0.0
         assert report.times.size == 0
 
     def test_no_transfer(self):
         report = pmp_residual(BangSingularSequence(jumps=[0.0], arcs=[5.0]))
-        assert report.no_transfer
-        assert not report.no_singular_segment
+        assert report.flags == ("no transfer",)

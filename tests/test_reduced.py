@@ -5,10 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from lambda_control.analytic import (
-    closed_form_sequence,
-    random_sequence,
-)
+from lambda_control.analytic import random_sequence
 from lambda_control import model, reduced
 from lambda_control.model import (
     HALF_PI,
@@ -16,18 +13,22 @@ from lambda_control.model import (
     IntegrationError,
     SystemParams,
     integrate_full,
-    rhs_full,
 )
 from lambda_control.reduced import (
     ReducedState,
+    integrate_adiabatic,
+    integrate_reduced,
+    normalize_time,
+)
+from oracles import (
+    closed_form_sequence,
     dark_bright_inverse,
     dark_bright_transform,
     denormalize_time,
     eliminated_coherences,
-    integrate_adiabatic,
-    integrate_reduced,
-    normalize_time,
+    from_function,
     rhs_adiabatic,
+    rhs_full,
     rhs_reduced,
 )
 
@@ -272,7 +273,7 @@ class TestConsistency:
         for gamma in (10.0, 30.0, 100.0):
             p = SystemParams(gamma_total=gamma)
             T = denormalize_time(tprime, p)
-            control = ControlSignal.from_function(
+            control = from_function(
                 lambda t: theta_of_tp(normalize_time(t, p)), T, 2000)
             rho33_full = integrate_full(control, p).final_rho33
             gaps.append(abs(rho33_full - rho33_reduced))
