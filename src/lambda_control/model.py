@@ -113,6 +113,10 @@ class IntegrationError(RuntimeError):
         super().__init__(message)
         self.last_time = float(last_time)
 
+    def __reduce__(self):
+        # The default rebuilds from self.args, which lacks last_time.
+        return type(self), (self.args[0], self.last_time), self.__dict__
+
 
 @dataclass(frozen=True)
 class SystemParams:

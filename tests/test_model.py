@@ -1,4 +1,5 @@
 import math
+import pickle
 import tracemalloc
 import warnings
 
@@ -1000,6 +1001,19 @@ class TestExactTrace:
         assert str(excinfo.value).startswith(
             "propagator from t=2 breaks trace conservation by ")
         assert excinfo.value.last_time == 2.0
+
+    def test_error_survives_pickle(self):
+        # The optimizer's forked child sends a start's error back pickled.
+        with pytest.raises(IntegrationError) as excinfo:
+            self._constant(1e14)
+        excinfo.value.note = "kept"
+        for error in (excinfo.value, IntegrationError("boom", 1.5)):
+            copy = pickle.loads(pickle.dumps(error))
+            assert type(copy) is IntegrationError
+            assert str(copy) == str(error)
+            assert copy.args == error.args
+            assert copy.last_time == error.last_time
+            assert vars(copy) == vars(error)
 
 
 class TestInPlaceKernels:

@@ -1,8 +1,11 @@
 import itertools
 import math
+import os
+import pickle
 import re
 import sys
 import threading
+import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from unittest import mock
@@ -18,6 +21,7 @@ from lambda_control.model import (
     FRAME_GENERATOR,
     HALF_PI,
     ControlSignal,
+    IntegrationError,
     SystemParams,
     default_max_step,
     integrate_full,
@@ -789,7 +793,10 @@ class TestOptimize:
         p = SystemParams(gamma_total=gamma, gamma_diff=gamma_diff)
         starts = optimizer.default_starts(config,
                                           np.random.default_rng(config.seed))
-        with mock.patch.object(optimizer, "_interval_propagators", counting):
+        # The mock counts only this process's builds: keep every start here.
+        with mock.patch.object(optimizer, "_interval_propagators", counting), \
+                mock.patch.object(optimizer, "_two_processes",
+                                  lambda n_starts: False):
             result = optimize(config, p, duration, starts=starts)
         assert sum(record.nfev for record in result.starts) == len(calls)
 
@@ -874,11 +881,185 @@ class TestOptimize:
                 optimize(OptimizationConfig(n_intervals=4, n_starts=1,
                                             max_iters=2), p, 1e18)
 
-    def test_bad_start_shape_rejected(self):
+    @staticmethod
+    def _rejected_before_any_ascent(bad, message):
+        # Every start is checked before the first ascent or fork.
         config = OptimizationConfig(n_intervals=10)
-        with pytest.raises(ValueError, match="shape"):
-            optimize(config, SystemParams(gamma_total=1.0), 5.0,
-                     starts=[("bad", np.zeros(7))])
+        starts = [("good", np.full(10, 0.2)), ("bad", bad)]
+        with mock.patch.object(optimizer, "_ascend",
+                               side_effect=AssertionError("ascended")), \
+                mock.patch.object(os, "fork",
+                                  side_effect=AssertionError("forked")):
+            with pytest.raises(ValueError, match=message):
+                optimize(config, SystemParams(gamma_total=1.0), 5.0,
+                         starts=starts)
+
+    def test_bad_start_shape_rejected(self):
+        self._rejected_before_any_ascent(
+            np.zeros(7), r"^start 'bad' has shape \(7,\), expected \(10,\)$")
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_start_rejected(self, value):
+        bad = np.full(10, 0.5)
+        bad[3] = value
+        self._rejected_before_any_ascent(bad,
+                                         "^start 'bad' has non-finite values$")
+
+    def test_empty_starts_rejected(self):
+        with pytest.raises(ValueError, match="^starts must "):
+            optimize(OptimizationConfig(n_intervals=10),
+                     SystemParams(gamma_total=1.0), 5.0, starts=[])
+
+
+def _paths():
+    """Patches that keep every start in this process, or fork for any
+    number of starts."""
+    return {"serial": mock.patch.object(optimizer, "_two_processes",
+                                        lambda n_starts: False),
+            "forked": mock.patch.object(optimizer, "_two_processes",
+                                        lambda n_starts: True)}
+
+
+def _assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _indexed_starts(count, n=8):
+    """Starts whose first angle encodes their index: 0.1 * index."""
+    return [(f"s{i}", np.full(n, 0.1 * i)) for i in range(count)]
+
+
+def _start_index(theta0):
+    return round(theta0[0] * 10)
+
+
+class TestTwoProcesses:
+    """``_ascend_all`` in a forked child and this process, against the
+    serial loop."""
+
+    config = OptimizationConfig(n_intervals=8, max_iters=20, n_starts=4)
+    params = SystemParams(gamma_total=2.0)
+
+    def _optimize(self, path, starts):
+        with _paths()[path]:
+            return optimize(self.config, self.params, 5.0, starts=starts)
+
+    @pytest.mark.parametrize("gamma_diff", [0.0, 1.5])
+    def test_paths_are_bit_equal(self, gamma_diff):
+        p = SystemParams(gamma_total=2.0, gamma_diff=gamma_diff)
+        for n_starts in range(1, 8):
+            config = OptimizationConfig(n_intervals=10, max_iters=30,
+                                        n_starts=n_starts, seed=5)
+            results = {}
+            for path, patch in _paths().items():
+                with patch, mock.patch.object(os, "fork",
+                                              wraps=os.fork) as fork:
+                    results[path] = optimize(config, p, 8.0)
+                assert fork.called == (path == "forked")
+            serial, forked = results["serial"], results["forked"]
+            assert [repr(r) for r in forked.starts] == \
+                [repr(r) for r in serial.starts]
+            assert forked.start_label == serial.start_label
+            assert forked.objective.hex() == serial.objective.hex()
+            assert forked.control.theta.tobytes() == \
+                serial.control.theta.tobytes()
+            assert forked.history.tobytes() == serial.history.tobytes()
+        _assert_no_child()
+
+    @pytest.mark.parametrize("failing", [(1,), (1, 2), (2, 3), (0, 1)])
+    @pytest.mark.parametrize("error", [
+        lambda index: FloatingPointError(f"start {index} escaped"),
+        lambda index: IntegrationError(f"start {index} blew up", index / 4),
+    ])
+    def test_lowest_failing_start_raises_as_in_serial(self, failing, error):
+        real = optimizer._ascend
+
+        def ascend(theta0, *args):
+            if _start_index(theta0) in failing:
+                raise error(_start_index(theta0))
+            return real(theta0, *args)
+
+        expected = error(min(failing))
+        raised = {}
+        with mock.patch.object(optimizer, "_ascend", ascend):
+            for path in ("serial", "forked"):
+                with pytest.raises(type(expected)) as excinfo:
+                    self._optimize(path, _indexed_starts(5))
+                raised[path] = excinfo.value
+                _assert_no_child()
+        serial, forked = raised["serial"], raised["forked"]
+        assert type(forked) is type(serial)
+        assert str(forked) == str(serial) == str(expected)
+        assert getattr(forked, "last_time", None) == \
+            getattr(serial, "last_time", None)
+
+    def test_child_exit_names_its_status(self):
+        parent = os.getpid()
+        real = optimizer._ascend
+
+        def ascend(theta0, *args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return real(theta0, *args)
+
+        with mock.patch.object(optimizer, "_ascend", ascend):
+            with pytest.raises(RuntimeError, match=" status 3 "):
+                self._optimize("forked", _indexed_starts(4))
+        _assert_no_child()
+
+    def test_truncated_payload_is_an_error(self):
+        real_dumps = pickle.dumps
+        with mock.patch.object(pickle, "dumps",
+                               lambda obj: real_dumps(obj)[:-3]):
+            with pytest.raises(RuntimeError, match=" status 0 "):
+                self._optimize("forked", _indexed_starts(4))
+        _assert_no_child()
+
+    def test_interrupt_in_this_process_kills_the_child(self):
+        parent = os.getpid()
+        real = optimizer._ascend
+
+        def ascend(theta0, *args):
+            if os.getpid() != parent:
+                time.sleep(30.0)
+            elif _start_index(theta0) == 0:
+                raise KeyboardInterrupt
+            return real(theta0, *args)
+
+        began = time.perf_counter()
+        with mock.patch.object(optimizer, "_ascend", ascend):
+            with pytest.raises(KeyboardInterrupt):
+                self._optimize("forked", _indexed_starts(4))
+        assert time.perf_counter() - began < 10.0
+        _assert_no_child()
+
+    def test_fork_needs_two_cpus_one_thread_and_two_starts(self,
+                                                           monkeypatch):
+        def forks(n_starts=4):
+            config = OptimizationConfig(n_intervals=8, max_iters=5,
+                                        n_starts=n_starts)
+            with mock.patch.object(os, "fork", wraps=os.fork) as fork:
+                optimize(config, self.params, 5.0)
+            return fork.call_count
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert forks() == 1
+        assert forks(n_starts=1) == 0
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert forks() == 0
+        finally:
+            stop.set()
+            thread.join(timeout=10.0)
+        assert not thread.is_alive()
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert forks() == 0
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert forks() == 0
+        _assert_no_child()
 
 
 class TestPumpingBaseline:
