@@ -81,11 +81,13 @@ the outcomes go back in start order.  The ascent is deterministic, so the
 records, the tie-break and every output byte do not depend on the split.
 Every start stays in the caller when there is one start, when ``os.fork``
 or ``os.sched_getaffinity`` is missing, when the affinity mask holds fewer
-than two CPUs, or when another thread is alive (``_two_processes``).  The
-fork costs about 5 ms on a 2-vCPU host (a call of 8 intervals, 2 starts
-and 3 iterations: 1.0 ms in one process, 5.9-6.0 ms forked); the default
-benchmark cells, 26-158 ms in one process, take 21-91 ms.  Spans and mocks
-in the caller see only its own starts.
+than two CPUs, or when another thread is alive (``_two_processes``).  Any
+failure of the split reruns every start in the caller, so the serial loop
+alone defines what ``optimize`` returns or raises.  The fork costs about 5
+ms on a 2-vCPU host (a call of 8 intervals, 2 starts and 3 iterations: 1.0
+ms in one process, 5.9-6.0 ms forked); the default benchmark cells, 26-158
+ms in one process, take 21-91 ms.  Spans and mocks in the caller see only
+its own starts.
 """
 
 from __future__ import annotations
@@ -430,13 +432,11 @@ def _ascend(theta0: np.ndarray, grid: np.ndarray, params: SystemParams,
     nfev = 1
     history = [value]
     pairs = deque(maxlen=_LBFGS_MEMORY)
-    converged = False
     iterations = 0
 
     for _ in range(config.max_iters):
         pg = _projected_gradient(theta, grad)
         if float(np.max(np.abs(pg), initial=0.0)) <= _GRAD_TOL:
-            converged = True
             break
         direction = _lbfgs_direction(pg, pairs) if pairs else pg
         if pairs and float(grad @ direction) > 0.0:
@@ -483,11 +483,12 @@ def _ascend(theta0: np.ndarray, grid: np.ndarray, params: SystemParams,
             step *= _SHRINK
         if not accepted:
             # Line search exhausted: no improving step at this resolution.
-            pg = _projected_gradient(theta, grad)
-            converged = float(np.max(np.abs(pg), initial=0.0)) <= _GRAD_TOL
             break
         iterations += 1
 
+    # The stop test at the last iterate, also when the iterations ran out.
+    pg = _projected_gradient(theta, grad)
+    converged = float(np.max(np.abs(pg), initial=0.0)) <= _GRAD_TOL
     return theta, value, iterations, converged, np.asarray(history), nfev
 
 
@@ -506,77 +507,61 @@ def _two_processes(n_starts: int) -> bool:
             and threading.active_count() == 1)
 
 
-def _ascend_share(thetas, first: int, grid, params, config):
-    """[(index, outcome)] of starts first, first + 2, ... up to the first
-    that raises an ``Exception``, whose outcome is the exception."""
-    done = []
-    for index in range(first, len(thetas), 2):
-        try:
-            done.append((index, _ascend(thetas[index], grid, params, config)))
-        except Exception as exc:  # raised by _ascend_all, in start order
-            done.append((index, exc))
-            break
-    return done
-
-
 def _ascend_all(thetas, grid: np.ndarray, params: SystemParams,
                 config: OptimizationConfig) -> list:
-    """``_ascend`` of every start, in start order.
+    """``_ascend`` of every start, in start order, as the serial loop
+    returns or raises it.
 
     Where ``_two_processes`` allows, one forked child ascends the
-    odd-indexed starts and pickles its outcomes into a pipe, while this
-    process ascends the even-indexed ones.  ``_ascend`` is deterministic,
-    so the outcomes are the serial loop's bit for bit.  As in the serial
-    loop, the exception of the lowest-index start that raises is raised.
-    A child that dies before its whole payload is sent, or whose payload
-    does not unpickle, gives a ``RuntimeError`` naming its exit status (-N
-    for signal N).  The child
-    leaves only through ``os._exit``; it is reaped before this returns,
-    and killed first if this process unwinds.
+    odd-indexed starts and pickles their outcomes into a pipe, while this
+    process ascends the even-indexed ones; ``_ascend`` is deterministic, so
+    the outcomes are the serial loop's bit for bit.  Any failure (a start
+    here raises an ``Exception``, the child exits non-zero, its payload
+    does not unpickle) reruns the serial loop.  The child leaves only
+    through ``os._exit`` and is reaped before this returns, killed first
+    unless its outcomes arrived.
     """
-    if not _two_processes(len(thetas)):
+    def serial():
         return [_ascend(theta0, grid, params, config) for theta0 in thetas]
+
+    if not _two_processes(len(thetas)):
+        return serial()
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
     except OSError:  # no process to be had: ascend every start here
         os.close(read_fd)
         os.close(write_fd)
-        return [_ascend(theta0, grid, params, config) for theta0 in thetas]
+        return serial()
     if pid == 0:  # the child: it never returns into the caller
         status = 1
         try:
             os.close(read_fd)
             with open(write_fd, "wb") as pipe:
-                pipe.write(pickle.dumps(
-                    _ascend_share(thetas, 1, grid, params, config)))
+                pipe.write(pickle.dumps([_ascend(theta0, grid, params, config)
+                                         for theta0 in thetas[1::2]]))
             status = 0
         finally:
             os._exit(status)
     os.close(write_fd)
+    odds = None
     with open(read_fd, "rb") as pipe:
         try:
-            done = _ascend_share(thetas, 0, grid, params, config)
-            payload = pipe.read()
-        except BaseException:
-            import signal  # only on this path: the CLI never needs it
-
-            os.kill(pid, signal.SIGKILL)
-            raise
+            evens = [_ascend(theta0, grid, params, config)
+                     for theta0 in thetas[::2]]
+            odds = pickle.loads(pipe.read())
+        except Exception:  # from a start here or the payload: rerun below
+            pass
         finally:
-            status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    try:
-        done += pickle.loads(payload)
-    except Exception as exc:  # a truncated or unreadable payload
-        raise RuntimeError(
-            f"the process ascending the odd-indexed starts exited with "
-            f"status {status} before sending their outcomes") from exc
-    # Each share stops at its first failure, so in start order every
-    # outcome before the lowest-index failure is there.
-    outcomes = [outcome for _, outcome in sorted(done, key=lambda d: d[0])]
-    for outcome in outcomes:
-        if isinstance(outcome, Exception):
-            raise outcome
+            if odds is None:
+                import signal  # only on this path: the CLI never needs it
+
+                os.kill(pid, signal.SIGKILL)
+            status = os.waitpid(pid, 0)[1]
+    if odds is None or status:
+        return serial()
+    outcomes = [None] * len(thetas)
+    outcomes[::2], outcomes[1::2] = evens, odds
     return outcomes
 
 

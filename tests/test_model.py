@@ -1003,7 +1003,8 @@ class TestExactTrace:
         assert excinfo.value.last_time == 2.0
 
     def test_error_survives_pickle(self):
-        # The optimizer's forked child sends a start's error back pickled.
+        # A public exception survives pickling, as a caller's process
+        # pool needs to send it between processes.
         with pytest.raises(IntegrationError) as excinfo:
             self._constant(1e14)
         excinfo.value.note = "kept"
@@ -1017,8 +1018,8 @@ class TestExactTrace:
 
 
 class TestInPlaceKernels:
-    """The RK4 step matrix and the batched matrix powers equal the
-    allocating expressions and per-matrix powers, byte for byte."""
+    """The RK4 step matrix and the batched matrix powers equal the plain
+    RK4 polynomial and per-matrix powers, byte for byte."""
 
     @settings(deadline=None, max_examples=60)
     @given(st.sampled_from([6, 9, 12]), st.integers(1, 40),
