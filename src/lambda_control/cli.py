@@ -19,15 +19,17 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import io
 import json
 import math
 import os
+import shutil
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import analytic, optimizer
+from . import _fork, analytic, optimizer
 from ._decimal import _repr_cells
 from .model import (
     HALF_PI,
@@ -493,21 +495,59 @@ def cmd_verify(args) -> int:
     pmp_ok = (report.max_phi <= PMP_RESIDUAL_GATE
               and report.max_lambda_y <= PMP_RESIDUAL_GATE)
 
-    rng = np.random.default_rng(seed)
-    out = _out_dir(args)
-    with open(out / "verify_sequences.jsonl", "w", encoding="utf-8") as fh:
-        # Sequence 0, pumping, is a one-row batch.  The random sequences
-        # follow in chunks, each drawn with one analytic.random_batch call,
-        # which takes the same draws from the stream as one random_sequence
-        # per sequence, so the output does not depend on VERIFY_CHUNK.  Each
-        # chunk's records are written with one % over per-length templates
-        # (_verify_chunk).
+    # Sequence 0, pumping, is a one-row batch.  The random sequences follow
+    # in chunks, each drawn with one analytic.random_batch call, which takes
+    # the same draws from the stream as one random_sequence per sequence, so
+    # the output does not depend on VERIFY_CHUNK.  Each chunk's records are
+    # written with one % over per-length templates (_verify_chunk).
+    sizes = [min(VERIFY_CHUNK, count - start)
+             for start in range(1, count, VERIFY_CHUNK)]
+
+    def check(fh, rng, chunks):
+        violations = []
+        for size in chunks:
+            violations += _verify_chunk(fh, *analytic.random_batch(
+                rng, size, tprime))
+        return violations
+
+    def write(fh, chunks):
         violations = _verify_chunk(fh, np.ones(1, dtype=np.intp),
                                    pump.jumps[np.newaxis],
                                    pump.arcs[np.newaxis])
-        for start in range(1, count, VERIFY_CHUNK):
-            violations += _verify_chunk(fh, *analytic.random_batch(
-                rng, min(VERIFY_CHUNK, count - start), tprime))
+        return violations + check(fh, np.random.default_rng(seed), chunks)
+
+    # With two chunks or more, where the host allows it, _fork.split checks
+    # the second half of the chunks in a forked child while this process
+    # writes the pumping row and the first half, then copies the child's
+    # text after them in bounded pieces.  The child first draws the first
+    # half's batches and drops them, so its generator is where the serial
+    # loop's would be.  A violation in the child's half, a child that exits
+    # non-zero or an exception here reruns the whole serial loop into the
+    # truncated file, so that loop alone decides the output and offenders.
+    half = len(sizes) // 2
+    out = _out_dir(args)
+    path = out / "verify_sequences.jsonl"
+
+    def child():
+        rng = np.random.default_rng(seed)
+        for size in sizes[:half]:
+            analytic.random_batch(rng, size, tprime)
+        text = io.StringIO()
+        if check(text, rng, sizes[half:]):
+            raise VerificationFailure("a sequence violates the pumping bound")
+        return text.getvalue().encode("utf-8")
+
+    def here(pipe):
+        with open(path, "w", encoding="utf-8") as fh:
+            violations = write(fh, sizes[:half])
+            fh.flush()
+            shutil.copyfileobj(pipe, fh.buffer)
+        return violations
+
+    violations = _fork.split(len(sizes), child, here)
+    if violations is _fork.NOT_SPLIT:
+        with open(path, "w", encoding="utf-8") as fh:
+            violations = write(fh, sizes)
 
     summary = {
         "command": "verify",

@@ -74,20 +74,20 @@ backtracks with the objective alone (``_final_rho33``); the two give the
 same objective bit for bit, so this choice leaves the ascent path unchanged.
 
 ``optimize`` checks every start before any ascent.  Its starts are
-independent, so ``_ascend_all`` runs them in two processes where the host
-allows it: a forked child ascends the odd-indexed starts and pickles their
-outcomes into a pipe while the caller ascends the even-indexed ones, and
-the outcomes go back in start order.  The ascent is deterministic, so the
-records, the tie-break and every output byte do not depend on the split.
-Every start stays in the caller when there is one start, when ``os.fork``
-or ``os.sched_getaffinity`` is missing, when the affinity mask holds fewer
-than two CPUs, or when another thread is alive (``_two_processes``).  Any
-failure of the split reruns every start in the caller, so the serial loop
-alone defines what ``optimize`` returns or raises.  The fork costs about 5
-ms on a 2-vCPU host (a call of 8 intervals, 2 starts and 3 iterations: 1.0
-ms in one process, 5.9-6.0 ms forked); the default benchmark cells, 26-158
-ms in one process, take 21-91 ms.  Spans and mocks in the caller see only
-its own starts.
+independent, so ``_ascend_all`` runs them in two processes through
+``_fork.split``, the helper ``cli.cmd_verify`` uses for its chunks: where
+the host allows it (two starts or more, ``os.fork`` and
+``os.sched_getaffinity`` present, two CPUs or more in the affinity mask, no
+other thread alive), a forked child ascends the odd-indexed starts and
+pickles their outcomes into a pipe while the caller ascends the
+even-indexed ones, and the outcomes go back in start order.  The ascent is
+deterministic, so the records, the tie-break and every output byte do not
+depend on the split.  Where the split does not run or fails, the serial
+loop runs every start in the caller, so it alone defines what ``optimize``
+returns or raises.  The fork costs about 5 ms on a 2-vCPU host (a call of
+8 intervals, 2 starts and 3 iterations: 1.0 ms in one process, 5.9-6.0 ms
+forked); the default benchmark cells, 26-158 ms in one process, take 21-91
+ms.  Spans and mocks in the caller see only its own starts.
 """
 
 from __future__ import annotations
@@ -95,14 +95,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import os
 import pickle
-import threading
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _fork
 from .model import (
     HALF_PI,
     _XDIM,
@@ -492,77 +491,30 @@ def _ascend(theta0: np.ndarray, grid: np.ndarray, params: SystemParams,
     return theta, value, iterations, converged, np.asarray(history), nfev
 
 
-# ---------------------------------------------------------------------------
-# Independent starts in two processes
-# ---------------------------------------------------------------------------
-
-def _two_processes(n_starts: int) -> bool:
-    """Whether ``_ascend_all`` forks: there are two starts or more, the
-    platform has ``os.fork`` and ``os.sched_getaffinity``, the affinity
-    mask holds two CPUs or more, and no other thread is alive (a fork
-    copies only the calling thread)."""
-    return (n_starts > 1 and hasattr(os, "fork")
-            and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) >= 2
-            and threading.active_count() == 1)
-
-
 def _ascend_all(thetas, grid: np.ndarray, params: SystemParams,
                 config: OptimizationConfig) -> list:
     """``_ascend`` of every start, in start order, as the serial loop
     returns or raises it.
 
-    Where ``_two_processes`` allows, one forked child ascends the
-    odd-indexed starts and pickles their outcomes into a pipe, while this
-    process ascends the even-indexed ones; ``_ascend`` is deterministic, so
-    the outcomes are the serial loop's bit for bit.  Any failure (a start
+    Through ``_fork.split``, a forked child ascends the odd-indexed starts
+    and pickles their outcomes, while this process ascends the even-indexed
+    ones; ``_ascend`` is deterministic, so the outcomes are the serial
+    loop's bit for bit.  Where the split does not run or fails (a start
     here raises an ``Exception``, the child exits non-zero, its payload
-    does not unpickle) reruns the serial loop.  The child leaves only
-    through ``os._exit`` and is reaped before this returns, killed first
-    unless its outcomes arrived.
+    does not unpickle), the serial loop runs.
     """
-    def serial():
-        return [_ascend(theta0, grid, params, config) for theta0 in thetas]
+    def ascend(share):
+        return [_ascend(theta0, grid, params, config) for theta0 in share]
 
-    if not _two_processes(len(thetas)):
-        return serial()
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:  # no process to be had: ascend every start here
-        os.close(read_fd)
-        os.close(write_fd)
-        return serial()
-    if pid == 0:  # the child: it never returns into the caller
-        status = 1
-        try:
-            os.close(read_fd)
-            with open(write_fd, "wb") as pipe:
-                pipe.write(pickle.dumps([_ascend(theta0, grid, params, config)
-                                         for theta0 in thetas[1::2]]))
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    odds = None
-    with open(read_fd, "rb") as pipe:
-        try:
-            evens = [_ascend(theta0, grid, params, config)
-                     for theta0 in thetas[::2]]
-            odds = pickle.loads(pipe.read())
-        except Exception:  # from a start here or the payload: rerun below
-            pass
-        finally:
-            if odds is None:
-                import signal  # only on this path: the CLI never needs it
+    def here(pipe):
+        outcomes = [None] * len(thetas)
+        outcomes[::2] = ascend(thetas[::2])
+        outcomes[1::2] = pickle.loads(pipe.read())
+        return outcomes
 
-                os.kill(pid, signal.SIGKILL)
-            status = os.waitpid(pid, 0)[1]
-    if odds is None or status:
-        return serial()
-    outcomes = [None] * len(thetas)
-    outcomes[::2], outcomes[1::2] = evens, odds
-    return outcomes
+    outcomes = _fork.split(len(thetas),
+                           lambda: pickle.dumps(ascend(thetas[1::2])), here)
+    return ascend(thetas) if outcomes is _fork.NOT_SPLIT else outcomes
 
 
 def default_starts(config: OptimizationConfig,

@@ -11,14 +11,23 @@ parses this file to keep it so), since a copy built on a kernel agrees with
 any mutant of it.  ``frame_rotation`` and ``system_matrix_dtheta`` assemble
 the full 9x9 forms of the optimizer's x-block kernels, which the tests check
 against ``expm`` and central differences.
+
+The serial loop is the reference for a loop that ``_fork.split`` runs in
+two processes: ``fork_paths`` keeps every part in this process or forks
+for any number of parts, and ``assert_no_child`` checks that no child is
+left unreaped.
 """
 
 from __future__ import annotations
 
 import math
+import os
+from unittest import mock
 
 import numpy as np
+import pytest
 
+from lambda_control import _fork
 from lambda_control.analytic import _SEQUENCE_TOL, BangSingularSequence
 from lambda_control.model import (
     HALF_PI,
@@ -248,3 +257,17 @@ def is_pumping_equivalent(seq: BangSingularSequence) -> bool:
     rest = seq.total_angle - first_block
     return (abs(first_block - HALF_PI) <= _SEQUENCE_TOL
             and abs(rest) <= _SEQUENCE_TOL)
+
+
+def fork_paths():
+    """Patches that keep every part in this process, or fork for any
+    number of parts."""
+    return {"serial": mock.patch.object(_fork, "_two_processes",
+                                        lambda n_parts: False),
+            "forked": mock.patch.object(_fork, "_two_processes",
+                                        lambda n_parts: True)}
+
+
+def assert_no_child():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -1,11 +1,15 @@
+import dataclasses
+import errno
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -30,6 +34,7 @@ from lambda_control.model import (
     Trajectory,
     integrate_full,
 )
+from oracles import assert_no_child, fork_paths
 
 
 _JSON_VALUES = st.one_of(
@@ -682,6 +687,123 @@ class TestVerify:
         assert json.loads(capsys.readouterr().err) == {
             "error": f"n must be an integer >= 1, got {n}", "exit_code": 1}
         assert not out.exists()
+
+
+class TestVerifyTwoProcesses:
+    """``verify``'s random chunks split across a forked child and this
+    process, against the serial loop."""
+
+    def _verify(self, path, out, n, *args):
+        with fork_paths()[path]:
+            code = run_cli(["verify", "--n", str(n), "--seed", "4",
+                            "--out", str(out), *args])
+        return code, [(out / name).read_bytes() for name in
+                      ("verify_sequences.jsonl", "verify_summary.json")]
+
+    @pytest.mark.parametrize("n", [1, 1001, 1002, 2500, 10000])
+    def test_paths_are_byte_equal(self, tmp_path, n):
+        got = {}
+        for path in ("serial", "forked"):
+            with mock.patch.object(os, "fork", wraps=os.fork) as fork:
+                got[path] = self._verify(path, tmp_path / path, n)
+            assert fork.called == (path == "forked")
+        assert got["forked"] == got["serial"]
+        assert got["serial"][0] == 0
+        assert_no_child()
+
+    @pytest.mark.parametrize("where", ["here", "child"])
+    def test_violation_gives_the_serial_offenders(self, tmp_path,
+                                                  monkeypatch, capsys, where):
+        # Of 2500 sequences, 1..1000 are checked here and 1001..2499 in the
+        # child.  The one sequence flagged is picked by its values, so
+        # every path flags it.
+        index = {"here": 700, "child": 2100}[where]
+        self._verify("serial", tmp_path / "plain", 2500)
+        line = (tmp_path / "plain" / "verify_sequences.jsonl").read_text(
+            ).splitlines()[index]
+        flagged = json.loads(line)["thetas"][0]
+        real = cli.analytic.verify_bounds
+
+        def verify_bounds(lengths, jumps, arcs):
+            check = real(lengths, jumps, arcs)
+            hit = jumps[:, 0] == flagged
+            return dataclasses.replace(
+                check, margin=np.where(hit, -1.0, check.margin),
+                satisfied=check.satisfied & ~hit)
+
+        monkeypatch.setattr(cli.analytic, "verify_bounds", verify_bounds)
+        got = {}
+        for path in ("serial", "forked"):
+            capsys.readouterr()
+            code, files = self._verify(path, tmp_path / path, 2500)
+            got[path] = code, files, json.loads(capsys.readouterr().err)
+        assert got["forked"] == got["serial"]
+        code, _, err = got["serial"]
+        assert code == 3
+        assert [record["thetas"][0] for record in err["offenders"]] == [
+            flagged]
+        assert_no_child()
+
+    def test_child_exit_status_reruns_the_serial_loop(self, tmp_path,
+                                                      monkeypatch):
+        parent = os.getpid()
+        real = cli._verify_chunk
+
+        def verify_chunk(fh, lengths, *args):
+            if os.getpid() != parent:
+                os._exit(3)
+            return real(fh, lengths, *args)
+
+        monkeypatch.setattr(cli, "_verify_chunk", verify_chunk)
+        forked = self._verify("forked", tmp_path / "forked", 2500)
+        assert_no_child()
+        assert forked == self._verify("serial", tmp_path / "serial", 2500)
+
+    def test_failed_pipe_checks_every_chunk_here(self, tmp_path):
+        # No descriptors to be had: the serial loop runs, not an OSError.
+        with mock.patch.object(os, "pipe", side_effect=OSError(
+                errno.EMFILE, "Too many open files")), \
+                mock.patch.object(os, "fork", wraps=os.fork) as fork:
+            forked = self._verify("forked", tmp_path / "forked", 2500)
+        assert not fork.called
+        assert forked == self._verify("serial", tmp_path / "serial", 2500)
+        assert_no_child()
+
+    def test_healthy_split_checks_the_first_half_here(self, tmp_path,
+                                                      monkeypatch):
+        # A silent fallback to the serial loop would cost only wall time.
+        # The child appends to its own copy of the list.
+        real = cli._verify_chunk
+        here = []
+
+        def verify_chunk(fh, lengths, *args):
+            here.append(lengths.size)
+            return real(fh, lengths, *args)
+
+        monkeypatch.setattr(cli, "_verify_chunk", verify_chunk)
+        code, _ = self._verify("forked", tmp_path, 4500)
+        assert code == 0
+        assert here == [1, 1000, 1000]
+        assert_no_child()
+
+    def test_interrupt_in_this_process_kills_the_child(self, tmp_path,
+                                                       monkeypatch):
+        parent = os.getpid()
+        real = cli._verify_chunk
+
+        def verify_chunk(fh, lengths, *args):
+            if os.getpid() != parent:
+                time.sleep(30.0)
+            elif lengths.size > 1:
+                raise KeyboardInterrupt
+            return real(fh, lengths, *args)
+
+        monkeypatch.setattr(cli, "_verify_chunk", verify_chunk)
+        began = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            self._verify("forked", tmp_path, 2500)
+        assert time.perf_counter() - began < 10.0
+        assert_no_child()
 
 
 class TestOptimizeCommand:

@@ -1017,7 +1017,7 @@ class TestExactTrace:
             assert vars(copy) == vars(error)
 
 
-class TestInPlaceKernels:
+class TestStepMatrixAndPowers:
     """The RK4 step matrix and the batched matrix powers equal the plain
     RK4 polynomial and per-matrix powers, byte for byte."""
 

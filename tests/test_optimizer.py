@@ -1,3 +1,4 @@
+import errno
 import itertools
 import math
 import os
@@ -40,7 +41,12 @@ from lambda_control.optimizer import (
     pumping_baseline,
     sweep,
 )
-from oracles import frame_rotation, system_matrix_dtheta
+from oracles import (
+    assert_no_child,
+    fork_paths,
+    frame_rotation,
+    system_matrix_dtheta,
+)
 
 
 def _fd_gradient(control, params, eps=1e-5):
@@ -796,8 +802,7 @@ class TestOptimize:
                                           np.random.default_rng(config.seed))
         # The mock counts only this process's builds: keep every start here.
         with mock.patch.object(optimizer, "_interval_propagators", counting), \
-                mock.patch.object(optimizer, "_two_processes",
-                                  lambda n_starts: False):
+                fork_paths()["serial"]:
             result = optimize(config, p, duration, starts=starts)
         assert sum(record.nfev for record in result.starts) == len(calls)
 
@@ -929,20 +934,6 @@ class TestOptimize:
                      SystemParams(gamma_total=1.0), 5.0, starts=[])
 
 
-def _paths():
-    """Patches that keep every start in this process, or fork for any
-    number of starts."""
-    return {"serial": mock.patch.object(optimizer, "_two_processes",
-                                        lambda n_starts: False),
-            "forked": mock.patch.object(optimizer, "_two_processes",
-                                        lambda n_starts: True)}
-
-
-def _assert_no_child():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 def _assert_bit_equal(got, want):
     assert [repr(r) for r in got.starts] == [repr(r) for r in want.starts]
     assert got.start_label == want.start_label
@@ -968,7 +959,7 @@ class TestTwoProcesses:
     params = SystemParams(gamma_total=2.0)
 
     def _optimize(self, path, starts):
-        with _paths()[path]:
+        with fork_paths()[path]:
             return optimize(self.config, self.params, 5.0, starts=starts)
 
     @pytest.mark.parametrize("gamma_diff", [0.0, 1.5])
@@ -978,13 +969,13 @@ class TestTwoProcesses:
             config = OptimizationConfig(n_intervals=10, max_iters=30,
                                         n_starts=n_starts, seed=5)
             results = {}
-            for path, patch in _paths().items():
+            for path, patch in fork_paths().items():
                 with patch, mock.patch.object(os, "fork",
                                               wraps=os.fork) as fork:
                     results[path] = optimize(config, p, 8.0)
                 assert fork.called == (path == "forked")
             _assert_bit_equal(results["forked"], results["serial"])
-        _assert_no_child()
+        assert_no_child()
 
     @pytest.mark.parametrize("failing", [(1,), (1, 2), (2, 3), (0, 1)])
     @pytest.mark.parametrize("error", [
@@ -1006,7 +997,7 @@ class TestTwoProcesses:
                 with pytest.raises(type(expected)) as excinfo:
                     self._optimize(path, _indexed_starts(5))
                 raised[path] = excinfo.value
-                _assert_no_child()
+                assert_no_child()
         serial, forked = raised["serial"], raised["forked"]
         assert type(forked) is type(serial)
         assert str(forked) == str(serial) == str(expected)
@@ -1031,8 +1022,19 @@ class TestTwoProcesses:
         starts = _indexed_starts(4)
         with patch:
             forked = self._optimize("forked", starts)
-        _assert_no_child()
+        assert_no_child()
         _assert_bit_equal(forked, self._optimize("serial", starts))
+
+    def test_failed_pipe_ascends_every_start_here(self):
+        # No descriptors to be had: the serial loop runs, not an OSError.
+        starts = _indexed_starts(4)
+        with mock.patch.object(os, "pipe", side_effect=OSError(
+                errno.EMFILE, "Too many open files")), \
+                mock.patch.object(os, "fork", wraps=os.fork) as fork:
+            forked = self._optimize("forked", starts)
+        assert not fork.called
+        _assert_bit_equal(forked, self._optimize("serial", starts))
+        assert_no_child()
 
     def test_healthy_call_ascends_the_even_starts_here(self):
         # A silent fallback to the serial loop would cost only wall time.
@@ -1047,7 +1049,7 @@ class TestTwoProcesses:
         with mock.patch.object(optimizer, "_ascend", ascend):
             self._optimize("forked", _indexed_starts(5))
         assert here == [0, 2, 4]
-        _assert_no_child()
+        assert_no_child()
 
     def test_interrupt_in_this_process_kills_the_child(self):
         parent = os.getpid()
@@ -1065,7 +1067,7 @@ class TestTwoProcesses:
             with pytest.raises(KeyboardInterrupt):
                 self._optimize("forked", _indexed_starts(4))
         assert time.perf_counter() - began < 10.0
-        _assert_no_child()
+        assert_no_child()
 
     def test_fork_needs_two_cpus_one_thread_and_two_starts(self,
                                                            monkeypatch):
@@ -1092,7 +1094,7 @@ class TestTwoProcesses:
         assert forks() == 0
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         assert forks() == 0
-        _assert_no_child()
+        assert_no_child()
 
 
 class TestPumpingBaseline:
