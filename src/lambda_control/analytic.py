@@ -222,9 +222,9 @@ def optical_pumping_value(tprime: float) -> float:
 
 
 def pumping_efficiency(T: float, params: SystemParams) -> float:
-    """Target population after pumping for a physical duration T.
+    """Target population after pumping for a duration T.
 
-    rho33(T) = 1 - exp(-omega0**2 T / (2 Gamma)); symmetric decay only.
+    rho33(T) = 1 - exp(-T / (2 Gamma)) in model units; symmetric decay only.
     """
     T = _checked_duration(T, "T", allow_zero=True)
     if not params.is_symmetric:

@@ -134,6 +134,8 @@ def _floats(text: str, option: str) -> list[float]:
         raise UsageError(f"bad {option} list: {text!r}") from exc
     if not values:
         raise UsageError(f"empty {option} list: {text!r}")
+    if not all(map(math.isfinite, values)):
+        raise UsageError(f"non-finite value in {option} list: {text!r}")
     return values
 
 
@@ -158,8 +160,8 @@ def write_csv(path: Path, cfg: dict, header: str, rows):
 
 
 def write_json(path: Path, payload: dict):
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n",
-                    encoding="utf-8")
+    path.write_text(json.dumps(payload, sort_keys=True, indent=2,
+                               allow_nan=False) + "\n", encoding="utf-8")
 
 
 # Lists two levels deep as json.dumps(..., indent=2) lays them out, from
@@ -189,7 +191,7 @@ def _dumps_float_columns(payload: dict) -> str:
 
 
 def _emit(payload: dict):
-    print(json.dumps(payload, sort_keys=True))
+    print(json.dumps(payload, sort_keys=True, allow_nan=False))
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +213,7 @@ def load_control_file(path: Path, duration: float) -> ControlSignal:
             continue
         rows += 1
         parts = line.split(",")
-        if len(parts) < 2:
+        if len(parts) != 2:
             raise UsageError(f"bad control row (expected t,theta): {raw!r}")
         try:
             t, th = float(parts[0]), float(parts[1])
@@ -263,13 +265,13 @@ def cmd_simulate(args) -> int:
     out = _out_dir(args)
     outputs = {}
     if args.format == "json":
-        columns = trajectory.columns(params.omega0).T.tolist()
+        columns = trajectory.columns().T.tolist()
         payload = {"config": cfg, **dict(zip(Trajectory.COLUMNS, columns))}
         (out / "trajectory.json").write_text(
             _dumps_float_columns(payload) + "\n", encoding="utf-8")
         outputs["trajectory"] = "trajectory.json"
     else:
-        trajectory.write_csv(out / "trajectory.csv", omega0=params.omega0,
+        trajectory.write_csv(out / "trajectory.csv",
                              comment=_config_comment(cfg))
         outputs["trajectory"] = "trajectory.csv"
 
@@ -601,17 +603,20 @@ def cmd_sweep(args) -> int:
     for row in rows:
         if row.error is None:
             winner = row.winner_start
+            objective, baseline = row.objective, row.pumping_baseline
         else:
             # Keep the fixed column layout: no separators inside the field.
             reason = row.error.replace(",", ";").replace("\n", " ")
             winner = f"error:{reason}"
+            # JSON has no NaN: a failed cell's values are null there.
+            objective = baseline = None
         csv_rows.append((row.gamma, row.gamma_diff, row.duration,
                          row.objective, row.pumping_baseline, winner,
                          row.converged))
         detail.append({
             "gamma": row.gamma, "gamma_diff": row.gamma_diff,
-            "duration": row.duration, "objective": row.objective,
-            "pumping_baseline": row.pumping_baseline,
+            "duration": row.duration, "objective": objective,
+            "pumping_baseline": baseline,
             "winner_start": row.winner_start, "converged": row.converged,
             "error": row.error,
             "starts": [dataclasses.asdict(rec) for rec in row.starts],
@@ -658,7 +663,7 @@ def cmd_figures(args) -> int:
         populations_name = f"{selector}_{name}_populations.csv"
         write_csv(out / controls_name, cfg, "t,theta,omega_p,omega_s",
                   _control_rows(result.control))
-        trajectory.write_csv(out / populations_name, omega0=params.omega0,
+        trajectory.write_csv(out / populations_name,
                              comment=_config_comment(cfg))
         panel_summaries.append({
             "panel": name, "gamma": gamma, "gamma_diff": gamma_diff,

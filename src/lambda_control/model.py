@@ -20,8 +20,10 @@ The density matrix is stored as 9 real components, in this order:
 Starting from rho = |1><1| the y block stays identically zero; it is kept in
 the state vector as a free sanity channel rather than dropped.
 
-All public quantities are dimensionless ratios: rates are given relative to
-the Rabi bound omega0 (default 1.0) and durations as omega0 * T.
+The model is dimensionless, in units of omega0: rates are Gamma/omega0 and
+gamma/omega0, times omega0 * t.  As A(theta; Gamma, gamma, omega0) = omega0
+A(theta; Gamma/omega0, gamma/omega0, 1) and the step rule scales alike, a
+run at any omega0 is the run at these ratios, up to rounding.
 
 Note on asymmetric decay: only the population feeding terms split into
 gamma1/gamma3; every coherence keeps the total-rate damping Gamma/2 =
@@ -131,24 +133,17 @@ class SystemParams:
         Decay asymmetry gamma = gamma1 - gamma3 (zero for the symmetric
         system).  Must satisfy ``abs(gamma_diff) <= gamma_total`` so both
         branch rates are nonnegative.
-    omega0 : float
-        Rabi amplitude bound.  Defaults to 1.0; all times are then read as
-        omega0 * T.
     """
 
     gamma_total: float
     gamma_diff: float = 0.0
-    omega0: float = 1.0
 
     def __post_init__(self):
-        for name in ("gamma_total", "gamma_diff", "omega0"):
+        for name in ("gamma_total", "gamma_diff"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(
                     f"{name} must be finite, got {float(value)!r}")
-        if self.omega0 <= 0.0:
-            raise ValueError(
-                f"omega0 must be positive, got {float(self.omega0)!r}")
         if self.gamma_total <= 0.0:
             raise ValueError(
                 f"gamma_total must be positive, got {float(self.gamma_total)!r}"
@@ -385,8 +380,8 @@ def system_matrix(theta, params: SystemParams) -> np.ndarray:
     dynamics conserve the trace exactly.
     """
     theta = np.asarray(theta, dtype=float)
-    op = params.omega0 * np.sin(theta)
-    os_ = params.omega0 * np.cos(theta)
+    op = np.sin(theta)
+    os_ = np.cos(theta)
     g = params.gamma_total
     A = np.zeros(theta.shape + (STATE_DIM, STATE_DIM))
     A[..., 0, 1] = params.gamma1
@@ -622,8 +617,8 @@ def _expm(X: np.ndarray) -> np.ndarray:
 
 
 def default_max_step(params: SystemParams) -> float:
-    """Step bound: omega0*h <= 0.01 and Gamma*h <= 0.1."""
-    return min(0.01 / params.omega0, 0.1 / params.gamma_total)
+    """Step bound: h <= 0.01 and Gamma*h <= 0.1, in model units."""
+    return min(0.01, 0.1 / params.gamma_total)
 
 
 # ---------------------------------------------------------------------------
@@ -670,9 +665,9 @@ class Trajectory:
         """Largest |y| component over all samples (zero from the standard start)."""
         return float(np.max(np.abs(self.states[:, 6:9])))
 
-    def _control_runs(self, omega0: float):
+    def _control_runs(self):
         """Runs of bit-equal angles: their lengths, and per run (theta,
-        omega0 * sin(theta), omega0 * cos(theta)) by ``math.sin``/``math.cos``.
+        sin(theta), cos(theta)) by ``math.sin``/``math.cos``.
 
         Angles are compared as bits, so -0.0 and +0.0 start different runs.
         """
@@ -681,28 +676,27 @@ class Trajectory:
         starts[:1] = True
         np.not_equal(bits[1:], bits[:-1], out=starts[1:])
         starts = np.flatnonzero(starts)
-        controls = [(th, omega0 * math.sin(th), omega0 * math.cos(th))
+        controls = [(th, math.sin(th), math.cos(th))
                     for th in self.thetas[starts].tolist()]
         return np.diff(starts, append=bits.size), controls
 
-    def columns(self, omega0: float = 1.0) -> np.ndarray:
+    def columns(self) -> np.ndarray:
         """Exported columns as an (n, 10) array, in ``COLUMNS`` order.
 
-        omega_p and omega_s are omega0 * sin(theta) and omega0 * cos(theta),
-        evaluated once per run of equal angles (``_control_runs``).
+        omega_p and omega_s are sin(theta) and cos(theta), evaluated once
+        per run of equal angles (``_control_runs``).
         """
-        lengths, controls = self._control_runs(omega0)
+        lengths, controls = self._control_runs()
         cols = np.empty((self.times.size, len(self.COLUMNS)))
         cols[:, 0] = self.times
         cols[:, 1:7] = self.states[:, :6]
         cols[:, 7:] = np.repeat(np.reshape(controls, (-1, 3)), lengths, axis=0)
         return cols
 
-    def write_csv(self, path, omega0: float = 1.0, comment: str | None = None):
-        """Plot-ready export; times are in units of 1/omega0.
+    def write_csv(self, path, comment: str | None = None):
+        """Plot-ready CSV: optional ``# comment`` line, header, ``columns`` rows.
 
-        Every value is written as ``format(v, ".17g")``, in the values of
-        ``columns``.  The three control columns are formatted once per run
+        Every value is written as ``format(v, ".17g")``.  The three control columns are formatted once per run
         of equal angles (``_control_runs``) and fill every row of the run.
         The other seven are written in blocks of ``_CSV_BLOCK`` rows from
         digits that numpy rounds (``_g17_cells``): a double-double product
@@ -713,7 +707,7 @@ class Trajectory:
         rounding tie at the 17th digit, are formatted by ``format`` one at
         a time.
         """
-        lengths, controls = self._control_runs(omega0)
+        lengths, controls = self._control_runs()
         # A formatted float holds no '%', so each row's control values
         # stay literal text in the block's template.
         ends = np.repeat(np.array(
@@ -948,7 +942,7 @@ def integrate_full(control, params: SystemParams, T: float | None = None, *,
         Defaults to all population in |1>; otherwise 9 finite components
         (or a FullState), else ValueError.
     max_step : float, optional
-        Override of the default step bound (omega0*h <= 0.01, Gamma*h <= 0.1);
+        Override of the default step bound (h <= 0.01, Gamma*h <= 0.1);
         must be finite and positive.  It sets the model steps, and so the
         sample times, of every path.
     max_samples : int

@@ -76,10 +76,8 @@ same objective bit for bit, so this choice leaves the ascent path unchanged.
 ``optimize`` checks every start before any ascent.  Its starts are
 independent, so ``_ascend_all`` runs them in two processes through
 ``_fork.split``, the helper ``cli.cmd_verify`` uses for its chunks: where
-the host allows it (two starts or more, ``os.fork`` and
-``os.sched_getaffinity`` present, two CPUs or more in the affinity mask, no
-other thread alive), a forked child ascends the odd-indexed starts and
-pickles their outcomes into a pipe while the caller ascends the
+``_fork._two_processes`` allows it, a forked child ascends the odd-indexed
+starts and pickles their outcomes into a pipe while the caller ascends the
 even-indexed ones, and the outcomes go back in start order.  The ascent is
 deterministic, so the records, the tie-break and every output byte do not
 depend on the split.  Where the split does not run or fails, the serial

@@ -1,6 +1,6 @@
 """Adiabatically reduced dynamics on the {|1>, |3>} subspace.
 
-For decay rates large compared to the drive (Gamma >> omega0) the matrix
+For decay rates large compared to the drive (Gamma/omega0 >> 1) the matrix
 elements involving the lossy intermediate level relax fast and can be
 eliminated by setting their time derivatives to zero.  What remains is a
 closed system for (rho11, rho33, rho13), and, after rotating to the basis of
@@ -11,7 +11,8 @@ variable control system for
     y = 2 Re(rho_db)         (real part of the dark-bright coherence)
 
 driven only by the angle velocity u = dtheta/dt'.  Time is normalized as
-t' = omega0**2 * t / (2 * Gamma), the natural clock of the slow dynamics:
+t' = t / (2 * Gamma) in the units of ``lambda_control.model``, the natural
+clock of the slow dynamics:
 
     dx/dt' = -(x + 1) + 2 u y
     dy/dt' = -2 u x - y
@@ -75,15 +76,15 @@ def _require_symmetric(params: SystemParams):
 
 def _adiabatic_generator(theta, params: SystemParams) -> np.ndarray:
     """Generator G(theta) of (rho11, rho33, rho13), batched over theta like
-    ``model.system_matrix``: shape S + (3, 3).  With nu = omega0**2 / (2
-    Gamma), the slow derivatives after eliminating the fast block are
+    ``model.system_matrix``: shape S + (3, 3).  With nu = 1 / (2 Gamma),
+    the slow derivatives after eliminating the fast block are
 
         drho11/dt = nu (-sin^2 theta rho11 + cos^2 theta rho33) = -drho33/dt
         drho13/dt = -nu (rho13 + sin theta cos theta (rho11 + rho33))
 
     so rho11 + rho33 is conserved exactly."""
     theta = np.asarray(theta, dtype=float)
-    nu = params.omega0 ** 2 / (2.0 * params.gamma_total)
+    nu = 1.0 / (2.0 * params.gamma_total)
     sin, cos = np.sin(theta), np.cos(theta)
     G = np.zeros(theta.shape + (3, 3))
     G[..., 0, 0] = -nu * sin * sin
@@ -109,8 +110,8 @@ def _reduced_generator(u) -> np.ndarray:
 
 
 def normalize_time(t: float, params: SystemParams) -> float:
-    """Physical time -> normalized time t' = omega0**2 t / (2 Gamma)."""
-    return params.omega0 ** 2 * t / (2.0 * params.gamma_total)
+    """Model time -> normalized time t' = t / (2 Gamma)."""
+    return t / (2.0 * params.gamma_total)
 
 
 def integrate_adiabatic(theta_fn, params: SystemParams, T: float,

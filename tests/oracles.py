@@ -53,8 +53,8 @@ def rhs_full(state, theta: float, params: SystemParams) -> np.ndarray:
     asymmetry, so the trace is conserved exactly by the dynamics.
     """
     x1, x2, x3, x4, x5, x6, y1, y2, y3 = _initial_array(state, "state")
-    op = params.omega0 * math.sin(theta)
-    os_ = params.omega0 * math.cos(theta)
+    op = math.sin(theta)
+    os_ = math.cos(theta)
     g = params.gamma_total
     g1 = params.gamma1
     g3 = params.gamma3
@@ -130,8 +130,8 @@ def eliminated_coherences(rho11: float, rho33: float, rho13_real: float,
         Im rho23 = -(op Re rho13 + os rho33) / Gamma
     """
     _require_symmetric(params)
-    op = params.omega0 * math.sin(theta)
-    os_ = params.omega0 * math.cos(theta)
+    op = math.sin(theta)
+    os_ = math.cos(theta)
     g = params.gamma_total
     rho22 = (op * op * rho11 + os_ * os_ * rho33
              + 2.0 * op * os_ * rho13_real) / (g * g)
@@ -147,7 +147,7 @@ def rhs_adiabatic(rho11, rho33, rho13, theta: float, params: SystemParams):
     conserved exactly.
     """
     _require_symmetric(params)
-    nu = params.omega0 ** 2 / (2.0 * params.gamma_total)
+    nu = 1.0 / (2.0 * params.gamma_total)
     sin2 = math.sin(theta) ** 2
     cos2 = math.cos(theta) ** 2
     sc = math.sin(theta) * math.cos(theta)
@@ -212,8 +212,8 @@ def rhs_reduced(state, u: float) -> np.ndarray:
 
 
 def denormalize_time(tprime: float, params: SystemParams) -> float:
-    """Normalized time t' -> physical time t = 2 Gamma t' / omega0**2."""
-    return 2.0 * params.gamma_total * tprime / params.omega0 ** 2
+    """Normalized time t' -> model time t = 2 Gamma t'."""
+    return 2.0 * params.gamma_total * tprime
 
 
 # ---------------------------------------------------------------------------

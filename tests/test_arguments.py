@@ -181,8 +181,6 @@ MESSAGES = {
                          "gamma_total must be finite, got nan"),
     "SystemParams-negative": (lambda: SystemParams(np.float64(-1.0)),
                               "gamma_total must be positive, got -1.0"),
-    "SystemParams-omega0": (lambda: SystemParams(1.0, omega0=np.float64(0.0)),
-                            "omega0 must be positive, got 0.0"),
     "SystemParams-gamma_diff": (
         lambda: SystemParams(np.float64(1.0), np.float64(2.0)),
         "need |gamma_diff| <= gamma_total so both decay branches are "

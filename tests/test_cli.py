@@ -184,11 +184,16 @@ class TestSimulate:
         ("t,theta\n0,0.5\n1,abc\n2,0.7\n", "1,abc"),
         ("0,0.5\nt,theta\n2,0.7\n", "t,theta"),
         ("# t in 1/omega0\nt,theta\ntime,angle\n0,0.5\n", "time,angle"),
-    ], ids=["later_bad_row", "header_not_first", "second_header"])
+        ("t,theta\n0,0.3,9\n", "0,0.3,9"),
+        # The layout of optimize's optimized_control.csv.
+        ('# config: {"command": "optimize"}\nt,theta,omega_p,omega_s\n'
+         "0,1.2,0.93,0.36\n3,1.2,0.93,0.36\n", "t,theta,omega_p,omega_s"),
+    ], ids=["later_bad_row", "header_not_first", "second_header",
+            "extra_field", "optimized_control"])
     def test_bad_control_row_exits_1_naming_it(self, tmp_path, capsys, text,
                                                bad_row):
-        # Only the first row may be a header; a later bad row is an error,
-        # not a silently dropped interval.
+        # Only the first row may be a header and every row has two fields;
+        # a bad row is an error, not a silently dropped interval or field.
         control_path = tmp_path / "control.csv"
         control_path.write_text(text)
         out = tmp_path / "out"
@@ -217,8 +222,7 @@ class TestSimulate:
     @pytest.mark.parametrize("control", ["pumping", "ramp_up", "ramp_down"])
     def test_json_bytes_equal_per_array_payload(self, tmp_path, control):
         # trajectory.json as built from slices of the states and np.sin/np.cos
-        # of the angles; at omega0 = 1 the shared column array gives the
-        # same bytes.
+        # of the angles; the shared column array gives the same bytes.
         code = run_cli(["simulate", "--gamma", "2", "--gamma-diff", "0.5",
                         "--duration", "12", "--control", control,
                         "--intervals", "30", "--format", "json",
@@ -245,13 +249,13 @@ class TestSimulate:
             want.encode("utf-8")
 
     @settings(deadline=None, max_examples=60)
-    @given(_json_trajectories(), st.one_of(st.just(1.0), st.floats(1e-3, 1e3)),
+    @given(_json_trajectories(),
            st.dictionaries(st.text(max_size=8),
                            st.one_of(st.none(), st.floats(), st.text(),
                                      st.integers()), max_size=4))
-    def test_json_columns_equal_indented_dumps(self, traj, omega0, cfg):
+    def test_json_columns_equal_indented_dumps(self, traj, cfg):
         # The simulate payload: config plus the ten exported columns.
-        columns = traj.columns(omega0).T.tolist()
+        columns = traj.columns().T.tolist()
         payload = {"config": cfg, **dict(zip(Trajectory.COLUMNS, columns))}
         assert cli._dumps_float_columns(payload) == \
             json.dumps(payload, sort_keys=True, indent=2)
@@ -886,6 +890,29 @@ class TestSweepCommand:
             [str(c["converged"]) for c in summary["cells"]]
         assert bad[0][6] == "False"
 
+    def test_error_rows_are_strict_json(self, tmp_path, capsys):
+        # A failed cell's objective and baseline are null in the JSON, which
+        # strict parsers read; the CSV keeps nan.
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        code = run_cli(["sweep", "--gammas", "2", "--gamma-diffs", "9,0",
+                        "--durations", "5", "--intervals", "8",
+                        "--starts", "2", "--max-iters", "5",
+                        "--out", str(tmp_path)])
+        assert code == 0
+        stdout = json.loads(capsys.readouterr().out, parse_constant=reject)
+        summary = json.loads(
+            (tmp_path / "sweep_summary.json").read_text(encoding="utf-8"),
+            parse_constant=reject)
+        assert summary == stdout
+        bad, good = summary["cells"]
+        assert bad["error"] is not None and good["error"] is None
+        assert bad["objective"] is None and bad["pumping_baseline"] is None
+        assert good["objective"] > 0.0
+        _, rows = read_csv_rows(tmp_path / "sweep.csv")
+        assert rows[0][3:5] == ["nan", "nan"]
+
     @pytest.mark.parametrize("optimize_args, sweep_args", [
         (["--gamma", "1", "--gamma-diff", "5", "--duration", "10"],
          ["--gammas", "1", "--gamma-diffs", "5", "--durations", "10"]),
@@ -1041,6 +1068,22 @@ class TestParserPlumbing:
         out = tmp_path / "out"
         assert run_cli(argv + ["--out", str(out)]) == 1
         assert "empty" in json.loads(capsys.readouterr().err)["error"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, option", [
+        (["sweep", "--gammas", "2", "--durations", "5,nan"], "--durations"),
+        (["sweep", "--gammas", "inf", "--durations", "5"], "--gammas"),
+        (["sweep", "--gammas", "2", "--gamma-diffs=-inf", "--durations", "5"],
+         "--gamma-diffs"),
+        (["reduce", "--jumps", "1.5707963267948966,nan", "--arcs", "1,2"],
+         "--jumps"),
+    ], ids=["durations", "gammas", "gamma_diffs", "jumps"])
+    def test_non_finite_list_value_is_rejected(self, tmp_path, capsys, argv,
+                                               option):
+        out = tmp_path / "out"
+        assert run_cli(argv + ["--out", str(out)]) == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error.startswith(f"non-finite value in {option} list")
         assert not out.exists()
 
     # optimize and figures check the seed through OptimizationConfig, as

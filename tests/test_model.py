@@ -74,7 +74,6 @@ class TestSystemParams:
         {"gamma_total": -1.0},
         {"gamma_total": 2.0, "gamma_diff": 3.0},
         {"gamma_total": 2.0, "gamma_diff": -2.5},
-        {"gamma_total": 1.0, "omega0": 0.0},
         {"gamma_total": float("nan")},
     ])
     def test_invalid_params_rejected(self, kwargs):
@@ -93,7 +92,7 @@ class TestRhsFull:
         p = SystemParams(gamma_total=10.0)
         deriv = rhs_full(FullState.ground(), HALF_PI, p)
         expected = np.zeros(9)
-        expected[3] = 0.5  # omega_p / 2 with omega0 = 1
+        expected[3] = 0.5  # omega_p / 2 = sin(pi/2) / 2
         assert np.allclose(deriv, expected, atol=1e-15)
 
     def test_pure_decay_from_intermediate(self):
@@ -184,15 +183,13 @@ class TestRhsFull:
     @settings(deadline=None, max_examples=60)
     @given(st.floats(min_value=0.1, max_value=50.0),
            st.floats(min_value=-1.0, max_value=1.0),
-           st.floats(min_value=0.2, max_value=3.0),
            st.lists(st.floats(min_value=0.0, max_value=HALF_PI),
                     min_size=1, max_size=8))
     def test_generator_derivative_matches_central_differences(
-            self, gamma, asymmetry, omega0, thetas):
+            self, gamma, asymmetry, thetas):
         # dA/dtheta is built from the frame generator K; central differences
         # of the hand-written A(theta) check it independently.
-        p = SystemParams(gamma_total=gamma, gamma_diff=asymmetry * gamma,
-                         omega0=omega0)
+        p = SystemParams(gamma_total=gamma, gamma_diff=asymmetry * gamma)
         thetas = np.array(thetas)
         eps = 1e-6
         fd = (system_matrix(thetas + eps, p)
@@ -362,7 +359,7 @@ class TestIntegrateFull:
         assert traj.times[-1] == 20.0
 
     def test_pumping_approaches_closed_form_efficiency(self):
-        # 1 - exp(-omega0^2 T / (2 Gamma)) at Gamma=10, T=100: 1 - e^-5.
+        # 1 - exp(-T / (2 Gamma)) at Gamma=10, T=100: 1 - e^-5.
         p = SystemParams(gamma_total=10.0)
         traj = integrate_full(optical_pumping_control(100.0), p)
         assert traj.final_rho33 == pytest.approx(0.9932620530009145, abs=0.02)
@@ -1050,7 +1047,7 @@ class TestStepMatrixAndPowers:
             assert got[k].tobytes() == want.tobytes()
 
 
-def _reference_csv(traj, omega0, comment):
+def _reference_csv(traj, comment):
     """Trajectory.write_csv as one format(v, ".17g") call per value."""
     lines = []
     if comment:
@@ -1058,16 +1055,16 @@ def _reference_csv(traj, omega0, comment):
     lines.append("t,rho11,rho22,rho33,x4,x5,x6,theta,omega_p,omega_s")
     for t, s, th in zip(traj.times, traj.states, traj.thetas):
         row = [t, s[0], s[1], s[2], s[3], s[4], s[5], th,
-               omega0 * math.sin(th), omega0 * math.cos(th)]
+               math.sin(th), math.cos(th)]
         lines.append(",".join(format(v, ".17g") for v in row))
     return "\n".join(lines) + "\n"
 
 
-def _csv_of_columns(traj, omega0, comment):
+def _csv_of_columns(traj, comment):
     """Trajectory.write_csv as the rows of ``columns``, one '%.17g' each."""
     lines = [f"# {comment}"] if comment else []
     lines.append(",".join(Trajectory.COLUMNS))
-    for row in traj.columns(omega0).tolist():
+    for row in traj.columns().tolist():
         lines.append(",".join("%.17g" % v for v in row))
     return ("\n".join(lines) + "\n").encode("utf-8")
 
@@ -1092,18 +1089,17 @@ def _csv_trajectories(draw):
 class TestTrajectoryExport:
     @settings(deadline=None, max_examples=60)
     @given(_csv_trajectories(),
-           st.one_of(st.just(1.0), st.floats(1e-3, 1e3)),
            st.one_of(st.none(), st.just(""), st.text(max_size=30)))
     @example(Trajectory(np.array([-0.0, 5e-324, 1e300, math.nan, math.inf]),
                         np.full((5, 9), -0.0),
                         np.array([0.0, -0.0, 5e-324, 1e300, math.nan])),
-             2.5, "config: {}")
+             "config: {}")
     def test_csv_equals_per_value_format(self, tmp_path_factory, traj,
-                                         omega0, comment):
+                                         comment):
         path = tmp_path_factory.mktemp("csv") / "traj.csv"
-        traj.write_csv(path, omega0=omega0, comment=comment)
+        traj.write_csv(path, comment=comment)
         assert path.read_bytes() == \
-            _reference_csv(traj, omega0, comment).encode("utf-8")
+            _reference_csv(traj, comment).encode("utf-8")
 
     @pytest.mark.parametrize("comment", [None, "config: {}"])
     @pytest.mark.parametrize("thetas", [
@@ -1123,11 +1119,11 @@ class TestTrajectoryExport:
                           rng.standard_normal((thetas.size, STATE_DIM)),
                           thetas)
         path = tmp_path / "traj.csv"
-        traj.write_csv(path, omega0=2.5, comment=comment)
-        assert path.read_bytes() == _csv_of_columns(traj, 2.5, comment)
+        traj.write_csv(path, comment=comment)
+        assert path.read_bytes() == _csv_of_columns(traj, comment)
         # The same bytes as sin and cos per sample: runs keep -0.0 apart.
         assert path.read_bytes() == \
-            _reference_csv(traj, 2.5, comment).encode("utf-8")
+            _reference_csv(traj, comment).encode("utf-8")
 
     def test_callable_csv_is_columns_row_by_row(self, tmp_path):
         # A callable control gives every sample its own angle: runs of one.
@@ -1137,13 +1133,13 @@ class TestTrajectoryExport:
         assert np.unique(traj.thetas).size == traj.thetas.size
         path = tmp_path / "traj.csv"
         traj.write_csv(path)
-        assert path.read_bytes() == _csv_of_columns(traj, 1.0, None)
+        assert path.read_bytes() == _csv_of_columns(traj, None)
 
     def test_csv_format(self, tmp_path):
         p = SystemParams(gamma_total=10.0)
         traj = integrate_full(optical_pumping_control(10.0), p, max_samples=64)
         path = tmp_path / "traj.csv"
-        traj.write_csv(path, omega0=p.omega0, comment="config: {}")
+        traj.write_csv(path, comment="config: {}")
         lines = path.read_text().splitlines()
         assert lines[0].startswith("#")
         assert lines[1] == "t,rho11,rho22,rho33,x4,x5,x6,theta,omega_p,omega_s"

@@ -120,7 +120,7 @@ class TestObjective:
     @settings(deadline=None, max_examples=100)
     @given(_schedules())
     def test_step_rule_is_within_1e8_of_exact(self, case):
-        # The price of the step rule (omega0 h <= 0.01, Gamma h <= 0.1): the
+        # The price of the step rule (h <= 0.01, Gamma h <= 0.1): the
         # RK4 objective is within 1e-8 of the exact rho33(T), whose final
         # state is the product of expm(A_k d_k) over the intervals.
         control, p = case

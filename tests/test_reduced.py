@@ -211,7 +211,7 @@ class TestTimeNormalization:
         assert normalize_time(40.0, SystemParams(gamma_total=2.0)) == 10.0
 
     def test_roundtrip(self):
-        p = SystemParams(gamma_total=7.3, omega0=1.7)
+        p = SystemParams(gamma_total=7.3)
         for t in (0.0, 0.25, 13.0):
             assert denormalize_time(normalize_time(t, p), p) == pytest.approx(
                 t, rel=1e-15)
