@@ -75,6 +75,7 @@ class TestSystemParams:
         {"gamma_total": 2.0, "gamma_diff": 3.0},
         {"gamma_total": 2.0, "gamma_diff": -2.5},
         {"gamma_total": float("nan")},
+        {"gamma_total": 1.0, "gamma_diff": float("nan")},
     ])
     def test_invalid_params_rejected(self, kwargs):
         with pytest.raises(ValueError):
