@@ -200,7 +200,8 @@ def _emit(payload: dict):
 
 def load_control_file(path: Path, duration: float) -> ControlSignal:
     """CSV of `t,theta` rows: interval start times and angles; last interval
-    extends to the requested duration.  Only the first row may be a header."""
+    extends to the requested duration.  Only the first row may be a header.
+    `optimize` and `figures` write their winners in this format."""
     starts, thetas = [], []
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -355,14 +356,27 @@ def _opt_config(args) -> optimizer.OptimizationConfig:
     )
 
 
-def _control_rows(control: ControlSignal):
-    """Step-plot rows: one per interval left edge plus a closing row at T."""
-    rows = []
-    for t, th in zip(control.grid[:-1], control.theta):
-        rows.append((float(t), float(th), math.sin(th), math.cos(th)))
-    last = float(control.theta[-1])
-    rows.append((control.duration, last, math.sin(last), math.cos(last)))
-    return rows
+def _write_winner(path: Path, cfg: dict,
+                  result: optimizer.OptimizationResult,
+                  params: SystemParams) -> dict:
+    """Write the winning control as the `t,theta` table load_control_file
+    reads, one row per interval start, and return the winner's record.
+
+    `simulate --control-file` with the same --duration re-runs the winner;
+    its trajectory carries omega_p and omega_s at every sample.
+    """
+    control = result.control
+    write_csv(path, cfg, "t,theta",
+              zip(control.grid[:-1].tolist(), control.theta.tolist()))
+    return {
+        "objective": result.objective,
+        "pumping_baseline": optimizer.pumping_baseline(params,
+                                                       control.duration),
+        "winner_start": result.start_label,
+        "converged": result.converged,
+        "iterations": result.iterations,
+        "starts": [dataclasses.asdict(rec) for rec in result.starts],
+    }
 
 
 def cmd_optimize(args) -> int:
@@ -377,22 +391,11 @@ def cmd_optimize(args) -> int:
            "starts": config.n_starts, "max_iters": config.max_iters}
 
     result = optimizer.optimize(config, params, T)
-    baseline = optimizer.pumping_baseline(params, T)
-
     out = _out_dir(args)
-    write_csv(out / "optimized_control.csv", cfg, "t,theta,omega_p,omega_s",
-              _control_rows(result.control))
     summary = {
         "command": "optimize",
         "config": cfg,
-        "params": {"gamma": args.gamma, "gamma_diff": args.gamma_diff},
-        "T": T,
-        "objective": result.objective,
-        "pumping_baseline": baseline,
-        "converged": result.converged,
-        "iterations": result.iterations,
-        "start_label": result.start_label,
-        "starts": [dataclasses.asdict(rec) for rec in result.starts],
+        **_write_winner(out / "optimized_control.csv", cfg, result, params),
         "outputs": {"control": "optimized_control.csv"},
     }
     write_json(out / "optimize.json", summary)
@@ -661,18 +664,12 @@ def cmd_figures(args) -> int:
         trajectory = integrate_full(result.control, params)
         controls_name = f"{selector}_{name}_controls.csv"
         populations_name = f"{selector}_{name}_populations.csv"
-        write_csv(out / controls_name, cfg, "t,theta,omega_p,omega_s",
-                  _control_rows(result.control))
         trajectory.write_csv(out / populations_name,
                              comment=_config_comment(cfg))
         panel_summaries.append({
             "panel": name, "gamma": gamma, "gamma_diff": gamma_diff,
-            "duration": T, "objective": result.objective,
-            "pumping_baseline": optimizer.pumping_baseline(params, T),
-            "winner_start": result.start_label,
-            "converged": result.converged,
-            "iterations": result.iterations,
-            "starts": [dataclasses.asdict(rec) for rec in result.starts],
+            "duration": T,
+            **_write_winner(out / controls_name, cfg, result, params),
             "outputs": {"controls": controls_name,
                         "populations": populations_name},
         })

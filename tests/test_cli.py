@@ -185,7 +185,8 @@ class TestSimulate:
         ("0,0.5\nt,theta\n2,0.7\n", "t,theta"),
         ("# t in 1/omega0\nt,theta\ntime,angle\n0,0.5\n", "time,angle"),
         ("t,theta\n0,0.3,9\n", "0,0.3,9"),
-        # The layout of optimize's optimized_control.csv.
+        # Amplitude columns after t,theta, as optimized_control.csv had
+        # before it became a t,theta table.
         ('# config: {"command": "optimize"}\nt,theta,omega_p,omega_s\n'
          "0,1.2,0.93,0.36\n3,1.2,0.93,0.36\n", "t,theta,omega_p,omega_s"),
     ], ids=["later_bad_row", "header_not_first", "second_header",
@@ -818,12 +819,34 @@ class TestOptimizeCommand:
         assert code == 0
         summary = read_json(tmp_path / "optimize.json")
         assert summary["objective"] >= summary["pumping_baseline"] - 1e-12
-        assert summary["start_label"]
+        assert summary["winner_start"]
         header, rows = read_csv_rows(tmp_path / "optimized_control.csv")
-        assert header == "t,theta,omega_p,omega_s"
-        assert len(rows) == 21  # one per interval edge plus closing row
+        assert header == "t,theta"
+        assert len(rows) == 20  # one per interval start
         thetas = np.array([float(r[1]) for r in rows])
         assert thetas.min() >= 0.0 and thetas.max() <= math.pi / 2 + 1e-12
+
+    @pytest.mark.parametrize("regime", [
+        ["--gamma", "1.2", "--duration", "10"],
+        ["--gamma", "10", "--gamma-diff", "8", "--duration", "100"],
+    ], ids=["symmetric", "asymmetric"])
+    def test_simulate_reruns_the_winner(self, tmp_path, regime):
+        # optimized_control.csv is the t,theta table simulate --control-file
+        # reads: with the same regime it re-runs the winner, whose final
+        # rho33 is the recorded objective.
+        assert run_cli(["optimize", *regime, "--intervals", "20",
+                        "--starts", "2", "--max-iters", "30",
+                        "--out", str(tmp_path / "opt")]) == 0
+        control_path = tmp_path / "opt" / "optimized_control.csv"
+        assert run_cli(["simulate", *regime,
+                        "--control-file", str(control_path),
+                        "--out", str(tmp_path / "sim")]) == 0
+        T = float(regime[-1])
+        grid = cli.load_control_file(control_path, T).grid
+        assert grid.tobytes() == np.linspace(0.0, T, 21).tobytes()
+        objective = read_json(tmp_path / "opt" / "optimize.json")["objective"]
+        final = read_json(tmp_path / "sim" / "summary.json")["final"]
+        assert abs(final["rho33"] - objective) <= 1e-12
 
     def test_deterministic_outputs(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -988,6 +1011,15 @@ class TestFiguresCommand:
         summary = read_json(tmp_path / "fig2_summary.json")
         assert len(summary["panels"]) == 3
         assert all(p["gamma"] == 0.1 for p in summary["panels"])
+        # A panel's controls table re-runs its winner as optimize's does.
+        panel = summary["panels"][2]
+        assert panel["panel"] == "T20"
+        assert run_cli(["simulate", "--gamma", "0.1", "--duration", "20",
+                        "--control-file",
+                        str(tmp_path / panel["outputs"]["controls"]),
+                        "--out", str(tmp_path / "sim")]) == 0
+        final = read_json(tmp_path / "sim" / "summary.json")["final"]
+        assert abs(final["rho33"] - panel["objective"]) <= 1e-12
 
     def test_fig3_panels_carry_convergence_and_starts(self, tmp_path):
         argv = ["figures", "fig3", "--intervals", "12", "--starts", "3",

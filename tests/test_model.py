@@ -693,10 +693,17 @@ class TestRk4Loops:
            st.sampled_from([2, 3, 7, 40, 2048]),
            st.floats(min_value=0.0, max_value=3.0),
            st.floats(min_value=0.0, max_value=2.0 * math.pi))
+    # A constant angle near 0.1 over 1744 steps: the two forms' rounding
+    # adds up to 1.03e-13, 0.265 n eps.
+    @example(gamma=5.234375, asymmetry=0.0, T=5.2315, h_max=0.003,
+             max_samples=2, rate=0.0, phase=5.2223761069783965)
     def test_callable_matches_stage_form(self, gamma, asymmetry, T, h_max,
                                          max_samples, rate, phase):
         # The transition matrices are the stage form's arithmetic regrouped:
-        # the two agree to rounding at every sample.
+        # the two agree to rounding at every sample.  That rounding differs
+        # on every step and can add up over the n steps: 800 random cases
+        # (400 over these ranges, 400 at a constant angle with h_max 0.003
+        # and T in [3, 6]) reached 0.28 n eps, hence a bound of n eps.
         p = SystemParams(gamma_total=gamma, gamma_diff=asymmetry * gamma)
 
         def theta_fn(t):
@@ -709,7 +716,8 @@ class TestRk4Loops:
         ref = _textbook_rk4(lambda t, s: rhs_full(s, theta_fn(t), p),
                             FullState.ground().as_array(), T / n, n)
         rows = np.append(np.arange(0, n, stride), n)
-        assert np.abs(traj.states - ref[rows]).max() <= 1e-13
+        bound = max(1e-13, n * np.finfo(float).eps)
+        assert np.abs(traj.states - ref[rows]).max() <= bound
 
     def test_integrate_adiabatic(self):
         # One RK4 transition matrix of the 3x3 generator per step, through

@@ -624,7 +624,7 @@ class TestPairPropagators:
         assert np.abs(dP - want[1]).max() <= 1e-12
 
 
-class TestTheta0Cache:
+class TestGridPlan:
     """The cached per-grid plan (``_grid_plan``): step counts, step sizes
     and, for symmetric decay, each interval's P0."""
 
