@@ -31,6 +31,11 @@ the multiply-add recursion runs on numpy columns: numpy's vectorised cos,
 sin and exp may differ from the C library in the last bit, and each row
 must equal the scalar maps apply_bang / apply_singular bit for bit, so that
 `verify` output stays byte-identical.
+
+random_batch equals one integers length draw and one random_sequence per
+row, bit for bit and in the generator's final state.  It takes the lengths
+from the bit generator's raw words by numpy's own rule for integers, so the
+exponential draws of the sequences between two raw words are one call.
 """
 
 from __future__ import annotations
@@ -76,6 +81,9 @@ _PMP_SAMPLES_PER_ARC = 256
 
 # random_batch draws sequences of 1..RANDOM_MAX_N entries.
 RANDOM_MAX_N = 10
+# numpy's integers(1, RANDOM_MAX_N + 1) on 32-bit draws (random_batch).
+_LOW32 = 0xFFFFFFFF
+_LENGTH_REJECT = (2**32 - RANDOM_MAX_N) % RANDOM_MAX_N
 
 # _step_factors of a +0.0 jump and a +0.0 arc, the padding of a batch.
 _ZERO_STEP = (1.0, 0.0, 1.0, -0.0)
@@ -334,21 +342,67 @@ def random_batch(rng: np.random.Generator, count: int, tprime: float):
     same ziggurat draws as standard_exponential) and multiplies each by
     1 / acc, acc their sum added in order.  A cumulative sum along the row
     adds in that order, and the zero padding adds +0.0, which leaves acc
-    unchanged.  The length draw stays in the loop: integers draws buffered
-    32-bit halves of the stream, so drawing all lengths first would change
-    it.
+    unchanged.
+
+    The lengths come from ``rng.bit_generator.random_raw()`` by numpy's own
+    rule for integers(1, RANDOM_MAX_N + 1): Lemire's multiply-shift on a
+    32-bit draw u gives 1 + (RANDOM_MAX_N u >> 32), and u is rejected, and
+    the next 32-bit draw taken, while RANDOM_MAX_N u mod 2**32 is below
+    (2**32 - RANDOM_MAX_N) mod RANDOM_MAX_N.  MT19937 draws 32 bits per raw
+    call.  The other four numpy bit generators split a raw 64-bit word:
+    the low half first, the high half buffered in the state's
+    ``has_uint32``/``uinteger``, which the batch reads at its start and
+    writes back at its end (``uinteger`` stays stale once its half is
+    used).  The buffered half draws nothing from the stream, so the
+    exponentials of the sequences between two raw words are one
+    standard_exponential call.  tests/test_analytic.py pins this against
+    the integers + random_sequence loop on the five bit generators, on
+    batches that start on a buffered half and at rejected halves.
 
     ``count`` must be an integer >= 0 and ``tprime`` finite and
-    nonnegative; both are checked before the first draw.
+    nonnegative; both are checked before the first draw, and a bit
+    generator that is not one of numpy's five raises TypeError.
     """
     count = _checked_count(count, "count", 0)
     tprime = _checked_duration(tprime, "tprime", allow_zero=True)
-    lengths, draws = [], []
+    bitgen = rng.bit_generator
+    # Named here, not at import: numpy imports numpy.random on first use.
+    if not isinstance(bitgen, (np.random.PCG64, np.random.PCG64DXSM,
+                               np.random.SFC64, np.random.Philox,
+                               np.random.MT19937)):
+        raise TypeError(f"random_batch follows numpy's bit generators, got "
+                        f"{type(bitgen).__name__}")
+    buffers = not isinstance(bitgen, np.random.MT19937)
+    state = bitgen.state
+    has_half, half = ((state["has_uint32"], state["uinteger"]) if buffers
+                      else (0, 0))
+    raw, exponentials = bitgen.random_raw, rng.standard_exponential
+    # owed counts the exponentials of the lengths drawn since the last raw
+    # word: the n jump draws, then the n arc draws, of each sequence.
+    lengths, draws, owed = [], [], 0
     for _ in range(count):
-        n = int(rng.integers(1, RANDOM_MAX_N + 1))
+        product = 0  # reads as rejected, so at least one half is drawn
+        while product & _LOW32 < _LENGTH_REJECT:
+            if has_half:
+                u, has_half = half, 0
+            else:
+                if owed:
+                    draws.append(exponentials(owed))
+                    owed = 0
+                word = raw()
+                u = word & _LOW32
+                if buffers:
+                    has_half, half = 1, word >> 32
+            product = u * RANDOM_MAX_N
+        n = 1 + (product >> 32)
         lengths.append(n)
-        # The n jump draws, then the n arc draws.
-        draws.append(rng.standard_exponential(2 * n))
+        owed += 2 * n
+    if owed:
+        draws.append(exponentials(owed))
+    if buffers:
+        state = bitgen.state
+        state["has_uint32"], state["uinteger"] = has_half, half
+        bitgen.state = state
     lengths = np.array(lengths, dtype=np.intp)
     # Rows 2i and 2i + 1 are the jump and the arc draws of sequence i.
     padded = np.zeros((2 * count, RANDOM_MAX_N))

@@ -411,6 +411,10 @@ def cmd_optimize(args) -> int:
 # records are written out before the next batch is drawn.
 VERIFY_CHUNK = 1000
 
+# What `verify` spends per random sequence (draw, check and format: ~10 us
+# on a 2-vCPU host), for the serial time that _fork.split weighs.
+_VERIFY_SECONDS_PER_SEQUENCE = 1e-5
+
 # Rows of a chunk that `verify` writes with one %.  The digit pass holds
 # ~30 numpy temporaries of a value each and the block's int arguments are
 # Python ints, so smaller blocks keep the peak memory of a chunk down.
@@ -521,14 +525,18 @@ def cmd_verify(args) -> int:
                                    pump.arcs[np.newaxis])
         return violations + check(fh, np.random.default_rng(seed), chunks)
 
-    # With two chunks or more, where the host allows it, _fork.split checks
-    # the second half of the chunks in a forked child while this process
-    # writes the pumping row and the first half, then copies the child's
-    # text after them in bounded pieces.  The child first draws the first
-    # half's batches and drops them, so its generator is where the serial
-    # loop's would be.  A violation in the child's half, a child that exits
-    # non-zero or an exception here reruns the whole serial loop into the
-    # truncated file, so that loop alone decides the output and offenders.
+    # With two chunks or more and ~2000 sequences or more, where the host
+    # allows it, _fork.split checks the second half of the chunks in a
+    # forked child while this process writes the pumping row and the first
+    # half, then copies the child's text after them in bounded pieces.  The
+    # child first draws the first half's batches and drops them, so its
+    # generator is where the serial loop's would be.  That redraw, D ~1.2
+    # ms per chunk, is small against checking and formatting one, C ~8 ms,
+    # so the balancing share of this process, (D + C) / (D + 2C) of the
+    # chunks, is ~0.53: half of them.
+    # A violation in the child's half, a child that exits non-zero or an
+    # exception here reruns the whole serial loop into the truncated file,
+    # so that loop alone decides the output and offenders.
     half = len(sizes) // 2
     out = _out_dir(args)
     path = out / "verify_sequences.jsonl"
@@ -549,7 +557,8 @@ def cmd_verify(args) -> int:
             shutil.copyfileobj(pipe, fh.buffer)
         return violations
 
-    violations = _fork.split(len(sizes), child, here)
+    violations = _fork.split(len(sizes),
+                             count * _VERIFY_SECONDS_PER_SEQUENCE, child, here)
     if violations is _fork.NOT_SPLIT:
         with open(path, "w", encoding="utf-8") as fh:
             violations = write(fh, sizes)

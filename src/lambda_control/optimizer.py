@@ -82,10 +82,13 @@ even-indexed ones, and the outcomes go back in start order.  The ascent is
 deterministic, so the records, the tie-break and every output byte do not
 depend on the split.  Where the split does not run or fails, the serial
 loop runs every start in the caller, so it alone defines what ``optimize``
-returns or raises.  The fork costs about 5 ms on a 2-vCPU host (a call of
-8 intervals, 2 starts and 3 iterations: 1.0 ms in one process, 5.9-6.0 ms
-forked); the default benchmark cells, 26-158 ms in one process, take 21-91
-ms.  Spans and mocks in the caller see only its own starts.
+returns or raises.  The split adds 4-10 ms on a 2-vCPU host, so only calls
+with starts x intervals x ``max_iters`` of 20000 or more fork
+(``_ITERATION_SECONDS_PER_INTERVAL``): a call of 8 intervals, 2 starts and 3 iterations
+stays in one process (0.7-1.2 ms, against 4.5-5.1 ms forked), and calls
+at the defaults (100 intervals, 6 starts, 300 iterations), 42-165 ms in
+one process, take 30-92 ms.  Spans and mocks in the caller see only its
+own starts.
 """
 
 from __future__ import annotations
@@ -371,6 +374,11 @@ _ARMIJO = 1e-4
 _MAX_BACKTRACKS = 40
 _TIE_TOL = 1e-6
 
+# What one iteration of one start costs per interval, for the serial time
+# that _fork.split weighs: 0.8-2.9 us at 8-50 intervals and 100-300
+# iterations, where a split starts to pay (2-vCPU host).
+_ITERATION_SECONDS_PER_INTERVAL = 1e-6
+
 
 def _projected_gradient(theta: np.ndarray, grad: np.ndarray) -> np.ndarray:
     """Zero out components that push against an active bound."""
@@ -510,7 +518,10 @@ def _ascend_all(thetas, grid: np.ndarray, params: SystemParams,
         outcomes[1::2] = pickle.loads(pipe.read())
         return outcomes
 
-    outcomes = _fork.split(len(thetas),
+    # max_iters bounds the iterations of each start.
+    seconds = (len(thetas) * config.n_intervals * config.max_iters
+               * _ITERATION_SECONDS_PER_INTERVAL)
+    outcomes = _fork.split(len(thetas), seconds,
                            lambda: pickle.dumps(ascend(thetas[1::2])), here)
     return ascend(thetas) if outcomes is _fork.NOT_SPLIT else outcomes
 

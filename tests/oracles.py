@@ -261,11 +261,11 @@ def is_pumping_equivalent(seq: BangSingularSequence) -> bool:
 
 def fork_paths():
     """Patches that keep every part in this process, or fork for any
-    number of parts."""
+    number of parts and any estimated time."""
     return {"serial": mock.patch.object(_fork, "_two_processes",
-                                        lambda n_parts: False),
+                                        lambda n_parts, seconds: False),
             "forked": mock.patch.object(_fork, "_two_processes",
-                                        lambda n_parts: True)}
+                                        lambda n_parts, seconds: True)}
 
 
 def assert_no_child():

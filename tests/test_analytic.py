@@ -1,4 +1,5 @@
 import math
+import types
 
 import numpy as np
 import pytest
@@ -478,32 +479,103 @@ class TestPumpingEquivalence:
         assert is_pumping_equivalent(seq)
 
 
+_BIT_GENERATORS = (np.random.PCG64, np.random.PCG64DXSM, np.random.SFC64,
+                   np.random.Philox, np.random.MT19937)
+
+# Words of np.random.default_rng(0)'s PCG64 stream, counted from 0, where
+# integers(1, RANDOM_MAX_N + 1) rejects a 32-bit half h, i.e. where
+# (RANDOM_MAX_N * h) mod 2**32 < 6.  They were found by scanning the first
+# 3e9 words of random_raw in chunks of 2**22 with that test vectorised;
+# rejected halves are ~1.4e-9 rare, and these are the first of each kind.
+_REJECTED_HIGH = 168499528  # 0x4ccccccd5f64ff2b
+_REJECTED_LOW = 1081373561  # 0x0a2719ab1999999a
+
+
+def _state_bits(rng):
+    """The bit generator's state, with every array as its bytes."""
+    def flat(value):
+        if isinstance(value, dict):
+            return {key: flat(item) for key, item in value.items()}
+        return value.tobytes() if isinstance(value, np.ndarray) else value
+    return flat(rng.bit_generator.state)
+
+
+def _draw_loop(rng, count, tprime):
+    """(lengths, jumps, arcs) of count integers + random_sequence draws,
+    the loop random_batch must equal, zero-padded to RANDOM_MAX_N."""
+    lengths = []
+    padded = np.zeros((2, count, RANDOM_MAX_N))
+    for i in range(count):
+        n = int(rng.integers(1, RANDOM_MAX_N + 1))
+        lengths.append(n)
+        seq = random_sequence(rng, n, tprime)
+        padded[0, i, :n], padded[1, i, :n] = seq.jumps, seq.arcs
+    return np.array(lengths, dtype=np.intp), padded[0], padded[1]
+
+
+def _assert_batches_equal_draw_loop(batch_rng, loop_rng, counts, tprime):
+    """random_batch calls of the given counts, back to back on batch_rng,
+    equal the draw loop on loop_rng bit for bit, and after each call the two
+    generators are in the same state."""
+    lengths_seen = set()
+    for count in counts:
+        lengths, jumps, arcs = random_batch(batch_rng, count, tprime)
+        assert jumps.shape == arcs.shape == (count, RANDOM_MAX_N)
+        expected = _draw_loop(loop_rng, count, tprime)
+        for got, want in zip((lengths, jumps, arcs), expected):
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+        assert _state_bits(batch_rng) == _state_bits(loop_rng)
+        lengths_seen.update(lengths.tolist())
+    return lengths_seen
+
+
 class TestRandomSequence:
     @pytest.mark.parametrize("seed", [0, 1, 2024])
     @pytest.mark.parametrize("tprime", [0.0, 1e-3, 5.0, 1e3])
     def test_batch_equals_draw_loop(self, seed, tprime):
         # Bit equality rests on how numpy's Dirichlet(1, ..., 1) sums and
-        # scales its exponential draws; a numpy that changes it fails here.
-        for count in (0, 1, 400):
-            batch_rng = np.random.default_rng(seed)
-            loop_rng = np.random.default_rng(seed)
-            lengths, jumps, arcs = random_batch(batch_rng, count, tprime)
-            assert jumps.shape == arcs.shape == (count, RANDOM_MAX_N)
-            expected = np.zeros((2, count, RANDOM_MAX_N))
-            expected_lengths = []
-            for i in range(count):
-                n = int(loop_rng.integers(1, RANDOM_MAX_N + 1))
-                expected_lengths.append(n)
-                seq = random_sequence(loop_rng, n, tprime)
-                expected[0, i, :n], expected[1, i, :n] = seq.jumps, seq.arcs
-            assert lengths.tolist() == expected_lengths
-            if count == 400:
-                # Including 8-10, where numpy sums a row pairwise.
-                assert set(expected_lengths) == set(range(1, RANDOM_MAX_N + 1))
-            assert jumps.tobytes() == expected[0].tobytes()
-            assert arcs.tobytes() == expected[1].tobytes()
-            assert batch_rng.bit_generator.state == \
-                loop_rng.bit_generator.state
+        # scales its exponential draws, and on how integers draws 32-bit
+        # halves; a numpy that changes either fails here.  Every numpy bit
+        # generator; after the odd counts a batch starts on a buffered half.
+        for bit_generator in _BIT_GENERATORS:
+            seen = _assert_batches_equal_draw_loop(
+                np.random.Generator(bit_generator(seed)),
+                np.random.Generator(bit_generator(seed)),
+                (0, 1, 7, 400, 3), tprime)
+            # Including 8-10, where numpy sums a row pairwise.
+            assert seen == set(range(1, RANDOM_MAX_N + 1))
+
+    def test_rejected_words_are_pinned(self):
+        for offset, rejected in ((_REJECTED_HIGH, (False, True)),
+                                 (_REJECTED_LOW, (True, False))):
+            bitgen = np.random.default_rng(0).bit_generator
+            bitgen.advance(offset)
+            word = bitgen.random_raw()
+            halves = word & 0xFFFFFFFF, word >> 32
+            assert tuple(RANDOM_MAX_N * h % 2**32 < 6
+                         for h in halves) == rejected
+
+    @pytest.mark.parametrize("lead", [0, 1])
+    @pytest.mark.parametrize("offset", [_REJECTED_HIGH - 1, _REJECTED_HIGH,
+                                        _REJECTED_LOW - 1, _REJECTED_LOW])
+    def test_batch_at_rejected_half(self, offset, lead):
+        # At _REJECTED_HIGH the second length meets the rejected half in
+        # the buffer after the first sequence's exponentials, or, after one
+        # lead integers draw, the batch starts on it; at _REJECTED_LOW the
+        # first length (or the lead draw) rejects the low half and takes
+        # the high one.  One word earlier, the rejected word goes to the
+        # first exponential draws instead.
+        rngs = [np.random.default_rng(0) for _ in range(2)]
+        for rng in rngs:
+            rng.bit_generator.advance(offset)
+            rng.integers(1, RANDOM_MAX_N + 1, size=lead)
+        _assert_batches_equal_draw_loop(*rngs, (2, 401), 1.0)
+
+    def test_batch_rejects_other_bit_generators(self):
+        rng = types.SimpleNamespace(bit_generator=object())
+        with pytest.raises(TypeError, match="numpy's bit generators"):
+            random_batch(rng, 1, 1.0)
 
     def test_simplex_sums(self):
         rng = np.random.default_rng(6)

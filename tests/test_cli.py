@@ -694,6 +694,38 @@ class TestVerify:
         assert not out.exists()
 
 
+class TestForkWhereItPays:
+    """``_fork.split`` forks only where the serial loop's estimated time
+    pays for the fork, whatever the host."""
+
+    def test_benchmark_sizes_fork_and_small_calls_do_not(self, tmp_path,
+                                                         monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        real = cli._fork._two_processes
+        decisions = []
+
+        def two_processes(n_parts, seconds):
+            decisions.append(real(n_parts, seconds))
+            return decisions[-1]
+
+        monkeypatch.setattr(cli._fork, "_two_processes", two_processes)
+        # The benchmark's four optimize cells, at the CLI's defaults, and
+        # its verify size; then an optimize call of 8 intervals, 2 starts
+        # and 3 iterations and a verify call of two chunks (~15 ms).
+        cells = [("0.1", "0", "10"), ("2", "0", "10"), ("10", "0", "35"),
+                 ("10", "8", "100")]
+        argvs = [["optimize", "--gamma", gamma, "--gamma-diff", diff,
+                  "--duration", duration] for gamma, diff, duration in cells]
+        argvs += [["verify", "--n", "10000", "--seed", "7"],
+                  ["optimize", "--gamma", "1.2", "--duration", "10",
+                   "--intervals", "8", "--starts", "2", "--max-iters", "3"],
+                  ["verify", "--n", "1500", "--seed", "7"]]
+        for index, argv in enumerate(argvs):
+            assert cli.main([*argv, "--out", str(tmp_path / str(index))]) == 0
+        assert decisions == [True] * 5 + [False] * 2
+        assert_no_child()
+
+
 class TestVerifyTwoProcesses:
     """``verify``'s random chunks split across a forked child and this
     process, against the serial loop."""

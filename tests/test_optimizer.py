@@ -471,7 +471,7 @@ def _propagator_cases(draw, n=st.integers(1, 130), signs=(0.0, 1.0, -1.0)):
     return ControlSignal(grid, theta), params
 
 
-class TestScratchArrays:
+class TestReferenceExpressions:
     """The optimizer's propagators, objective and gradient match the
     reference expressions above, whatever grids and threads evaluated
     before them."""
@@ -1071,8 +1071,11 @@ class TestTwoProcesses:
 
     def test_fork_needs_two_cpus_one_thread_and_two_starts(self,
                                                            monkeypatch):
-        def forks(n_starts=4):
-            config = OptimizationConfig(n_intervals=8, max_iters=5,
+        # 8 intervals x 4 starts x 1000 iterations is above the work a
+        # fork needs (optimizer._ITERATION_SECONDS_PER_INTERVAL); the starts
+        # converge long before 1000 iterations.
+        def forks(n_starts=4, max_iters=1000):
+            config = OptimizationConfig(n_intervals=8, max_iters=max_iters,
                                         n_starts=n_starts)
             with mock.patch.object(os, "fork", wraps=os.fork) as fork:
                 optimize(config, self.params, 5.0)
@@ -1081,6 +1084,7 @@ class TestTwoProcesses:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         assert forks() == 1
         assert forks(n_starts=1) == 0
+        assert forks(max_iters=5) == 0
         stop = threading.Event()
         thread = threading.Thread(target=stop.wait)
         thread.start()
