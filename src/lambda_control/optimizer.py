@@ -45,9 +45,7 @@ of two paths, chosen by ``params.is_symmetric``:
 
   With (B, dB) = h (A, dA) and dA = dA/dtheta_k, the RK4 polynomial takes
   d(B^j) = B^(j-1) dB + d(B^(j-1)) B, and the step count m is applied by a
-  binary power of the pair.  The first component takes the products of
-  ``rk4_step_matrix`` and ``np.linalg.matrix_power`` in the same order, so
-  P_k is the objective-only P_k bit for bit.
+  binary power of the pair.
 
 Both paths are the same discretized dynamics (they agree to roundoff), and
 the gradient is exact for it: it matches finite differences of the same
@@ -68,10 +66,6 @@ since lambda_{k+1}^T P_k = lambda_k^T and P_k x_k = x_{k+1}.  Phi_j is the
 first-order change of rho33(T) when the state at the boundary before
 interval j is turned by exp(eps K).  It vanishes along pumping (theta =
 pi/2), where the state and the adjoint are both zero on (x5, x6).
-
-The line search evaluates its first trial with the gradient and later
-backtracks with the objective alone (``_final_rho33``); the two give the
-same objective bit for bit, so this choice leaves the ascent path unchanged.
 
 ``optimize`` checks every start before any ascent.  Its starts are
 independent, so ``_ascend_all`` runs them in two processes through
@@ -203,20 +197,15 @@ def _pair_power(M: np.ndarray, dM: np.ndarray, n: int):
 
 
 def _rk4_pair_propagators(thetas: np.ndarray, steps: np.ndarray,
-                          h: np.ndarray, params: SystemParams,
-                          with_grad: bool):
+                          h: np.ndarray, params: SystemParams):
     """P_k and dP_k/dtheta_k from per-interval RK4 steps of A(theta_k).
 
     Valid for any decay.  Interval k takes steps[k] RK4 steps of size h[k]
     (``_grid_plan``).  (P_k, dP_k) is the pair (M, dM) of the module
-    docstring raised to the interval's step count; P_k takes the products
-    of ``rk4_step_matrix`` and ``np.linalg.matrix_power``, so it is the
-    with_grad=False P_k bit for bit.
+    docstring raised to the interval's step count.
     """
     # The generator is block diagonal, so the x block evolves on its own.
     A = system_matrix(thetas, params)[:, :_XDIM, :_XDIM]
-    if not with_grad:
-        return _matrix_powers(rk4_step_matrix(A, h), steps), None
     # The RK4 polynomial of (B, dB) = h (A, dA), with
     # d(B^j) = B^(j-1) dB + d(B^(j-1)) B.
     B = h[:, None, None] * A
@@ -264,8 +253,8 @@ def _grid_plan(durations_key: bytes, params: SystemParams):
 
 
 def _interval_propagators(thetas: np.ndarray, durations: np.ndarray,
-                          params: SystemParams, with_grad: bool):
-    """Per-interval RK4 propagators P_k, and dP_k/dtheta_k when requested.
+                          params: SystemParams):
+    """Per-interval RK4 propagators P_k, with dP_k/dtheta_k or None.
 
     Symmetric decay rotates each interval's theta = 0 propagator P0
     (``_grid_plan``) into its frame, P_k = R(theta_k) P0 R(-theta_k): a
@@ -279,7 +268,7 @@ def _interval_propagators(thetas: np.ndarray, durations: np.ndarray,
     steps, h, P0 = _grid_plan(
         np.asarray(durations, dtype=float).tobytes(), params)
     if P0 is None:
-        return _rk4_pair_propagators(thetas, steps, h, params, with_grad)
+        return _rk4_pair_propagators(thetas, steps, h, params)
     R, R_inv = _frame_rotation_x(thetas)
     return R @ P0 @ R_inv, None
 
@@ -305,26 +294,10 @@ def _prefix_products(C: np.ndarray) -> np.ndarray:
     return C
 
 
-def _final_rho33(thetas: np.ndarray, durations: np.ndarray,
-                 params: SystemParams) -> float:
-    """rho33(T) from the product P_{N-1} ... P_0 alone.
-
-    A pairwise tree, paired from the last factor, takes N - 1 matmuls in
-    ceil(log2 N) batches.  It groups the factors as ``_prefix_products``
-    groups its last entry, so equal propagators give equal bits.
-    """
-    P, _ = _interval_propagators(thetas, durations, params, with_grad=False)
-    while P.shape[0] > 1:
-        odd = P.shape[0] % 2
-        pairs = P[odd + 1::2] @ P[odd::2]
-        P = np.concatenate([P[:odd], pairs]) if odd else pairs
-    return float(P[0, 2, 0])
-
-
 def objective(control: ControlSignal, params: SystemParams) -> float:
     """Final target population rho33(T), T = ``control.duration``, under
-    the fixed-step dynamics."""
-    return _final_rho33(control.theta, control.durations, params)
+    the fixed-step dynamics: the value of ``objective_and_gradient``."""
+    return objective_and_gradient(control, params)[0]
 
 
 def objective_and_gradient(control: ControlSignal, params: SystemParams):
@@ -333,8 +306,7 @@ def objective_and_gradient(control: ControlSignal, params: SystemParams):
     The gradient is the derivative of the discretized objective, so it
     agrees with central finite differences of ``objective`` to roundoff.
     """
-    P, dP = _interval_propagators(control.theta, control.durations, params,
-                                  with_grad=True)
+    P, dP = _interval_propagators(control.theta, control.durations, params)
     # Row 0: prefix products P_k ... P_0.  Row 1: prefix products of the
     # reversed, transposed stack, (P_{N-1} ... P_{N-1-j})^T.  The transpose
     # is copied: a matmul on the transposed view changes the last bits.
@@ -412,27 +384,19 @@ def _ascend(theta0: np.ndarray, grid: np.ndarray, params: SystemParams,
             config: OptimizationConfig):
     """Single-start projected L-BFGS ascent; accepted steps never decrease.
 
-    The first evaluated trial of each line search is evaluated with its
-    gradient, since most searches accept it; its gradient is then the next
-    iterate's.  Later backtracking trials are evaluated without the
-    gradient, which a rejected trial would waste, and a backtrack that is
-    accepted is evaluated again with it.  The grid is fixed, so every
+    Every evaluated point, the start and each line-search trial, goes
+    through the public ``objective_and_gradient``, so traced runs count
+    every evaluation made in their process, and an accepted trial's
+    gradient is the next iterate's.  The grid is fixed, so every
     evaluation reads one grid plan (``_grid_plan``): the step counts and
     sizes, and for symmetric decay each interval's P0, are made once per
-    ascent.  Gradients go through the public ``objective_and_gradient``,
-    so traced runs count every gradient evaluation made in their process.
+    ascent.
 
     Returns theta, its objective, the iterations, the converged flag, the
-    objective history and nfev, the number of propagator builds: one per
-    evaluated point, two at an accepted backtrack.
+    objective history and nfev, the number of evaluated points.
     """
-    durations = np.diff(grid)
     theta = np.clip(theta0, 0.0, HALF_PI)
     control = ControlSignal(grid, theta)
-
-    def f_and_g(th):
-        return objective_and_gradient(control.with_theta(th), params)
-
     value, grad = objective_and_gradient(control, params)
     nfev = 1
     history = [value]
@@ -461,20 +425,12 @@ def _ascend(theta0: np.ndarray, grid: np.ndarray, params: SystemParams,
             if slope <= 0.0 or np.array_equal(trial, rejected):
                 step *= _SHRINK
                 continue
-            if rejected is None:
-                trial_value, new_grad = f_and_g(trial)
-            else:
-                trial_value = _final_rho33(trial, durations, params)
-                new_grad = None
+            trial_value, new_grad = objective_and_gradient(
+                control.with_theta(trial), params)
             nfev += 1
             if trial_value >= value + _ARMIJO * slope and trial_value > value:
                 theta = trial
-                # _final_rho33 is bitwise the gradient pass's value, so
-                # the accepted value does not depend on which one ran.
                 value = trial_value
-                if new_grad is None:
-                    new_grad = f_and_g(theta)[1]
-                    nfev += 1
                 # Curvature of -rho33 along the move.
                 y = grad - new_grad
                 sy = float(move @ y)
@@ -584,8 +540,7 @@ def optimize(config: OptimizationConfig, params: SystemParams, T: float, *,
         control = ControlSignal(grid, theta)
         records.append(StartRecord(
             label=label,
-            # objective_and_gradient at the clipped start, bit-equal to
-            # objective there.
+            # objective_and_gradient at the clipped start.
             initial_objective=float(history[0]),
             objective=value,
             iterations=iters,

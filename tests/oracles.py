@@ -10,7 +10,9 @@ them.  ``rhs_full``, ``rhs_adiabatic``, ``rhs_reduced`` and
 parses this file to keep it so), since a copy built on a kernel agrees with
 any mutant of it.  ``frame_rotation`` and ``system_matrix_dtheta`` assemble
 the full 9x9 forms of the optimizer's x-block kernels, which the tests check
-against ``expm`` and central differences.
+against ``expm`` and central differences.  ``propagated_rho33`` multiplies
+out the optimizer's interval propagators one at a time, so that central
+differences of rho33(T) may step past the angle bounds.
 
 The serial loop is the reference for a loop that ``_fork.split`` runs in
 two processes: ``fork_paths`` keeps every part in this process or forks
@@ -39,6 +41,7 @@ from lambda_control.model import (
     _initial_array,
     system_matrix,
 )
+from lambda_control.optimizer import _interval_propagators
 from lambda_control.reduced import ReducedState, _require_symmetric
 
 
@@ -90,6 +93,15 @@ def frame_rotation(theta):
     R_inv[..., 6:8, 6:8] = R_x[..., 3:5, 3:5]
     R[..., 8, 8] = R_inv[..., 8, 8] = 1.0
     return R, R_inv
+
+
+def propagated_rho33(thetas, durations, params: SystemParams) -> float:
+    """rho33(T) from ``_interval_propagators`` applied one interval at a
+    time to the initial state; the angles are not range-checked."""
+    state = np.eye(6)[0]
+    for P in _interval_propagators(thetas, durations, params)[0]:
+        state = P @ state
+    return float(state[2])
 
 
 def reconstruct_density(state) -> np.ndarray:

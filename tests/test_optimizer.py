@@ -3,7 +3,6 @@ import itertools
 import math
 import os
 import pickle
-import re
 import sys
 import threading
 import time
@@ -45,19 +44,21 @@ from oracles import (
     assert_no_child,
     fork_paths,
     frame_rotation,
+    propagated_rho33,
     system_matrix_dtheta,
 )
 
 
 def _fd_gradient(control, params, eps=1e-5):
     """Central differences of the objective.  The angles may step past the
-    bounds, where the discretized dynamics are still defined, so this calls
-    the objective's product (``_final_rho33``) without the range check."""
+    bounds, where the discretized dynamics are still defined, so this takes
+    rho33 from the interval propagators (``propagated_rho33``), which do
+    not check the range."""
     thetas, durations = control.theta, control.durations
     out = np.empty(thetas.size)
     for k, step in enumerate(np.eye(thetas.size) * eps):
-        out[k] = (optimizer._final_rho33(thetas + step, durations, params)
-                  - optimizer._final_rho33(thetas - step, durations, params)
+        out[k] = (propagated_rho33(thetas + step, durations, params)
+                  - propagated_rho33(thetas - step, durations, params)
                   ) / (2 * eps)
     return out
 
@@ -201,8 +202,7 @@ class TestGradient:
         durations = rng.uniform(0.2, 5.0, n) * default_max_step(p)
         control = ControlSignal(np.concatenate([[0.0], np.cumsum(durations)]),
                                 rng.uniform(0.0, HALF_PI, n))
-        P, G = _interval_propagators(control.theta, durations, p,
-                                     with_grad=True)
+        P, G = _interval_propagators(control.theta, durations, p)
         states = [np.eye(6)[0]]
         for Pk in P:
             states.append(Pk @ states[-1])
@@ -260,11 +260,11 @@ class TestGradient:
         assert grad.shape == (12,)
 
 
-def _pair_path(thetas, durations, params, with_grad):
+def _pair_path(thetas, durations, params):
     """``_rk4_pair_propagators`` at any decay, called as
     ``_interval_propagators`` is, on the steps of ``interval_steps``."""
     steps, h = interval_steps(durations, default_max_step(params))
-    return _rk4_pair_propagators(thetas, steps, h, params, with_grad)
+    return _rk4_pair_propagators(thetas, steps, h, params)
 
 
 class TestConjugatedPropagators:
@@ -287,8 +287,8 @@ class TestConjugatedPropagators:
         else:
             grid = np.concatenate([[0.0], np.cumsum(lengths)])
         durations = np.diff(grid)
-        P, _ = _interval_propagators(thetas, durations, p, with_grad=False)
-        P_ref, _ = _pair_path(thetas, durations, p, with_grad=False)
+        P, _ = _interval_propagators(thetas, durations, p)
+        P_ref, _ = _pair_path(thetas, durations, p)
         assert np.abs(P - P_ref).max() <= 1e-12
 
         # The switching-function gradient against the pair path's dP.
@@ -305,7 +305,7 @@ class TestConjugatedPropagators:
         thetas = rng.uniform(0.0, HALF_PI, 7)
         durations = np.full(7, 0.3)
         p = SystemParams(gamma_total=2.0)
-        P, G = _interval_propagators(thetas, durations, p, with_grad=True)
+        P, G = _interval_propagators(thetas, durations, p)
         # The conjugation of the grid plan's P0, not the pair path.
         P0 = optimizer._grid_plan(durations.tobytes(), p)[2]
         R, R_inv = model._frame_rotation_x(thetas)
@@ -317,28 +317,10 @@ class TestConjugatedPropagators:
         assert np.abs(grad - ref_grad).max() <= 1e-12
 
         p = SystemParams(gamma_total=2.0, gamma_diff=0.5)
-        P, G = _interval_propagators(thetas, durations, p, with_grad=True)
-        P_path, G_path = _pair_path(thetas, durations, p, with_grad=True)
+        P, G = _interval_propagators(thetas, durations, p)
+        P_path, G_path = _pair_path(thetas, durations, p)
         assert np.array_equal(P, P_path) and np.array_equal(G, G_path)
         assert optimizer._grid_plan(durations.tobytes(), p)[2] is None
-
-    def test_objective_is_bitwise_the_gradient_pass_value(self):
-        # The line search uses objective, the ascent objective_and_gradient;
-        # a start's initial_objective is taken from the latter.
-        rng = np.random.default_rng(6)
-        for case in range(100):
-            gamma = rng.uniform(0.1, 30.0)
-            diff = 0.0 if case % 2 else rng.uniform(-1.0, 1.0) * gamma
-            p = SystemParams(gamma_total=gamma, gamma_diff=diff)
-            n = int(rng.integers(2, 60))
-            if case % 4 < 2:
-                grid = np.linspace(0.0, rng.uniform(0.5, 40.0), n + 1)
-            else:
-                grid = np.concatenate(
-                    [[0.0], np.cumsum(rng.uniform(0.01, 1.0, n))])
-            control = ControlSignal(grid, rng.uniform(0.0, HALF_PI, n))
-            value = objective(control, p)
-            assert value.hex() == objective_and_gradient(control, p)[0].hex()
 
 
 # The optimizer's arithmetic as plain expressions, written independently
@@ -367,7 +349,7 @@ def _ref_matrix_powers(one_step, steps):
     return powered
 
 
-def _ref_propagators(thetas, durations, params, with_grad):
+def _ref_propagators(thetas, durations, params):
     """P_k and dP_k/dtheta_k: conjugated P0 for symmetric decay, else the
     RK4 step and power of [[A, dA], [0, A]] with dA sliced from the 9x9
     system_matrix_dtheta."""
@@ -381,11 +363,9 @@ def _ref_propagators(thetas, durations, params, with_grad):
         R, R_inv = frame_rotation(thetas)
         P = R[:, :x, :x] @ P0 @ R_inv[:, :x, :x]
         K = FRAME_GENERATOR[:x, :x]
-        return P, (K @ P - P @ K if with_grad else None)
+        return P, K @ P - P @ K
     steps, h = interval_steps(durations, h_max)
     A = system_matrix(thetas, params)[:, :x, :x]
-    if not with_grad:
-        return _ref_matrix_powers(_ref_rk4_step_matrix(A, h), steps), None
     block = np.zeros((thetas.size, 2 * x, 2 * x))
     block[:, :x, :x] = block[:, x:, x:] = A
     block[:, :x, x:] = system_matrix_dtheta(thetas, params)[:, :x, :x]
@@ -394,7 +374,7 @@ def _ref_propagators(thetas, durations, params, with_grad):
 
 
 def _ref_objective_and_gradient(control, params):
-    P, G = _ref_propagators(control.theta, control.durations, params, True)
+    P, G = _ref_propagators(control.theta, control.durations, params)
     n = control.n_intervals
     C = np.stack([P, P[::-1].transpose(0, 2, 1)])
     shift = 1
@@ -409,34 +389,23 @@ def _ref_objective_and_gradient(control, params):
     return float(forward[-1, 2, 0]), grad
 
 
-def _ref_objective(control, params):
-    P, _ = _ref_propagators(control.theta, control.durations, params, False)
-    while P.shape[0] > 1:
-        odd = P.shape[0] % 2
-        pairs = P[odd + 1::2] @ P[odd::2]
-        P = np.concatenate([P[:odd], pairs]) if odd else pairs
-    return float(P[0, 2, 0])
-
-
 def _assert_matches_reference(control, params):
     """P and the objective byte for byte; the gradient, and asymmetric dP,
     within 1e-12.  Symmetric decay returns no dP: its gradient comes from
     the switching function."""
     thetas, durations = control.theta, control.durations
-    for with_grad in (True, False):
-        got = _interval_propagators(thetas, durations, params, with_grad)
-        want = _ref_propagators(thetas, durations, params, with_grad)
-        assert got[0].tobytes() == want[0].tobytes()
-        if not with_grad or params.is_symmetric:
-            assert got[1] is None
-        else:
-            assert np.abs(got[1] - want[1]).max() <= 1e-12
+    P, G = _interval_propagators(thetas, durations, params)
+    P_ref, G_ref = _ref_propagators(thetas, durations, params)
+    assert P.tobytes() == P_ref.tobytes()
+    if params.is_symmetric:
+        assert G is None
+    else:
+        assert np.abs(G - G_ref).max() <= 1e-12
     value, grad = objective_and_gradient(control, params)
     ref_value, ref_grad = _ref_objective_and_gradient(control, params)
     assert value.hex() == ref_value.hex()
     assert np.abs(grad - ref_grad).max() <= 1e-12
-    assert objective(control, params).hex() == _ref_objective(
-        control, params).hex()
+    assert objective(control, params).hex() == ref_value.hex()
 
 
 # Step counts per interval: the short cuts of matrix_power (1-3), binary
@@ -506,17 +475,12 @@ class TestReferenceExpressions:
         grid = np.linspace(0.0, 100.0, 101)
         first = ControlSignal(grid, rng.uniform(0.0, HALF_PI, 100))
         second = first.with_theta(rng.uniform(0.0, HALF_PI, 100))
-        P, G = _interval_propagators(first.theta, first.durations, p,
-                                     with_grad=True)
-        P_only, _ = _interval_propagators(first.theta, first.durations, p,
-                                          with_grad=False)
+        P, G = _interval_propagators(first.theta, first.durations, p)
         value, grad = objective_and_gradient(first, p)
         # Symmetric decay returns no dP (G is None).
-        returned = [a for a in (P, G, P_only, grad) if a is not None]
+        returned = [a for a in (P, G, grad) if a is not None]
         saved = [a.copy() for a in returned]
-        for with_grad in (True, False):
-            _interval_propagators(second.theta, second.durations, p,
-                                  with_grad)
+        _interval_propagators(second.theta, second.durations, p)
         objective_and_gradient(second, p)
         objective(second, p)
         for a, b in zip(returned, saved):
@@ -579,7 +543,7 @@ class TestSwitchingFunction:
         # propagators one interval at a time.
         control, params = case
         P, _ = _interval_propagators(control.theta, control.durations,
-                                     params, with_grad=False)
+                                     params)
         e1, e3 = np.eye(6)[0], np.eye(6)[2]
         state, adjoint = e1, e3
         for P_k in P:
@@ -606,7 +570,7 @@ class TestPairPropagators:
     """The asymmetric-decay (M, dM) pair path."""
 
     @pytest.mark.parametrize("count", _STEP_COUNTS)
-    def test_objective_only_P_is_the_pair_P(self, count):
+    def test_pair_P_is_the_matrix_power_P(self, count):
         # Every interval takes `count` RK4 steps: the matrix_power short
         # cuts and binary decompositions, each mirrored by _pair_power.
         p = SystemParams(gamma_total=10.0, gamma_diff=8.0)
@@ -616,12 +580,14 @@ class TestPairPropagators:
         durations = np.full(n, count * h)
         thetas = rng.uniform(0.0, HALF_PI, n)
         thetas[:3] = (0.0, HALF_PI, 0.0)
-        P_only, _ = _interval_propagators(thetas, durations, p,
-                                          with_grad=False)
-        P, dP = _pair_path(thetas, durations, p, with_grad=True)
-        assert P_only.tobytes() == P.tobytes()
-        want = _ref_propagators(thetas, durations, p, with_grad=True)
-        assert np.abs(dP - want[1]).max() <= 1e-12
+        P, dP = _pair_path(thetas, durations, p)
+        steps, h = interval_steps(durations, default_max_step(p))
+        A = system_matrix(thetas, p)[:, :6, :6]
+        want = _ref_matrix_powers(_ref_rk4_step_matrix(A, h), steps)
+        assert np.array_equal(steps, np.full(n, count))
+        assert P.tobytes() == want.tobytes()
+        dP_ref = _ref_propagators(thetas, durations, p)[1]
+        assert np.abs(dP - dP_ref).max() <= 1e-12
 
 
 class TestGridPlan:
@@ -648,15 +614,13 @@ class TestGridPlan:
         for i in itertools.chain(rng.permutation(len(cases)),
                                  rng.permutation(len(cases))):
             thetas, durations, p = cases[i]
-            P, _ = _interval_propagators(thetas, durations, p,
-                                         with_grad=False)
-            P_ref, _ = _pair_path(thetas, durations, p, with_grad=False)
+            P, _ = _interval_propagators(thetas, durations, p)
+            P_ref, _ = _pair_path(thetas, durations, p)
             assert np.abs(P - P_ref).max() <= 1e-12
             built.setdefault(i, []).append(P)
         for i, (thetas, durations, p) in enumerate(cases):
             optimizer._grid_plan.cache_clear()
-            fresh_P, _ = _interval_propagators(thetas, durations, p,
-                                               with_grad=False)
+            fresh_P, _ = _interval_propagators(thetas, durations, p)
             for P in built[i]:
                 assert np.array_equal(P, fresh_P)
 
@@ -772,8 +736,8 @@ class TestOptimize:
         assert np.all(np.diff(result.history) >= 0.0)
         for record in result.starts:
             assert result.objective >= record.initial_objective
-            # One propagator build per accepted step at least, plus the
-            # gradient at the start.
+            # One evaluation per accepted step at least, plus the one at
+            # the start.
             assert record.nfev >= record.iterations + 1
         again = optimize(OptimizationConfig(), p, 10.0)
         assert again.control.theta.tobytes() == result.control.theta.tobytes()
@@ -784,41 +748,32 @@ class TestOptimize:
     ])
     def test_nfev_counts_every_propagator_build(self, gamma, gamma_diff,
                                                 duration):
-        # Each build is coded G (with the gradient), F (without) or A (the
-        # gradient build of an accepted backtrack, at the theta of the F
-        # build just before it).  A start is G at the clipped start, then
-        # per line search a first trial built with its gradient, and any
-        # backtracks built without it.
+        # Every evaluated point is one public objective_and_gradient call,
+        # which builds the propagators once: nfev counts the calls, and no
+        # start evaluates a theta twice.
         calls = []
+        real = optimizer.objective_and_gradient
 
-        def counting(thetas, durations, params, with_grad):
-            calls.append((thetas.tobytes(), with_grad))
-            return _interval_propagators(thetas, durations, params, with_grad)
+        def counting(control, params):
+            calls.append(control.theta.tobytes())
+            return real(control, params)
 
         config = OptimizationConfig(n_intervals=16, max_iters=60, n_starts=4,
                                     seed=2)
         p = SystemParams(gamma_total=gamma, gamma_diff=gamma_diff)
         starts = optimizer.default_starts(config,
                                           np.random.default_rng(config.seed))
-        # The mock counts only this process's builds: keep every start here.
-        with mock.patch.object(optimizer, "_interval_propagators", counting), \
-                fork_paths()["serial"]:
+        # The mock counts only this process's calls: keep every start here.
+        with mock.patch.object(optimizer, "objective_and_gradient",
+                               counting), fork_paths()["serial"]:
             result = optimize(config, p, duration, starts=starts)
         assert sum(record.nfev for record in result.starts) == len(calls)
 
         end = 0
         for (_, theta0), record in zip(starts, result.starts):
             block, end = calls[end:end + record.nfev], end + record.nfev
-            assert block[0] == (np.clip(theta0, 0.0, HALF_PI).tobytes(), True)
-            codes = "".join(
-                "A" if grad and i and block[i - 1] == (theta, False)
-                else "G" if grad else "F"
-                for i, (theta, grad) in enumerate(block))
-            assert re.fullmatch(r"G(G(F+A?)?)*", codes), codes
-            # No theta is built twice, except an accepted backtrack.
-            built = [theta for (theta, _), code in zip(block, codes)
-                     if code != "A"]
-            assert len(set(built)) == len(built)
+            assert block[0] == np.clip(theta0, 0.0, HALF_PI).tobytes()
+            assert len(set(block)) == len(block)
 
     def test_line_search_failure_reports_not_converged(self):
         # Start at an already-optimized point with an unreachable gradient
