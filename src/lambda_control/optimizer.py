@@ -3,8 +3,9 @@
 Maximizes the final target population rho33(T) over piecewise-constant
 mixing-angle schedules theta in [0, pi/2]^N by projected limited-memory
 BFGS ascent (the last ``_LBFGS_MEMORY = 10`` curvature pairs, two-loop
-recursion on the free entries, projected-gradient restarts) with a
-backtracking (Armijo) line search and a deterministic multi-start.  It is
+recursion on the free entries, projected-gradient restarts whose first
+step expands while it is accepted) with a backtracking (Armijo) line
+search and a deterministic multi-start.  It is
 written in numpy: ``scipy.optimize`` would add ~0.45 s of import time and
 ~47 MB of memory to every run.  The amplitude constraint
 omega_p**2 + omega_s**2 = omega0**2 is satisfied identically by the angle
@@ -79,10 +80,11 @@ loop runs every start in the caller, so it alone defines what ``optimize``
 returns or raises.  The split adds 4-10 ms on a 2-vCPU host, so only calls
 with starts x intervals x ``max_iters`` of 20000 or more fork
 (``_ITERATION_SECONDS_PER_INTERVAL``): a call of 8 intervals, 2 starts and 3 iterations
-stays in one process (0.7-1.2 ms, against 4.5-5.1 ms forked), and calls
-at the defaults (100 intervals, 6 starts, 300 iterations), 42-165 ms in
-one process, take 30-92 ms.  Spans and mocks in the caller see only its
-own starts.
+stays in one process (0.7-1.2 ms, against 4.5-5.1 ms forked).  Calls at
+the defaults (100 intervals, 6 starts, 300 iterations) take 9-75 ms in one
+process and 9-65 ms forked (medians over five cells, 2-vCPU host whose
+second CPU is shared); the split gains least on the calls that converge
+fastest.  Spans and mocks in the caller see only its own starts.
 """
 
 from __future__ import annotations
@@ -154,6 +156,9 @@ class StartRecord:
     nfev: int
     converged: bool
     total_variation: float
+    # Why the ascent stopped: "converged" (the stop test held at the last
+    # iterate), "max_iters" or "line_search" (no trial step improved).
+    stop: str
 
 
 @dataclass(frozen=True, eq=False)
@@ -334,10 +339,16 @@ def objective_and_gradient(control: ControlSignal, params: SystemParams):
 
 # The ascent policy.  The direction keeps _LBFGS_MEMORY curvature pairs.
 # A start has converged when no projected-gradient entry exceeds _GRAD_TOL.
-# A line search tries step 1 along a quasi-Newton direction, or
-# _INITIAL_STEP along the projected gradient, shrinks it by _SHRINK for at
-# most _MAX_BACKTRACKS trials and accepts the Armijo increase _ARMIJO.
-# Starts within _TIE_TOL of the best go to the smallest total variation.
+# A line search tries step 1 along a quasi-Newton direction, or the restart
+# step along the projected gradient, shrinks it by _SHRINK for at most
+# _MAX_BACKTRACKS trials and accepts the Armijo increase _ARMIJO.  The
+# restart step is _INITIAL_STEP at the start of an ascent; a restart that
+# accepts its first trial doubles it (1 / _SHRINK), any other sets it to the
+# step accepted, and each restart caps it at HALF_PI / max|pg|.  Where rho33
+# is convex along the path every curvature pair is rejected, and a fixed
+# restart step would crawl (Barzilai and Borwein, IMA J. Numer. Anal. 8,
+# 141 (1988)).  Starts within _TIE_TOL of the best go to the smallest total
+# variation.
 _LBFGS_MEMORY = 10
 _GRAD_TOL = 1e-6
 _INITIAL_STEP = 1.0
@@ -392,8 +403,9 @@ def _ascend(theta0: np.ndarray, grid: np.ndarray, params: SystemParams,
     sizes, and for symmetric decay each interval's P0, are made once per
     ascent.
 
-    Returns theta, its objective, the iterations, the converged flag, the
-    objective history and nfev, the number of evaluated points.
+    Returns theta, its objective, the iterations, the stop reason of
+    ``StartRecord``, the objective history and nfev, the number of
+    evaluated points.
     """
     theta = np.clip(theta0, 0.0, HALF_PI)
     control = ControlSignal(grid, theta)
@@ -402,21 +414,28 @@ def _ascend(theta0: np.ndarray, grid: np.ndarray, params: SystemParams,
     history = [value]
     pairs = deque(maxlen=_LBFGS_MEMORY)
     iterations = 0
+    restart_step = _INITIAL_STEP
+    stop = "max_iters"
 
     for _ in range(config.max_iters):
         pg = _projected_gradient(theta, grad)
-        if float(np.max(np.abs(pg), initial=0.0)) <= _GRAD_TOL:
+        pg_max = float(np.max(np.abs(pg), initial=0.0))
+        if pg_max <= _GRAD_TOL:
             break
         direction = _lbfgs_direction(pg, pairs) if pairs else pg
-        if pairs and float(grad @ direction) > 0.0:
-            step = 1.0
-        else:
-            # No memory yet, or no ascent: restart from the projected gradient.
+        restart = not (pairs and float(grad @ direction) > 0.0)
+        if restart:
+            # No memory yet, or no ascent: restart from the projected
+            # gradient.  At HALF_PI / pg_max the largest entry of pg already
+            # crosses the whole box; past it, doubling would only add
+            # clipped trials.
             pairs.clear()
-            direction, step = pg, _INITIAL_STEP
+            direction, step = pg, min(restart_step, HALF_PI / pg_max)
+        else:
+            step = 1.0
         accepted = False
         rejected = None  # the last trial this search rejected
-        for _ in range(_MAX_BACKTRACKS):
+        for attempt in range(_MAX_BACKTRACKS):
             trial = np.clip(theta + step * direction, 0.0, HALF_PI)
             move = trial - theta
             slope = float(grad @ move)
@@ -438,19 +457,25 @@ def _ascend(theta0: np.ndarray, grid: np.ndarray, params: SystemParams,
                     pairs.append((move, y, 1.0 / sy))
                 grad = new_grad
                 history.append(value)
+                if restart:
+                    # Expand along a steepest-ascent path, else keep the
+                    # step the search settled on.
+                    restart_step = step / _SHRINK if attempt == 0 else step
                 accepted = True
                 break
             rejected = trial
             step *= _SHRINK
         if not accepted:
             # Line search exhausted: no improving step at this resolution.
+            stop = "line_search"
             break
         iterations += 1
 
     # The stop test at the last iterate, also when the iterations ran out.
     pg = _projected_gradient(theta, grad)
-    converged = float(np.max(np.abs(pg), initial=0.0)) <= _GRAD_TOL
-    return theta, value, iterations, converged, np.asarray(history), nfev
+    if float(np.max(np.abs(pg), initial=0.0)) <= _GRAD_TOL:
+        stop = "converged"
+    return theta, value, iterations, stop, np.asarray(history), nfev
 
 
 def _ascend_all(thetas, grid: np.ndarray, params: SystemParams,
@@ -536,7 +561,7 @@ def optimize(config: OptimizationConfig, params: SystemParams, T: float, *,
     solved = []
     outcomes = _ascend_all(thetas, grid, params, config)
     for (label, _), outcome in zip(starts, outcomes):
-        theta, value, iters, conv, history, nfev = outcome
+        theta, value, iters, stop, history, nfev = outcome
         control = ControlSignal(grid, theta)
         records.append(StartRecord(
             label=label,
@@ -545,8 +570,9 @@ def optimize(config: OptimizationConfig, params: SystemParams, T: float, *,
             objective=value,
             iterations=iters,
             nfev=nfev,
-            converged=conv,
+            converged=stop == "converged",
             total_variation=control.total_variation(),
+            stop=stop,
         ))
         solved.append((control, history))
 

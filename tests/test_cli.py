@@ -895,9 +895,11 @@ class TestOptimizeCommand:
         for record in starts:
             assert set(record) == {"label", "initial_objective", "objective",
                                    "iterations", "nfev", "converged",
-                                   "total_variation"}
+                                   "total_variation", "stop"}
             assert record["nfev"] >= record["iterations"] + 1
             assert record["objective"] >= record["initial_objective"]
+            assert record["stop"] in {"converged", "max_iters", "line_search"}
+            assert record["converged"] == (record["stop"] == "converged")
 
     def test_step_count_past_int64_exits_usage(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -1022,7 +1024,7 @@ class TestSweepCommand:
             assert winner["converged"] == cell["converged"]
             assert set(winner) == {"label", "initial_objective", "objective",
                                    "iterations", "nfev", "converged",
-                                   "total_variation"}
+                                   "total_variation", "stop"}
 
 
 class TestFiguresCommand:
@@ -1077,7 +1079,7 @@ class TestFiguresCommand:
             assert winner["iterations"] == panel["iterations"]
             assert set(winner) == {"label", "initial_objective", "objective",
                                    "iterations", "nfev", "converged",
-                                   "total_variation"}
+                                   "total_variation", "stop"}
 
     def test_fig5_asymmetric_bundle(self, tmp_path):
         code = run_cli(["figures", "fig5", "--intervals", "16",

@@ -792,6 +792,7 @@ class TestOptimize:
             result = optimize(config, p, 5.0,
                               starts=[("stall", warm.control.theta)])
         assert not result.converged
+        assert result.starts[0].stop == "line_search"
         assert result.iterations == 0
         assert result.objective == pytest.approx(
             result.starts[0].initial_objective, abs=1e-15)
@@ -799,19 +800,96 @@ class TestOptimize:
     @pytest.mark.parametrize("gamma, duration", [(10.0, 35.0), (2.0, 10.0)])
     def test_stop_test_is_taken_at_the_last_iterate(self, gamma, duration):
         # A start that meets the stop test after K iterations meets it too
-        # when max_iters = K runs out on the same iterate.  At Gamma 10 the
-        # pumping start is stationary: K = 0.
+        # when max_iters = K runs out on the same iterate, and one iteration
+        # fewer stops it unconverged.  At Gamma 10 the pumping start is
+        # stationary: K = 0.
         p = SystemParams(gamma_total=gamma)
         config = OptimizationConfig(n_intervals=20, n_starts=3)
         starts = optimizer.default_starts(config, np.random.default_rng(0))
         for start in starts:
             free = optimize(config, p, duration, starts=[start])
             assert free.converged
+            assert free.starts[0].stop == "converged"
             capped = optimize(
                 OptimizationConfig(n_intervals=20, max_iters=free.iterations,
                                    n_starts=1),
                 p, duration, starts=[start])
             assert capped.starts == free.starts
+            if free.iterations == 0:
+                continue
+            short = optimize(
+                OptimizationConfig(n_intervals=20,
+                                   max_iters=free.iterations - 1, n_starts=1),
+                p, duration, starts=[start])
+            assert not short.converged
+            assert short.starts[0].stop == "max_iters"
+
+    def test_restart_step_expands_along_a_convex_path(self):
+        # A convex, increasing objective: every curvature pair fails
+        # s^T y > 0, so each iteration is a projected-gradient restart.
+        # theta_0, of slope 0.45, reaches 1.35 after the steps 1 and 2, and
+        # the next doubling would step 1.8 rad, past the cap.  The other
+        # angles, of slope 1e-3, would crawl to the upper corner over 1000
+        # iterations at a fixed first step of 1; doubling takes 11.
+        n = 10
+        slopes = np.full(n, 1e-3)
+        slopes[0] = 0.45
+        evaluated, targets = [], []
+
+        def convex(control, params):
+            theta = control.theta
+            evaluated.append(theta.copy())
+            return (slopes @ theta + 0.5e-4 * (theta @ theta),
+                    slopes + 1e-4 * theta)
+
+        class ClipRecordingNumpy:
+            # numpy for the optimizer module, recording what it clips: on a
+            # restart, the trial theta + step * pg before the clip.
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def clip(values, low, high):
+                targets.append(np.array(values, dtype=float))
+                return np.clip(values, low, high)
+
+        config = OptimizationConfig(n_intervals=n, max_iters=2000, n_starts=1)
+        with mock.patch.object(optimizer, "objective_and_gradient", convex), \
+                mock.patch.object(optimizer, "np", ClipRecordingNumpy()):
+            result = optimize(config, SystemParams(gamma_total=1.0), 5.0,
+                              starts=[("zero", np.zeros(n))])
+        record = result.starts[0]
+        assert record.stop == "converged"
+        assert record.nfev == len(evaluated) <= 20
+        assert np.all(result.control.theta == HALF_PI)
+        assert len({theta.tobytes() for theta in evaluated}) == len(evaluated)
+        # Every trial improves, so each is its restart's first and only one,
+        # taken from the point evaluated before it; the first clip is the
+        # start's.  No first trial steps past the cap HALF_PI / max|pg|.
+        assert len(targets) == len(evaluated)
+        for base, target in zip(evaluated, targets[1:]):
+            assert np.max(np.abs(target - base)) <= HALF_PI * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("gamma, duration", [(2.0, 10.0), (10.0, 35.0)])
+    def test_intuitive_ramp_no_longer_crawls(self, gamma, duration):
+        # Along the intuitive ramp rho33 is convex: a fixed restart step of
+        # 1 took 72 and 79 evaluations here.  Pumping still wins.
+        result = optimize(OptimizationConfig(), SystemParams(gamma_total=gamma),
+                          duration)
+        ramp = {r.label: r for r in result.starts}["intuitive_ramp"]
+        assert ramp.converged
+        assert ramp.nfev <= 25
+        assert result.start_label == "pumping"
+        assert result.control.theta.tobytes() == np.full(100, HALF_PI).tobytes()
+
+    def test_asymmetric_cell_needs_fewer_evaluations(self):
+        # Gamma 10, gamma_diff 8, omega0 T 100: a fixed restart step of 1
+        # took 232 evaluations over the six starts and won with
+        # 0.776935803431.
+        result = optimize(OptimizationConfig(),
+                          SystemParams(gamma_total=10.0, gamma_diff=8.0), 100.0)
+        assert sum(r.nfev for r in result.starts) <= 180
+        assert result.objective >= 0.776935803431 - optimizer._TIE_TOL
 
     def test_initial_objective_is_objective_at_clipped_start(self):
         config = OptimizationConfig(n_intervals=12, max_iters=20, seed=0)
