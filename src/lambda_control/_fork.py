@@ -17,7 +17,7 @@ a bare fork, pipe and reap of the package-loaded interpreter takes ~2.5 ms,
 but a split took 4-10 ms more than half the serial time (copy-on-write
 faults in both processes, halves of unequal work), so it gains only on
 loops of about 20 ms or more: from ~20000 interval-iterations of
-``optimize`` starts and ~2000 ``verify`` sequences on.
+``optimize`` starts and ~2200 ``verify`` sequences on.
 """
 
 from __future__ import annotations

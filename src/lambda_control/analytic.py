@@ -18,8 +18,9 @@ exponential-trigonometric sums for the final state live with the tests
 (tests/oracles.py), which check the fold against them.
 
 propagate_batch and verify_bounds fold and check a batch, laid out as
-random_batch draws it: (N,) lengths and (N, L) jumps and arcs, zero past
-each row's length (verify_bounds raises ValueError on any other layout).
+random_batch's lengths and draws: (N,) lengths and (N, L) jumps and arcs,
+zero past each row's length (verify_bounds raises ValueError on any other
+layout).
 propagate_sequence and verify_bound are their one-row calls on a
 BangSingularSequence, returning Python scalars.  A zero jump (cos 0 = 1,
 sin 0 = 0) followed by a zero arc (e^0 = 1, expm1(-0) = -0) maps every
@@ -32,10 +33,9 @@ sin and exp may differ from the C library in the last bit, and each row
 must equal the scalar maps apply_bang / apply_singular bit for bit, so that
 `verify` output stays byte-identical.
 
-random_batch equals one integers length draw and one random_sequence per
-row, bit for bit and in the generator's final state.  It takes the lengths
-from the bit generator's raw words by numpy's own rule for integers, so the
-exponential draws of the sequences between two raw words are one call.
+random_batch equals one random_sequence per length it is given, bit for
+bit and in the generator's final state: the exponentials of all its rows
+are one standard_exponential call.
 """
 
 from __future__ import annotations
@@ -81,9 +81,6 @@ _PMP_SAMPLES_PER_ARC = 256
 
 # random_batch draws sequences of 1..RANDOM_MAX_N entries.
 RANDOM_MAX_N = 10
-# numpy's integers(1, RANDOM_MAX_N + 1) on 32-bit draws (random_batch).
-_LOW32 = 0xFFFFFFFF
-_LENGTH_REJECT = (2**32 - RANDOM_MAX_N) % RANDOM_MAX_N
 
 # _step_factors of a +0.0 jump and a +0.0 arc, the padding of a batch.
 _ZERO_STEP = (1.0, 0.0, 1.0, -0.0)
@@ -328,88 +325,37 @@ def verify_bounds(lengths, jumps, arcs) -> BoundCheck:
                       at_equality=np.abs(margin) <= EQUALITY_TOL)
 
 
-def random_batch(rng: np.random.Generator, count: int, tprime: float):
-    """count random_sequence draws of random length, as zero-padded arrays.
+def random_batch(rng: np.random.Generator, lengths, tprime: float):
+    """One random_sequence per entry of lengths, as zero-padded arrays.
 
-    Returns (lengths, jumps, arcs): lengths is (count,) and jumps and arcs
-    are (count, RANDOM_MAX_N).  Row i equals, bit for bit,
+    Returns (jumps, arcs), each (N, RANDOM_MAX_N) for the N lengths.  Row i
+    equals, bit for bit, random_sequence(rng, lengths[i], tprime) drawn in
+    row order, followed by zeros, and the generator ends in the same state.
+    numpy's Dirichlet(1, ..., 1) draws n standard exponentials (the same
+    ziggurat draws as standard_exponential) and multiplies each by 1 / acc,
+    acc their sum added in order, so one standard_exponential call draws
+    every row.  A cumulative sum along the row adds in that order, and the
+    zero padding adds +0.0, which leaves acc unchanged.
 
-        n = int(rng.integers(1, RANDOM_MAX_N + 1))
-        random_sequence(rng, n, tprime)
-
-    drawn in row order, followed by zeros, and the generator ends in the same
-    state.  numpy's Dirichlet(1, ..., 1) draws n standard exponentials (the
-    same ziggurat draws as standard_exponential) and multiplies each by
-    1 / acc, acc their sum added in order.  A cumulative sum along the row
-    adds in that order, and the zero padding adds +0.0, which leaves acc
-    unchanged.
-
-    The lengths come from ``rng.bit_generator.random_raw()`` by numpy's own
-    rule for integers(1, RANDOM_MAX_N + 1): Lemire's multiply-shift on a
-    32-bit draw u gives 1 + (RANDOM_MAX_N u >> 32), and u is rejected, and
-    the next 32-bit draw taken, while RANDOM_MAX_N u mod 2**32 is below
-    (2**32 - RANDOM_MAX_N) mod RANDOM_MAX_N.  MT19937 draws 32 bits per raw
-    call.  The other four numpy bit generators split a raw 64-bit word:
-    the low half first, the high half buffered in the state's
-    ``has_uint32``/``uinteger``, which the batch reads at its start and
-    writes back at its end (``uinteger`` stays stale once its half is
-    used).  The buffered half draws nothing from the stream, so the
-    exponentials of the sequences between two raw words are one
-    standard_exponential call.  tests/test_analytic.py pins this against
-    the integers + random_sequence loop on the five bit generators, on
-    batches that start on a buffered half and at rejected halves.
-
-    ``count`` must be an integer >= 0 and ``tprime`` finite and
-    nonnegative; both are checked before the first draw, and a bit
-    generator that is not one of numpy's five raises TypeError.
+    ``lengths`` must be a 1-D integer array with entries in
+    1..RANDOM_MAX_N and ``tprime`` finite and nonnegative; both are checked
+    before the first draw.
     """
-    count = _checked_count(count, "count", 0)
+    lengths = np.asarray(lengths)
+    if lengths.ndim != 1 or lengths.dtype.kind not in "iu":
+        raise ValueError(f"lengths must be a 1-D integer array, got dtype "
+                         f"{lengths.dtype} and shape {lengths.shape}")
+    if lengths.size and not (1 <= lengths.min()
+                             and lengths.max() <= RANDOM_MAX_N):
+        raise ValueError(f"lengths must lie in 1..{RANDOM_MAX_N}, got "
+                         f"{lengths.min()} to {lengths.max()}")
     tprime = _checked_duration(tprime, "tprime", allow_zero=True)
-    bitgen = rng.bit_generator
-    # Named here, not at import: numpy imports numpy.random on first use.
-    if not isinstance(bitgen, (np.random.PCG64, np.random.PCG64DXSM,
-                               np.random.SFC64, np.random.Philox,
-                               np.random.MT19937)):
-        raise TypeError(f"random_batch follows numpy's bit generators, got "
-                        f"{type(bitgen).__name__}")
-    buffers = not isinstance(bitgen, np.random.MT19937)
-    state = bitgen.state
-    has_half, half = ((state["has_uint32"], state["uinteger"]) if buffers
-                      else (0, 0))
-    raw, exponentials = bitgen.random_raw, rng.standard_exponential
-    # owed counts the exponentials of the lengths drawn since the last raw
-    # word: the n jump draws, then the n arc draws, of each sequence.
-    lengths, draws, owed = [], [], 0
-    for _ in range(count):
-        product = 0  # reads as rejected, so at least one half is drawn
-        while product & _LOW32 < _LENGTH_REJECT:
-            if has_half:
-                u, has_half = half, 0
-            else:
-                if owed:
-                    draws.append(exponentials(owed))
-                    owed = 0
-                word = raw()
-                u = word & _LOW32
-                if buffers:
-                    has_half, half = 1, word >> 32
-            product = u * RANDOM_MAX_N
-        n = 1 + (product >> 32)
-        lengths.append(n)
-        owed += 2 * n
-    if owed:
-        draws.append(exponentials(owed))
-    if buffers:
-        state = bitgen.state
-        state["has_uint32"], state["uinteger"] = has_half, half
-        bitgen.state = state
-    lengths = np.array(lengths, dtype=np.intp)
     # Rows 2i and 2i + 1 are the jump and the arc draws of sequence i.
-    padded = np.zeros((2 * count, RANDOM_MAX_N))
-    padded[np.arange(RANDOM_MAX_N) < np.repeat(lengths, 2)[:, np.newaxis]] = (
-        np.concatenate(draws) if draws else 0.0)
+    drawn = np.arange(RANDOM_MAX_N) < np.repeat(lengths, 2)[:, np.newaxis]
+    padded = np.zeros(drawn.shape)
+    padded[drawn] = rng.standard_exponential(np.count_nonzero(drawn))
     padded *= (1.0 / np.cumsum(padded, axis=1)[:, -1])[:, np.newaxis]
-    return lengths, padded[0::2] * HALF_PI, padded[1::2] * tprime
+    return padded[0::2] * HALF_PI, padded[1::2] * tprime
 
 
 def random_sequence(rng: np.random.Generator, n: int,

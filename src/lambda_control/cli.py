@@ -164,32 +164,6 @@ def write_json(path: Path, payload: dict):
                                allow_nan=False) + "\n", encoding="utf-8")
 
 
-# Lists two levels deep as json.dumps(..., indent=2) lays them out, from
-# json's C encoder: with an indent the json module encodes in pure Python.
-_INDENTED_LIST = json.JSONEncoder(separators=(",\n    ", ": "))
-
-
-def _dumps_float_columns(payload: dict) -> str:
-    """``json.dumps(payload, sort_keys=True, indent=2)`` for a non-empty
-    dict whose list values hold only floats (the ``simulate --format json``
-    payload).
-
-    Each non-empty list is encoded by the C encoder, whose item separator
-    carries the newline and indentation, and spliced between its brackets;
-    the other values are encoded with the indent and shifted one level.
-    """
-    items = []
-    for key in sorted(payload):
-        value = payload[key]
-        if isinstance(value, list) and value:
-            text = "[\n    " + _INDENTED_LIST.encode(value)[1:-1] + "\n  ]"
-        else:
-            text = json.dumps(value, sort_keys=True, indent=2)
-            text = text.replace("\n", "\n  ")
-        items.append(f"{json.dumps(key)}: {text}")
-    return "{\n  " + ",\n  ".join(items) + "\n}"
-
-
 def _emit(payload: dict):
     print(json.dumps(payload, sort_keys=True, allow_nan=False))
 
@@ -269,7 +243,8 @@ def cmd_simulate(args) -> int:
         columns = trajectory.columns().T.tolist()
         payload = {"config": cfg, **dict(zip(Trajectory.COLUMNS, columns))}
         (out / "trajectory.json").write_text(
-            _dumps_float_columns(payload) + "\n", encoding="utf-8")
+            json.dumps(payload, sort_keys=True, indent=2) + "\n",
+            encoding="utf-8")
         outputs["trajectory"] = "trajectory.json"
     else:
         trajectory.write_csv(out / "trajectory.csv",
@@ -411,9 +386,9 @@ def cmd_optimize(args) -> int:
 # records are written out before the next batch is drawn.
 VERIFY_CHUNK = 1000
 
-# What `verify` spends per random sequence (draw, check and format: ~10 us
-# on a 2-vCPU host), for the serial time that _fork.split weighs.
-_VERIFY_SECONDS_PER_SEQUENCE = 1e-5
+# What `verify` spends per random sequence (draw, check and format: 8-10 us
+# on one CPU of a 2-vCPU host), for the serial time that _fork.split weighs.
+_VERIFY_SECONDS_PER_SEQUENCE = 9e-6
 
 # Rows of a chunk that `verify` writes with one %.  The digit pass holds
 # ~30 numpy temporaries of a value each and the block's int arguments are
@@ -504,64 +479,73 @@ def cmd_verify(args) -> int:
     pmp_ok = (report.max_phi <= PMP_RESIDUAL_GATE
               and report.max_lambda_y <= PMP_RESIDUAL_GATE)
 
-    # Sequence 0, pumping, is a one-row batch.  The random sequences follow
-    # in chunks, each drawn with one analytic.random_batch call, which takes
-    # the same draws from the stream as one random_sequence per sequence, so
-    # the output does not depend on VERIFY_CHUNK.  Each chunk's records are
-    # written with one % over per-length templates (_verify_chunk).
-    sizes = [min(VERIFY_CHUNK, count - start)
-             for start in range(1, count, VERIFY_CHUNK)]
+    # Sequence 0, pumping, is a one-row batch.  The random sequences take
+    # their lengths from the seeded stream first, in one integers call, and
+    # then each sequence's 2n exponentials in turn.  They are checked in
+    # chunks of VERIFY_CHUNK lengths, each drawn with one
+    # analytic.random_batch call, which takes the same draws as one
+    # random_sequence per length, so the output does not depend on
+    # VERIFY_CHUNK.  Each chunk's records are written with one % over
+    # per-length templates (_verify_chunk).
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(1, analytic.RANDOM_MAX_N + 1, size=count - 1,
+                           dtype=np.uint8)
+    after_lengths = rng.bit_generator.state
+    chunks = [lengths[lo:lo + VERIFY_CHUNK]
+              for lo in range(0, lengths.size, VERIFY_CHUNK)]
 
-    def check(fh, rng, chunks):
+    def check(fh, chunks):
         violations = []
-        for size in chunks:
-            violations += _verify_chunk(fh, *analytic.random_batch(
-                rng, size, tprime))
+        for chunk in chunks:
+            violations += _verify_chunk(fh, chunk, *analytic.random_batch(
+                rng, chunk, tprime))
         return violations
 
     def write(fh, chunks):
+        rng.bit_generator.state = after_lengths
         violations = _verify_chunk(fh, np.ones(1, dtype=np.intp),
                                    pump.jumps[np.newaxis],
                                    pump.arcs[np.newaxis])
-        return violations + check(fh, np.random.default_rng(seed), chunks)
+        return violations + check(fh, chunks)
 
-    # With two chunks or more and ~2000 sequences or more, where the host
-    # allows it, _fork.split checks the second half of the chunks in a
-    # forked child while this process writes the pumping row and the first
-    # half, then copies the child's text after them in bounded pieces.  The
-    # child first draws the first half's batches and drops them, so its
-    # generator is where the serial loop's would be.  That redraw, D ~1.2
-    # ms per chunk, is small against checking and formatting one, C ~8 ms,
-    # so the balancing share of this process, (D + C) / (D + 2C) of the
-    # chunks, is ~0.53: half of them.
+    # With two chunks or more and ~2200 sequences or more, where the host
+    # allows it, _fork.split checks the chunks from `mine` on in a forked
+    # child while this process writes the pumping row and the chunks
+    # before them, then copies the child's text after them in bounded
+    # pieces.  The child skips this process's exponentials, two per length,
+    # with one discarded draw, so its generator is where the serial loop's
+    # would be.  This process takes the chunk boundary nearest to half the
+    # sequences, and the larger half at a tie: with five full chunks,
+    # three here and two in the child took 35 ms against 47 ms for two
+    # here, while at 2500 and 4500 sequences, whose last chunk is short,
+    # the smaller half here was as fast or faster (2-vCPU host).
     # A violation in the child's half, a child that exits non-zero or an
     # exception here reruns the whole serial loop into the truncated file,
     # so that loop alone decides the output and offenders.
-    half = len(sizes) // 2
+    mine = (lengths.size + VERIFY_CHUNK) // (2 * VERIFY_CHUNK)
     out = _out_dir(args)
     path = out / "verify_sequences.jsonl"
 
     def child():
-        rng = np.random.default_rng(seed)
-        for size in sizes[:half]:
-            analytic.random_batch(rng, size, tprime)
+        rng.standard_exponential(
+            2 * int(lengths[:mine * VERIFY_CHUNK].sum()))
         text = io.StringIO()
-        if check(text, rng, sizes[half:]):
+        if check(text, chunks[mine:]):
             raise VerificationFailure("a sequence violates the pumping bound")
         return text.getvalue().encode("utf-8")
 
     def here(pipe):
         with open(path, "w", encoding="utf-8") as fh:
-            violations = write(fh, sizes[:half])
+            violations = write(fh, chunks[:mine])
             fh.flush()
             shutil.copyfileobj(pipe, fh.buffer)
         return violations
 
-    violations = _fork.split(len(sizes),
+    violations = _fork.split(len(chunks),
                              count * _VERIFY_SECONDS_PER_SEQUENCE, child, here)
     if violations is _fork.NOT_SPLIT:
         with open(path, "w", encoding="utf-8") as fh:
-            violations = write(fh, sizes)
+            violations = write(fh, chunks)
 
     summary = {
         "command": "verify",

@@ -10,6 +10,7 @@ import time
 import numpy as np
 
 from lambda_control.analytic import (
+    RANDOM_MAX_N,
     BangSingularSequence,
     pmp_residual,
     propagate_sequence,
@@ -82,7 +83,8 @@ def test_criterion_2_optimality_bound():
     equality_ok = True
     for tprime in (1.0, 5.0, 10.0):
         # The draws of 10 000 random_sequence calls of random length.
-        lengths, jumps, arcs = random_batch(rng, 10_000, tprime)
+        lengths = rng.integers(1, RANDOM_MAX_N + 1, size=10_000)
+        jumps, arcs = random_batch(rng, lengths, tprime)
         check = verify_bounds(lengths, jumps, arcs)
         checked += lengths.size
         worst_margin = min(worst_margin, float(check.margin.min()))

@@ -1,5 +1,4 @@
 import math
-import types
 
 import numpy as np
 import pytest
@@ -158,7 +157,8 @@ class TestClosedForm:
         # Unit-time draws scaled per row to T' in [0, 10): d * 1.0 * T' is
         # the bits of d * T', so each row is a random_sequence at its T'.
         rng = np.random.default_rng(3)
-        lengths, jumps, arcs = random_batch(rng, 1000, 1.0)
+        lengths = rng.integers(1, RANDOM_MAX_N + 1, size=1000)
+        jumps, arcs = random_batch(rng, lengths, 1.0)
         arcs *= rng.uniform(0.0, 10.0, (lengths.size, 1))
         xp, yp = propagate_batch(jumps, arcs)
         for i, n in enumerate(lengths):
@@ -260,7 +260,8 @@ class TestVerifyBound:
         # random_sequence draws at T' in [0, 12), as in
         # test_matches_propagation_randomized.
         rng = np.random.default_rng(5)
-        lengths, jumps, arcs = random_batch(rng, 2000, 1.0)
+        lengths = rng.integers(1, RANDOM_MAX_N + 1, size=2000)
+        jumps, arcs = random_batch(rng, lengths, 1.0)
         arcs *= rng.uniform(0.0, 12.0, (lengths.size, 1))
         check = verify_bounds(lengths, jumps, arcs)
         assert check.satisfied.all()
@@ -482,14 +483,6 @@ class TestPumpingEquivalence:
 _BIT_GENERATORS = (np.random.PCG64, np.random.PCG64DXSM, np.random.SFC64,
                    np.random.Philox, np.random.MT19937)
 
-# Words of np.random.default_rng(0)'s PCG64 stream, counted from 0, where
-# integers(1, RANDOM_MAX_N + 1) rejects a 32-bit half h, i.e. where
-# (RANDOM_MAX_N * h) mod 2**32 < 6.  They were found by scanning the first
-# 3e9 words of random_raw in chunks of 2**22 with that test vectorised;
-# rejected halves are ~1.4e-9 rare, and these are the first of each kind.
-_REJECTED_HIGH = 168499528  # 0x4ccccccd5f64ff2b
-_REJECTED_LOW = 1081373561  # 0x0a2719ab1999999a
-
 
 def _state_bits(rng):
     """The bit generator's state, with every array as its bytes."""
@@ -500,31 +493,36 @@ def _state_bits(rng):
     return flat(rng.bit_generator.state)
 
 
-def _draw_loop(rng, count, tprime):
-    """(lengths, jumps, arcs) of count integers + random_sequence draws,
-    the loop random_batch must equal, zero-padded to RANDOM_MAX_N."""
-    lengths = []
-    padded = np.zeros((2, count, RANDOM_MAX_N))
-    for i in range(count):
-        n = int(rng.integers(1, RANDOM_MAX_N + 1))
-        lengths.append(n)
+def _lengths(rng, count):
+    """count sequence lengths in one integers call, as `verify` draws them."""
+    return rng.integers(1, RANDOM_MAX_N + 1, size=count, dtype=np.uint8)
+
+
+def _draw_loop(rng, lengths, tprime):
+    """(jumps, arcs) of one random_sequence per length, the loop
+    random_batch must equal, zero-padded to RANDOM_MAX_N."""
+    padded = np.zeros((2, len(lengths), RANDOM_MAX_N))
+    for i, n in enumerate(lengths.tolist()):
         seq = random_sequence(rng, n, tprime)
         padded[0, i, :n], padded[1, i, :n] = seq.jumps, seq.arcs
-    return np.array(lengths, dtype=np.intp), padded[0], padded[1]
+    return padded[0], padded[1]
 
 
 def _assert_batches_equal_draw_loop(batch_rng, loop_rng, counts, tprime):
-    """random_batch calls of the given counts, back to back on batch_rng,
-    equal the draw loop on loop_rng bit for bit, and after each call the two
-    generators are in the same state."""
+    """On each of the two generators, back to back for each count: count
+    lengths, then their sequences, drawn by one random_batch call on
+    batch_rng and by the draw loop on loop_rng.  The draws are equal bit for
+    bit, and after each batch the two generators are in the same state."""
     lengths_seen = set()
     for count in counts:
-        lengths, jumps, arcs = random_batch(batch_rng, count, tprime)
-        assert jumps.shape == arcs.shape == (count, RANDOM_MAX_N)
-        expected = _draw_loop(loop_rng, count, tprime)
-        for got, want in zip((lengths, jumps, arcs), expected):
-            assert got.dtype == want.dtype
-            assert got.tobytes() == want.tobytes()
+        lengths = _lengths(batch_rng, count)
+        assert lengths.tobytes() == _lengths(loop_rng, count).tobytes()
+        got = random_batch(batch_rng, lengths, tprime)
+        for got_draws, want in zip(got, _draw_loop(loop_rng, lengths,
+                                                   tprime)):
+            assert got_draws.shape == (count, RANDOM_MAX_N)
+            assert got_draws.dtype == want.dtype
+            assert got_draws.tobytes() == want.tobytes()
         assert _state_bits(batch_rng) == _state_bits(loop_rng)
         lengths_seen.update(lengths.tolist())
     return lengths_seen
@@ -535,9 +533,8 @@ class TestRandomSequence:
     @pytest.mark.parametrize("tprime", [0.0, 1e-3, 5.0, 1e3])
     def test_batch_equals_draw_loop(self, seed, tprime):
         # Bit equality rests on how numpy's Dirichlet(1, ..., 1) sums and
-        # scales its exponential draws, and on how integers draws 32-bit
-        # halves; a numpy that changes either fails here.  Every numpy bit
-        # generator; after the odd counts a batch starts on a buffered half.
+        # scales its exponential draws; a numpy that changes that fails
+        # here.  Every numpy bit generator, with batches back to back.
         for bit_generator in _BIT_GENERATORS:
             seen = _assert_batches_equal_draw_loop(
                 np.random.Generator(bit_generator(seed)),
@@ -546,36 +543,14 @@ class TestRandomSequence:
             # Including 8-10, where numpy sums a row pairwise.
             assert seen == set(range(1, RANDOM_MAX_N + 1))
 
-    def test_rejected_words_are_pinned(self):
-        for offset, rejected in ((_REJECTED_HIGH, (False, True)),
-                                 (_REJECTED_LOW, (True, False))):
-            bitgen = np.random.default_rng(0).bit_generator
-            bitgen.advance(offset)
-            word = bitgen.random_raw()
-            halves = word & 0xFFFFFFFF, word >> 32
-            assert tuple(RANDOM_MAX_N * h % 2**32 < 6
-                         for h in halves) == rejected
-
-    @pytest.mark.parametrize("lead", [0, 1])
-    @pytest.mark.parametrize("offset", [_REJECTED_HIGH - 1, _REJECTED_HIGH,
-                                        _REJECTED_LOW - 1, _REJECTED_LOW])
-    def test_batch_at_rejected_half(self, offset, lead):
-        # At _REJECTED_HIGH the second length meets the rejected half in
-        # the buffer after the first sequence's exponentials, or, after one
-        # lead integers draw, the batch starts on it; at _REJECTED_LOW the
-        # first length (or the lead draw) rejects the low half and takes
-        # the high one.  One word earlier, the rejected word goes to the
-        # first exponential draws instead.
-        rngs = [np.random.default_rng(0) for _ in range(2)]
-        for rng in rngs:
-            rng.bit_generator.advance(offset)
-            rng.integers(1, RANDOM_MAX_N + 1, size=lead)
-        _assert_batches_equal_draw_loop(*rngs, (2, 401), 1.0)
-
-    def test_batch_rejects_other_bit_generators(self):
-        rng = types.SimpleNamespace(bit_generator=object())
-        with pytest.raises(TypeError, match="numpy's bit generators"):
-            random_batch(rng, 1, 1.0)
+    def test_batch_takes_any_integer_lengths(self):
+        # A list, and every length in one batch, in either order.
+        lengths = [*range(1, RANDOM_MAX_N + 1), *range(RANDOM_MAX_N, 0, -1)]
+        rngs = [np.random.default_rng(8) for _ in range(2)]
+        got = random_batch(rngs[0], lengths, 2.0)
+        want = _draw_loop(rngs[1], np.array(lengths), 2.0)
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+        assert _state_bits(rngs[0]) == _state_bits(rngs[1])
 
     def test_simplex_sums(self):
         rng = np.random.default_rng(6)

@@ -61,7 +61,7 @@ DURATIONS = {
     "BangSingularSequence.optical_pumping": (
         "tprime", True, analytic.BangSingularSequence.optical_pumping),
     "random_batch": ("tprime", True,
-                     lambda d: analytic.random_batch(RNG, 3, d)),
+                     lambda d: analytic.random_batch(RNG, [1, 2, 3], d)),
     "random_sequence": ("tprime", True,
                         lambda d: analytic.random_sequence(RNG, 2, d)),
 }
@@ -90,8 +90,6 @@ COUNTS = {
     "integrate_reduced": ("n_steps", 1,
                           lambda n: reduced.integrate_reduced(_no_work, 1.0,
                                                               n)),
-    "random_batch": ("count", 0,
-                     lambda n: analytic.random_batch(RNG, n, 1.0)),
     "random_sequence": ("n", 1,
                         lambda n: analytic.random_sequence(RNG, n, 1.0)),
 }
@@ -145,10 +143,30 @@ def test_bad_count_is_named(entry, value):
                                   f"got ")
 
 
+# random_batch's lengths: not 1-D, not integer, or outside 1..RANDOM_MAX_N.
+BAD_LENGTHS = {
+    "scalar": 3,
+    "2-D": [[1, 2]],
+    "float": [2.5],
+    "bool": [True],
+    "zero": [1, 0],
+    "negative": [-1],
+    "int64-negative": np.array([-1], dtype=np.int64),
+    "above": [analytic.RANDOM_MAX_N + 1],
+    "uint8-zero": np.zeros(2, dtype=np.uint8),
+}
+
+
+@pytest.mark.parametrize("value", BAD_LENGTHS.values(), ids=BAD_LENGTHS)
+def test_bad_lengths_is_named(value):
+    _assert_rejected(lambda v: analytic.random_batch(RNG, v, 1.0), value,
+                     "lengths must ")
+
+
 def test_rejected_draw_leaves_the_generator_alone():
     state = RNG.bit_generator.state
-    for call in (lambda: analytic.random_batch(RNG, -1, 1.0),
-                 lambda: analytic.random_batch(RNG, 3, math.nan),
+    for call in (lambda: analytic.random_batch(RNG, [0], 1.0),
+                 lambda: analytic.random_batch(RNG, [3], math.nan),
                  lambda: analytic.random_sequence(RNG, 0, 1.0),
                  lambda: analytic.random_sequence(RNG, 2, -1.0)):
         with pytest.raises(ValueError):

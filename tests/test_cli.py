@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 from lambda_control import cli
 from lambda_control.analytic import (
@@ -31,26 +30,9 @@ from lambda_control.analytic import (
 from lambda_control.model import (
     IntegrationError,
     SystemParams,
-    Trajectory,
     integrate_full,
 )
 from oracles import assert_no_child, fork_paths
-
-
-_JSON_VALUES = st.one_of(
-    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324]),
-    st.floats())
-# math.sin and math.cos reject infinite angles.
-_JSON_ANGLES = st.one_of(st.sampled_from([math.nan, -0.0, 0.0]),
-                         st.floats(allow_infinity=False))
-
-
-@st.composite
-def _json_trajectories(draw):
-    n = draw(st.integers(1, 40))
-    return Trajectory(draw(hnp.arrays(float, n, elements=_JSON_VALUES)),
-                      draw(hnp.arrays(float, (n, 9), elements=_JSON_VALUES)),
-                      draw(hnp.arrays(float, n, elements=_JSON_ANGLES)))
 
 
 _CHUNK_VALUES = st.one_of(
@@ -248,18 +230,6 @@ class TestSimulate:
         want = json.dumps(payload, sort_keys=True, indent=2) + "\n"
         assert (tmp_path / "trajectory.json").read_bytes() == \
             want.encode("utf-8")
-
-    @settings(deadline=None, max_examples=60)
-    @given(_json_trajectories(),
-           st.dictionaries(st.text(max_size=8),
-                           st.one_of(st.none(), st.floats(), st.text(),
-                                     st.integers()), max_size=4))
-    def test_json_columns_equal_indented_dumps(self, traj, cfg):
-        # The simulate payload: config plus the ten exported columns.
-        columns = traj.columns().T.tolist()
-        payload = {"config": cfg, **dict(zip(Trajectory.COLUMNS, columns))}
-        assert cli._dumps_float_columns(payload) == \
-            json.dumps(payload, sort_keys=True, indent=2)
 
     def test_missing_required_flag(self, tmp_path, capsys):
         code = run_cli(["simulate", "--duration", "10", "--out", str(tmp_path)])
@@ -504,13 +474,15 @@ class TestVerify:
         code = run_cli(["verify", "--tprime", "5", "--n", str(count),
                         "--seed", "1", "--out", str(tmp_path)])
         assert code == 0
+        # Pumping, then every length from one integers call, then one
+        # random_sequence per length.
         rng = np.random.default_rng(1)
+        lengths = rng.integers(1, RANDOM_MAX_N + 1, size=count - 1,
+                               dtype=np.uint8)
         expected = []
-        for index in range(count):
-            if index == 0:
-                seq = BangSingularSequence.optical_pumping(tprime)
-            else:
-                seq = random_sequence(rng, int(rng.integers(1, 11)), tprime)
+        for seq in [BangSingularSequence.optical_pumping(tprime),
+                    *(random_sequence(rng, n, tprime)
+                      for n in lengths.tolist())]:
             x, y = -1.0, 0.0
             for jump, arc in zip(seq.jumps, seq.arcs):
                 x, y = apply_bang(x, y, jump)
@@ -737,7 +709,7 @@ class TestVerifyTwoProcesses:
         return code, [(out / name).read_bytes() for name in
                       ("verify_sequences.jsonl", "verify_summary.json")]
 
-    @pytest.mark.parametrize("n", [1, 1001, 1002, 2500, 10000])
+    @pytest.mark.parametrize("n", [1, 1001, 1002, 2500, 4500, 5001, 10000])
     def test_paths_are_byte_equal(self, tmp_path, n):
         got = {}
         for path in ("serial", "forked"):
@@ -753,12 +725,15 @@ class TestVerifyTwoProcesses:
                                                   monkeypatch, capsys, where):
         # Of 2500 sequences, 1..1000 are checked here and 1001..2499 in the
         # child.  The one sequence flagged is picked by its values, so
-        # every path flags it.
-        index = {"here": 700, "child": 2100}[where]
+        # every path flags it: the first jump of the first sequence of two
+        # jumps or more from 700 or 2100 on (a single jump is pi/2).
         self._verify("serial", tmp_path / "plain", 2500)
-        line = (tmp_path / "plain" / "verify_sequences.jsonl").read_text(
-            ).splitlines()[index]
-        flagged = json.loads(line)["thetas"][0]
+        records = [json.loads(line) for line in (
+            tmp_path / "plain" / "verify_sequences.jsonl").read_text(
+            ).splitlines()]
+        flagged = next(record["thetas"][0] for record in
+                       records[{"here": 700, "child": 2100}[where]:]
+                       if record["n"] > 1)
         real = cli.analytic.verify_bounds
 
         def verify_bounds(lengths, jumps, arcs):
@@ -818,9 +793,14 @@ class TestVerifyTwoProcesses:
             return real(fh, lengths, *args)
 
         monkeypatch.setattr(cli, "_verify_chunk", verify_chunk)
-        code, _ = self._verify("forked", tmp_path, 4500)
-        assert code == 0
-        assert here == [1, 1000, 1000]
+        # The chunk boundary nearest to half the sequences, the larger half
+        # here at a tie: 2000 of 4499 and 3000 of 5000.
+        for n, want in ((4500, [1, 1000, 1000]),
+                        (5001, [1, 1000, 1000, 1000])):
+            here.clear()
+            code, _ = self._verify("forked", tmp_path / str(n), n)
+            assert code == 0
+            assert here == want
         assert_no_child()
 
     def test_interrupt_in_this_process_kills_the_child(self, tmp_path,

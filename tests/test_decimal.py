@@ -190,8 +190,9 @@ class TestReprFormatter:
     def test_verify_chunk_takes_no_fallback(self, monkeypatch, tprime):
         # Guards the speed: on a chunk of verify values nothing goes to
         # repr, the zero margins included.
-        lengths, jumps, arcs = analytic.random_batch(
-            np.random.default_rng(5), 1000, tprime)
+        rng = np.random.default_rng(5)
+        lengths = rng.integers(1, analytic.RANDOM_MAX_N + 1, size=1000)
+        jumps, arcs = analytic.random_batch(rng, lengths, tprime)
         check = analytic.verify_bounds(lengths, jumps, arcs)
         values = np.concatenate([arcs[jumps != 0.0], jumps[jumps != 0.0],
                                  check.margin, check.x1, check.xn])
