@@ -20,6 +20,7 @@ import argparse
 import dataclasses
 import functools
 import io
+import itertools
 import json
 import math
 import os
@@ -128,12 +129,15 @@ def _params(args) -> SystemParams:
 
 
 def _floats(text: str, option: str) -> list[float]:
+    parts = [part.strip() for part in text.split(",")]
+    if not any(parts):
+        raise UsageError(f"empty {option} list: {text!r}")
+    if not all(parts):
+        raise UsageError(f"empty entry in {option} list: {text!r}")
     try:
-        values = [float(part) for part in text.split(",") if part.strip() != ""]
+        values = [float(part) for part in parts]
     except ValueError as exc:
         raise UsageError(f"bad {option} list: {text!r}") from exc
-    if not values:
-        raise UsageError(f"empty {option} list: {text!r}")
     if not all(map(math.isfinite, values)):
         raise UsageError(f"non-finite value in {option} list: {text!r}")
     return values
@@ -591,47 +595,56 @@ def cmd_sweep(args) -> int:
            "seed": config.seed, "starts": config.n_starts,
            "max_iters": config.max_iters}
 
-    cells = optimizer.grid_cells(gammas, gamma_diffs, durations)
-    rows = optimizer.sweep(cells, config)
-
     csv_rows = []
     detail = []
-    for row in rows:
-        if row.error is None:
-            winner = row.winner_start
-            objective, baseline = row.objective, row.pumping_baseline
-        else:
+    failures = []
+    for gamma, gamma_diff, duration in itertools.product(
+            gammas, gamma_diffs, durations):
+        cell = {"gamma": gamma, "gamma_diff": gamma_diff, "duration": duration}
+        try:
+            params = SystemParams(gamma_total=gamma, gamma_diff=gamma_diff)
+            result = optimizer.optimize(config, params, duration)
+            baseline = optimizer.pumping_baseline(params, duration)
+        # Invalid parameters and numerical failures (numpy's LinAlgError is a
+        # ValueError) become error rows and the grid goes on; any other
+        # exception is a bug and propagates.
+        except (ValueError, IntegrationError, FloatingPointError) as exc:
+            failures.append(exc)
             # Keep the fixed column layout: no separators inside the field.
-            reason = row.error.replace(",", ";").replace("\n", " ")
-            winner = f"error:{reason}"
+            reason = str(exc).replace(",", ";").replace("\n", " ")
+            csv_rows.append((gamma, gamma_diff, duration, math.nan, math.nan,
+                             f"error:{reason}", False))
             # JSON has no NaN: a failed cell's values are null there.
-            objective = baseline = None
-        csv_rows.append((row.gamma, row.gamma_diff, row.duration,
-                         row.objective, row.pumping_baseline, winner,
-                         row.converged))
+            detail.append({**cell, "objective": None,
+                           "pumping_baseline": None, "winner_start": "",
+                           "converged": False, "error": str(exc),
+                           "starts": []})
+            continue
+        csv_rows.append((gamma, gamma_diff, duration, result.objective,
+                         baseline, result.start_label, result.converged))
         detail.append({
-            "gamma": row.gamma, "gamma_diff": row.gamma_diff,
-            "duration": row.duration, "objective": objective,
+            **cell, "objective": result.objective,
             "pumping_baseline": baseline,
-            "winner_start": row.winner_start, "converged": row.converged,
-            "error": row.error,
-            "starts": [dataclasses.asdict(rec) for rec in row.starts],
+            "winner_start": result.start_label,
+            "converged": result.converged, "error": None,
+            "starts": [dataclasses.asdict(rec) for rec in result.starts],
         })
 
     out = _out_dir(args)
     write_csv(out / "sweep.csv", cfg,
               "gamma_over_omega0,gamma_diff_over_omega0,omega0T,"
               "objective,pumping_baseline,winner_start,converged", csv_rows)
-    failures = [d for d in detail if d["error"] is not None]
-    summary = {"command": "sweep", "config": cfg, "n_cells": len(rows),
+    summary = {"command": "sweep", "config": cfg, "n_cells": len(detail),
                "n_failures": len(failures), "cells": detail,
                "outputs": {"table": "sweep.csv"}}
     write_json(out / "sweep_summary.json", summary)
     _emit(summary)
-    if failures and len(failures) == len(rows):
-        if all(row.invalid for row in rows):
+    if len(failures) == len(detail):
+        if all(isinstance(exc, ValueError)
+               and not isinstance(exc, np.linalg.LinAlgError)
+               for exc in failures):
             # A usage error, as optimize reports for any one of these cells.
-            raise ValueError(rows[0].error)
+            raise failures[0]
         raise IntegrationError("every sweep cell failed", last_time=0.0)
     return EXIT_OK
 

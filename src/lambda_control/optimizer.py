@@ -80,18 +80,19 @@ loop runs every start in the caller, so it alone defines what ``optimize``
 returns or raises.  The split adds 4-10 ms on a 2-vCPU host, so only calls
 with starts x intervals x ``max_iters`` of 20000 or more fork
 (``_ITERATION_SECONDS_PER_INTERVAL``): a call of 8 intervals, 2 starts and 3 iterations
-stays in one process (0.7-1.2 ms, against 4.5-5.1 ms forked).  Calls at
-the defaults (100 intervals, 6 starts, 300 iterations) take 9-75 ms in one
-process and 9-65 ms forked (medians over five cells, 2-vCPU host whose
-second CPU is shared); the split gains least on the calls that converge
-fastest.  Spans and mocks in the caller see only its own starts.
+stays in one process (0.7-1.2 ms, against 4.5-5.1 ms forked).  Every call
+at the defaults (100 intervals, 6 starts, 300 iterations) forks, but most
+starts converge long before ``max_iters``: on the benchmark's four default
+cells the split loses on the two that converge fastest, and on a 2-vCPU
+host where two busy processes ran no faster than one it lost on all four
+(9-76 ms in one process against 13-82 ms forked, in-process medians of 10
+alternating rounds).  Spans and mocks in the caller see only its own
+starts.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
-import math
 import pickle
 from collections import deque
 from dataclasses import dataclass
@@ -105,7 +106,6 @@ from .model import (
     _angle_derivative,
     ControlSignal,
     FRAME_GENERATOR,
-    IntegrationError,
     SystemParams,
     _matrix_powers,
     _frame_rotation_x,
@@ -122,15 +122,11 @@ __all__ = [
     "OptimizationConfig",
     "StartRecord",
     "OptimizationResult",
-    "SweepCell",
-    "SweepRow",
     "objective",
     "objective_and_gradient",
     "optimize",
     "pumping_baseline",
     "default_starts",
-    "grid_cells",
-    "sweep",
 ]
 
 
@@ -607,75 +603,3 @@ def pumping_baseline(params: SystemParams, T: float) -> float:
     """rho33(T) under pure pumping (theta = pi/2 for the whole window)."""
     return objective(optical_pumping_control(T), params)
 
-
-# ---------------------------------------------------------------------------
-# Parameter sweeps
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SweepCell:
-    gamma: float
-    gamma_diff: float
-    duration: float
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    gamma: float
-    gamma_diff: float
-    duration: float
-    objective: float
-    pumping_baseline: float
-    winner_start: str
-    converged: bool
-    error: str | None = None
-    # Every start's record; empty on error rows.
-    starts: tuple[StartRecord, ...] = ()
-    # An error row from parameter validation, not a numerical failure.
-    invalid: bool = False
-
-
-def grid_cells(gammas, gamma_diffs, durations) -> list[SweepCell]:
-    return [SweepCell(float(g), float(gd), float(T))
-            for g, gd, T in itertools.product(gammas, gamma_diffs, durations)]
-
-
-def sweep(cells, config: OptimizationConfig) -> list[SweepRow]:
-    """Optimize every cell; per-cell failures are recorded and do not abort.
-
-    Invalid parameters (``ValueError``: ``invalid`` rows) and numerical
-    failures (``IntegrationError``, ``FloatingPointError``, numpy's
-    ``LinAlgError``) become error rows; any other exception propagates.
-    """
-    rows = []
-    for cell in cells:
-        try:
-            params = SystemParams(gamma_total=cell.gamma,
-                                  gamma_diff=cell.gamma_diff)
-            result = optimize(config, params, cell.duration)
-            baseline = pumping_baseline(params, cell.duration)
-            rows.append(SweepRow(
-                gamma=cell.gamma,
-                gamma_diff=cell.gamma_diff,
-                duration=cell.duration,
-                objective=result.objective,
-                pumping_baseline=baseline,
-                winner_start=result.start_label,
-                converged=result.converged,
-                starts=result.starts,
-            ))
-        except (ValueError, IntegrationError,
-                FloatingPointError) as exc:  # record, go on to the next cell
-            rows.append(SweepRow(
-                gamma=cell.gamma,
-                gamma_diff=cell.gamma_diff,
-                duration=cell.duration,
-                objective=math.nan,
-                pumping_baseline=math.nan,
-                winner_start="",
-                converged=False,
-                error=str(exc),
-                invalid=(isinstance(exc, ValueError) and
-                         not isinstance(exc, np.linalg.LinAlgError)),
-            ))
-    return rows

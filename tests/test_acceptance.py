@@ -28,12 +28,10 @@ from lambda_control.model import (
 )
 from lambda_control.optimizer import (
     OptimizationConfig,
-    grid_cells,
     objective,
     objective_and_gradient,
     optimize,
     pumping_baseline,
-    sweep,
 )
 from lambda_control.reduced import integrate_reduced
 from oracles import (
@@ -242,15 +240,17 @@ def test_criterion_6_small_decay_deviation():
 def test_criterion_7_asymmetry_regimes():
     started = time.perf_counter()
     config = OptimizationConfig()
-    rows = {row.gamma_diff: row for row in sweep(
-        grid_cells([10.0], [-8.0, -2.0, 2.0, 8.0], [100.0]), config)}
+    # At Gamma 10, omega0 T 100; a failure in any regime raises.
+    objectives, baselines = {}, {}
+    for gd in (-8.0, -2.0, 2.0, 8.0):
+        params = SystemParams(gamma_total=10.0, gamma_diff=gd)
+        objectives[gd] = optimize(config, params, 100.0).objective
+        baselines[gd] = pumping_baseline(params, 100.0)
 
-    assert all(row.error is None for row in rows.values())
     pumping_near_optimal = all(
-        rows[gd].pumping_baseline >= 0.99 * rows[gd].objective
-        for gd in (-8.0, -2.0, 2.0))
-    beat_margin = rows[8.0].objective - rows[8.0].pumping_baseline
-    ordering = rows[-8.0].objective > rows[8.0].objective
+        baselines[gd] >= 0.99 * objectives[gd] for gd in (-8.0, -2.0, 2.0))
+    beat_margin = objectives[8.0] - baselines[8.0]
+    ordering = objectives[-8.0] > objectives[8.0]
 
     elapsed = time.perf_counter() - started
     _report(
@@ -259,8 +259,8 @@ def test_criterion_7_asymmetry_regimes():
         and elapsed < 600.0,
         f"pumping within 1% for gamma_diff in {{-8,-2,2}}: "
         f"{pumping_near_optimal}; margin at +8: {beat_margin:.4f} > 0; "
-        f"objective(-8)={rows[-8.0].objective:.4f} > "
-        f"objective(+8)={rows[8.0].objective:.4f}; {elapsed:.1f}s < 600s",
+        f"objective(-8)={objectives[-8.0]:.4f} > "
+        f"objective(+8)={objectives[8.0]:.4f}; {elapsed:.1f}s < 600s",
     )
 
 

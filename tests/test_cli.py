@@ -1,6 +1,7 @@
 import dataclasses
 import errno
 import io
+import itertools
 import json
 import math
 import os
@@ -31,6 +32,11 @@ from lambda_control.model import (
     IntegrationError,
     SystemParams,
     integrate_full,
+)
+from lambda_control.optimizer import (
+    OptimizationConfig,
+    optimize,
+    pumping_baseline,
 )
 from oracles import assert_no_child, fork_paths
 
@@ -981,6 +987,51 @@ class TestSweepCommand:
         cells = read_json(tmp_path / "sweep_summary.json")["cells"]
         assert [cell["error"] for cell in cells] == ["singular", "singular"]
 
+    def test_single_cell_matches_optimize(self, tmp_path):
+        code = run_cli(["sweep", "--gammas", "2", "--durations", "10",
+                        "--intervals", "30", "--max-iters", "80",
+                        "--starts", "3", "--out", str(tmp_path)])
+        assert code == 0
+        [cell] = read_json(tmp_path / "sweep_summary.json")["cells"]
+        params = SystemParams(gamma_total=2.0)
+        direct = optimize(OptimizationConfig(n_intervals=30, max_iters=80,
+                                             n_starts=3, seed=0),
+                          params, 10.0)
+        assert cell["error"] is None
+        assert cell["objective"] == direct.objective
+        assert cell["winner_start"] == direct.start_label
+        assert cell["pumping_baseline"] == pumping_baseline(params, 10.0)
+        assert cell["starts"] == [dataclasses.asdict(rec)
+                                  for rec in direct.starts]
+
+    def test_programming_errors_propagate(self, tmp_path, monkeypatch,
+                                          capsys):
+        # Only invalid parameters and numerical failures become error rows.
+        def broken(*args, **kwargs):
+            raise TypeError("bug in optimize")
+
+        monkeypatch.setattr(cli.optimizer, "optimize", broken)
+        out = tmp_path / "out"
+        with pytest.raises(TypeError, match="bug in optimize"):
+            run_cli(["sweep", "--gammas", "2", "--durations", "5",
+                     "--intervals", "4", "--max-iters", "1", "--starts", "1",
+                     "--out", str(out)])
+        assert not out.exists()
+        assert capsys.readouterr() == ("", "")
+
+    def test_rows_follow_the_grid_order(self, tmp_path):
+        code = run_cli(["sweep", "--gammas", "1,2", "--gamma-diffs", "0,0.5",
+                        "--durations", "5,10,20", "--intervals", "4",
+                        "--max-iters", "1", "--starts", "1",
+                        "--out", str(tmp_path)])
+        assert code == 0
+        _, rows = read_csv_rows(tmp_path / "sweep.csv")
+        assert [tuple(row[:3]) for row in rows] == list(itertools.product(
+            ["1", "2"], ["0", "0.5"], ["5", "10", "20"]))
+        cells = read_json(tmp_path / "sweep_summary.json")["cells"]
+        assert [(c["gamma"], c["gamma_diff"], c["duration"])
+                for c in cells] == [tuple(map(float, row[:3])) for row in rows]
+
     def test_summary_lists_every_start(self, tmp_path):
         argv = ["sweep", "--gammas", "0.5,2", "--gamma-diffs", "0,1",
                 "--durations", "5", "--intervals", "12", "--starts", "3",
@@ -1114,6 +1165,23 @@ class TestParserPlumbing:
         out = tmp_path / "out"
         assert run_cli(argv + ["--out", str(out)]) == 1
         assert "empty" in json.loads(capsys.readouterr().err)["error"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, option", [
+        (["sweep", "--gammas", "2", "--durations", "5,,10"], "--durations"),
+        (["sweep", "--gammas", "2,", "--durations", "5"], "--gammas"),
+        (["sweep", "--gammas", "2", "--gamma-diffs", " ,0",
+          "--durations", "5"], "--gamma-diffs"),
+        (["reduce", "--jumps", "0.5,,1.0707963267948966", "--arcs", "1,2"],
+         "--jumps"),
+    ], ids=["middle", "end", "blank", "jumps"])
+    def test_empty_list_entry_is_rejected(self, tmp_path, capsys, argv,
+                                          option):
+        # An empty entry is an error, not a shorter list.
+        out = tmp_path / "out"
+        assert run_cli(argv + ["--out", str(out)]) == 1
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error.startswith(f"empty entry in {option} list")
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, option", [

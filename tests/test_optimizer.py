@@ -33,12 +33,10 @@ from lambda_control.optimizer import (
     OptimizationConfig,
     _interval_propagators,
     _rk4_pair_propagators,
-    grid_cells,
     objective,
     objective_and_gradient,
     optimize,
     pumping_baseline,
-    sweep,
 )
 from oracles import (
     assert_no_child,
@@ -1142,46 +1140,3 @@ class TestPumpingBaseline:
                                 method="adaptive").final_rho33
         assert discrete == pytest.approx(oracle, abs=1e-6)
 
-
-class TestSweep:
-    def test_single_cell_matches_optimize(self):
-        config = OptimizationConfig(n_intervals=30, max_iters=80,
-                                    n_starts=3, seed=0)
-        cells = grid_cells([2.0], [0.0], [10.0])
-        assert len(cells) == 1
-        rows = sweep(cells, config)
-        p = SystemParams(gamma_total=2.0)
-        direct = optimize(config, p, 10.0)
-        assert rows[0].objective == pytest.approx(direct.objective, abs=1e-15)
-        assert rows[0].winner_start == direct.start_label
-        assert rows[0].pumping_baseline == pytest.approx(
-            pumping_baseline(p, 10.0), abs=1e-15)
-        assert rows[0].error is None
-        assert rows[0].starts == direct.starts
-
-    def test_failures_recorded_and_sweep_continues(self):
-        config = OptimizationConfig(n_intervals=20, max_iters=30,
-                                    n_starts=2, seed=0)
-        cells = grid_cells([2.0], [9.0, 0.0], [5.0])  # first cell invalid
-        rows = sweep(cells, config)
-        assert len(rows) == 2
-        assert rows[0].error is not None
-        assert math.isnan(rows[0].objective)
-        assert rows[0].starts == ()
-        assert rows[1].error is None
-        assert rows[1].objective > 0.0
-
-    def test_programming_errors_propagate(self, monkeypatch):
-        def broken(*args, **kwargs):
-            raise TypeError("bug in optimize")
-
-        monkeypatch.setattr("lambda_control.optimizer.optimize", broken)
-        config = OptimizationConfig(n_intervals=4, max_iters=1, n_starts=1)
-        with pytest.raises(TypeError, match="bug in optimize"):
-            sweep(grid_cells([2.0], [0.0], [5.0]), config)
-
-    def test_grid_cells_cross_product(self):
-        cells = grid_cells([1.0, 2.0], [0.0], [5.0, 10.0, 20.0])
-        assert len(cells) == 6
-        assert cells[0].gamma == 1.0 and cells[0].duration == 5.0
-        assert cells[-1].gamma == 2.0 and cells[-1].duration == 20.0
