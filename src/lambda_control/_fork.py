@@ -5,11 +5,11 @@ only definition of the result.
 (the random chunks of ``verify``) call ``split``: a forked child computes one
 share of the parts and sends its result through a pipe as bytes, while the
 caller computes the other share and reads them.  ``split`` returns the
-caller's result, or ``NOT_SPLIT`` when the fork would not pay or the host
-does not allow it (``_two_processes``), the pipe or the fork cannot be had,
-the caller raised an ``Exception`` or the child exited with a status other
-than 0.  On ``NOT_SPLIT`` the caller runs its unchanged serial loop, which
-then decides every result and every error.
+caller's result, or else runs the caller's serial loop, which then decides
+every result and every error: when the fork would not pay or the host does
+not allow it (``_two_processes``), the pipe or the fork cannot be had, the
+caller raised an ``Exception`` or the child exited with a status other
+than 0.
 
 Each caller estimates the time of its serial loop from its size, and a
 loop below ``_MIN_SERIAL_SECONDS`` stays in one process.  On a 2-vCPU host
@@ -24,8 +24,6 @@ from __future__ import annotations
 
 import os
 import threading
-
-NOT_SPLIT = object()
 
 # The least estimated serial time at which split forks.
 _MIN_SERIAL_SECONDS = 0.02
@@ -44,31 +42,19 @@ def _two_processes(n_parts: int, seconds: float) -> bool:
             and threading.active_count() == 1)
 
 
-def split(n_parts: int, seconds: float, child, here):
-    """``here(pipe)`` in this process while ``child()`` runs in a fork.
-
-    ``seconds`` is the caller's estimate of its serial loop's time.
-    ``child`` takes no arguments and returns the bytes to send; any
-    exception in it, or a pipe closed before they are sent, makes the
-    child's exit status 1.  The child leaves only through ``os._exit``, so
-    it runs no cleanup of the caller's and flushes none of its buffers.
-    ``here`` gets the read end of the pipe as a binary file and reads it to
-    its end.  The child is reaped before this returns, killed first if
-    ``here`` raised; a ``BaseException`` that is not an ``Exception``, such
-    as ``KeyboardInterrupt``, propagates after that.
-    """
-    if not _two_processes(n_parts, seconds):
-        return NOT_SPLIT
+def _start(child):
+    """(pid, read end) of a forked child that sends ``child()``'s bytes
+    down a pipe, or None where the pipe or the fork cannot be had."""
     try:
         read_fd, write_fd = os.pipe()
-    except OSError:  # no descriptors to be had: every part stays here
-        return NOT_SPLIT
+    except OSError:  # no descriptors to be had
+        return None
     try:
         pid = os.fork()
     except OSError:  # no process to be had
         os.close(read_fd)
         os.close(write_fd)
-        return NOT_SPLIT
+        return None
     if pid == 0:  # the child: it never returns into the caller
         status = 1
         try:
@@ -79,15 +65,36 @@ def split(n_parts: int, seconds: float, child, here):
         finally:
             os._exit(status)
     os.close(write_fd)
-    try:
-        with open(read_fd, "rb") as pipe:
-            result = here(pipe)
-    except BaseException as error:
-        import signal  # only on this path: a healthy run never needs it
+    return pid, read_fd
 
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
-        if isinstance(error, Exception):  # the serial loop raises it again
-            return NOT_SPLIT
-        raise
-    return NOT_SPLIT if os.waitpid(pid, 0)[1] else result
+
+def split(n_parts: int, seconds: float, child, here, serial):
+    """``here(pipe)`` while ``child()`` runs in a fork, or else ``serial()``.
+
+    ``seconds`` is the caller's estimate of its serial loop's time.
+    ``child`` takes no arguments and returns the bytes to send; any
+    exception in it, or a pipe closed before they are sent, makes the
+    child's exit status 1.  The child leaves only through ``os._exit``, so
+    it runs no cleanup of the caller's and flushes none of its buffers.
+    ``here`` gets the read end of the pipe as a binary file and reads it to
+    its end.  The child is reaped before ``serial`` runs or this returns,
+    killed first if ``here`` raised; a ``BaseException`` that is not an
+    ``Exception``, such as ``KeyboardInterrupt``, propagates after that.
+    """
+    started = _start(child) if _two_processes(n_parts, seconds) else None
+    if started is not None:
+        pid, read_fd = started
+        try:
+            with open(read_fd, "rb") as pipe:
+                result = here(pipe)
+        except BaseException as error:
+            import signal  # only on this path: a healthy run never needs it
+
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            if not isinstance(error, Exception):
+                raise
+        else:
+            if not os.waitpid(pid, 0)[1]:
+                return result
+    return serial()  # outside any handler: it raises again what `here` did

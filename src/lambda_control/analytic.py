@@ -269,14 +269,16 @@ def _row_sums(lengths: np.ndarray, *padded: np.ndarray):
     One (N,) array per padded (N, L) array.  A sum over the whole padded row
     would group the terms differently (numpy sums pairwise from 8 terms) and
     could change the last bit, so the rows of each length are summed
-    together over that length.
+    together over that length.  Arcs that sum past the largest float give
+    inf without a warning: x1 = -1 is the right limit there.
     """
     sums = [np.empty(lengths.size) for _ in padded]
     # bincount rather than np.unique, which imports numpy.ma.
-    for n in np.flatnonzero(np.bincount(lengths)):
-        rows = lengths == n
-        for total, values in zip(sums, padded):
-            total[rows] = np.add.reduce(values[rows, :n], axis=1)
+    with np.errstate(over="ignore"):
+        for n in np.flatnonzero(np.bincount(lengths)):
+            rows = lengths == n
+            for total, values in zip(sums, padded):
+                total[rows] = np.add.reduce(values[rows, :n], axis=1)
     return sums
 
 
@@ -455,7 +457,9 @@ def pmp_residual(schedule: BangSingularSequence,
                          lambda_x=empty, lambda_y=empty)
 
     def arc_samples(i: int):
-        tau = np.linspace(0.0, schedule.arcs[i], _PMP_SAMPLES_PER_ARC)
+        # Near the largest float linspace overflows, then ends on the arc.
+        with np.errstate(over="ignore"):
+            tau = np.linspace(0.0, schedule.arcs[i], _PMP_SAMPLES_PER_ARC)
         decay = np.exp(-tau)
         # The costate grows along the arc; taken back from its arc-end
         # value it stays finite where exp(tau) would overflow.

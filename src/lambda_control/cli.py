@@ -335,11 +335,28 @@ def _opt_config(args) -> optimizer.OptimizationConfig:
     )
 
 
+def _cell_record(result: optimizer.OptimizationResult,
+                 params: SystemParams) -> dict:
+    """One optimized cell's JSON record, which `optimize`, `figures` and
+    `sweep` extend; a start's record is its StartRecord fields that compare."""
+    winner = result.winner
+    return {
+        "objective": result.objective,
+        "pumping_baseline": optimizer.pumping_baseline(
+            params, result.control.duration),
+        "winner_start": winner.label,
+        "converged": winner.converged,
+        "starts": [{f.name: getattr(rec, f.name)
+                    for f in dataclasses.fields(rec) if f.compare}
+                   for rec in result.starts],
+    }
+
+
 def _write_winner(path: Path, cfg: dict,
                   result: optimizer.OptimizationResult,
                   params: SystemParams) -> dict:
     """Write the winning control as the `t,theta` table load_control_file
-    reads, one row per interval start, and return the winner's record.
+    reads, one row per interval start, and return the cell's record.
 
     `simulate --control-file` with the same --duration re-runs the winner;
     its trajectory carries omega_p and omega_s at every sample.
@@ -347,15 +364,8 @@ def _write_winner(path: Path, cfg: dict,
     control = result.control
     write_csv(path, cfg, "t,theta",
               zip(control.grid[:-1].tolist(), control.theta.tolist()))
-    return {
-        "objective": result.objective,
-        "pumping_baseline": optimizer.pumping_baseline(params,
-                                                       control.duration),
-        "winner_start": result.start_label,
-        "converged": result.converged,
-        "iterations": result.iterations,
-        "starts": [dataclasses.asdict(rec) for rec in result.starts],
-    }
+    return {**_cell_record(result, params),
+            "iterations": result.winner.iterations}
 
 
 def cmd_optimize(args) -> int:
@@ -431,47 +441,46 @@ def _verify_chunk(fh, lengths, jumps, arcs):
     entries: its list entries below its length and every scalar.
     ``_decimal._repr_cells`` turns the block's values into '%'-templates
     and int arguments that write each as repr, which is what the json
-    encoder writes for a finite float.  A row with a non-finite value is
-    written by the json encoder, which spells those values NaN and
-    Infinity; its line, with any % doubled, is the row's text.
+    encoder writes for a finite float.  JSON has no NaN or Infinity, so a
+    chunk with a non-finite value raises ``FloatingPointError``, naming
+    its first non-finite record, before any of it is written.
     """
     check = analytic.verify_bounds(lengths, jumps, arcs)
     table = np.column_stack([arcs, check.margin, jumps, check.x1, check.xn])
+
+    def record(i):
+        n = int(lengths[i])
+        return {"n": n, "thetas": jumps[i, :n].tolist(),
+                "arcs": arcs[i, :n].tolist(), "xn": float(check.xn[i]),
+                "x1": float(check.x1[i]), "margin": float(check.margin[i])}
+
     finite = np.isfinite(table).all(axis=1)
+    if not finite.all():
+        raise FloatingPointError(
+            f"non-finite verify record: {record(np.flatnonzero(~finite)[0])}")
+    violations = [record(i)
+                  for i in np.flatnonzero(~check.satisfied).tolist()]
     # Each column's index within its list, -1 for the scalar fields: a row
     # of length n keeps the list entries below n and every scalar.
     entry = np.arange(jumps.shape[1])
     column = np.concatenate([entry, [-1], entry, [-1, -1]])
-    keep = (column < lengths[:, np.newaxis]) & finite[:, np.newaxis]
-    encode = json.JSONEncoder(sort_keys=True).encode
-    violations, lines = [], {}
-    for i in np.flatnonzero(~(finite & check.satisfied)).tolist():
-        n = int(lengths[i])
-        record = {"n": n, "thetas": jumps[i, :n].tolist(),
-                  "arcs": arcs[i, :n].tolist(), "xn": float(check.xn[i]),
-                  "x1": float(check.x1[i]), "margin": float(check.margin[i])}
-        if not finite[i]:
-            lines[i] = (encode(record) + "\n").replace("%", "%%")
-        if not check.satisfied[i]:
-            violations.append(record)
+    keep = column < lengths[:, np.newaxis]
     templates = _verify_templates(jumps.shape[1])
-    # Template row 0, all empty, leaves a json line alone.
-    template_rows = np.where(finite, lengths, 0)
     for lo in range(0, lengths.size, _VERIFY_BLOCK):
         rows = slice(lo, lo + _VERIFY_BLOCK)
         cells, args = _repr_cells(table[rows][keep[rows]])
         # Entries and values alternate along each row of text.
-        text = np.full((template_rows[rows].size, 2 * column.size + 1), "",
+        text = np.full((lengths[rows].size, 2 * column.size + 1), "",
                        dtype=object)
-        text[:, 0::2] = templates[template_rows[rows]]
+        text[:, 0::2] = templates[lengths[rows]]
         text[:, 1::2][keep[rows]] = cells
-        for i in np.flatnonzero(~finite[rows]).tolist():
-            text[i, 0] = lines[lo + i]
         fh.write("".join(text.ravel().tolist()) % tuple(args))
     return violations
 
 
 def cmd_verify(args) -> int:
+    """Write the bound records of pumping and --n - 1 random sequences, then
+    the summary; exit 3 on a violation or PMP residual, 2 on a NaN or inf."""
     tprime = args.tprime
     seed = _checked_count(args.seed, "seed", 0)
     count = _checked_count(args.n, "n", 1)
@@ -505,12 +514,17 @@ def cmd_verify(args) -> int:
                 rng, chunk, tprime))
         return violations
 
-    def write(fh, chunks):
-        rng.bit_generator.state = after_lengths
-        violations = _verify_chunk(fh, np.ones(1, dtype=np.intp),
-                                   pump.jumps[np.newaxis],
-                                   pump.arcs[np.newaxis])
-        return violations + check(fh, chunks)
+    def write(chunks, pipe=None):
+        with open(path, "w", encoding="utf-8") as fh:
+            rng.bit_generator.state = after_lengths
+            violations = _verify_chunk(fh, np.ones(1, dtype=np.intp),
+                                       pump.jumps[np.newaxis],
+                                       pump.arcs[np.newaxis])
+            violations += check(fh, chunks)
+            if pipe is not None:
+                fh.flush()
+                shutil.copyfileobj(pipe, fh.buffer)
+        return violations
 
     # With two chunks or more and ~2200 sequences or more, where the host
     # allows it, _fork.split checks the chunks from `mine` on in a forked
@@ -524,8 +538,8 @@ def cmd_verify(args) -> int:
     # here, while at 2500 and 4500 sequences, whose last chunk is short,
     # the smaller half here was as fast or faster (2-vCPU host).
     # A violation in the child's half, a child that exits non-zero or an
-    # exception here reruns the whole serial loop into the truncated file,
-    # so that loop alone decides the output and offenders.
+    # exception here makes _fork.split rerun the serial loop into the
+    # truncated file, so it alone decides the output, offenders and errors.
     mine = (lengths.size + VERIFY_CHUNK) // (2 * VERIFY_CHUNK)
     out = _out_dir(args)
     path = out / "verify_sequences.jsonl"
@@ -538,18 +552,9 @@ def cmd_verify(args) -> int:
             raise VerificationFailure("a sequence violates the pumping bound")
         return text.getvalue().encode("utf-8")
 
-    def here(pipe):
-        with open(path, "w", encoding="utf-8") as fh:
-            violations = write(fh, chunks[:mine])
-            fh.flush()
-            shutil.copyfileobj(pipe, fh.buffer)
-        return violations
-
-    violations = _fork.split(len(chunks),
-                             count * _VERIFY_SECONDS_PER_SEQUENCE, child, here)
-    if violations is _fork.NOT_SPLIT:
-        with open(path, "w", encoding="utf-8") as fh:
-            violations = write(fh, chunks)
+    violations = _fork.split(
+        len(chunks), count * _VERIFY_SECONDS_PER_SEQUENCE, child,
+        lambda pipe: write(chunks[:mine], pipe), lambda: write(chunks))
 
     summary = {
         "command": "verify",
@@ -603,8 +608,8 @@ def cmd_sweep(args) -> int:
         cell = {"gamma": gamma, "gamma_diff": gamma_diff, "duration": duration}
         try:
             params = SystemParams(gamma_total=gamma, gamma_diff=gamma_diff)
-            result = optimizer.optimize(config, params, duration)
-            baseline = optimizer.pumping_baseline(params, duration)
+            record = _cell_record(
+                optimizer.optimize(config, params, duration), params)
         # Invalid parameters and numerical failures (numpy's LinAlgError is a
         # ValueError) become error rows and the grid goes on; any other
         # exception is a bug and propagates.
@@ -620,15 +625,10 @@ def cmd_sweep(args) -> int:
                            "converged": False, "error": str(exc),
                            "starts": []})
             continue
-        csv_rows.append((gamma, gamma_diff, duration, result.objective,
-                         baseline, result.start_label, result.converged))
-        detail.append({
-            **cell, "objective": result.objective,
-            "pumping_baseline": baseline,
-            "winner_start": result.start_label,
-            "converged": result.converged, "error": None,
-            "starts": [dataclasses.asdict(rec) for rec in result.starts],
-        })
+        csv_rows.append((gamma, gamma_diff, duration, record["objective"],
+                         record["pumping_baseline"], record["winner_start"],
+                         record["converged"]))
+        detail.append({**cell, **record, "error": None})
 
     out = _out_dir(args)
     write_csv(out / "sweep.csv", cfg,

@@ -68,26 +68,28 @@ first-order change of rho33(T) when the state at the boundary before
 interval j is turned by exp(eps K).  It vanishes along pumping (theta =
 pi/2), where the state and the adjoint are both zero on (x5, x6).
 
-``optimize`` checks every start before any ascent.  Its starts are
-independent, so ``_ascend_all`` runs them in two processes through
-``_fork.split``, the helper ``cli.cmd_verify`` uses for its chunks: where
-``_fork._two_processes`` allows it, a forked child ascends the odd-indexed
-starts and pickles their outcomes into a pipe while the caller ascends the
-even-indexed ones, and the outcomes go back in start order.  The ascent is
-deterministic, so the records, the tie-break and every output byte do not
-depend on the split.  Where the split does not run or fails, the serial
-loop runs every start in the caller, so it alone defines what ``optimize``
-returns or raises.  The split adds 4-10 ms on a 2-vCPU host, so only calls
-with starts x intervals x ``max_iters`` of 20000 or more fork
-(``_ITERATION_SECONDS_PER_INTERVAL``): a call of 8 intervals, 2 starts and 3 iterations
-stays in one process (0.7-1.2 ms, against 4.5-5.1 ms forked).  Every call
-at the defaults (100 intervals, 6 starts, 300 iterations) forks, but most
-starts converge long before ``max_iters``: on the benchmark's four default
-cells the split loses on the two that converge fastest, and on a 2-vCPU
-host where two busy processes ran no faster than one it lost on all four
-(9-76 ms in one process against 13-82 ms forked, in-process medians of 10
-alternating rounds).  Spans and mocks in the caller see only its own
-starts.
+``optimize`` checks every start before any ascent.  Each ``_ascend``
+returns its start's ``StartRecord``, angles and history included, and
+``optimize`` returns the winning record itself as its result's ``winner``.
+The starts are independent, so ``_ascend_all`` runs them in two processes
+through ``_fork.split``, the helper ``cli.cmd_verify`` uses for its chunks:
+where ``_fork._two_processes`` allows it, a forked child ascends the
+odd-indexed starts and pickles their records into a pipe while the caller
+ascends the even-indexed ones, and the records go back in start order.
+The ascent is deterministic, so the records, the tie-break and every
+output byte do not depend on the split.  Where the split does not run or
+fails, ``split`` runs the serial loop, every start in the caller, so it
+alone defines what ``optimize`` returns or raises.  The split adds 4-10 ms
+on a 2-vCPU host, so only calls with starts x intervals x ``max_iters`` of
+20000 or more fork (``_ITERATION_SECONDS_PER_INTERVAL``): a call of 8
+intervals, 2 starts and 3 iterations stays in one process (0.7-1.2 ms,
+against 4.5-5.1 ms forked).  Every call at the defaults (100 intervals, 6
+starts, 300 iterations) forks, but most starts converge long before
+``max_iters``: on the benchmark's four default cells the split loses on
+the two that converge fastest, and on a 2-vCPU host where two busy
+processes ran no faster than one it lost on all four (9-76 ms in one
+process against 13-82 ms forked, in-process medians of 10 alternating
+rounds).  Spans and mocks in the caller see only its own starts.
 """
 
 from __future__ import annotations
@@ -95,7 +97,7 @@ from __future__ import annotations
 import functools
 import pickle
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -145,6 +147,7 @@ class OptimizationConfig:
 
 @dataclass(frozen=True)
 class StartRecord:
+    """One start's ascent, as ``_ascend`` returns it."""
     label: str
     initial_objective: float
     objective: float
@@ -155,15 +158,18 @@ class StartRecord:
     # Why the ascent stopped: "converged" (the stop test held at the last
     # iterate), "max_iters" or "line_search" (no trial step improved).
     stop: str
+    # The final angles, and the objective at the clipped start and after
+    # each accepted step: arrays, left out of repr, == and the CLI's JSON.
+    theta: np.ndarray = field(repr=False, compare=False)
+    history: np.ndarray = field(repr=False, compare=False)
 
 
 @dataclass(frozen=True, eq=False)
 class OptimizationResult:
+    """The winner's control, objective (clamped to [0, 1]) and record."""
     control: ControlSignal
     objective: float
-    iterations: int
-    converged: bool
-    start_label: str
+    winner: StartRecord
     history: np.ndarray
     starts: tuple[StartRecord, ...]
 
@@ -387,8 +393,8 @@ def _lbfgs_direction(pg: np.ndarray, pairs) -> np.ndarray:
     return q
 
 
-def _ascend(theta0: np.ndarray, grid: np.ndarray, params: SystemParams,
-            config: OptimizationConfig):
+def _ascend(label: str, theta0: np.ndarray, grid: np.ndarray,
+            params: SystemParams, config: OptimizationConfig) -> StartRecord:
     """Single-start projected L-BFGS ascent; accepted steps never decrease.
 
     Every evaluated point, the start and each line-search trial, goes
@@ -399,9 +405,7 @@ def _ascend(theta0: np.ndarray, grid: np.ndarray, params: SystemParams,
     sizes, and for symmetric decay each interval's P0, are made once per
     ascent.
 
-    Returns theta, its objective, the iterations, the stop reason of
-    ``StartRecord``, the objective history and nfev, the number of
-    evaluated points.
+    Returns the start's ``StartRecord``, labelled ``label``.
     """
     theta = np.clip(theta0, 0.0, HALF_PI)
     control = ControlSignal(grid, theta)
@@ -471,36 +475,42 @@ def _ascend(theta0: np.ndarray, grid: np.ndarray, params: SystemParams,
     pg = _projected_gradient(theta, grad)
     if float(np.max(np.abs(pg), initial=0.0)) <= _GRAD_TOL:
         stop = "converged"
-    return theta, value, iterations, stop, np.asarray(history), nfev
+    control = control.with_theta(theta)
+    return StartRecord(
+        label=label, initial_objective=history[0], objective=value,
+        iterations=iterations, nfev=nfev, converged=stop == "converged",
+        total_variation=control.total_variation(), stop=stop,
+        theta=control.theta, history=np.asarray(history))
 
 
-def _ascend_all(thetas, grid: np.ndarray, params: SystemParams,
-                config: OptimizationConfig) -> list:
-    """``_ascend`` of every start, in start order, as the serial loop
-    returns or raises it.
+def _ascend_all(starts, grid: np.ndarray, params: SystemParams,
+                config: OptimizationConfig) -> list[StartRecord]:
+    """``_ascend`` of every (label, theta0) start, in start order, as the
+    serial loop returns or raises it.
 
     Through ``_fork.split``, a forked child ascends the odd-indexed starts
-    and pickles their outcomes, while this process ascends the even-indexed
-    ones; ``_ascend`` is deterministic, so the outcomes are the serial
+    and pickles their records, while this process ascends the even-indexed
+    ones; ``_ascend`` is deterministic, so the records are the serial
     loop's bit for bit.  Where the split does not run or fails (a start
     here raises an ``Exception``, the child exits non-zero, its payload
-    does not unpickle), the serial loop runs.
+    does not unpickle), ``split`` runs the serial loop.
     """
     def ascend(share):
-        return [_ascend(theta0, grid, params, config) for theta0 in share]
+        return [_ascend(label, theta0, grid, params, config)
+                for label, theta0 in share]
 
     def here(pipe):
-        outcomes = [None] * len(thetas)
-        outcomes[::2] = ascend(thetas[::2])
-        outcomes[1::2] = pickle.loads(pipe.read())
-        return outcomes
+        records = [None] * len(starts)
+        records[::2] = ascend(starts[::2])
+        records[1::2] = pickle.loads(pipe.read())
+        return records
 
     # max_iters bounds the iterations of each start.
-    seconds = (len(thetas) * config.n_intervals * config.max_iters
+    seconds = (len(starts) * config.n_intervals * config.max_iters
                * _ITERATION_SECONDS_PER_INTERVAL)
-    outcomes = _fork.split(len(thetas), seconds,
-                           lambda: pickle.dumps(ascend(thetas[1::2])), here)
-    return ascend(thetas) if outcomes is _fork.NOT_SPLIT else outcomes
+    return _fork.split(len(starts), seconds,
+                       lambda: pickle.dumps(ascend(starts[1::2])), here,
+                       lambda: ascend(starts))
 
 
 def default_starts(config: OptimizationConfig,
@@ -541,7 +551,7 @@ def optimize(config: OptimizationConfig, params: SystemParams, T: float, *,
     starts = list(starts)
     if not starts:
         raise ValueError("starts must hold at least one (label, theta) pair")
-    thetas = []
+    checked = []
     for label, theta0 in starts:
         theta0 = np.asarray(theta0, dtype=float)
         if theta0.shape != (config.n_intervals,):
@@ -551,50 +561,27 @@ def optimize(config: OptimizationConfig, params: SystemParams, T: float, *,
             )
         if not np.isfinite(theta0).all():
             raise ValueError(f"start {label!r} has non-finite values")
-        thetas.append(theta0)
+        checked.append((label, theta0))
 
-    records = []
-    solved = []
-    outcomes = _ascend_all(thetas, grid, params, config)
-    for (label, _), outcome in zip(starts, outcomes):
-        theta, value, iters, stop, history, nfev = outcome
-        control = ControlSignal(grid, theta)
-        records.append(StartRecord(
-            label=label,
-            # objective_and_gradient at the clipped start.
-            initial_objective=float(history[0]),
-            objective=value,
-            iterations=iters,
-            nfev=nfev,
-            converged=stop == "converged",
-            total_variation=control.total_variation(),
-            stop=stop,
-        ))
-        solved.append((control, history))
-
+    records = _ascend_all(checked, grid, params, config)
     best_value = max(r.objective for r in records)
-    # Tie-break within _TIE_TOL by smoothness, but never pick a candidate
-    # below some start's initial objective (the argmax always qualifies).
+    # Tie-break within _TIE_TOL by smoothness, then start order, but never
+    # go below a start's initial objective (the argmax always qualifies).
     floor = max(r.initial_objective for r in records) - 1e-12
-    candidates = [i for i, r in enumerate(records)
+    winner = min((r for r in records
                   if r.objective >= best_value - _TIE_TOL
-                  and r.objective >= floor]
-    winner = min(candidates, key=lambda i: (records[i].total_variation, i))
-
-    rec = records[winner]
-    control, history = solved[winner]
-    value = rec.objective
+                  and r.objective >= floor),
+                 key=lambda r: r.total_variation)
+    value = winner.objective
     if not (-1e-9 <= value <= 1.0 + 1e-9):
         raise FloatingPointError(
             f"objective {value!r} escaped [0, 1]; integration is unreliable"
         )
     return OptimizationResult(
-        control=control,
+        control=ControlSignal(grid, winner.theta),
         objective=min(max(value, 0.0), 1.0),
-        iterations=rec.iterations,
-        converged=rec.converged,
-        start_label=rec.label,
-        history=history,
+        winner=winner,
+        history=winner.history,
         starts=tuple(records),
     )
 

@@ -207,7 +207,7 @@ def test_criterion_5_large_decay_regime():
         "5 large-decay regime",
         avg_stokes <= 0.15 and within_pct and change <= 1e-4
         and elapsed < 120.0,
-        f"winner={result.start_label}, avg omega_s={avg_stokes:.3f} <= 0.15; "
+        f"winner={result.winner.label}, avg omega_s={avg_stokes:.3f} <= 0.15; "
         f"objective {result.objective:.6f} within 1% of baseline "
         f"{baseline:.6f}; pumping-init change {change:.2e} <= 1e-4; "
         f"{elapsed:.1f}s < 120s",
@@ -231,7 +231,7 @@ def test_criterion_6_small_decay_deviation():
     _report(
         "6 small-decay deviation",
         margin > 0.0 and max_stokes >= 0.2 and elapsed < 120.0,
-        f"winner={result.start_label}, objective {winner_oracle:.4f} beats "
+        f"winner={result.winner.label}, objective {winner_oracle:.4f} beats "
         f"oracle baseline {baseline_oracle:.4f} by margin {margin:.4f}; "
         f"max omega_s={max_stokes:.2f} >= 0.2; {elapsed:.1f}s < 120s",
     )

@@ -51,8 +51,8 @@ _CHUNK_VALUES = st.one_of(
 def _verify_chunks(draw):
     """(lengths, jumps, arcs, fields, satisfied) of one verify chunk: every
     length 1..RANDOM_MAX_N, in a drawn order, with floats whose repr has an
-    exponent, subnormals and -0.0; NaN or +-inf in xn, x1 or margin at the
-    first, a middle and the last row."""
+    exponent, subnormals and -0.0; in some chunks, NaN or +-inf in xn, x1
+    or margin at the first, a middle and the last row."""
     lengths = np.array(draw(st.permutations(
         list(range(1, RANDOM_MAX_N + 1)) + draw(st.lists(
             st.integers(1, RANDOM_MAX_N), max_size=6)))))
@@ -65,10 +65,11 @@ def _verify_chunks(draw):
     fields = {name: np.array(draw(st.lists(
         _CHUNK_VALUES, min_size=rows, max_size=rows)))
         for name in ("xn", "x1", "margin")}
-    for i in (0, rows // 2, rows - 1):
-        name = draw(st.sampled_from(sorted(fields)))
-        fields[name][i] = draw(st.sampled_from(
-            [math.nan, math.inf, -math.inf]))
+    if draw(st.booleans()):
+        for i in (0, rows // 2, rows - 1):
+            name = draw(st.sampled_from(sorted(fields)))
+            fields[name][i] = draw(st.sampled_from(
+                [math.nan, math.inf, -math.inf]))
     satisfied = np.array(draw(st.lists(st.booleans(), min_size=rows,
                                        max_size=rows)))
     return lengths, jumps, arcs, fields, satisfied
@@ -89,7 +90,6 @@ def _fallback_chunk():
     arcs = np.where(keep, cycle[rows:2 * rows], 0.0)
     fields = {name: cycle[2 * rows + k, :rows].copy()
               for k, name in enumerate(("xn", "x1", "margin"))}
-    fields["margin"][rows // 2] = math.inf
     return lengths, jumps, arcs, fields, np.arange(rows) % 3 != 0
 
 
@@ -427,6 +427,19 @@ class TestVerify:
         first = json.loads(lines[0])
         assert first["margin"] == 0.0  # sequence 0 is always pumping
 
+    def test_largest_tprime_runs_without_warnings(self, tmp_path):
+        # At T' = the largest float, pmp_residual's linspace overflows
+        # inside, and arcs that sum to T' can round past it to inf, where
+        # x1 = -1 is the right limit: neither may warn.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli(["verify", "--tprime", "1.7976931348623157e308",
+                            "--n", "3000", "--out", str(tmp_path)])
+        assert code == 0
+        lines = (tmp_path / "verify_sequences.jsonl").read_text().splitlines()
+        assert len(lines) == 3000
+        assert {json.loads(line)["x1"] for line in lines} == {-1.0}
+
     def test_long_horizon_passes(self, tmp_path):
         # Past T' ~ 709.8 exp(T') overflows; the PMP costate must not.
         with warnings.catch_warnings():
@@ -535,8 +548,10 @@ class TestVerify:
 
     def test_records_are_the_json_encoding(self, monkeypatch):
         # The lines equal the encoder's output for the record dicts, also
-        # for -0.0, NaN and +-inf, which the encoder spells its own way.
-        special = [-0.0, math.nan, math.inf, -math.inf, 0.25]
+        # for -0.0, which the encoder spells its own way, a subnormal and
+        # the largest float.  Non-finite values exit 2: see
+        # TestVerifyTwoProcesses.test_non_finite_record_exits_2.
+        special = [-0.0, 5e-324, -1.7976931348623157e308, 1e300, 0.25]
         rows = len(special) ** 2
         xn = np.array([a for a in special for _ in special])
         x1 = np.array([b for _ in special for b in special])
@@ -577,25 +592,36 @@ class TestVerify:
         check = BoundCheck(satisfied=satisfied,
                            at_equality=np.zeros(rows, dtype=bool), **fields)
 
-        fh = io.StringIO()
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(cli.analytic, "verify_bounds",
-                          lambda *args: check)
-            violations = cli._verify_chunk(fh, lengths, jumps, arcs)
         records = [{"n": n, "thetas": jumps[i, :n].tolist(),
                     "arcs": arcs[i, :n].tolist(),
                     "xn": float(fields["xn"][i]),
                     "x1": float(fields["x1"][i]),
                     "margin": float(fields["margin"][i])}
                    for i, n in enumerate(lengths.tolist())]
+        finite = [all(map(math.isfinite, (r["xn"], r["x1"], r["margin"])))
+                  for r in records]
+        fh = io.StringIO()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli.analytic, "verify_bounds",
+                          lambda *args: check)
+            if not all(finite):
+                # JSON has no NaN or Infinity: the chunk writes nothing and
+                # names its first non-finite record.
+                with pytest.raises(FloatingPointError) as excinfo:
+                    cli._verify_chunk(fh, lengths, jumps, arcs)
+                first = records[finite.index(False)]
+                assert str(excinfo.value) == \
+                    f"non-finite verify record: {first}"
+                assert fh.getvalue() == ""
+                return
+            violations = cli._verify_chunk(fh, lengths, jumps, arcs)
         encode = json.JSONEncoder(sort_keys=True).encode
         assert fh.getvalue() == "".join(encode(r) + "\n" for r in records)
         assert encode(violations) == encode(
             [r for r, ok in zip(records, satisfied.tolist()) if not ok])
 
     def test_output_does_not_depend_on_block_size(self, monkeypatch):
-        # Each block of rows is written with its own %; NaN rows fall in
-        # the first, a middle and the last block at every size below 300.
+        # Each block of rows is written with its own %.
         rng = np.random.default_rng(8)
         lengths = np.tile(np.arange(1, RANDOM_MAX_N + 1), 30)
         rows = lengths.size
@@ -604,7 +630,6 @@ class TestVerify:
                        for _ in range(2))
         fields = {name: rng.standard_normal(rows)
                   for name in ("xn", "x1", "margin")}
-        fields["x1"][[0, rows // 2, rows - 1]] = math.nan
         check = BoundCheck(satisfied=fields["margin"] > -1.0,
                            at_equality=np.zeros(rows, dtype=bool), **fields)
         monkeypatch.setattr(cli.analytic, "verify_bounds",
@@ -761,6 +786,41 @@ class TestVerifyTwoProcesses:
         assert [record["thetas"][0] for record in err["offenders"]] == [
             flagged]
         assert_no_child()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("where", ["here", "child"])
+    def test_non_finite_record_exits_2(self, tmp_path, monkeypatch, capsys,
+                                       where, value):
+        # JSON has no NaN or Infinity, so a non-finite record is a
+        # numerical failure on either path, named as the serial loop names
+        # it.  The record is picked by its values, as in
+        # test_violation_gives_the_serial_offenders.
+        self._verify("serial", tmp_path / "plain", 2500)
+        record = next(record for record in map(json.loads, (
+            tmp_path / "plain" / "verify_sequences.jsonl").read_text(
+            ).splitlines()[{"here": 700, "child": 2100}[where]:])
+            if record["n"] > 1)
+        real = cli.analytic.verify_bounds
+
+        def verify_bounds(lengths, jumps, arcs):
+            check = real(lengths, jumps, arcs)
+            hit = jumps[:, 0] == record["thetas"][0]
+            return dataclasses.replace(check,
+                                       x1=np.where(hit, value, check.x1))
+
+        monkeypatch.setattr(cli.analytic, "verify_bounds", verify_bounds)
+        named = {"n": record["n"], "thetas": record["thetas"],
+                 "arcs": record["arcs"], "xn": record["xn"], "x1": value,
+                 "margin": record["margin"]}
+        for path in ("serial", "forked"):
+            capsys.readouterr()
+            with fork_paths()[path]:
+                code = run_cli(["verify", "--n", "2500", "--seed", "4",
+                                "--out", str(tmp_path / path)])
+            assert code == 2
+            assert json.loads(capsys.readouterr().err) == {
+                "error": f"non-finite verify record: {named}", "exit_code": 2}
+            assert_no_child()
 
     def test_child_exit_status_reruns_the_serial_loop(self, tmp_path,
                                                       monkeypatch):
@@ -999,10 +1059,12 @@ class TestSweepCommand:
                           params, 10.0)
         assert cell["error"] is None
         assert cell["objective"] == direct.objective
-        assert cell["winner_start"] == direct.start_label
+        assert cell["winner_start"] == direct.winner.label
         assert cell["pumping_baseline"] == pumping_baseline(params, 10.0)
-        assert cell["starts"] == [dataclasses.asdict(rec)
-                                  for rec in direct.starts]
+        # Every start's record without its arrays.
+        assert cell["starts"] == [
+            {key: value for key, value in dataclasses.asdict(rec).items()
+             if key not in ("theta", "history")} for rec in direct.starts]
 
     def test_programming_errors_propagate(self, tmp_path, monkeypatch,
                                           capsys):

@@ -677,7 +677,7 @@ class TestConfigs:
                                     n_starts=np.uint8(1))
         result = optimize(config, SystemParams(gamma_total=1.0), 2.0)
         assert result.control.n_intervals == 4
-        assert result.iterations == 0
+        assert result.winner.iterations == 0
 
 
 class TestOptimize:
@@ -701,9 +701,9 @@ class TestOptimize:
         p = SystemParams(gamma_total=10.0)
         start = [("pumping", np.full(50, HALF_PI))]
         result = optimize(config, p, 35.0, starts=start)
-        assert result.converged
+        assert result.winner.converged
         assert abs(result.history[-1] - result.history[0]) <= 1e-4
-        assert result.iterations == 0
+        assert result.winner.iterations == 0
 
     def test_tie_break_prefers_smooth_winner(self):
         # At large decay several starts reach the pumping objective; the
@@ -712,8 +712,30 @@ class TestOptimize:
                                     n_starts=4, seed=1)
         p = SystemParams(gamma_total=10.0)
         result = optimize(config, p, 35.0)
-        assert result.start_label == "pumping"
+        assert result.winner.label == "pumping"
         assert result.control.total_variation() == 0.0
+
+    @pytest.mark.parametrize("path", ["serial", "forked"])
+    def test_winner_is_its_start_record(self, path):
+        # The tie-break of optimize's docstring, taken from the records:
+        # the winner is that start's own record, with its angles and
+        # history, also when its record came through the child's pipe.
+        config = OptimizationConfig(n_intervals=12, max_iters=40,
+                                    n_starts=5, seed=3)
+        with fork_paths()[path]:
+            result = optimize(config, SystemParams(gamma_total=2.0), 6.0)
+        records = result.starts
+        best = max(r.objective for r in records)
+        floor = max(r.initial_objective for r in records) - 1e-12
+        index = min((i for i, r in enumerate(records)
+                     if r.objective >= best - 1e-6 and r.objective >= floor),
+                    key=lambda i: (records[i].total_variation, i))
+        assert result.winner is records[index]
+        assert result.history is result.winner.history
+        assert result.control.theta.tobytes() == \
+            result.winner.theta.tobytes()
+        assert result.objective == result.winner.objective
+        assert result.winner.history[-1] == result.winner.objective
 
     def test_small_decay_beats_pumping(self):
         config = OptimizationConfig(n_intervals=40, max_iters=200,
@@ -727,7 +749,7 @@ class TestOptimize:
         # the slowest regime for the ascent, far from pumping.
         p = SystemParams(gamma_total=0.1)
         result = optimize(OptimizationConfig(), p, 10.0)
-        assert result.converged
+        assert result.winner.converged
         assert all(record.converged for record in result.starts)
         assert max(record.iterations for record in result.starts) <= 150
         assert result.objective >= 0.95363
@@ -782,16 +804,16 @@ class TestOptimize:
             OptimizationConfig(n_intervals=20, max_iters=200, seed=0),
             p, 5.0,
             starts=[("ramp", HALF_PI * (np.arange(20) + 0.5) / 20)])
-        assert warm.converged
+        assert warm.winner.converged
         config = OptimizationConfig(n_intervals=20, max_iters=5, seed=0)
         with (mock.patch.object(optimizer, "_GRAD_TOL", 1e-30),
               mock.patch.object(optimizer, "_INITIAL_STEP", 1e9),
               mock.patch.object(optimizer, "_MAX_BACKTRACKS", 1)):
             result = optimize(config, p, 5.0,
                               starts=[("stall", warm.control.theta)])
-        assert not result.converged
+        assert not result.winner.converged
         assert result.starts[0].stop == "line_search"
-        assert result.iterations == 0
+        assert result.winner.iterations == 0
         assert result.objective == pytest.approx(
             result.starts[0].initial_objective, abs=1e-15)
 
@@ -806,20 +828,21 @@ class TestOptimize:
         starts = optimizer.default_starts(config, np.random.default_rng(0))
         for start in starts:
             free = optimize(config, p, duration, starts=[start])
-            assert free.converged
+            assert free.winner.converged
             assert free.starts[0].stop == "converged"
+            iterations = free.winner.iterations
             capped = optimize(
-                OptimizationConfig(n_intervals=20, max_iters=free.iterations,
+                OptimizationConfig(n_intervals=20, max_iters=iterations,
                                    n_starts=1),
                 p, duration, starts=[start])
             assert capped.starts == free.starts
-            if free.iterations == 0:
+            if iterations == 0:
                 continue
             short = optimize(
-                OptimizationConfig(n_intervals=20,
-                                   max_iters=free.iterations - 1, n_starts=1),
+                OptimizationConfig(n_intervals=20, max_iters=iterations - 1,
+                                   n_starts=1),
                 p, duration, starts=[start])
-            assert not short.converged
+            assert not short.winner.converged
             assert short.starts[0].stop == "max_iters"
 
     def test_restart_step_expands_along_a_convex_path(self):
@@ -877,7 +900,7 @@ class TestOptimize:
         ramp = {r.label: r for r in result.starts}["intuitive_ramp"]
         assert ramp.converged
         assert ramp.nfev <= 25
-        assert result.start_label == "pumping"
+        assert result.winner.label == "pumping"
         assert result.control.theta.tobytes() == np.full(100, HALF_PI).tobytes()
 
     def test_asymmetric_cell_needs_fewer_evaluations(self):
@@ -967,7 +990,10 @@ class TestOptimize:
 
 def _assert_bit_equal(got, want):
     assert [repr(r) for r in got.starts] == [repr(r) for r in want.starts]
-    assert got.start_label == want.start_label
+    for g, w in zip(got.starts, want.starts):
+        assert g.theta.tobytes() == w.theta.tobytes()
+        assert g.history.tobytes() == w.history.tobytes()
+    assert got.winner.label == want.winner.label
     assert got.objective.hex() == want.objective.hex()
     assert got.control.theta.tobytes() == want.control.theta.tobytes()
     assert got.history.tobytes() == want.history.tobytes()
@@ -994,6 +1020,25 @@ class TestTwoProcesses:
             return optimize(self.config, self.params, 5.0, starts=starts)
 
     @pytest.mark.parametrize("gamma_diff", [0.0, 1.5])
+    def test_ascend_all_records_are_bit_equal(self, gamma_diff):
+        p = SystemParams(gamma_total=2.0, gamma_diff=gamma_diff)
+        grid = np.linspace(0.0, 5.0, 9)
+        starts = _indexed_starts(5)
+        records = {}
+        for path, patch in fork_paths().items():
+            with patch, mock.patch.object(os, "fork", wraps=os.fork) as fork:
+                records[path] = optimizer._ascend_all(starts, grid, p,
+                                                      self.config)
+            assert fork.called == (path == "forked")
+        assert_no_child()
+        serial, forked = records["serial"], records["forked"]
+        assert [r.label for r in serial] == [label for label, _ in starts]
+        assert forked == serial
+        for got, want in zip(forked, serial):
+            assert got.theta.tobytes() == want.theta.tobytes()
+            assert got.history.tobytes() == want.history.tobytes()
+
+    @pytest.mark.parametrize("gamma_diff", [0.0, 1.5])
     def test_paths_are_bit_equal(self, gamma_diff):
         p = SystemParams(gamma_total=2.0, gamma_diff=gamma_diff)
         for n_starts in range(1, 8):
@@ -1016,10 +1061,10 @@ class TestTwoProcesses:
     def test_lowest_failing_start_raises_as_in_serial(self, failing, error):
         real = optimizer._ascend
 
-        def ascend(theta0, *args):
+        def ascend(label, theta0, *args):
             if _start_index(theta0) in failing:
                 raise error(_start_index(theta0))
-            return real(theta0, *args)
+            return real(label, theta0, *args)
 
         expected = error(min(failing))
         raised = {}
@@ -1040,10 +1085,10 @@ class TestTwoProcesses:
         parent = os.getpid()
         real_ascend, real_dumps = optimizer._ascend, pickle.dumps
 
-        def ascend(theta0, *args):
+        def ascend(label, theta0, *args):
             if os.getpid() != parent:
                 os._exit(3)
-            return real_ascend(theta0, *args)
+            return real_ascend(label, theta0, *args)
 
         patch = {"exit_status_3": mock.patch.object(optimizer, "_ascend",
                                                     ascend),
@@ -1073,9 +1118,9 @@ class TestTwoProcesses:
         real = optimizer._ascend
         here = []
 
-        def ascend(theta0, *args):
+        def ascend(label, theta0, *args):
             here.append(_start_index(theta0))
-            return real(theta0, *args)
+            return real(label, theta0, *args)
 
         with mock.patch.object(optimizer, "_ascend", ascend):
             self._optimize("forked", _indexed_starts(5))
@@ -1086,12 +1131,12 @@ class TestTwoProcesses:
         parent = os.getpid()
         real = optimizer._ascend
 
-        def ascend(theta0, *args):
+        def ascend(label, theta0, *args):
             if os.getpid() != parent:
                 time.sleep(30.0)
             elif _start_index(theta0) == 0:
                 raise KeyboardInterrupt
-            return real(theta0, *args)
+            return real(label, theta0, *args)
 
         began = time.perf_counter()
         with mock.patch.object(optimizer, "_ascend", ascend):
